@@ -178,6 +178,11 @@ let kernel_tests =
         Bcg.is_pairwise_stable ~alpha:(Rat.of_int 2) Gallery.clebsch));
     Test.make ~name:"nash_alpha_set_c7" (Staged.stage (fun () ->
         Ucg.nash_alpha_set (Families.cycle 7)));
+    (* a dense Nash set: K7 minus an edge has 2^20 orientations and the
+       one-point set [1, 1]; the coverage prune decides most of the walk *)
+    (let k7_minus_e = Nf_graph.Graph.remove_edge (Families.complete 7) 0 1 in
+     Test.make ~name:"nash_alpha_set_k7_minus_e" (Staged.stage (fun () ->
+         Ucg.nash_alpha_set k7_minus_e)));
     Test.make ~name:"ucg_best_response_star10" (Staged.stage (fun () ->
         Ucg.best_response ~alpha:(Rat.of_int 2) (Families.star 10) 1
           ~owned:Nf_util.Bitset.empty));

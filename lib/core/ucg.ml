@@ -390,7 +390,14 @@ let is_nash_orientation ~alpha g ~owner =
       let rec go v = v >= n || (accepts_ws ~alpha ws v ~owned:owned_of.(v) && go (v + 1)) in
       go 0)
 
-let nash_alpha_set_gen ~interval_of g =
+(* Coverage pruning ([~prune:true]): every leaf below a node emits a
+   subset of the node's running interval, so once that interval lies
+   inside the union of the pieces emitted so far, the subtree can only
+   re-emit covered points and is cut.  [Union.of_list] merges touching
+   ranges, so the union's canonical form depends on the point set alone
+   and the pruned walk's result is structurally identical to the
+   exhaustive one.  The reference runs with [~prune:false]. *)
+let nash_alpha_set_gen ~prune ~interval_of g =
   if not (Nf_graph.Connectivity.is_connected g) || Graph.order g = 0 then
     Interval.Union.empty
   else begin
@@ -404,20 +411,27 @@ let nash_alpha_set_gen ~interval_of g =
         Hashtbl.add memo key interval;
         interval
     in
-    let pieces = ref [] in
+    let covered = ref Interval.Union.empty in
     let judge v owned current =
       let refined = Interval.inter current (interval_memo v owned) in
-      if Interval.is_empty refined then None else Some refined
+      if Interval.is_empty refined || (prune && Interval.Union.covers !covered refined) then
+        None
+      else Some refined
     in
-    let emit interval = pieces := interval :: !pieces in
+    let emit interval = covered := Interval.Union.add interval !covered in
     search_orientations g ~top:(Interval.open_closed Rat.zero Interval.Pos_inf) ~judge
       ~emit;
-    Interval.Union.of_list !pieces
+    !covered
   end
+
+let nash_alpha_set_pruned ws g =
+  nash_alpha_set_gen ~prune:true
+    ~interval_of:(fun v owned -> acceptance_interval_ws ws v ~owned)
+    g
 
 let nash_alpha_set_ws ws g =
   Kernel.load ws g;
-  nash_alpha_set_gen ~interval_of:(fun v owned -> acceptance_interval_ws ws v ~owned) g
+  nash_alpha_set_pruned ws g
 
 (* ---- orbit-quotient orientation search ----------------------------------
    Two symmetry dividends on top of the plain walk, both exact:
@@ -438,8 +452,10 @@ let nash_alpha_set_ws ws g =
       exact cross-multiplication — no hashing and no boxed intervals until
       a leaf emits a piece.  Piece construction goes through the same
       [Rat.make]/[Interval.make] normalization as the plain path, and
-      [Union.of_list] canonicalizes the collection, so the result is
-      structurally identical to the unquotiented walk's. *)
+      [Union.add] canonicalizes the collection, so the result is
+      structurally identical to the unquotiented walk's.  The coverage
+      prune (see [nash_alpha_set_gen]) runs against an integer mirror of
+      the emitted union, so it allocates only when a leaf grows it. *)
 
 let closure_cap m = if m < 10 then 32 else 1024
 
@@ -544,21 +560,68 @@ let nash_alpha_set_quotient_ws ws sym g =
       remaining.(j) <- remaining.(j) + 1)
     edges;
   let owned_now = Array.make n Bitset.empty in
-  let pieces = ref [] in
+  (* the union emitted so far, mirrored into integer registers for the
+     coverage prune: range r is [cov.(6r) .. cov.(6r+5)] = lo_n, lo_d,
+     lo closed, hi_n, hi_d (0 = +inf), hi closed *)
+  let covered = ref Interval.Union.empty in
+  let cov = ref (Array.make 24 0)
+  and ncov = ref 0 in
+  let refresh_cov () =
+    let ranges = Interval.Union.to_list !covered in
+    ncov := List.length ranges;
+    if 6 * !ncov > Array.length !cov then cov := Array.make (12 * !ncov) 0;
+    let b = !cov in
+    List.iteri
+      (fun r range ->
+        match Interval.bounds range with
+        | Some (Interval.Finite lo, lo_c, hi, hi_c) ->
+          let o = 6 * r in
+          b.(o) <- Rat.num lo;
+          b.(o + 1) <- Rat.den lo;
+          b.(o + 2) <- Bool.to_int lo_c;
+          (match hi with
+          | Interval.Finite hi ->
+            b.(o + 3) <- Rat.num hi;
+            b.(o + 4) <- Rat.den hi
+          | Interval.Neg_inf | Interval.Pos_inf -> b.(o + 4) <- 0);
+          b.(o + 5) <- Bool.to_int hi_c
+        | Some ((Interval.Neg_inf | Interval.Pos_inf), _, _, _) | None ->
+          (* every piece starts inside (0, +inf] *)
+          assert false)
+      ranges
+  in
+  (* slot [s] lies inside covered range [r] or a later one *)
+  let rec covered_from s r =
+    r < !ncov
+    && ((let b = !cov
+         and o = 6 * r in
+         let c = compare (b.(o) * r_lo_d.(s)) (r_lo_n.(s) * b.(o + 1)) in
+         (c < 0 || (c = 0 && (b.(o + 2) = 1 || Bytes.get r_lo_c s = '\000')))
+         && (b.(o + 4) = 0
+            || r_hi_d.(s) > 0
+               &&
+               let c = compare (r_hi_n.(s) * b.(o + 4)) (b.(o + 3) * r_hi_d.(s)) in
+               c < 0 || (c = 0 && (b.(o + 5) = 1 || Bytes.get r_hi_c s = '\000'))))
+       || covered_from s (r + 1))
+  in
+  (* a leaf is only reached through an uncovered judge, so every emit
+     grows the union *)
   let emit s =
-    pieces :=
-      Interval.make
-        ~lo:(Interval.Finite (Rat.make r_lo_n.(s) r_lo_d.(s)))
-        ~lo_closed:(Bytes.get r_lo_c s = '\001')
-        ~hi:
-          (if r_hi_d.(s) = 0 then Interval.Pos_inf
-           else Interval.Finite (Rat.make r_hi_n.(s) r_hi_d.(s)))
-        ~hi_closed:(Bytes.get r_hi_c s = '\001')
-      :: !pieces
+    covered :=
+      Interval.Union.add
+        (Interval.make
+           ~lo:(Interval.Finite (Rat.make r_lo_n.(s) r_lo_d.(s)))
+           ~lo_closed:(Bytes.get r_lo_c s = '\001')
+           ~hi:
+             (if r_hi_d.(s) = 0 then Interval.Pos_inf
+              else Interval.Finite (Rat.make r_hi_n.(s) r_hi_d.(s)))
+           ~hi_closed:(Bytes.get r_hi_c s = '\001'))
+        !covered;
+    refresh_cov ()
   in
   let judge v s =
     let idx = lookup v owned_now.(v) in
-    Bytes.get state idx <> '\001' && inter_slot s idx
+    Bytes.get state idx <> '\001' && inter_slot s idx && not (covered_from s 0)
   in
   (* the live prefix at depth e holds the elements fixing every arc of the
      first e assignments pointwise; both branches of edge e induce the
@@ -618,12 +681,11 @@ let nash_alpha_set_quotient_ws ws sym g =
   (* connected graphs with n >= 2 have no isolated vertices, and n <= 1
      never reaches this function (the subgroup is trivial there) *)
   assign 0;
-  Interval.Union.of_list !pieces
+  !covered
 
 let nash_alpha_set_sym_ws ws sym g =
   Kernel.load ws g;
-  if Symmetry.is_trivial sym then
-    nash_alpha_set_gen ~interval_of:(fun v owned -> acceptance_interval_ws ws v ~owned) g
+  if Symmetry.is_trivial sym then nash_alpha_set_pruned ws g
   else if not (Nf_graph.Connectivity.is_connected g) || Graph.order g = 0 then
     Interval.Union.empty
   else begin
@@ -640,11 +702,7 @@ let nash_alpha_set_sym_ws ws sym g =
          true
        with Exit -> false)
     in
-    if budget_ok then nash_alpha_set_quotient_ws ws sym g
-    else
-      nash_alpha_set_gen
-        ~interval_of:(fun v owned -> acceptance_interval_ws ws v ~owned)
-        g
+    if budget_ok then nash_alpha_set_quotient_ws ws sym g else nash_alpha_set_pruned ws g
   end
 
 (* One-off entry point: auto-detect symmetry when the quotient is enabled.
@@ -663,4 +721,4 @@ let nash_alpha_set g =
         nash_alpha_set_sym_ws ws sym g)
 
 let nash_alpha_set_reference g =
-  nash_alpha_set_gen ~interval_of:(fun v owned -> acceptance_interval g v ~owned) g
+  nash_alpha_set_gen ~prune:false ~interval_of:(fun v owned -> acceptance_interval g v ~owned) g

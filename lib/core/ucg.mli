@@ -14,9 +14,20 @@
     and each graph an exact Nash α-region (a finite union of rational
     intervals).
 
+    The Nash α-set walks prune by coverage: they keep the union of the
+    pieces emitted so far and cut a subtree as soon as its running
+    interval lies inside one range of that union.  Every leaf below a node
+    emits a subset of the node's running interval, so the cut subtree
+    could only re-emit covered points; and {!Nf_util.Interval.Union.of_list}
+    merges touching ranges, so the canonical union depends on the point
+    set alone.  The pruned result is therefore structurally identical to
+    the exhaustive walk's ({!nash_alpha_set_reference}, which does not
+    prune).
+
     These computations are exponential in the worst case (all orientations
     of dense graphs); they are intended for the orders the empirical study
-    enumerates (n ≤ 8). *)
+    enumerates (n ≤ 8).  Coverage pruning collapses the dense end, whose
+    Nash sets are single intervals the first few leaves cover. *)
 
 type owned = Nf_util.Bitset.t
 (** The set of neighbors whose link player [i] pays for. *)
@@ -71,7 +82,8 @@ val nash_alpha_set_ws : Nf_graph.Kernel.t -> Nf_graph.Graph.t -> Nf_util.Interva
 (** {!nash_alpha_set} against a caller-provided kernel workspace — the
     allocation-light path used by chunked annotation (acceptance intervals
     accumulated as integer fraction bounds around in-place edge
-    toggles).  Always the unquotiented walk. *)
+    toggles).  Always the unquotiented walk, with coverage pruning (see
+    the module header). *)
 
 val nash_alpha_set_sym_ws :
   Nf_graph.Kernel.t -> Nf_iso.Symmetry.t -> Nf_graph.Graph.t -> Nf_util.Interval.Union.t
@@ -79,11 +91,15 @@ val nash_alpha_set_sym_ws :
     with live automorphisms of the given subgroup (any subgroup of
     [Aut(g)] is sound — skipped subtrees emit exactly the pieces their
     σ-image keeps) and runs the walk on lazily-filled integer acceptance
-    tables.  Structurally identical output to {!nash_alpha_set_ws}; a
-    trivial subgroup runs exactly the plain walk (the rigid fast
-    path). *)
+    tables, pruning by coverage as well (the covered ranges are kept as
+    integer numerator/denominator/closedness registers, so the test does
+    not allocate).  Structurally identical output to
+    {!nash_alpha_set_ws}; a trivial subgroup runs exactly the plain walk
+    (the rigid fast path). *)
 
 val nash_alpha_set_reference : Nf_graph.Graph.t -> Nf_util.Interval.Union.t
 (** Retained persistent-path implementation built on
-    {!acceptance_interval}; structurally identical output to
-    {!nash_alpha_set}, compared against it by the differential tests. *)
+    {!acceptance_interval}; it walks every orientation, without coverage
+    pruning, so it stays an independent oracle.  Structurally identical
+    output to {!nash_alpha_set}, compared against it by the differential
+    tests. *)

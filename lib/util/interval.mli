@@ -56,6 +56,11 @@ module Union : sig
   val to_list : t -> interval list
   val is_empty : t -> bool
   val mem : Rat.t -> t -> bool
+
+  val covers : t -> interval -> bool
+  (** [covers u i] is [true] when every point of [i] lies in [u]; since
+      [i] is connected, that means inside one range of [u]. *)
+
   val add : interval -> t -> t
   val union : t -> t -> t
   val equal : t -> t -> bool

@@ -14,8 +14,8 @@ dune build
 echo "== dune runtest (NETFORM_JOBS=1, sequential path) =="
 NETFORM_JOBS=1 dune runtest --force
 
-echo "== dune runtest (NETFORM_JOBS=4, parallel path + full orbit differential) =="
-NETFORM_JOBS=4 NETFORM_ORBIT_DIFF_FULL=1 dune runtest --force
+echo "== dune runtest (NETFORM_JOBS=4, parallel path) =="
+NETFORM_JOBS=4 dune runtest --force
 
 # Store smoke: a full n=6 atlas build, a simulated crash (the part file
 # truncated to 2/3 of the finished bytes), resume, CRC verification, and
@@ -39,6 +39,25 @@ for jobs in 1 4; do
 done
 cmp "$store_dir/pristine_j1.nfs" "$store_dir/pristine_j4.nfs"
 echo "store smoke: jobs=1 and jobs=4 builds byte-identical"
+
+# UCG bytes at the largest default order: the classic n=7 store carries
+# the exact UCG Nash set of every connected class, so the pruned
+# orientation walks (plain and orbit-quotient, both pool widths) must all
+# reproduce the golden md5.
+echo "== UCG n=7 store (golden md5, both pool widths, quotient on/off) =="
+ucg7_md5=dcb9c2744be244711da55f1146b79d00
+for jobs in 1 4; do
+  for quotient in on off; do
+    flag=""
+    [ "$quotient" = on ] || flag="--no-orbit-quotient"
+    out="$store_dir/ucg7_j${jobs}_$quotient.nfs"
+    NETFORM_JOBS=$jobs dune exec bin/netform_cli.exe -- store build -n 7 $flag -o "$out" --quiet
+    cmp "$store_dir/ucg7_j1_on.nfs" "$out"
+    sum=$(md5sum "$out" | cut -d' ' -f1)
+    [ "$sum" = "$ucg7_md5" ] || { echo "UCG n=7 store: md5 $sum, expected $ucg7_md5" >&2; exit 1; }
+  done
+done
+echo "UCG n=7 store: four builds byte-identical, md5 $ucg7_md5"
 
 # Registry exhaustiveness: every game the binary knows about must survive
 # the full annotate -> store build -> verify loop under both pool widths,

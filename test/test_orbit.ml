@@ -9,9 +9,7 @@
    the diff doubles as a routing test.
 
    The UCG orientation search makes Union-region games far more
-   expensive per graph, so their exhaustive leg stops at n = 6 (set
-   NETFORM_ORBIT_DIFF_FULL=1 for the ~30 s n = 7 sweep) and their
-   gallery leg at order 10. *)
+   expensive per graph, so their gallery leg stops at order 10. *)
 
 open Netform
 module Graph = Nf_graph.Graph
@@ -22,19 +20,11 @@ module E = Nf_analysis.Equilibria
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let full_diff =
-  match Sys.getenv_opt "NETFORM_ORBIT_DIFF_FULL" with
-  | None | Some "" | Some "0" -> false
-  | Some _ -> true
+let exhaustive_cap = 7
 
-(* n caps keyed off the region shape: Union regions mean an orientation
-   search per annotation (UCG), orders of magnitude above the interval
-   games' edge scans *)
-let exhaustive_cap (Game.Any (module G)) =
-  match G.region_kind with
-  | Game.Region.Interval -> 7
-  | Game.Region.Union -> if full_diff then 7 else 6
-
+(* gallery cap keyed off the region shape: Union regions mean an
+   orientation search per annotation (UCG), orders of magnitude above the
+   interval games' edge scans *)
 let gallery_cap (Game.Any (module G)) =
   match G.region_kind with Game.Region.Interval -> 30 | Game.Region.Union -> 10
 
@@ -51,7 +41,7 @@ let diff pack ws g label =
 let test_exhaustive pack () =
   let count = ref 0 in
   Kernel.with_ws (fun ws ->
-      for n = 3 to exhaustive_cap pack do
+      for n = 3 to exhaustive_cap do
         List.iter
           (fun g ->
             diff pack ws g (Printf.sprintf "n=%d #%d" n !count);

@@ -176,6 +176,54 @@ let test_acceptance_interval_matches_accepts () =
       alphas
   done
 
+(* ---------------- pruned walks vs the exhaustive reference ------------ *)
+
+(* The workspace walks cut subtrees whose running interval the emitted
+   union already covers; the reference walks every orientation.  All
+   three pruned entry points must reproduce it structurally (polymorphic
+   equality, not just the same point set). *)
+let structural = Alcotest.testable Interval.Union.pp ( = )
+
+let check_pruned_paths ws g =
+  let name = Nf_graph.Graph6.encode g in
+  let expected = Ucg.nash_alpha_set_reference g in
+  check structural (name ^ ": ws") expected (Ucg.nash_alpha_set_ws ws g);
+  check structural (name ^ ": sym ws, twins") expected
+    (Ucg.nash_alpha_set_sym_ws ws (Nf_iso.Symmetry.detect_twins g) g);
+  check structural (name ^ ": sym ws, full group") expected
+    (Ucg.nash_alpha_set_sym_ws ws (Nf_iso.Symmetry.detect_full g) g)
+
+let test_pruned_vs_reference_small () =
+  Nf_graph.Kernel.with_ws (fun ws ->
+      for n = 1 to 6 do
+        List.iter (check_pruned_paths ws) (Nf_enum.Unlabeled.connected_graphs n)
+      done)
+
+let test_pruned_vs_reference_dense7 () =
+  Nf_graph.Kernel.with_ws (fun ws ->
+      List.iter
+        (fun g6 -> check_pruned_paths ws (Nf_graph.Graph6.decode g6))
+        [ "F~~~w"; "F~~~o"; "F~~~_"; "F~~vW" ])
+
+(* Dense graphs have one-interval Nash sets that the first few leaves
+   already cover.  Without the coverage prune K8 (2^28 orientations)
+   takes about a minute against milliseconds, so a lost prune shows up
+   as a hang rather than as a slightly slower run. *)
+let unit_point = Interval.Union.of_list [ Interval.point (r 1) ]
+
+let test_dense_pin_k8 () =
+  check union "K8 Nash on (0,1]"
+    (Interval.Union.of_list [ Interval.open_closed Rat.zero (Interval.Finite (r 1)) ])
+    (Ucg.nash_alpha_set (Families.complete 8))
+
+let test_dense_pin_k7_minus_e () =
+  check union "F~~~o Nash on [1,1]" unit_point
+    (Ucg.nash_alpha_set (Nf_graph.Graph6.decode "F~~~o"))
+
+let test_dense_pin_n8 () =
+  check union "G~~~vo Nash on [1,1]" unit_point
+    (Ucg.nash_alpha_set (Nf_graph.Graph6.decode "G~~~vo"))
+
 (* every UCG Nash graph passes the orientation-free necessary conditions
    implicitly; also check a known negative quickly *)
 let test_dense_not_nash_at_high_alpha () =
@@ -206,5 +254,15 @@ let () =
           Alcotest.test_case "interval vs pointwise" `Quick test_interval_vs_pointwise;
           Alcotest.test_case "float wrapper" `Quick test_is_nash_graph_f;
           Alcotest.test_case "acceptance interval" `Quick test_acceptance_interval_matches_accepts;
+          Alcotest.test_case "pruned = reference, connected n <= 6" `Quick
+            test_pruned_vs_reference_small;
+          Alcotest.test_case "pruned = reference, dense n = 7" `Slow
+            test_pruned_vs_reference_dense7;
+        ] );
+      ( "dense pins",
+        [
+          Alcotest.test_case "K8" `Quick test_dense_pin_k8;
+          Alcotest.test_case "F~~~o" `Quick test_dense_pin_k7_minus_e;
+          Alcotest.test_case "G~~~vo" `Slow test_dense_pin_n8;
         ] );
     ]

@@ -494,6 +494,16 @@ let prop_union_mem_disjunction =
         (fun x -> Interval.Union.mem x u = List.exists (Interval.mem x) intervals)
         rat_points)
 
+(* the coverage prune of the UCG orientation walk rests on this: an
+   interval the union covers leaves the union's normal form unchanged *)
+let prop_union_covers =
+  QCheck.Test.make ~name:"union covers = add is a no-op" ~count:500
+    (QCheck.pair
+       (QCheck.list_of_size (QCheck.Gen.int_range 0 5) interval_arbitrary)
+       interval_arbitrary) (fun (intervals, i) ->
+      let u = Interval.Union.of_list intervals in
+      Interval.Union.covers u i = Interval.Union.equal (Interval.Union.add i u) u)
+
 let prop_union_pieces_disjoint_sorted =
   QCheck.Test.make ~name:"union normal form" ~count:300
     (QCheck.list_of_size (QCheck.Gen.int_range 0 6) interval_arbitrary) (fun intervals ->
@@ -550,6 +560,7 @@ let () =
           qcheck prop_subset_via_inter;
           qcheck prop_union_mem_disjunction;
           qcheck prop_union_pieces_disjoint_sorted;
+          qcheck prop_union_covers;
         ] );
       ( "bitset",
         [
