@@ -118,6 +118,16 @@ let experiment_tests =
         Nf_dynamics.Stochastic.analyze ~alpha:(Rat.of_int 2) ~n:4));
   ]
 
+(* a cold enumeration row asserts its class count against OEIS A000088, so
+   a fast path that drops or duplicates classes fails the bench run *)
+let cold_count_all n =
+  Nf_enum.Unlabeled.clear_cache ();
+  let count = Nf_enum.Unlabeled.count_all n in
+  let expected = Option.get (Nf_enum.Counts.graphs n) in
+  if count <> expected then
+    failwith (Printf.sprintf "bench: count_all %d = %d, expected %d" n count expected);
+  count
+
 (* substrate kernels *)
 let kernel_tests =
   let rng = Nf_util.Prng.create 99 in
@@ -133,19 +143,13 @@ let kernel_tests =
     Test.make ~name:"canonical_form_random_n12" (Staged.stage (fun () ->
         let g = Nf_graph.Random_graph.gnp (Nf_util.Prng.create 3) 12 0.4 in
         Nf_iso.Canon.canonical_form g));
-    Test.make ~name:"enumerate_unlabeled_n6" (Staged.stage (fun () ->
-        Nf_enum.Unlabeled.clear_cache ();
-        Nf_enum.Unlabeled.count_all 6));
+    Test.make ~name:"enumerate_unlabeled_n6" (Staged.stage (fun () -> cold_count_all 6));
     (* the perf-trajectory record for the canonical-augmentation engine:
        cold full enumerations at n=7/8, and a streaming smoke at n=9 (the
        first 2000 classes off a warm n=8 parent level; a full n=9 pass
        belongs in ci.sh, not in a timing loop) *)
-    Test.make ~name:"enumerate_all_n7_cold" (Staged.stage (fun () ->
-        Nf_enum.Unlabeled.clear_cache ();
-        Nf_enum.Unlabeled.count_all 7));
-    Test.make ~name:"enumerate_all_n8_cold" (Staged.stage (fun () ->
-        Nf_enum.Unlabeled.clear_cache ();
-        Nf_enum.Unlabeled.count_all 8));
+    Test.make ~name:"enumerate_all_n7_cold" (Staged.stage (fun () -> cold_count_all 7));
+    Test.make ~name:"enumerate_all_n8_cold" (Staged.stage (fun () -> cold_count_all 8));
     Test.make ~name:"enumerate_stream_n9_smoke" (Staged.stage (fun () ->
         ignore (Nf_enum.Unlabeled.all_graphs 8);
         let seen = ref 0 in

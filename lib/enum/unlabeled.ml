@@ -113,20 +113,10 @@ let last_cell partition =
 (* Cell order survives refinement (splitting replaces a cell by sub-groups
    in place), so the last refined cell always sits inside the last cell of
    the seed degree partition — the minimum-degree vertices.  A new vertex of
-   non-minimal degree can therefore be rejected before refining. *)
-let min_degree g =
-  let n = Graph.order g in
-  let m = ref max_int in
-  for v = 0 to n - 1 do
-    let d = Graph.degree g v in
-    if d < !m then m := d
-  done;
-  !m
-
+   non-minimal degree can therefore be rejected before refining; [children]
+   does so on the neighborhood mask, before the child is even built. *)
 let accepts child =
   let v = Graph.order child - 1 in
-  Graph.degree child v = min_degree child
-  &&
   let cell = last_cell (Refine.refine child (Refine.degree_partition child)) in
   match cell with
   | [ u ] -> u = v
@@ -182,9 +172,20 @@ let subset_orbit_reps k generators =
 let children parent =
   let k = Graph.order parent in
   let generators = (Canon.full parent).Canon.generators in
+  let degree = Array.init k (Graph.degree parent) in
+  (* in [parent + mask] the new vertex has degree [popcount mask] and
+     vertex [u] has [degree.(u) + [u in mask]]; the new vertex has minimum
+     degree iff no [u] falls below it *)
+  let minimum_degree mask =
+    let d = Bitset.cardinal mask in
+    let rec ok u = u >= k || (d <= degree.(u) + ((mask lsr u) land 1) && ok (u + 1)) in
+    ok 0
+  in
   let add acc mask =
-    let child = Graph.add_vertex parent mask in
-    if accepts child then child :: acc else acc
+    if not (minimum_degree mask) then acc
+    else
+      let child = Graph.add_vertex parent mask in
+      if accepts child then child :: acc else acc
   in
   let acc =
     match subset_orbit_reps k generators with

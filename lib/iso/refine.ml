@@ -1,62 +1,134 @@
 module Graph = Nf_graph.Graph
-module Bitset = Nf_util.Bitset
+module Bw = Nf_util.Bitset_w
 
 type partition = int list list
 
 let unit_partition n = if n = 0 then [] else [ List.init n Fun.id ]
 
+(* Counting sort on degree: filling the buckets from the top vertex down
+   leaves each one ascending, and prepending them from degree 0 up emits
+   the largest degree first. *)
 let degree_partition g =
   let n = Graph.order g in
-  let by_degree = Hashtbl.create 8 in
-  for v = 0 to n - 1 do
+  let buckets = Array.make n [] in
+  for v = n - 1 downto 0 do
     let d = Graph.degree g v in
-    Hashtbl.replace by_degree d (v :: Option.value ~default:[] (Hashtbl.find_opt by_degree d))
+    buckets.(d) <- v :: buckets.(d)
   done;
-  let degrees = List.sort_uniq (fun a b -> compare b a) (Hashtbl.fold (fun d _ acc -> d :: acc) by_degree []) in
-  List.map (fun d -> List.sort compare (Hashtbl.find by_degree d)) degrees
+  let cells = ref [] in
+  Array.iter (fun bucket -> if bucket <> [] then cells := bucket :: !cells) buckets;
+  !cells
 
-(* Split every cell by the count of neighbors inside [splitter]; groups are
-   ordered by decreasing count so the outcome is independent of within-cell
-   vertex order.  Returns the new partition and whether anything split. *)
-let split_by g splitter partition =
-  let changed = ref false in
-  let split_cell cell =
-    match cell with
-    | [] | [ _ ] -> [ cell ]
-    | _ ->
-      let keyed =
-        List.map (fun v -> (Bitset.cardinal (Bitset.inter (Graph.neighbors g v) splitter), v)) cell
-      in
-      let sorted = List.sort (fun (k1, v1) (k2, v2) -> compare (k2, v1) (k1, v2)) keyed in
-      let rec group current key acc = function
-        | [] -> List.rev (List.rev current :: acc)
-        | (k, v) :: rest ->
-          if k = key then group (v :: current) key acc rest
-          else group [ v ] k (List.rev current :: acc) rest
-      in
-      (match sorted with
-      | [] -> [ [] ]
-      | (k0, v0) :: rest ->
-        let groups = group [ v0 ] k0 [] rest in
-        if List.length groups > 1 then changed := true;
-        groups)
-  in
-  let refined = List.concat_map split_cell partition in
-  (refined, !changed)
+(* The partition lives in one int array: [elems] holds the cells as
+   contiguous runs, and [cell_end.(s)] is the end of the cell starting at
+   position [s] (entries at non-start positions are stale).  [keys] holds
+   each position's neighbour count against the current splitter.
 
+   Each round snapshots one mask per current cell and applies them in order
+   against the evolving partition; any split triggers another round.  Cell
+   count only grows, so this terminates in <= n rounds.  An empty input
+   cell has no run, which is exact: its mask splits nothing and sorting is
+   order-independent. *)
 let refine g partition =
-  (* Iterate to a fixpoint: re-split against every current cell after any
-     change.  Cell count only grows, so this terminates in <= n rounds. *)
-  let rec loop partition =
-    let splitters = List.map Bitset.of_list partition in
-    let step (p, changed) splitter =
-      let p', c = split_by g splitter p in
-      (p', changed || c)
-    in
-    let partition', changed = List.fold_left step (partition, false) splitters in
-    if changed then loop partition' else partition'
+  if Graph.words g > 1 then
+    invalid_arg
+      (Printf.sprintf "Refine.refine: order %d exceeds the one-word limit" (Graph.order g));
+  let size = List.fold_left (fun acc cell -> acc + List.length cell) 0 partition in
+  let elems = Array.make size 0 in
+  let cell_end = Array.make size 0 in
+  let keys = Array.make size 0 in
+  let pos = ref 0 in
+  List.iter
+    (fun cell ->
+      let first = !pos in
+      List.iter
+        (fun v ->
+          elems.(!pos) <- v;
+          incr pos)
+        cell;
+      if !pos > first then cell_end.(first) <- !pos)
+    partition;
+  (* Split every cell of size >= 2 by neighbour count inside [splitter]:
+     insertion-sort its run by (count descending, vertex ascending) and cut
+     it where the count changes.  Returns whether anything split. *)
+  let split_by splitter =
+    let changed = ref false in
+    let s = ref 0 in
+    while !s < size do
+      let first = !s in
+      let stop = cell_end.(first) in
+      if stop - first >= 2 then begin
+        for p = first to stop - 1 do
+          keys.(p) <- Bw.popcount (Graph.row_word g elems.(p) 0 land splitter)
+        done;
+        for p = first + 1 to stop - 1 do
+          let key = keys.(p)
+          and v = elems.(p) in
+          let q = ref (p - 1) in
+          while !q >= first && (keys.(!q) < key || (keys.(!q) = key && elems.(!q) > v)) do
+            keys.(!q + 1) <- keys.(!q);
+            elems.(!q + 1) <- elems.(!q);
+            decr q
+          done;
+          keys.(!q + 1) <- key;
+          elems.(!q + 1) <- v
+        done;
+        let start = ref first in
+        for p = first + 1 to stop - 1 do
+          if keys.(p) <> keys.(p - 1) then begin
+            cell_end.(!start) <- p;
+            start := p;
+            changed := true
+          end
+        done;
+        cell_end.(!start) <- stop
+      end;
+      s := stop
+    done;
+    !changed
   in
-  loop partition
+  let splitters = Array.make size 0 in
+  let rec loop () =
+    let count = ref 0 in
+    let s = ref 0 in
+    while !s < size do
+      let stop = cell_end.(!s) in
+      let mask = ref 0 in
+      for p = !s to stop - 1 do
+        mask := !mask lor (1 lsl elems.(p))
+      done;
+      splitters.(!count) <- !mask;
+      incr count;
+      s := stop
+    done;
+    let changed = ref false in
+    for i = 0 to !count - 1 do
+      if split_by splitters.(i) then changed := true
+    done;
+    if !changed then loop ()
+  in
+  loop ();
+  (* Splitting only adds start marks, so input cell [i] becomes the run of
+     output cells covering its original positions. *)
+  let rec run first stop tail =
+    if first = stop then tail
+    else begin
+      let e = cell_end.(first) in
+      let cell = ref [] in
+      for p = e - 1 downto first do
+        cell := elems.(p) :: !cell
+      done;
+      !cell :: run e stop tail
+    end
+  in
+  let rec emit first = function
+    | [] -> []
+    | [] :: rest -> [] :: emit first rest
+    | cell :: rest ->
+      let stop = first + List.length cell in
+      run first stop (emit stop rest)
+  in
+  emit 0 partition
 
 let is_discrete partition =
   List.for_all

@@ -59,6 +59,20 @@ for jobs in 1 4; do
 done
 echo "UCG n=7 store: four builds byte-identical, md5 $ucg7_md5"
 
+# BCG bytes at n=8: the first order enumerated by canonical augmentation,
+# whose representatives and stream order come from the refinement's exact
+# cell ordering, so both pool widths must reproduce the golden md5.
+echo "== BCG n=8 store (golden md5, both pool widths) =="
+bcg8_md5=0690cd63db39415fb220f1cf44d3ff89
+for jobs in 1 4; do
+  NETFORM_JOBS=$jobs dune exec bin/netform_cli.exe -- store build -n 8 --game bcg \
+    -o "$store_dir/bcg8_j$jobs.nfs" --quiet
+done
+cmp "$store_dir/bcg8_j1.nfs" "$store_dir/bcg8_j4.nfs"
+sum=$(md5sum "$store_dir/bcg8_j1.nfs" | cut -d' ' -f1)
+[ "$sum" = "$bcg8_md5" ] || { echo "BCG n=8 store: md5 $sum, expected $bcg8_md5" >&2; exit 1; }
+echo "BCG n=8 store: jobs=1 and jobs=4 builds byte-identical, md5 $bcg8_md5"
+
 # Registry exhaustiveness: every game the binary knows about must survive
 # the full annotate -> store build -> verify loop under both pool widths,
 # with the two builds byte-identical.  The game list comes from the CLI

@@ -81,6 +81,18 @@ let test_augmentation_distinct_n8 () =
   check_int "pairwise distinct classes" (Option.get (Counts.graphs 8))
     (List.length (List.sort_uniq compare keys))
 
+let test_augmentation_output_pinned_n8 () =
+  (* the class sets above say nothing about which representative stands
+     for a class or in what order; store bytes at n >= 8 depend on both,
+     so the whole n=8 stream is pinned: the md5 of its graph6 lines, each
+     newline-terminated *)
+  let lines =
+    List.map (fun g -> Nf_graph.Graph6.encode g ^ "\n") (Unlabeled.all_graphs 8)
+  in
+  Alcotest.(check string)
+    "md5 of all_graphs 8 as graph6" "dfb92c2156aa0ce582c3a03513ce87fb"
+    (Digest.to_hex (Digest.string (String.concat "" lines)))
+
 (* ---------------- streaming API ---------------- *)
 
 let test_fold_matches_all_graphs () =
@@ -294,6 +306,7 @@ let () =
         [
           Alcotest.test_case "parity with reference" `Slow test_augmentation_parity_reference;
           Alcotest.test_case "distinct at n=8" `Slow test_augmentation_distinct_n8;
+          Alcotest.test_case "output pinned at n=8" `Slow test_augmentation_output_pinned_n8;
           Alcotest.test_case "fold order" `Quick test_fold_matches_all_graphs;
           Alcotest.test_case "connected chunks" `Quick test_iter_connected_chunked;
         ] );

@@ -62,6 +62,133 @@ let test_individualize () =
   check_bool "discrete" true (Refine.is_discrete [ [ 1 ]; [ 0 ] ]);
   check_bool "not discrete" false (Refine.is_discrete p)
 
+(* Reference refinement: the original list implementation, kept as the
+   oracle for the array-backed [Refine].  Cells split by neighbour count
+   inside each splitter, groups ordered by (count descending, vertex
+   ascending); a round snapshots one splitter per cell and applies them in
+   order to the evolving partition.  The array code must agree exactly,
+   cell order and order inside cells included. *)
+module Oracle = struct
+  module Bitset = Nf_util.Bitset
+
+  let degree_partition g =
+    let n = Graph.order g in
+    let by_degree = Hashtbl.create 8 in
+    for v = 0 to n - 1 do
+      let d = Graph.degree g v in
+      Hashtbl.replace by_degree d
+        (v :: Option.value ~default:[] (Hashtbl.find_opt by_degree d))
+    done;
+    let degrees =
+      List.sort_uniq (fun a b -> compare b a) (Hashtbl.fold (fun d _ acc -> d :: acc) by_degree [])
+    in
+    List.map (fun d -> List.sort compare (Hashtbl.find by_degree d)) degrees
+
+  let split_by g splitter partition =
+    let changed = ref false in
+    let split_cell cell =
+      match cell with
+      | [] | [ _ ] -> [ cell ]
+      | _ ->
+        let keyed =
+          List.map (fun v -> (Bitset.cardinal (Bitset.inter (Graph.neighbors g v) splitter), v)) cell
+        in
+        let sorted = List.sort (fun (k1, v1) (k2, v2) -> compare (k2, v1) (k1, v2)) keyed in
+        let rec group current key acc = function
+          | [] -> List.rev (List.rev current :: acc)
+          | (k, v) :: rest ->
+            if k = key then group (v :: current) key acc rest
+            else group [ v ] k (List.rev current :: acc) rest
+        in
+        (match sorted with
+        | [] -> [ [] ]
+        | (k0, v0) :: rest ->
+          let groups = group [ v0 ] k0 [] rest in
+          if List.length groups > 1 then changed := true;
+          groups)
+    in
+    let refined = List.concat_map split_cell partition in
+    (refined, !changed)
+
+  let refine g partition =
+    let rec loop partition =
+      let splitters = List.map Bitset.of_list partition in
+      let step (p, changed) splitter =
+        let p', c = split_by g splitter p in
+        (p', changed || c)
+      in
+      let partition', changed = List.fold_left step (partition, false) splitters in
+      if changed then loop partition' else partition'
+    in
+    loop partition
+end
+
+let partition_t = Alcotest.(list (list int))
+
+let test_refine_one_word_limit () =
+  Alcotest.check_raises "63 vertices rejected"
+    (Invalid_argument "Refine.refine: order 63 exceeds the one-word limit") (fun () ->
+      ignore (Refine.refine (path 63) (Refine.degree_partition (path 63))))
+
+let check_refine_matches_oracle g seed =
+  check partition_t
+    (Printf.sprintf "refine %s from %s" (Nf_graph.Graph6.encode g)
+       (String.concat "|" (List.map (fun c -> String.concat "," (List.map string_of_int c)) seed)))
+    (Oracle.refine g seed) (Refine.refine g seed)
+
+let test_refine_oracle_small () =
+  (* every class with n <= 7, under its own labels and one random
+     relabeling, from three kinds of seed *)
+  let rng = Prng.create 7 in
+  for n = 0 to 7 do
+    List.iter
+      (fun rep ->
+        List.iter
+          (fun g ->
+            let degrees = Refine.degree_partition g in
+            check partition_t "degree partition" (Oracle.degree_partition g) degrees;
+            check_refine_matches_oracle g degrees;
+            check_refine_matches_oracle g (Refine.unit_partition n);
+            let refined = Oracle.refine g degrees in
+            List.iter
+              (fun cell ->
+                List.iter
+                  (fun v -> check_refine_matches_oracle g (Refine.individualize refined ~cell v))
+                  cell)
+              refined)
+          [ rep; random_relabel rng rep ])
+      (Nf_enum.Unlabeled.all_graphs n)
+  done
+
+(* a random ordered partition: shuffled vertices cut at random points,
+   with the occasional empty cell, which refinement must carry through in
+   place *)
+let random_partition rng n =
+  let order = Array.init n Fun.id in
+  Prng.shuffle rng order;
+  let cells = ref [] in
+  let cell = ref [] in
+  Array.iteri
+    (fun i v ->
+      cell := v :: !cell;
+      if i = n - 1 || Prng.int rng 3 = 0 then begin
+        cells := !cell :: !cells;
+        cell := [];
+        if Prng.int rng 10 = 0 then cells := [] :: !cells
+      end)
+    order;
+  List.rev !cells
+
+let test_refine_oracle_random () =
+  let rng = Prng.create 2005 in
+  for _ = 1 to 400 do
+    let n = 8 + Prng.int rng 9 in
+    let g = Random_graph.gnp rng n (Prng.float rng 1.0) in
+    check partition_t "degree partition" (Oracle.degree_partition g) (Refine.degree_partition g);
+    check_refine_matches_oracle g (Refine.degree_partition g);
+    check_refine_matches_oracle g (random_partition rng n)
+  done
+
 (* ---------------- Canon ---------------- *)
 
 let test_canonical_invariance () =
@@ -447,6 +574,9 @@ let () =
           Alcotest.test_case "refine path" `Quick test_refine_path;
           Alcotest.test_case "regular no split" `Quick test_refine_regular_no_split;
           Alcotest.test_case "individualize" `Quick test_individualize;
+          Alcotest.test_case "oracle n <= 7" `Quick test_refine_oracle_small;
+          Alcotest.test_case "oracle random 8..16" `Quick test_refine_oracle_random;
+          Alcotest.test_case "one-word limit" `Quick test_refine_one_word_limit;
         ] );
       ( "canon",
         [
