@@ -21,14 +21,16 @@
 
    Each piece's position range is inserted into the canonical O(log)
    node decomposition of an iterative segment tree; a point query
-   collects the node lists on the leaf-to-root path.  When a record's
-   pieces are pairwise disjoint (an interval region, or Union.to_list's
-   normal form) its id appears at most once across that path — a node's
-   span is contained in the range of the piece that inserted it, so two
-   insertions of one record can never own the same node; overlapping
-   pieces can place an id on two path nodes, and the final sort_uniq
-   collapses exactly those repeats.  The merged answer — ascending,
-   each id once — matches [Nf_store.Query.game_entries] exactly. *)
+   k-way merges the node arrays on the leaf-to-root path, each already
+   ascending because ids are inserted in ascending order.  When a
+   record's pieces are pairwise disjoint (an interval region, or
+   Union.to_list's normal form) its id appears at most once across that
+   path — a node's span is contained in the range of the piece that
+   inserted it, so two insertions of one record can never own the same
+   node; overlapping pieces can place an id twice, on one node or two,
+   and the merge drops exactly those repeats.  The merged answer —
+   ascending, each id once — matches [Nf_store.Query.game_entries]
+   exactly. *)
 
 module Interval = Nf_util.Interval
 module Rat = Nf_util.Rat
@@ -121,12 +123,45 @@ let position t alpha =
   if !lo < k && Rat.compare eps.(!lo) alpha = 0 then (2 * !lo) + 1 else 2 * !lo
 
 let stable_at t ~alpha =
-  let acc = ref [] in
+  let path = ref [] in
   let v = ref (position t alpha + t.size) in
   while !v >= 1 do
-    Array.iter (fun id -> acc := id :: !acc) t.nodes.(!v);
+    if Array.length t.nodes.(!v) > 0 then path := t.nodes.(!v) :: !path;
     v := !v asr 1
   done;
-  (* ids are pairwise distinct across the path (see header comment);
-     one sort restores global ascending order *)
-  List.sort_uniq compare !acc
+  (* merge from the top end down through a max-heap of the path's
+     arrays, keyed by each one's largest unmerged id, so consing builds
+     the ascending answer directly *)
+  let srcs = Array.of_list !path in
+  let next = Array.map (fun a -> Array.length a - 1) srcs in
+  let key s = srcs.(s).(next.(s)) in
+  let heap = Array.init (Array.length srcs) Fun.id in
+  let live = ref (Array.length srcs) in
+  let rec sift i =
+    let l = (2 * i) + 1 in
+    if l < !live then begin
+      let c = if l + 1 < !live && key heap.(l + 1) > key heap.(l) then l + 1 else l in
+      if key heap.(c) > key heap.(i) then begin
+        let h = heap.(i) in
+        heap.(i) <- heap.(c);
+        heap.(c) <- h;
+        sift c
+      end
+    end
+  in
+  for i = (!live / 2) - 1 downto 0 do
+    sift i
+  done;
+  let acc = ref [] in
+  while !live > 0 do
+    let s = heap.(0) in
+    let id = key s in
+    (match !acc with last :: _ when last = id -> () | _ -> acc := id :: !acc);
+    if next.(s) > 0 then next.(s) <- next.(s) - 1
+    else begin
+      decr live;
+      heap.(0) <- heap.(!live)
+    end;
+    sift 0
+  done;
+  !acc

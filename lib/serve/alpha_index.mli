@@ -2,7 +2,8 @@
 
     Turns "all records stable at link cost α" from an O(records) filter
     into a binary search over the sorted distinct region endpoints plus
-    an O(log) segment-tree stabbing query — with the open/closed
+    an O(log) segment-tree stabbing query, whose already-ascending node
+    arrays are k-way merged without a sort — with the open/closed
     endpoint semantics of {!Nf_util.Interval.mem} preserved exactly,
     including queries at the endpoints themselves (each endpoint is its
     own elementary position).  Answers are ascending record ids,

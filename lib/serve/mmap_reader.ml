@@ -6,8 +6,12 @@
    a single header/frame walk builds a chunk directory: byte offset,
    frame length and first-record ordinal per chunk, touching only the
    16-byte chunk headers.  After that any record is an O(log chunks)
-   binary search plus one lazy chunk decode, and the only heap-resident
-   store bytes are the decoded chunks currently in the bounded cache.
+   binary search plus one lazy chunk decode, and the only store bytes
+   this module keeps on the heap are the decoded chunks currently in the
+   bounded cache.  [Service] holds one more resident structure, a
+   graph6 column by ordinal, which it fills only through [iter] — the
+   CRC-checked pass — so the column never carries unchecked bytes
+   (DESIGN.md §13).
 
    Ownership rules (DESIGN.md §13): the mapping is private to this
    module and immutable — bytes are only ever copied out per chunk

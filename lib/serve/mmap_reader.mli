@@ -4,8 +4,10 @@
     module maps the NFATLAS1 file read-only ([Unix.map_file]) and builds
     a chunk directory from one header/frame walk that touches only the
     16-byte chunk headers.  Any record is then two binary searches plus
-    one lazy, CRC-checked chunk decode; the only heap-resident store
-    bytes are the decoded chunks in a small bounded FIFO cache.  A
+    one lazy, CRC-checked chunk decode; the only store bytes this
+    module keeps on the heap are the decoded chunks in a small bounded
+    FIFO cache ([Service] adds a graph6 column, filled by one {!iter}
+    pass).  A
     directory of shard volumes is served transparently, exactly like
     [Index.load]: each volume gets its own mapping and record ordinals
     run across volumes in shard order.
@@ -54,8 +56,8 @@ val record : t -> int -> Nf_store.Layout.record
 val graph6 : t -> int -> string
 
 val iter : t -> (int -> Nf_store.Layout.record -> unit) -> unit
-(** In-order streaming pass decoding each chunk exactly once; bypasses
-    (and does not pollute) the chunk cache. *)
+(** In-order streaming pass decoding (and CRC-checking) each chunk
+    exactly once; bypasses (and does not pollute) the chunk cache. *)
 
 val fold : t -> init:'a -> f:('a -> int -> Nf_store.Layout.record -> 'a) -> 'a
 

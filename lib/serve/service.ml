@@ -6,7 +6,18 @@
 
    - per-game α-interval indexes (built on the first stable-at for that
      game column, from one streaming pass over the records);
-   - a graph6 -> ordinal table for entry lookups;
+   - the graph6 column: every record's graph6 string by ordinal, so a
+     stable-at answer is one index stab plus one array read per id, with
+     no chunk decode.  It is filled by the first full pass the service
+     makes (the first index build or the first entry lookup, whichever
+     runs first), always through the CRC-checked [Mmap_reader.iter], so
+     it never holds bytes of a damaged chunk; a pass that raises
+     [Layout.Corrupt] installs nothing.  At n = 9 it holds 261080
+     strings of 7 bytes, ~6.3 MB of heap with headers and the array; an
+     n = 10 store (~11.7 M strings of 9 bytes) would need ~375 MB;
+   - the entry table: record ordinals sorted by their graph6, derived
+     from the column without a store pass or a string copy, and
+     searched by binary search (one int per record: ~2.1 MB at n = 9);
    - the figure-sweep response cache, keyed by (game, n, α-grid) — the
      sweep is deterministic, so a cached CSV is byte-identical to a
      recomputed one, and to what [store query --figures --csv] writes.
@@ -29,7 +40,8 @@ type t = {
   store : Mmap_reader.t;
   lock : Mutex.t;
   mutable indexes : (string * Alpha_index.t) list;
-  mutable by_graph6 : (string, int) Hashtbl.t option;
+  mutable graph6s : string array option;  (* the graph6 column, by ordinal *)
+  mutable by_graph6 : int array option;  (* ordinals in ascending graph6 order *)
   figure_cache : (string, string) Hashtbl.t;
   mutable figure_hits : int;
   mutable requests : int;
@@ -40,6 +52,7 @@ let create ?cache_chunks ~path () =
     store = Mmap_reader.open_store ?cache_chunks ~path ();
     lock = Mutex.create ();
     indexes = [];
+    graph6s = None;
     by_graph6 = None;
     figure_cache = Hashtbl.create 8;
     figure_hits = 0;
@@ -88,49 +101,79 @@ let pieces_of col (r : Layout.record) =
   | Col_interval -> [ r.Layout.bcg ]
   | Col_union -> ( match r.Layout.ucg with Some u -> Interval.Union.to_list u | None -> [])
 
+let locked t f =
+  Mutex.lock t.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+
+(* Every lazy structure below is built outside the lock and installed
+   first-insert-wins: a concurrent duplicate build yields an identical
+   structure, which is dropped. *)
+
+(* the one full pass that fills the graph6 column, when no index build
+   has filled it already *)
+let graph6_column t =
+  match locked t (fun () -> t.graph6s) with
+  | Some col -> col
+  | None ->
+    let col = Array.make (length t) "" in
+    Mmap_reader.iter t.store (fun i r -> col.(i) <- r.Layout.graph6);
+    locked t (fun () ->
+        if Option.is_none t.graph6s then t.graph6s <- Some col;
+        Option.get t.graph6s)
+
 let index t ~game:want =
   let col = column t ~game:want in
-  Mutex.lock t.lock;
-  let hit = List.assoc_opt want t.indexes in
-  Mutex.unlock t.lock;
-  match hit with
+  match locked t (fun () -> List.assoc_opt want t.indexes) with
   | Some idx -> idx
   | None ->
-    (* build outside the lock: one streaming pass materializes just the
-       regions, never the volume; a concurrent duplicate build yields an
-       identical structure and the second insert is dropped *)
+    (* one streaming pass materializes just the regions, never the
+       volume, and fills the graph6 column on the way if it is empty *)
     let count = length t in
     let regions = Array.make count [] in
-    Mmap_reader.iter t.store (fun i r -> regions.(i) <- pieces_of col r);
+    let names =
+      if locked t (fun () -> Option.is_none t.graph6s) then Some (Array.make count "") else None
+    in
+    Mmap_reader.iter t.store (fun i r ->
+        regions.(i) <- pieces_of col r;
+        Option.iter (fun names -> names.(i) <- r.Layout.graph6) names);
     let idx = Alpha_index.build ~count ~pieces:(Array.get regions) in
-    Mutex.lock t.lock;
-    (if not (List.mem_assoc want t.indexes) then t.indexes <- (want, idx) :: t.indexes);
-    let idx = List.assoc want t.indexes in
-    Mutex.unlock t.lock;
-    idx
+    locked t (fun () ->
+        if Option.is_none t.graph6s then t.graph6s <- names;
+        if not (List.mem_assoc want t.indexes) then t.indexes <- (want, idx) :: t.indexes;
+        List.assoc want t.indexes)
 
 let stable_ids t ~game ~alpha = Alpha_index.stable_at (index t ~game) ~alpha
-let stable_graph6 t ~game ~alpha = List.map (Mmap_reader.graph6 t.store) (stable_ids t ~game ~alpha)
+
+let stable_graph6 t ~game ~alpha =
+  let ids = stable_ids t ~game ~alpha in
+  let col = graph6_column t in
+  List.map (Array.get col) ids
+
+(* the column and its ordinals in ascending graph6 order *)
+let entry_table t =
+  match locked t (fun () -> (t.graph6s, t.by_graph6)) with
+  | Some col, Some order -> (col, order)
+  | _ ->
+    let col = graph6_column t in
+    let order = Array.init (Array.length col) Fun.id in
+    Array.stable_sort (fun a b -> String.compare col.(a) col.(b)) order;
+    locked t (fun () ->
+        if Option.is_none t.by_graph6 then t.by_graph6 <- Some order;
+        (col, Option.get t.by_graph6))
 
 let find_entry t ~graph6 =
-  let table =
-    Mutex.lock t.lock;
-    let hit = t.by_graph6 in
-    Mutex.unlock t.lock;
-    match hit with
-    | Some tbl -> tbl
-    | None ->
-      let tbl = Hashtbl.create (length t) in
-      Mmap_reader.iter t.store (fun i r -> Hashtbl.replace tbl r.Layout.graph6 i);
-      Mutex.lock t.lock;
-      (if t.by_graph6 = None then t.by_graph6 <- Some tbl);
-      let tbl = Option.get t.by_graph6 in
-      Mutex.unlock t.lock;
-      tbl
-  in
-  match Hashtbl.find_opt table graph6 with
-  | Some i -> Some (i, Mmap_reader.record t.store i)
-  | None -> None
+  let col, order = entry_table t in
+  (* leftmost ordinal whose graph6 is >= the probe; a store's graph6
+     strings are distinct (one canonical representative per class) *)
+  let lo = ref 0 and hi = ref (Array.length order) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if String.compare col.(order.(mid)) graph6 < 0 then lo := mid + 1 else hi := mid
+  done;
+  if !lo < Array.length order && String.equal col.(order.(!lo)) graph6 then
+    let i = order.(!lo) in
+    Some (i, Mmap_reader.record t.store i)
+  else None
 
 (* the (label, exact region) lines an entry renders as — one pair per
    column the store carries.  Pure in (content, record) so the CLI's

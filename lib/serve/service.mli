@@ -1,7 +1,9 @@
 (** The socket-independent query engine behind the daemon.
 
     Wraps a mapped store ({!Mmap_reader}) with lazily built read
-    structures — per-game {!Alpha_index}es, a graph6 lookup table, and
+    structures — per-game {!Alpha_index}es, a graph6 column by record
+    ordinal (filled once, by the first CRC-checked {!Mmap_reader.iter}
+    pass the service makes) with an entry table derived from it, and
     the deterministic figure-sweep response cache keyed by
     [(game, n, α-grid)].  Parity with the in-process [Nf_store.Query]
     API is the contract: every answer is byte-identical to what the
@@ -29,10 +31,15 @@ val stable_ids : t -> game:string -> alpha:Nf_util.Rat.t -> int list
     the store does not carry the requested game's annotations. *)
 
 val stable_graph6 : t -> game:string -> alpha:Nf_util.Rat.t -> string list
+(** The graph6 strings of {!stable_ids}, read from the graph6 column
+    without a chunk decode. *)
+
 val stable_graphs : t -> game:string -> alpha:Nf_util.Rat.t -> Nf_graph.Graph.t list
 
 val find_entry : t -> graph6:string -> (int * Nf_store.Layout.record) option
-(** Exact-string lookup of a stored representative. *)
+(** Exact-string lookup of a stored representative: a binary search
+    over the column's ordinals sorted by graph6, then the record off
+    the chunk cache. *)
 
 val region_strings : t -> Nf_store.Layout.record -> (string * string) list
 (** The [(label, exact region)] pairs a record renders as — one per

@@ -148,29 +148,49 @@ done
 # Serve smoke: for every registered game and both pool widths, start a
 # netform serve daemon on the n=5 store the registry smoke built, drive
 # it through the remote client path, and require every served answer to
-# be byte-identical to the in-process one — `query --remote` against
-# `query`, figure CSV against `store query --figures --csv`, export
-# against `store export`.  The daemon must then acknowledge the shutdown
-# op, exit 0, and remove its socket.  The daemon is the built binary
-# run directly (not through `dune exec`) so the backgrounded process
-# never contends for dune's build lock.
+# be byte-identical to the in-process one — `query --remote --stable-at`
+# against `query --stable-at` from below the first region endpoint to
+# beyond the last (α = 1/2, 1, 3/2, 2, 5, 1000), figure CSV against
+# `store query --figures --csv`, export against `store export`.  The
+# daemon must then acknowledge the shutdown op, exit 0, and remove its
+# socket.  The daemon is the built binary run directly (not through
+# `dune exec`) so the backgrounded process never contends for dune's
+# build lock.
 echo "== serve smoke (daemon per game, remote vs in-process byte parity, both pool widths) =="
 CLI=_build/default/bin/netform_cli.exe
+
+# start_daemon STORE SOCK JOBS: serve STORE on SOCK in the background
+# (pid in $srv) and wait for the socket
+start_daemon() {
+  NETFORM_JOBS=$3 "$CLI" serve "$1" --socket "$2" --quiet &
+  srv=$!
+  tries=0
+  until [ -S "$2" ]; do
+    tries=$((tries + 1))
+    [ "$tries" -le 100 ] || { echo "serve smoke ($1): socket never appeared" >&2; exit 1; }
+    sleep 0.1
+  done
+}
+
+# stable_at_cmp STORE SOCK [QUERY OPTION...]: remote vs in-process
+# stable-at, byte for byte, at every probe α
+stable_at_cmp() {
+  cmp_store=$1
+  cmp_sock=$2
+  shift 2
+  for alpha in 1/2 1 3/2 2 5 1000; do
+    "$CLI" query "$cmp_sock" --remote --stable-at "$alpha" "$@" > "$store_dir/serve_remote.txt"
+    "$CLI" query "$cmp_store" --stable-at "$alpha" "$@" > "$store_dir/serve_local.txt"
+    cmp "$store_dir/serve_remote.txt" "$store_dir/serve_local.txt"
+  done
+}
+
 for game in $games; do
   for jobs in 1 4; do
     store="$store_dir/${game}_j$jobs.nfs"
     sock="$store_dir/serve_${game}_j$jobs.sock"
-    NETFORM_JOBS=$jobs "$CLI" serve "$store" --socket "$sock" --quiet &
-    srv=$!
-    tries=0
-    until [ -S "$sock" ]; do
-      tries=$((tries + 1))
-      [ "$tries" -le 100 ] || { echo "serve smoke ($game): socket never appeared" >&2; exit 1; }
-      sleep 0.1
-    done
-    "$CLI" query "$sock" --remote --stable-at 3/2 > "$store_dir/serve_remote.txt"
-    "$CLI" query "$store" --stable-at 3/2 > "$store_dir/serve_local.txt"
-    cmp "$store_dir/serve_remote.txt" "$store_dir/serve_local.txt"
+    start_daemon "$store" "$sock" "$jobs"
+    stable_at_cmp "$store" "$sock"
     "$CLI" query "$sock" --remote --figures > "$store_dir/serve_figures_remote.csv"
     "$CLI" store query "$store" --figures --csv "$store_dir/serve_figures_local.csv" > /dev/null
     cmp "$store_dir/serve_figures_remote.csv" "$store_dir/serve_figures_local.csv"
@@ -185,6 +205,22 @@ for game in $games; do
   done
   echo "serve smoke ($game): served answers byte-identical to in-process queries (both pool widths)"
 done
+
+# The same stable-at parity over a daemon serving a shard directory: a
+# 3-way `store build --shard` of the n=6 dual BCG+UCG store, both games,
+# the answers running across volumes.
+shard_dir="$store_dir/serve_shards"
+mkdir -p "$shard_dir"
+for i in 1 2 3; do
+  "$CLI" store build -n 6 --chunk 4 --game ucg --shard $i/3 -o "$shard_dir/shard$i.nfs" --quiet
+done
+sock="$store_dir/serve_shards.sock"
+start_daemon "$shard_dir" "$sock" 4
+stable_at_cmp "$shard_dir" "$sock" --game bcg
+stable_at_cmp "$shard_dir" "$sock" --game ucg
+"$CLI" query "$sock" --remote --shutdown > /dev/null
+wait "$srv"
+echo "serve smoke (shard directory): served stable-at byte-identical to in-process queries"
 
 # Monte-Carlo PoA smoke: the large-n workload's cross-job determinism
 # contract — the same seeded run under NETFORM_JOBS=1 and =4 must emit

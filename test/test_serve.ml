@@ -141,15 +141,19 @@ let test_mmap_cache_bound () =
       Mmap_reader.iter streaming (fun _ _ -> ());
       check_int "iter bypasses cache" 0 (Mmap_reader.cached_chunks streaming))
 
+(* flip one body byte of chunk 0; the framing stays intact, so the store
+   still opens and only that chunk's CRC fails *)
+let damage_chunk0_body path =
+  let damaged = Bytes.of_string (read_file path) in
+  let at = Layout.header_size + Layout.chunk_header_size + 2 in
+  Bytes.set damaged at (Char.chr (Char.code (Bytes.get damaged at) lxor 0x40));
+  write_file path (Bytes.to_string damaged)
+
 (* a damaged chunk body maps fine, fails loudly on first decode, and
    leaves every other chunk serving *)
 let test_mmap_corruption_isolated () =
   with_store ~chunk:4 5 (fun path ->
-      let bytes = read_file path in
-      let at = Layout.header_size + Layout.chunk_header_size + 2 in
-      let damaged = Bytes.of_string bytes in
-      Bytes.set damaged at (Char.chr (Char.code (Bytes.get damaged at) lxor 0x40));
-      write_file path (Bytes.to_string damaged);
+      damage_chunk0_body path;
       let m = Mmap_reader.open_store ~path () in
       check_bool "chunk 0 corrupt on access" true
         (match Mmap_reader.record m 0 with exception Layout.Corrupt _ -> true | _ -> false);
@@ -229,6 +233,33 @@ let test_alpha_index_unit () =
         (Alpha_index.stable_at idx ~alpha))
     probes
 
+(* one record whose union pieces overlap (as a non-normalized union
+   would): the stab may meet its id on several path nodes, and the
+   merge must still return it once, in ascending order *)
+let test_alpha_index_overlapping_pieces () =
+  let pieces =
+    [|
+      [ Interval.closed (Rat.of_int 2) (Rat.of_int 4) ];
+      [
+        Interval.closed Rat.one (Rat.of_int 3);
+        Interval.closed (Rat.of_int 2) (Rat.of_int 5);
+        Interval.point (Rat.of_int 3);
+        Interval.open_closed (Rat.make 5 2) (ep (Rat.of_int 7));
+      ];
+      [ Interval.closed Rat.zero (Rat.of_int 6) ];
+    |]
+  in
+  let idx = Alpha_index.build ~count:(Array.length pieces) ~pieces:(Array.get pieces) in
+  check_ids "overlap point" [ 0; 1; 2 ] (Alpha_index.stable_at idx ~alpha:(Rat.of_int 3));
+  check_ids "overlap tail" [ 1 ] (Alpha_index.stable_at idx ~alpha:(Rat.make 13 2));
+  (* the naive filter lists each id once, ascending *)
+  List.iter
+    (fun alpha ->
+      check_ids
+        (Printf.sprintf "at %s" (Rat.to_string alpha))
+        (naive_stable_at pieces ~alpha) (Alpha_index.stable_at idx ~alpha))
+    (probes_of_endpoints (Alpha_index.endpoints idx))
+
 let qcheck test = QCheck_alcotest.to_alcotest test
 
 let arb_rat =
@@ -257,6 +288,23 @@ let prop_alpha_index_matches_naive =
         (fun alpha -> naive_stable_at pieces ~alpha = Alpha_index.stable_at idx ~alpha)
         (probes_of_endpoints (Alpha_index.endpoints idx)))
 
+(* a store's distinct finite region endpoints, exactly: those of the
+   interval column and of every union piece *)
+let store_endpoints (entries : Layout.record array) =
+  let eps = ref [] in
+  let add p =
+    match Interval.bounds p with
+    | None -> ()
+    | Some (lo, _, hi, _) ->
+      List.iter (function Interval.Finite e -> eps := e :: !eps | _ -> ()) [ lo; hi ]
+  in
+  Array.iter
+    (fun (r : Layout.record) ->
+      add r.Layout.bcg;
+      Option.iter (fun u -> List.iter add (Interval.Union.to_list u)) r.Layout.ucg)
+    entries;
+  Array.of_list (List.sort_uniq Rat.compare !eps)
+
 (* --- satellite 3: boundary differential, every registered game ---------- *)
 
 (* at every distinct region endpoint (exactly), between consecutive
@@ -270,28 +318,7 @@ let test_boundary_differential () =
           let idx = Index.load ~path in
           let service = Service.create ~path () in
           let packed = Netform.Game_registry.find_exn game_name in
-          (* the store's own distinct finite region endpoints, exactly *)
-          let endpoints =
-            let eps = ref [] in
-            Array.iter
-              (fun (r : Layout.record) ->
-                let pieces =
-                  match r.Layout.ucg with
-                  | Some u -> Interval.Union.to_list u
-                  | None -> [ r.Layout.bcg ]
-                in
-                List.iter
-                  (fun p ->
-                    match Interval.bounds p with
-                    | None -> ()
-                    | Some (lo, _, hi, _) ->
-                      List.iter
-                        (function Interval.Finite e -> eps := e :: !eps | _ -> ())
-                        [ lo; hi ])
-                  pieces)
-              (Index.entries idx);
-            Array.of_list (List.sort_uniq Rat.compare !eps)
-          in
+          let endpoints = store_endpoints (Index.entries idx) in
           check_bool (game_name ^ " has finite endpoints") true (Array.length endpoints > 0);
           List.iter
             (fun alpha ->
@@ -368,6 +395,109 @@ let test_service_game_store_figures () =
       check_string "game figure csv"
         (Nf_analysis.Figures.game_csv (Query.game_figure_points idx ()))
         (Service.figure_csv s ()))
+
+(* stable_graph6 reads the graph6 column; it must name exactly the
+   records Query.game_entries picks, at every distinct endpoint, just off
+   each, between endpoints, beyond the last finite one and on the paper
+   grid — over a classic dual store, a union-region game store and a
+   shard directory, all in 4-record chunks so answers span many chunks
+   (and volumes) *)
+let check_graph6_parity ~label ~games path =
+  let idx = Index.load ~path in
+  let entries = Index.entries idx in
+  let s = Service.create ~path () in
+  let probes = probes_of_endpoints (store_endpoints entries) @ Nf_analysis.Sweep.paper_grid in
+  let widest = ref 0 in
+  List.iter
+    (fun game ->
+      List.iter
+        (fun alpha ->
+          let expected =
+            List.map (fun i -> entries.(i).Layout.graph6) (Query.game_entries idx ~game ~alpha)
+          in
+          widest := max !widest (List.length expected);
+          check_strings
+            (Printf.sprintf "%s %s at %s" label game (Rat.to_string alpha))
+            expected
+            (Service.stable_graph6 s ~game ~alpha))
+        probes)
+    games;
+  check_bool (label ^ ": some answer spans several chunks") true (!widest > 8)
+
+let test_service_graph6_parity () =
+  with_store ~with_ucg:true ~chunk:4 6 (fun path ->
+      check_graph6_parity ~label:"classic" ~games:[ "bcg"; "ucg" ] path);
+  with_store ~game:"coalition:k=2" ~chunk:4 6 (fun path ->
+      check_graph6_parity ~label:"union game" ~games:[ "coalition:k=2" ] path);
+  with_temp_dir (fun dir ->
+      List.iter
+        (fun j ->
+          let path = Filename.concat dir (Printf.sprintf "shard_%02d_of_03.nfs" j) in
+          ignore (Build.build ~with_ucg:true ~shard:(j, 3) ~chunk:4 ~path ~n:6 ()))
+        [ 1; 2; 3 ];
+      check_graph6_parity ~label:"shards" ~games:[ "bcg"; "ucg" ] dir)
+
+let stable_at_line alpha = Printf.sprintf {|{"op":"stable-at","alpha":%S}|} alpha
+let entry_line graph6 = Printf.sprintf {|{"op":"entry","graph6":%S}|} graph6
+
+(* a store damaged after it was built: stable-at and entry both need a
+   CRC-checked full pass, so both answer the pinned corruption error —
+   every time, since a failed pass installs nothing — and never a graph6
+   list or entry read from unchecked bytes; health still answers *)
+let test_service_damaged_store () =
+  with_store ~chunk:4 5 (fun path ->
+      let entries = Index.entries (Index.load ~path) in
+      damage_chunk0_body path;
+      let s = Service.create ~path () in
+      let ask line = fst (Server.handle_line s line) in
+      let pinned = {|{"ok":false,"error":"store corrupt: chunk 0 crc mismatch at byte 0 (stored |} in
+      List.iter
+        (fun line ->
+          let resp = ask line in
+          check_bool (Printf.sprintf "%s -> %s" line resp) true (String.starts_with ~prefix:pinned resp))
+        [
+          stable_at_line "3/2";
+          entry_line entries.(Array.length entries - 1).Layout.graph6;
+          entry_line entries.(0).Layout.graph6;
+          stable_at_line "3/2";
+        ];
+      check_bool "health still answers" true
+        (String.starts_with ~prefix:{|{"ok":true,"op":"health","status":"serving"|}
+           (ask {|{"op":"health"}|})))
+
+(* the first stable-at and the first entry on a fresh service, raced
+   from two domains (and, separately, two first stable-ats): each builds
+   outside the lock and the first insert wins, so both answer as a
+   sequential service does and the stats come out the same *)
+let test_service_first_use_race () =
+  with_store ~chunk:4 6 (fun path ->
+      let entries = Index.entries (Index.load ~path) in
+      let ask s line = fst (Server.handle_line s line) in
+      let race lines =
+        let seq = Service.create ~path () in
+        let expected = List.map (ask seq) lines in
+        let expected_stats = Service.stats seq in
+        for round = 1 to 20 do
+          let s = Service.create ~path () in
+          let ready = Atomic.make 0 in
+          let racers =
+            List.map
+              (fun line ->
+                Domain.spawn (fun () ->
+                    Atomic.incr ready;
+                    while Atomic.get ready < List.length lines do
+                      Domain.cpu_relax ()
+                    done;
+                    ask s line))
+              lines
+          in
+          check_strings (Printf.sprintf "round %d answers" round) expected (List.map Domain.join racers);
+          check_bool (Printf.sprintf "round %d stats" round) true (Service.stats s = expected_stats);
+          check_strings (Printf.sprintf "round %d answers again" round) expected (List.map (ask s) lines)
+        done
+      in
+      race [ stable_at_line "3/2"; entry_line entries.(Array.length entries / 2).Layout.graph6 ];
+      race [ stable_at_line "3/2"; stable_at_line "1" ])
 
 (* --- protocol ----------------------------------------------------------- *)
 
@@ -559,6 +689,7 @@ let () =
       ( "alpha index",
         [
           Alcotest.test_case "unit regions" `Quick test_alpha_index_unit;
+          Alcotest.test_case "overlapping pieces" `Quick test_alpha_index_overlapping_pieces;
           qcheck prop_alpha_index_matches_naive;
           Alcotest.test_case "boundary differential" `Quick test_boundary_differential;
         ] );
@@ -566,6 +697,9 @@ let () =
         [
           Alcotest.test_case "query parity" `Quick test_service_query_parity;
           Alcotest.test_case "game store figures" `Quick test_service_game_store_figures;
+          Alcotest.test_case "graph6 parity" `Quick test_service_graph6_parity;
+          Alcotest.test_case "damaged store" `Quick test_service_damaged_store;
+          Alcotest.test_case "first-use race" `Quick test_service_first_use_race;
         ] );
       ( "protocol",
         [
