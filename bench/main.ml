@@ -229,7 +229,7 @@ let game_tests =
 
 (* The nf_store acceptance record: a one-shot timed cold build (the full
    annotation sweep into a fresh store) against a warm figure
-   regeneration from that store (index load + Query.figure_points over
+   regeneration from that store (Service.create + Service.figures over
    the paper grid).  One-shot wall-clock rather than a Bechamel staged
    loop because the cold build at n=7 runs for ~10s, far past any
    sensible quota; a single run is plenty to witness the cold/warm
@@ -267,10 +267,9 @@ let store_rows () =
       in
       let points, warm =
         time (fun () ->
-            let index = Nf_store.Index.load ~path in
-            Nf_store.Query.figure_points index ())
+            Nf_serve.Service.figures (Nf_serve.Service.create ~path ()) ())
       in
-      assert (points <> []);
+      assert (match points with Nf_serve.Service.Classic ps -> ps <> [] | Single _ -> false);
       Printf.printf
         "\nstore trajectory: n=%d, %d classes; cold build %.2fs, warm figures %.4fs (%.0fx)\n%!"
         store_n outcome.Nf_store.Build.records cold warm (cold /. warm);

@@ -23,6 +23,7 @@
 open Cmdliner
 module Graph = Nf_graph.Graph
 module Rat = Nf_util.Rat
+module Serve = Nf_serve
 open Netform
 
 let setup_logs () =
@@ -217,6 +218,15 @@ let write_csv ~path contents =
   close_out oc;
   Printf.printf "\nwrote %s\n" path
 
+(* the paper's Figure 2/3 pair, read from a classic BCG+UCG store *)
+let classic_figure_points service =
+  match Serve.Service.figures service () with
+  | Serve.Service.Classic points -> points
+  | Serve.Service.Single _ ->
+    invalid_arg
+      (Printf.sprintf "store carries %S annotations only; Figures 2/3 need a BCG+UCG store"
+         (Serve.Service.game service))
+
 (* one game's sweep (--game): the game's own alpha convention and cost
    model, from a fresh annotation or served from a store *)
 let sweep_one_game ~name ~n ~csv ~store =
@@ -224,11 +234,11 @@ let sweep_one_game ~name ~n ~csv ~store =
   let points =
     match store with
     | Some path ->
-      let index = Nf_store.Index.load ~path in
+      let service = Serve.Service.create ~path () in
       Printf.printf "(sweep served from %s: game=%s, n=%d, %d classes)\n\n" path
-        (Nf_store.Index.game index) (Nf_store.Index.n index) (Nf_store.Index.length index);
+        (Serve.Service.game service) (Serve.Service.n service) (Serve.Service.length service);
       Nf_analysis.Figures.sweep_game_via packed
-        ~stable:(fun ~alpha -> Nf_store.Query.game_stable_graphs index ~game:name ~alpha)
+        ~stable:(fun ~alpha -> Serve.Service.stable_graphs service ~game:name ~alpha)
         ()
     | None -> Nf_analysis.Figures.sweep_game packed ~n ()
   in
@@ -250,10 +260,10 @@ let sweep jobs no_quotient n game csv store =
       | Some path ->
         (* warm path: the annotation is read from the atlas store, never
            recomputed; only the PoA summaries run here *)
-        let index = Nf_store.Index.load ~path in
+        let service = Serve.Service.create ~path () in
         Printf.printf "(figures served from %s: n=%d, %d classes)\n\n" path
-          (Nf_store.Index.n index) (Nf_store.Index.length index);
-        Nf_store.Query.figure_points index ()
+          (Serve.Service.n service) (Serve.Service.length service);
+        classic_figure_points service
       | None -> Nf_analysis.Figures.sweep ~n ()
     in
     print_string (Nf_analysis.Figures.figure2_table points);
@@ -514,7 +524,7 @@ let experiments jobs n game only out store =
   | Some dir ->
     let points =
       match store with
-      | Some path -> Nf_store.Query.figure_points (Nf_store.Index.load ~path) ()
+      | Some path -> classic_figure_points (Serve.Service.create ~path ())
       | None -> Nf_analysis.Figures.sweep ~n ()
     in
     let written = Nf_analysis.Report.write_all ~dir ~results ~points () in
@@ -683,14 +693,14 @@ let store_verify_cmd =
 
 let store_query jobs path alpha game figures csv list_graphs =
   setup jobs;
-  let index = Nf_store.Index.load ~path in
-  Printf.printf "%s: n=%d, %d annotated classes, game=%s\n" path (Nf_store.Index.n index)
-    (Nf_store.Index.length index) (Nf_store.Index.game index);
+  let service = Serve.Service.create ~path () in
+  Printf.printf "%s: n=%d, %d annotated classes, game=%s\n" path (Serve.Service.n service)
+    (Serve.Service.length service) (Serve.Service.game service);
   (match alpha with
   | Some alpha ->
     let name = String.lowercase_ascii game in
     let (Game.Any (module G)) = Game_registry.find_exn name in
-    let graphs = Nf_store.Query.game_stable_graphs index ~game:name ~alpha in
+    let graphs = Serve.Service.stable_graphs service ~game:name ~alpha in
     Printf.printf "%s equilibria at alpha=%s: %d\n" (String.uppercase_ascii name)
       (Rat.to_string alpha) (List.length graphs);
     Format.printf "  %a@." Poa.pp_summary
@@ -701,9 +711,8 @@ let store_query jobs path alpha game figures csv list_graphs =
   if figures then begin
     (* classic dual stores serve the paper's Figure 2/3 pair; a
        single-game store serves its own game's curves *)
-    match Nf_store.Index.content index with
-    | Nf_store.Layout.Classic { with_ucg = true } ->
-      let points = Nf_store.Query.figure_points index () in
+    match Serve.Service.figures service () with
+    | Serve.Service.Classic points ->
       print_newline ();
       print_string (Nf_analysis.Figures.figure2_table points);
       print_newline ();
@@ -713,8 +722,7 @@ let store_query jobs path alpha game figures csv list_graphs =
       print_newline ();
       print_string (Nf_analysis.Figures.figure3_plot points);
       Option.iter (fun file -> write_csv ~path:file (Nf_analysis.Figures.to_csv points)) csv
-    | Nf_store.Layout.Classic { with_ucg = false } | Nf_store.Layout.Game _ ->
-      let points = Nf_store.Query.game_figure_points index () in
+    | Serve.Service.Single points ->
       print_newline ();
       print_string (Nf_analysis.Figures.game_table points);
       print_newline ();
@@ -752,14 +760,14 @@ let store_query_cmd =
 
 let store_export jobs path out =
   setup jobs;
-  let index = Nf_store.Index.load ~path in
-  let csv = Nf_store.Query.to_csv index in
+  let service = Serve.Service.create ~path () in
+  let csv = Serve.Service.export_csv service in
   (match out with
   | Some file ->
     let oc = open_out file in
     output_string oc csv;
     close_out oc;
-    Printf.printf "wrote %d annotated classes to %s\n" (Nf_store.Index.length index) file
+    Printf.printf "wrote %d annotated classes to %s\n" (Serve.Service.length service) file
   | None -> print_string csv);
   0
 
@@ -775,10 +783,10 @@ let store_export_cmd =
        ~doc:"Dump a store as the annotate-compatible CSV atlas (byte-identical to Dataset.to_csv)")
     Term.(const store_export $ jobs_opt $ store_path_arg $ out)
 
-let store_merge dir out force streaming quiet =
+let store_merge dir out force quiet =
   setup_logs ();
   let report = if quiet then ignore else report_line in
-  match Nf_store.Merge.merge_dir ~force ~streaming ~report ~dir ~out () with
+  match Nf_store.Merge.merge_dir ~force ~report ~dir ~out () with
   | o ->
     Printf.printf "merged %d shards into %s: n=%d game=%s, %d classes in %d chunks in %.2fs\n"
       o.Nf_store.Merge.shards o.Nf_store.Merge.path o.Nf_store.Merge.n o.Nf_store.Merge.game
@@ -802,22 +810,14 @@ let store_merge_cmd =
       & info [ "o"; "out" ] ~docv:"STORE" ~doc:"Canonical store file to write.")
   in
   let force = Arg.(value & flag & info [ "force" ] ~doc:"Overwrite an existing store.") in
-  let streaming =
-    Arg.(
-      value & flag
-      & info [ "streaming" ]
-          ~doc:
-            "Constant-memory merge: verify and re-chunk each volume straight off its input \
-             channel, one decoded chunk resident at a time, instead of loading whole volumes \
-             as strings.  The output bytes are identical either way.")
-  in
   let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"No per-volume progress lines.") in
   Cmd.v
     (Cmd.info "merge"
        ~doc:
          "Reassemble a directory of verified shard volumes into one canonical store, \
-          byte-identical to a single-process build")
-    Term.(const store_merge $ dir $ out $ force $ streaming $ quiet)
+          byte-identical to a single-process build; constant memory: each volume is verified \
+          and re-chunked off its input channel, one decoded chunk resident at a time")
+    Term.(const store_merge $ dir $ out $ force $ quiet)
 
 let store_shards path =
   setup_logs ();
@@ -893,8 +893,6 @@ let store_cmd =
 
 (* ---------------- serve / query ---------------- *)
 
-module Serve = Nf_serve
-
 let serve_run jobs path socket port cache_chunks quiet =
   setup jobs;
   match (socket, port) with
@@ -957,10 +955,6 @@ let serve_cmd =
           | stats | health | shutdown); clean SIGINT/SIGTERM shutdown")
     Term.(const serve_run $ jobs_opt $ store $ socket $ port $ cache_chunks $ quiet)
 
-(* the one output convention shared by the in-process and --remote
-   paths: stable-at prints one graph6 per line, entry prints `id N` then
-   one `LABEL REGION` line per column, figures/export print the CSV —
-   so `cmp` between the two modes IS the served-vs-Query parity check *)
 let emit_csv ~csv text =
   match csv with
   | Some file ->
@@ -970,73 +964,10 @@ let emit_csv ~csv text =
     Printf.eprintf "wrote %s\n" file
   | None -> print_string text
 
-let query_local ~path ~game ~op ~csv =
-  let index = Nf_store.Index.load ~path in
-  let game =
-    match game with
-    | Some g -> g
-    | None -> (
-      match Nf_store.Index.content index with
-      | Nf_store.Layout.Classic _ -> "bcg"
-      | Nf_store.Layout.Game _ -> Nf_store.Index.game index)
-  in
-  match op with
-  | `Stable_at alpha ->
-    List.iter
-      (fun g -> print_endline (Nf_graph.Graph6.encode g))
-      (Nf_store.Query.game_stable_graphs index ~game ~alpha);
-    0
-  | `Entry g6 -> (
-    let entries = Nf_store.Index.entries index in
-    let found = ref None in
-    Array.iteri
-      (fun i r -> if !found = None && r.Nf_store.Layout.graph6 = g6 then found := Some (i, r))
-      entries;
-    match !found with
-    | None ->
-      Printf.eprintf "error: no record for graph6 %S\n" g6;
-      1
-    | Some (i, r) ->
-      Printf.printf "id %d\n" i;
-      List.iter
-        (fun (k, v) -> Printf.printf "%s %s\n" k v)
-        (Serve.Service.region_strings_of ~content:(Nf_store.Index.content index) r);
-      0)
-  | `Figures ->
-    let text =
-      match Nf_store.Index.content index with
-      | Nf_store.Layout.Classic { with_ucg = true } ->
-        Nf_analysis.Figures.to_csv (Nf_store.Query.figure_points index ())
-      | Nf_store.Layout.Classic { with_ucg = false } | Nf_store.Layout.Game _ ->
-        Nf_analysis.Figures.game_csv (Nf_store.Query.game_figure_points index ())
-    in
-    emit_csv ~csv text;
-    0
-  | `Export ->
-    emit_csv ~csv (Nf_store.Query.to_csv index);
-    0
-  | `Stats ->
-    Printf.printf "n %d\ngame %s\nrecords %d\n" (Nf_store.Index.n index)
-      (Nf_store.Index.game index) (Nf_store.Index.length index);
-    0
-  | `Health | `Shutdown ->
-    Printf.eprintf "error: this operation needs a daemon (pass --remote ADDR)\n";
-    1
-
-let query_remote ~addr ~game ~op ~csv =
-  let client = Serve.Client.connect addr in
-  Fun.protect ~finally:(fun () -> Serve.Client.close client) @@ fun () ->
-  let req =
-    match op with
-    | `Stable_at alpha -> Serve.Protocol.Stable_at { game; alpha }
-    | `Entry g6 -> Serve.Protocol.Entry { graph6 = g6 }
-    | `Figures -> Serve.Protocol.Figure_points { grid = None }
-    | `Export -> Serve.Protocol.Export
-    | `Stats -> Serve.Protocol.Stats
-    | `Health -> Serve.Protocol.Health
-    | `Shutdown -> Serve.Protocol.Shutdown
-  in
-  let resp = Serve.Client.request client req in
+(* the one renderer of a response, in-process or --remote: stable-at
+   prints one graph6 per line, entry prints `id N` then one
+   `LABEL REGION` line per column, figures/export print the CSV *)
+let render_response ~op ~csv resp =
   if not (Serve.Protocol.response_ok resp) then begin
     Printf.eprintf "error: %s\n" (Serve.Protocol.response_error resp);
     1
@@ -1048,13 +979,13 @@ let query_remote ~addr ~game ~op ~csv =
     in
     let str_list j = List.filter_map Serve.Json.to_str (Option.value ~default:[] (Serve.Json.to_list j)) in
     match op with
-    | `Stable_at _ -> (
+    | Serve.Protocol.Stable_at _ -> (
       match Serve.Json.member "graphs" resp with
       | Some gs ->
         List.iter print_endline (str_list gs);
         0
       | None -> malformed ())
-    | `Entry _ -> (
+    | Serve.Protocol.Entry _ -> (
       match (Serve.Json.member "id" resp, Serve.Json.member "regions" resp) with
       | Some (Serve.Json.Int i), Some (Serve.Json.Obj kvs) ->
         Printf.printf "id %d\n" i;
@@ -1064,13 +995,13 @@ let query_remote ~addr ~game ~op ~csv =
           kvs;
         0
       | _ -> malformed ())
-    | `Figures | `Export -> (
+    | Serve.Protocol.Figure_points _ | Serve.Protocol.Export -> (
       match Option.bind (Serve.Json.member "csv" resp) Serve.Json.to_str with
       | Some text ->
         emit_csv ~csv text;
         0
       | None -> malformed ())
-    | `Stats | `Health -> (
+    | Serve.Protocol.Stats | Serve.Protocol.Health -> (
       match resp with
       | Serve.Json.Obj kvs ->
         List.iter
@@ -1083,22 +1014,34 @@ let query_remote ~addr ~game ~op ~csv =
           kvs;
         0
       | _ -> malformed ())
-    | `Shutdown ->
+    | Serve.Protocol.Shutdown ->
       print_endline "server shutting down";
       0
+
+(* in-process: the daemon's own evaluator over a service on the store *)
+let query_local ~path ~csv = function
+  | Serve.Protocol.Health | Serve.Protocol.Shutdown ->
+    Printf.eprintf "error: this operation needs a daemon (pass --remote ADDR)\n";
+    1
+  | req -> render_response ~op:req ~csv (Serve.Server.respond (Serve.Service.create ~path ()) req)
+
+let query_remote ~addr ~csv req =
+  let client = Serve.Client.connect addr in
+  Fun.protect ~finally:(fun () -> Serve.Client.close client) @@ fun () ->
+  render_response ~op:req ~csv (Serve.Client.request client req)
 
 let query_run jobs target remote game stable_at entry figures export stats health shutdown csv =
   setup jobs;
   let ops =
     List.concat
       [
-        (match stable_at with Some a -> [ `Stable_at a ] | None -> []);
-        (match entry with Some g -> [ `Entry g ] | None -> []);
-        (if figures then [ `Figures ] else []);
-        (if export then [ `Export ] else []);
-        (if stats then [ `Stats ] else []);
-        (if health then [ `Health ] else []);
-        (if shutdown then [ `Shutdown ] else []);
+        (match stable_at with Some alpha -> [ Serve.Protocol.Stable_at { game; alpha } ] | None -> []);
+        (match entry with Some graph6 -> [ Serve.Protocol.Entry { graph6 } ] | None -> []);
+        (if figures then [ Serve.Protocol.Figure_points { grid = None } ] else []);
+        (if export then [ Serve.Protocol.Export ] else []);
+        (if stats then [ Serve.Protocol.Stats ] else []);
+        (if health then [ Serve.Protocol.Health ] else []);
+        (if shutdown then [ Serve.Protocol.Shutdown ] else []);
       ]
   in
   match ops with
@@ -1110,10 +1053,9 @@ let query_run jobs target remote game stable_at entry figures export stats healt
   | _ :: _ :: _ ->
     Printf.eprintf "error: pick exactly one operation\n";
     1
-  | [ op ] -> (
+  | [ req ] -> (
     let run () =
-      if remote then query_remote ~addr:target ~game ~op ~csv
-      else query_local ~path:target ~game ~op ~csv
+      if remote then query_remote ~addr:target ~csv req else query_local ~path:target ~csv req
     in
     match run () with
     | code -> code

@@ -29,8 +29,8 @@
    inserted it, so two insertions of one record can never own the same
    node; overlapping pieces can place an id twice, on one node or two,
    and the merge drops exactly those repeats.  The merged answer —
-   ascending, each id once — matches [Nf_store.Query.game_entries]
-   exactly. *)
+   ascending, each id once — matches a linear [Interval.mem] filter
+   over the records exactly. *)
 
 module Interval = Nf_util.Interval
 module Rat = Nf_util.Rat

@@ -7,7 +7,7 @@
     endpoint semantics of {!Nf_util.Interval.mem} preserved exactly,
     including queries at the endpoints themselves (each endpoint is its
     own elementary position).  Answers are ascending record ids,
-    identical to [Nf_store.Query.game_entries].  The structure is
+    identical to a linear [Interval.mem] filter over the records.  The structure is
     immutable after {!build} and safe to query from any number of
     domains concurrently. *)
 

@@ -1,9 +1,7 @@
-(* Mmap-backed store reader: the serving read path.
+(* Mmap-backed store reader: the one read path of every store query.
 
-   [Nf_store.Index.load] reads the whole store into the heap — right for
-   one-shot CLI calls, wrong for a daemon fronting an n=9/n=10 atlas.
-   Here the file is mapped once ([Unix.map_file], read-only, shared) and
-   a single header/frame walk builds a chunk directory: byte offset,
+   The file is mapped once ([Unix.map_file], read-only, shared) and a
+   single header/frame walk builds a chunk directory: byte offset,
    frame length and first-record ordinal per chunk, touching only the
    16-byte chunk headers.  After that any record is an O(log chunks)
    binary search plus one lazy chunk decode, and the only store bytes
@@ -27,11 +25,11 @@
    on access, pinned to the damaged chunk, while the rest of the store
    keeps serving.
 
-   A directory of shard volumes is served transparently, exactly like
-   [Index.load]: [Merge.family] proves the volumes form one complete
-   split and each volume gets its own mapping, with record ordinals
-   running across volumes in shard order (= unsharded enumeration
-   order). *)
+   A directory of shard volumes is served transparently: [Merge.family]
+   proves the volumes form one complete split and each volume gets its
+   own mapping, with record ordinals running across volumes in shard
+   order (= unsharded enumeration order), so the directory reads as the
+   store its merge would write. *)
 
 module Layout = Nf_store.Layout
 module Merge = Nf_store.Merge
@@ -121,8 +119,17 @@ let open_volume ~vfirst path =
   let chunks = ref 0 in
   let records = ref 0 in
   let complete = ref false in
+  (* the file ends before its footer: a build that was cut (or a part
+     file copied into place), wherever the cut fell *)
+  let need bytes =
+    if !pos + bytes > dim then
+      fail path "incomplete store (%d records in %d complete chunks; resume the build)" !records
+        !chunks
+  in
   while not !complete do
+    need 4;
     if magic_at map !pos Layout.footer_magic then begin
+      need Layout.footer_size;
       let footer = sub_string map ~pos:!pos ~len:Layout.footer_size "footer" path in
       let total_chunks, total_records, _ = Layout.decode_footer footer ~pos:0 in
       if total_chunks <> !chunks then
@@ -134,20 +141,19 @@ let open_volume ~vfirst path =
       complete := true
     end
     else if magic_at map !pos Layout.chunk_magic then begin
-      if !pos + Layout.chunk_header_size > dim then
-        fail path "truncated chunk header at byte %d" !pos;
+      need Layout.chunk_header_size;
       let index = u32_at map (!pos + 4) in
       let count = u32_at map (!pos + 8) in
       let body_len = u32_at map (!pos + 12) in
       if index <> !chunks then fail path "chunk %d out of sequence (expected %d)" index !chunks;
       let len = Layout.chunk_header_size + body_len + 4 in
-      if !pos + len > dim then fail path "truncated chunk %d at byte %d" index !pos;
+      need len;
       dir := { off = !pos; len; count; first = !records } :: !dir;
       chunks := !chunks + 1;
       records := !records + count;
       pos := !pos + len
     end
-    else fail path "bad frame magic at byte %d (incomplete build?)" !pos
+    else fail path "bad frame magic at byte %d" !pos
   done;
   ( { vpath = path; map; vchunks = Array.of_list (List.rev !dir); vrecords = !records; vfirst },
     header )

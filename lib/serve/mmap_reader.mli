@@ -1,16 +1,15 @@
-(** Mmap-backed store reader: the serving read path.
+(** Mmap-backed store reader: the one read path of every store query.
 
-    Where {!Nf_store.Index.load} reads a whole store into the heap, this
-    module maps the NFATLAS1 file read-only ([Unix.map_file]) and builds
-    a chunk directory from one header/frame walk that touches only the
+    The NFATLAS1 file is mapped read-only ([Unix.map_file]) and a chunk
+    directory is built from one header/frame walk that touches only the
     16-byte chunk headers.  Any record is then two binary searches plus
     one lazy, CRC-checked chunk decode; the only store bytes this
     module keeps on the heap are the decoded chunks in a small bounded
     FIFO cache ([Service] adds a graph6 column, filled by one {!iter}
-    pass).  A
-    directory of shard volumes is served transparently, exactly like
-    [Index.load]: each volume gets its own mapping and record ordinals
-    run across volumes in shard order.
+    pass).  A directory of shard volumes is served transparently: each
+    volume gets its own mapping and record ordinals run across volumes
+    in shard order, so the directory reads as the store its merge would
+    produce.
 
     Chunk bodies are {e not} CRC-verified at open time — a damaged chunk
     raises {!Nf_store.Layout.Corrupt} on first access, pinned to the
@@ -27,15 +26,19 @@ val open_store : ?cache_chunks:int -> path:string -> unit -> t
 (** Map a store file, or every volume of a shard directory.
     [cache_chunks] bounds the decoded-chunk cache (default 64 chunks;
     [0] disables caching entirely).
-    @raise Nf_store.Layout.Corrupt on framing damage, a truncated file,
-    or footer totals that disagree with the walk.
+    @raise Nf_store.Layout.Corrupt on framing damage or footer totals
+    that disagree with the walk; a file that ends before its footer
+    (a cut mid-chunk, at a chunk boundary or mid-footer) raises the one
+    message ["PATH: incomplete store (R records in C complete chunks;
+    resume the build)"].
     @raise Failure when a directory does not hold one complete shard
     family. *)
 
 val path : t -> string
 val header : t -> Nf_store.Layout.header
 (** The store header; for a shard directory, the merged view (shard
-    metadata cleared), exactly as [Index.load] reports it. *)
+    metadata cleared), exactly the header its merge writes.  A single
+    shard volume opened alone keeps its shard metadata. *)
 
 val n : t -> int
 val content : t -> Nf_store.Layout.content

@@ -86,21 +86,23 @@ let eval service req =
       ]
   | Shutdown -> ok_response [ ("op", Json.Str "shutdown"); ("status", Json.Str "shutting-down") ]
 
-(* one wire line in, one wire line out; errors are responses, and only
-   a well-formed `shutdown` stops the server *)
+(* one request in, one response out: a failed evaluation is an error
+   response, never an exception *)
+let respond service req =
+  match eval service req with
+  | resp -> resp
+  | exception (Invalid_argument msg | Failure msg) -> Protocol.error_response msg
+  | exception Nf_store.Layout.Corrupt msg -> Protocol.error_response ("store corrupt: " ^ msg)
+
+(* one wire line in, one wire line out; only a well-formed `shutdown`
+   stops the server *)
 let handle_line service line =
   Service.tick_request service;
   match Protocol.request_of_line line with
   | Error msg -> (Json.to_string (Protocol.error_response msg) ^ "\n", `Continue)
-  | Ok req -> (
-    match eval service req with
-    | resp ->
-      ( Json.to_string resp ^ "\n",
-        match req with Protocol.Shutdown -> `Shutdown | _ -> `Continue )
-    | exception Invalid_argument msg -> (Json.to_string (Protocol.error_response msg) ^ "\n", `Continue)
-    | exception Failure msg -> (Json.to_string (Protocol.error_response msg) ^ "\n", `Continue)
-    | exception Nf_store.Layout.Corrupt msg ->
-      (Json.to_string (Protocol.error_response ("store corrupt: " ^ msg)) ^ "\n", `Continue))
+  | Ok req ->
+    ( Json.to_string (respond service req) ^ "\n",
+      match req with Protocol.Shutdown -> `Shutdown | _ -> `Continue )
 
 (* ---------------- the event loop ---------------- *)
 

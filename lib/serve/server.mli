@@ -13,10 +13,16 @@ type addr = Unix_socket of string | Tcp of int  (** TCP binds 127.0.0.1 only. *)
 
 val addr_to_string : addr -> string
 
+val respond : Service.t -> Protocol.request -> Json.t
+(** Evaluate one request to its response — the daemon's evaluator, and
+    the one an in-process [netform query] answers with.  Errors come
+    back as [{"ok":false,...}] responses ([Invalid_argument]/[Failure]
+    text verbatim, [Layout.Corrupt] as ["store corrupt: ..."]), never
+    exceptions. *)
+
 val handle_line : Service.t -> string -> string * [ `Continue | `Shutdown ]
-(** Evaluate one wire line to one response line (newline included).
-    Exposed for the differential tests; errors come back as
-    [{"ok":false,...}] responses, never exceptions. *)
+(** Parse one wire line and {!respond} to it: one response line
+    (newline included), counted in the service's request total. *)
 
 val serve :
   ?cache_chunks:int -> ?report:(string -> unit) -> addr:addr -> path:string -> unit -> unit

@@ -1,4 +1,5 @@
-(* The socket-independent query engine behind the daemon.
+(* The socket-independent query engine behind the daemon, and the one
+   read path every in-process store query takes.
 
    One [Service.t] wraps a mapped store plus the derived read
    structures, all built lazily and guarded for concurrent use from the
@@ -20,14 +21,14 @@
      searched by binary search (one int per record: ~2.1 MB at n = 9);
    - the figure-sweep response cache, keyed by (game, n, α-grid) — the
      sweep is deterministic, so a cached CSV is byte-identical to a
-     recomputed one, and to what [store query --figures --csv] writes.
+     recomputed one.
 
-   Parity is the contract: every answer below reproduces the in-process
-   [Nf_store.Query] result byte-for-byte.  stable-at mirrors
-   [Query.game_entries]' content dispatch (and its rejection message),
-   figure CSVs call the same [Figures.sweep_via]/[sweep_game_via]
-   functions with the same default grid, and export rebuilds the same
-   [Dataset] entries [Query.to_csv] serializes. *)
+   The contract is equality with a fresh annotation: a stable-at answer
+   names exactly the classes [Equilibria] finds stable at that α, the
+   figure points are what [Figures.sweep]/[sweep_game] compute with the
+   same default grid, and export is [Dataset.to_csv] of the annotated
+   atlas.  The stored regions carry exact rational endpoints, so this
+   holds bit for bit. *)
 
 module Layout = Nf_store.Layout
 module Interval = Nf_util.Interval
@@ -76,12 +77,13 @@ let default_game t =
   | Layout.Classic _ -> "bcg"
   | Layout.Game _ -> game t
 
-(* read-side mirror of [Query.game_entries]' dispatch, same rejection
-   text so remote and in-process errors agree *)
+(* which region column answers a game, decided by the store's content
+   descriptor — the read-side mirror of [Build.annotator_of_content]:
+   classic stores serve "bcg" from the interval column and "ucg" from
+   the union column; a single-game store serves exactly its own game *)
 let column t ~game:want =
   let reject () =
-    invalid_arg
-      (Printf.sprintf "Query.game_entries: store carries %S annotations, not %S" (game t) want)
+    invalid_arg (Printf.sprintf "store carries %S annotations, not %S" (game t) want)
   in
   match Mmap_reader.content t.store with
   | Layout.Classic { with_ucg } ->
@@ -176,26 +178,38 @@ let find_entry t ~graph6 =
   else None
 
 (* the (label, exact region) lines an entry renders as — one pair per
-   column the store carries.  Pure in (content, record) so the CLI's
-   in-process path renders entries with the same function the daemon
-   uses. *)
-let region_strings_of ~content (r : Layout.record) =
+   column the store carries *)
+let region_strings t (r : Layout.record) =
   let union_str () =
     Interval.Union.to_string (Option.value ~default:Interval.Union.empty r.Layout.ucg)
   in
-  match content with
+  match Mmap_reader.content t.store with
   | Layout.Classic { with_ucg } ->
     ("bcg", Interval.to_string r.Layout.bcg) :: (if with_ucg then [ ("ucg", union_str ()) ] else [])
   | Layout.Game { union; _ } ->
-    [
-      ( Nf_store.Build.game_of_content content,
-        if union then union_str () else Interval.to_string r.Layout.bcg );
-    ]
-
-let region_strings t r = region_strings_of ~content:(Mmap_reader.content t.store) r
+    [ (game t, if union then union_str () else Interval.to_string r.Layout.bcg) ]
 
 let stable_graphs t ~game ~alpha =
   List.map (fun s -> Nf_graph.Graph6.decode s) (stable_graph6 t ~game ~alpha)
+
+type figures = Classic of Figures.point list | Single of Figures.game_point list
+
+(* classic dual stores sweep the paper's Figure 2/3 pair; every other
+   store sweeps its own game's curves *)
+let figures t ?grid () =
+  match Mmap_reader.content t.store with
+  | Layout.Classic { with_ucg = true } ->
+    Classic
+      (Figures.sweep_via
+         ~bcg:(fun ~alpha -> stable_graphs t ~game:"bcg" ~alpha)
+         ~ucg:(fun ~alpha -> stable_graphs t ~game:"ucg" ~alpha)
+         ?grid ())
+  | Layout.Classic { with_ucg = false } | Layout.Game _ ->
+    let name = game t in
+    Single
+      (Figures.sweep_game_via (Netform.Game_registry.find_exn name)
+         ~stable:(fun ~alpha -> stable_graphs t ~game:name ~alpha)
+         ?grid ())
 
 let figure_csv t ?grid () =
   let grid_list = match grid with Some g -> g | None -> Nf_analysis.Sweep.paper_grid in
@@ -211,28 +225,17 @@ let figure_csv t ?grid () =
   | Some csv -> csv
   | None ->
     let csv =
-      match Mmap_reader.content t.store with
-      | Layout.Classic { with_ucg = true } ->
-        Figures.to_csv
-          (Figures.sweep_via
-             ~bcg:(fun ~alpha -> stable_graphs t ~game:"bcg" ~alpha)
-             ~ucg:(fun ~alpha -> stable_graphs t ~game:"ucg" ~alpha)
-             ~grid:grid_list ())
-      | Layout.Classic { with_ucg = false } | Layout.Game _ ->
-        let name = game t in
-        let packed = Netform.Game_registry.find_exn name in
-        Figures.game_csv
-          (Figures.sweep_game_via packed
-             ~stable:(fun ~alpha -> stable_graphs t ~game:name ~alpha)
-             ~grid:grid_list ())
+      match figures t ~grid:grid_list () with
+      | Classic points -> Figures.to_csv points
+      | Single points -> Figures.game_csv points
     in
     Mutex.lock t.lock;
     Hashtbl.replace t.figure_cache key csv;
     Mutex.unlock t.lock;
     csv
 
-(* same entries [Query.to_entries] builds, so [Dataset.to_csv] emits the
-   same bytes as [store export] *)
+(* the stored atlas as the [Dataset] entries a fresh annotation builds,
+   so [Dataset.to_csv] emits the same bytes as [annotate] *)
 let export_csv t =
   let entries = ref [] in
   Mmap_reader.iter t.store (fun _ r ->

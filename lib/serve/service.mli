@@ -1,14 +1,18 @@
-(** The socket-independent query engine behind the daemon.
+(** The socket-independent query engine behind the daemon, and the one
+    read path of every in-process store query ([netform query],
+    [store query], [store export], [sweep --store]).
 
     Wraps a mapped store ({!Mmap_reader}) with lazily built read
     structures — per-game {!Alpha_index}es, a graph6 column by record
     ordinal (filled once, by the first CRC-checked {!Mmap_reader.iter}
     pass the service makes) with an entry table derived from it, and
     the deterministic figure-sweep response cache keyed by
-    [(game, n, α-grid)].  Parity with the in-process [Nf_store.Query]
-    API is the contract: every answer is byte-identical to what the
-    corresponding [Query] call produces on the same store.  All
-    functions are safe to call concurrently from pool domains. *)
+    [(game, n, α-grid)].  Equality with a fresh annotation is the
+    contract: stable-at names exactly the classes
+    {!Nf_analysis.Equilibria} finds stable, figures are the
+    {!Nf_analysis.Figures} sweep, export is [Dataset.to_csv] of the
+    annotated atlas.  All functions are safe to call concurrently from
+    pool domains. *)
 
 type t
 
@@ -26,9 +30,11 @@ val default_game : t -> string
     classic store, the store's own game on a single-game store. *)
 
 val stable_ids : t -> game:string -> alpha:Nf_util.Rat.t -> int list
-(** Ascending record ids, identical to [Query.game_entries].
-    @raise Invalid_argument with [Query.game_entries]' own message when
-    the store does not carry the requested game's annotations. *)
+(** Ascending ids of the records whose stored region contains [alpha].
+    @raise Invalid_argument ["store carries \"G\" annotations, not
+    \"W\""] when the store does not carry the requested game's
+    annotations (a classic store serves ["bcg"], and ["ucg"] when built
+    with it; a single-game store serves exactly its own game). *)
 
 val stable_graph6 : t -> game:string -> alpha:Nf_util.Rat.t -> string list
 (** The graph6 strings of {!stable_ids}, read from the graph6 column
@@ -45,19 +51,26 @@ val region_strings : t -> Nf_store.Layout.record -> (string * string) list
 (** The [(label, exact region)] pairs a record renders as — one per
     column the store carries. *)
 
-val region_strings_of :
-  content:Nf_store.Layout.content -> Nf_store.Layout.record -> (string * string) list
-(** {!region_strings} as a pure function of the content descriptor, for
-    in-process callers that render the same lines without a service. *)
+type figures =
+  | Classic of Nf_analysis.Figures.point list
+      (** a classic BCG+UCG store: the paper's Figure 2/3 pair *)
+  | Single of Nf_analysis.Figures.game_point list
+      (** any other store: its own game's curves *)
+
+val figures : t -> ?grid:Nf_util.Rat.t list -> unit -> figures
+(** The figure-sweep points over [grid] (default
+    {!Nf_analysis.Sweep.paper_grid}), read from the stored regions via
+    [Figures.sweep_via]/[sweep_game_via] — equal to a fresh
+    [Figures.sweep]/[sweep_game].  Not cached. *)
 
 val figure_csv : t -> ?grid:Nf_util.Rat.t list -> unit -> string
-(** The figure-sweep CSV (classic dual stores: [Figures.to_csv]; game
-    stores: [Figures.game_csv]), byte-identical to
-    [store query --figures --csv] on the same store, served from the
-    response cache when the (game, n, grid) key was already swept. *)
+(** {!figures} rendered by [Figures.to_csv] or [Figures.game_csv],
+    served from the response cache when the (game, n, grid) key was
+    already swept. *)
 
 val export_csv : t -> string
-(** Byte-identical to [Query.to_csv] / [store export]. *)
+(** The store as the annotate CSV atlas: byte-identical to
+    [Dataset.to_csv] over a fresh annotation of the same game. *)
 
 val tick_request : t -> unit
 (** Count a protocol request (called by the server per line). *)

@@ -22,8 +22,6 @@ type outcome = {
   seconds : float;
 }
 
-let read_file path = In_channel.with_open_bin path In_channel.input_all
-
 let header_of_file path =
   In_channel.with_open_bin path (fun ic ->
       let pull len what =
@@ -98,20 +96,18 @@ let family vols =
     check 1 sorted;
     (sorted, { h0 with Layout.shard = None })
 
-let merge ?(force = false) ?(streaming = false) ?(report = ignore) ~paths ~out () =
+let merge ?(force = false) ?(report = ignore) ~paths ~out () =
   let start = Unix.gettimeofday () in
   let vols, header = family (List.map (fun p -> (p, header_of_file p)) paths) in
   let k = List.length vols in
   if Sys.file_exists out && not force then
     failwith (Printf.sprintf "%s already exists (pass force to overwrite)" out);
-  (* strict per-volume verification up front: a damaged shard must name
-     itself (with Reader.verify's chunk/byte pinpointing) before the
-     output file is even created.  In streaming mode the same checks run
-     off the channel, one chunk resident at a time. *)
-  let verify path = if streaming then Reader.verify_stream ~path else Reader.verify ~path in
+  (* strict per-volume verification up front, off the channel with one
+     chunk resident at a time: a damaged shard must name itself (pinned
+     to the chunk) before the output file is even created *)
   List.iter
     (fun (p, _) ->
-      match verify p with
+      match Reader.verify_stream ~path:p with
       | Ok _ -> ()
       | Error msg -> failwith (Printf.sprintf "Merge: %s: %s" p msg))
     vols;
@@ -133,25 +129,8 @@ let merge ?(force = false) ?(streaming = false) ?(report = ignore) ~paths ~out (
     in
     List.iter
       (fun (p, _) ->
-        let records =
-          if streaming then
-            (* channel pull: one decoded chunk resident per step, never
-               the volume as a string *)
-            let _, (), _, records =
-              Reader.fold_chunks ~path:p ~init:() (fun _ () _ recs -> fold_in recs)
-            in
-            records
-          else begin
-            let s = read_file p in
-            let scan = Reader.scan_string s in
-            let pos = ref (Layout.header_bytes scan.Reader.header) in
-            for _ = 1 to scan.Reader.chunks do
-              let _, recs, next = Layout.decode_chunk ~content:header.Layout.content s ~pos:!pos in
-              pos := next;
-              fold_in recs
-            done;
-            scan.Reader.records
-          end
+        let _, (), _, records =
+          Reader.fold_chunks ~path:p ~init:() (fun _ () _ recs -> fold_in recs)
         in
         report (Printf.sprintf "%s: %d records folded in" p records))
       vols;
@@ -159,7 +138,7 @@ let merge ?(force = false) ?(streaming = false) ?(report = ignore) ~paths ~out (
     Writer.finalize writer
   with
   | () ->
-    (match verify out with
+    (match Reader.verify_stream ~path:out with
     | Ok _ -> ()
     | Error msg -> failwith (Printf.sprintf "Merge: merged store %s failed verification: %s" out msg));
     {
@@ -175,7 +154,7 @@ let merge ?(force = false) ?(streaming = false) ?(report = ignore) ~paths ~out (
     Writer.abort writer;
     raise e
 
-let merge_dir ?force ?streaming ?report ~dir ~out () =
+let merge_dir ?force ?report ~dir ~out () =
   match volumes ~dir with
   | [] -> failwith (Printf.sprintf "Merge: no shard volumes found in %s" dir)
-  | vols -> merge ?force ?streaming ?report ~paths:(List.map fst vols) ~out ()
+  | vols -> merge ?force ?report ~paths:(List.map fst vols) ~out ()

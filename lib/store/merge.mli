@@ -38,25 +38,21 @@ val family : (string * Layout.header) list -> (string * Layout.header) list * La
 
 val merge :
   ?force:bool ->
-  ?streaming:bool ->
   ?report:(string -> unit) ->
   paths:string list ->
   out:string ->
   unit ->
   outcome
 (** Merge the shard volumes at [paths] into a canonical store at [out].
-    With [~streaming:true] every pass — the up-front verification, the
-    record fold, the final re-verification — runs off input channels via
-    {!Reader.fold_chunks}, holding one decoded chunk per volume at a
-    time instead of whole volumes as strings; the output bytes are
-    identical either way.
+    Every pass — the up-front verification, the record fold, the final
+    re-verification — runs off input channels via {!Reader.fold_chunks},
+    holding one decoded chunk at a time, never a whole volume.
     @raise Failure when the volumes do not form a complete family, any
     input fails strict verification, or [out] exists and [force] is not
     set. *)
 
 val merge_dir :
   ?force:bool ->
-  ?streaming:bool ->
   ?report:(string -> unit) ->
   dir:string ->
   out:string ->

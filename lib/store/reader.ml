@@ -221,23 +221,3 @@ let verify_stream ~path =
   with
   | Layout.Corrupt msg -> Error msg
   | Sys_error msg -> Error msg
-
-let load ~path =
-  let s = read_file path in
-  let header = Layout.decode_header s in
-  let scan = scan_string s in
-  if not scan.complete then
-    raise
-      (Layout.Corrupt
-         (Printf.sprintf "%s: incomplete store (%d records in %d complete chunks; resume the build)"
-            path scan.records scan.chunks));
-  let out = Array.make scan.records { Layout.graph6 = ""; bcg = Nf_util.Interval.empty; ucg = None } in
-  let pos = ref (Layout.header_bytes header) in
-  let filled = ref 0 in
-  for _ = 1 to scan.chunks do
-    let _, recs, next = Layout.decode_chunk ~content:header.Layout.content s ~pos:!pos in
-    Array.blit recs 0 out !filled (Array.length recs);
-    filled := !filled + Array.length recs;
-    pos := next
-  done;
-  (header, out)

@@ -31,10 +31,6 @@ val scan : path:string -> scan
 val verify : path:string -> (scan, string) result
 (** Strict whole-file verification; never raises. *)
 
-val load : path:string -> Layout.header * Layout.record array
-(** All records of a {e complete} store, in enumeration order.
-    @raise Layout.Corrupt when the store is incomplete or invalid. *)
-
 val scan_string : string -> scan
 val verify_string : string -> (scan, string) result
 (** In-memory variants, exposed for tests. *)

@@ -40,6 +40,23 @@ done
 cmp "$store_dir/pristine_j1.nfs" "$store_dir/pristine_j4.nfs"
 echo "store smoke: jobs=1 and jobs=4 builds byte-identical"
 
+# Read-back oracle: the n=6 classic store, exported through `store
+# export` and through `query --export`, must be the CSV a fresh
+# `annotate -n 6` writes (BCG intervals and UCG Nash sets) — the store
+# read path checked against a recomputation, not against another reader.
+echo "== store read-back vs fresh annotation (n=6 classic, both pool widths) =="
+for jobs in 1 4; do
+  NETFORM_JOBS=$jobs dune exec bin/netform_cli.exe -- annotate -n 6 \
+    -o "$store_dir/annotate6_j$jobs.csv" > /dev/null
+  NETFORM_JOBS=$jobs dune exec bin/netform_cli.exe -- store export "$store_dir/pristine_j$jobs.nfs" \
+    -o "$store_dir/export6_j$jobs.csv" > /dev/null
+  NETFORM_JOBS=$jobs dune exec bin/netform_cli.exe -- query "$store_dir/pristine_j$jobs.nfs" \
+    --export > "$store_dir/query6_j$jobs.csv"
+  cmp "$store_dir/annotate6_j$jobs.csv" "$store_dir/export6_j$jobs.csv"
+  cmp "$store_dir/annotate6_j$jobs.csv" "$store_dir/query6_j$jobs.csv"
+done
+echo "store read-back: store export and query --export = fresh annotate -n 6 (both pool widths)"
+
 # UCG bytes at the largest default order: the classic n=7 store carries
 # the exact UCG Nash set of every connected class, so the pruned
 # orientation walks (plain and orbit-quotient, both pool widths) must all
@@ -130,10 +147,6 @@ for game in $games; do
     NETFORM_JOBS=$jobs dune exec bin/netform_cli.exe -- store build -n 6 --chunk 16 \
       --game "$game" -o "$store_dir/single_${game}_j$jobs.nfs" --quiet
     cmp "$store_dir/single_${game}_j$jobs.nfs" "$store_dir/merged_${game}_j$jobs.nfs"
-    # the constant-memory streaming merge must emit the same bytes
-    NETFORM_JOBS=$jobs dune exec bin/netform_cli.exe -- store merge "$shard_dir" --streaming \
-      -o "$store_dir/streamed_${game}_j$jobs.nfs" --quiet
-    cmp "$store_dir/merged_${game}_j$jobs.nfs" "$store_dir/streamed_${game}_j$jobs.nfs"
     # a directory of shard volumes must query exactly like the merged store
     dune exec bin/netform_cli.exe -- store export "$shard_dir" -o "$store_dir/dir_${game}_j$jobs.csv" > /dev/null
     dune exec bin/netform_cli.exe -- store export "$store_dir/merged_${game}_j$jobs.nfs" \
@@ -142,13 +155,14 @@ for game in $games; do
     rm -rf "$shard_dir"
   done
   cmp "$store_dir/merged_${game}_j1.nfs" "$store_dir/merged_${game}_j4.nfs"
-  echo "sharded build smoke ($game): merge (in-memory and --streaming) byte-identical to single-process build (both pool widths)"
+  echo "sharded build smoke ($game): merge byte-identical to single-process build (both pool widths)"
 done
 
 # Serve smoke: for every registered game and both pool widths, start a
 # netform serve daemon on the n=5 store the registry smoke built, drive
 # it through the remote client path, and require every served answer to
-# be byte-identical to the in-process one — `query --remote --stable-at`
+# be byte-identical to the in-process one (both sides evaluate with the
+# same Service, so these legs check the transport) — `query --remote --stable-at`
 # against `query --stable-at` from below the first region endpoint to
 # beyond the last (α = 1/2, 1, 3/2, 2, 5, 1000), figure CSV against
 # `store query --figures --csv`, export against `store export`.  The

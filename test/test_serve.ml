@@ -1,7 +1,8 @@
-(* Tests for nf_serve: the mmap read path vs Index.load, the
-   α-interval index vs naive Interval.mem filtering (including exact
-   endpoint queries, for every registered game), service-level parity
-   with Nf_store.Query, the wire protocol codecs, and a live daemon
+(* Tests for nf_serve: the mmap read path vs the channel reader's
+   records, the α-interval index vs naive Interval.mem filtering
+   (including exact endpoint queries, for every registered game), the
+   service against a linear scan and a fresh annotation, incomplete and
+   damaged stores, the wire protocol codecs, and a live daemon
    exercised by concurrent clients. *)
 
 module Rat = Nf_util.Rat
@@ -9,8 +10,7 @@ module Interval = Nf_util.Interval
 module Graph6 = Nf_graph.Graph6
 module Layout = Nf_store.Layout
 module Build = Nf_store.Build
-module Index = Nf_store.Index
-module Query = Nf_store.Query
+module Reader = Nf_store.Reader
 open Nf_serve
 
 let check_bool = Alcotest.(check bool)
@@ -65,19 +65,53 @@ let record_equal (a : Layout.record) (b : Layout.record) =
   | Some x, Some y -> Interval.Union.equal x y
   | _ -> false
 
+(* The record oracle: a store file's header and records pulled through
+   the channel reader, or a shard directory's volumes concatenated in
+   file-name order (the fixtures name volumes shard_JJ_of_KK.nfs, so
+   that is shard order). *)
+let channel_records path =
+  let paths =
+    if Sys.is_directory path then
+      List.map (Filename.concat path) (List.sort compare (Array.to_list (Sys.readdir path)))
+    else [ path ]
+  in
+  let volumes =
+    List.map
+      (fun p ->
+        let header, chunks, _, _ =
+          Reader.fold_chunks ~path:p ~init:[] (fun _ acc _ recs -> recs :: acc)
+        in
+        (header, Array.concat (List.rev chunks)))
+      paths
+  in
+  (fst (List.hd volumes), Array.concat (List.map snd volumes))
+
+(* The stable-set oracle: a linear scan of the records, testing the
+   region column the game is stored in. *)
+let scan_ids (header : Layout.header) records ~game ~alpha =
+  let union =
+    match header.Layout.content with
+    | Layout.Classic _ -> game = "ucg"
+    | Layout.Game { union; _ } -> union
+  in
+  let stable (r : Layout.record) =
+    if union then Option.fold ~none:false ~some:(Interval.Union.mem alpha) r.Layout.ucg
+    else Interval.mem alpha r.Layout.bcg
+  in
+  List.filter (fun i -> stable records.(i)) (List.init (Array.length records) Fun.id)
+
 (* --- mmap reader -------------------------------------------------------- *)
 
-(* every record served off the mapping equals the heap-loaded one, and
+(* every record served off the mapping equals the channel reader's, and
    the header agrees field-for-field *)
 let test_mmap_record_parity () =
   with_store ~chunk:4 5 (fun path ->
-      let idx = Index.load ~path in
+      let header, entries = channel_records path in
       let m = Mmap_reader.open_store ~path () in
-      check_int "length" (Index.length idx) (Mmap_reader.length m);
-      check_int "n" (Index.n idx) (Mmap_reader.n m);
-      check_bool "content" true (Index.content idx = Mmap_reader.content m);
-      check_string "game" (Index.game idx) (Mmap_reader.game m);
-      let entries = Index.entries idx in
+      check_int "length" (Array.length entries) (Mmap_reader.length m);
+      check_int "n" header.Layout.n (Mmap_reader.n m);
+      check_bool "header" true (header = Mmap_reader.header m);
+      check_string "game" (Build.game_of_content header.Layout.content) (Mmap_reader.game m);
       Array.iteri
         (fun i r ->
           check_bool
@@ -109,16 +143,23 @@ let test_mmap_shard_directory () =
           let path = Filename.concat dir (Printf.sprintf "shard_%02d_of_03.nfs" j) in
           ignore (Build.build ~shard:(j, 3) ~chunk:4 ~path ~n:5 ()))
         [ 1; 2; 3 ];
-      let idx = Index.load ~path:dir in
+      let header, entries = channel_records dir in
       let m = Mmap_reader.open_store ~path:dir () in
       check_int "volumes" 3 (List.length (Mmap_reader.volumes m));
-      check_int "length" (Index.length idx) (Mmap_reader.length m);
+      check_int "length" (Array.length entries) (Mmap_reader.length m);
+      check_bool "merged header = volume header, shard cleared" true
+        ({ header with Layout.shard = None } = Mmap_reader.header m);
       check_bool "merged header unsharded" true
         ((Mmap_reader.header m).Layout.shard = None);
       Array.iteri
         (fun i r ->
           check_bool (Printf.sprintf "record %d" i) true (record_equal r (Mmap_reader.record m i)))
-        (Index.entries idx);
+        entries;
+      (* one volume opened alone keeps its shard metadata and is a
+         strict slice *)
+      let one = Mmap_reader.open_store ~path:(Filename.concat dir "shard_02_of_03.nfs") () in
+      check_bool "volume shard" true ((Mmap_reader.header one).Layout.shard = Some (2, 3));
+      check_bool "volume is a strict slice" true (Mmap_reader.length one < Array.length entries);
       Mmap_reader.close m)
 
 (* the decoded-chunk cache honors its bound; iter bypasses it *)
@@ -309,24 +350,24 @@ let store_endpoints (entries : Layout.record array) =
 
 (* at every distinct region endpoint (exactly), between consecutive
    endpoints, and outside the endpoint span, three independent answers
-   must agree: the α-interval index, Nf_store.Query on the same store,
-   and a fresh Equilibria sweep *)
+   must agree: the α-interval index, a linear scan of the same store's
+   records, and a fresh Equilibria sweep *)
 let test_boundary_differential () =
   List.iter
     (fun game_name ->
       with_store ~game:game_name ~chunk:8 5 (fun path ->
-          let idx = Index.load ~path in
+          let header, records = channel_records path in
           let service = Service.create ~path () in
           let packed = Netform.Game_registry.find_exn game_name in
-          let endpoints = store_endpoints (Index.entries idx) in
+          let endpoints = store_endpoints records in
           check_bool (game_name ^ " has finite endpoints") true (Array.length endpoints > 0);
           List.iter
             (fun alpha ->
               let served = Service.stable_ids service ~game:game_name ~alpha in
-              let queried = Query.game_entries idx ~game:game_name ~alpha in
               check_ids
                 (Printf.sprintf "%s ids at %s" game_name (Rat.to_string alpha))
-                queried served;
+                (scan_ids header records ~game:game_name ~alpha)
+                served;
               let fresh =
                 List.map Graph6.encode
                   (Nf_analysis.Equilibria.stable_graphs_packed packed ~n:5 ~alpha)
@@ -342,7 +383,7 @@ let test_boundary_differential () =
 
 let test_service_query_parity () =
   with_store ~chunk:4 5 (fun path ->
-      let idx = Index.load ~path in
+      let header, records = channel_records path in
       let s = Service.create ~path () in
       check_string "default game" "bcg" (Service.default_game s);
       List.iter
@@ -351,31 +392,33 @@ let test_service_query_parity () =
             (fun game ->
               check_ids
                 (Printf.sprintf "%s at %s" game (Rat.to_string alpha))
-                (Query.game_entries idx ~game ~alpha)
+                (scan_ids header records ~game ~alpha)
                 (Service.stable_ids s ~game ~alpha))
             [ "bcg"; "ucg" ])
         [ Rat.make 1 2; Rat.one; Rat.make 3 2; Rat.of_int 2; Rat.of_int 5 ];
-      (* the rejection text matches Query.game_entries' own *)
-      let rejection f =
-        match f () with
+      (* the rejection text is pinned, and a request for another game
+         answers it as the error response *)
+      let rejected = {|store carries "ucg" annotations, not "transfers"|} in
+      check_string "unknown game rejection" rejected
+        (match Service.stable_ids s ~game:"transfers" ~alpha:Rat.one with
         | exception Invalid_argument msg -> msg
-        | _ -> "no rejection"
-      in
-      check_string "unknown game rejection"
-        (rejection (fun () -> Query.game_entries idx ~game:"transfers" ~alpha:Rat.one))
-        (rejection (fun () -> Service.stable_ids s ~game:"transfers" ~alpha:Rat.one));
-      (* figures and export byte parity, and the figure cache *)
-      check_string "figure csv"
-        (Nf_analysis.Figures.to_csv (Query.figure_points idx ()))
-        (Service.figure_csv s ());
+        | _ -> "no rejection");
+      check_string "rejection over the evaluator"
+        (Json.to_string (Protocol.error_response rejected))
+        (Json.to_string
+           (Server.respond s (Protocol.Stable_at { game = Some "transfers"; alpha = Rat.one })));
+      (* figures and export against a fresh annotation, and the figure
+         cache *)
+      let fresh_figures = Nf_analysis.Figures.to_csv (Nf_analysis.Figures.sweep ~n:5 ()) in
+      check_string "figure csv" fresh_figures (Service.figure_csv s ());
       let stats0 = Service.stats s in
-      check_string "figure csv (cached)"
-        (Nf_analysis.Figures.to_csv (Query.figure_points idx ()))
-        (Service.figure_csv s ());
+      check_string "figure csv (cached)" fresh_figures (Service.figure_csv s ());
       let stats1 = Service.stats s in
       check_int "cache hit counted" (stats0.Service.figure_cache_hits + 1)
         stats1.Service.figure_cache_hits;
-      check_string "export csv" (Query.to_csv idx) (Service.export_csv s);
+      check_string "export csv"
+        (Nf_analysis.Dataset.to_csv (Nf_analysis.Dataset.build 5))
+        (Service.export_csv s);
       (* entry lookup round-trips every stored graph6 *)
       Array.iteri
         (fun i (r : Layout.record) ->
@@ -384,27 +427,26 @@ let test_service_query_parity () =
             check_int "entry ordinal" i j;
             check_bool "entry record" true (record_equal r r')
           | None -> Alcotest.fail "entry not found")
-        (Index.entries idx);
+        records;
       check_bool "missing entry" true (Service.find_entry s ~graph6:"~~~~" = None))
 
 let test_service_game_store_figures () =
   with_store ~game:"transfers" ~chunk:8 5 (fun path ->
-      let idx = Index.load ~path in
       let s = Service.create ~path () in
       check_string "default game" "transfers" (Service.default_game s);
       check_string "game figure csv"
-        (Nf_analysis.Figures.game_csv (Query.game_figure_points idx ()))
+        (Nf_analysis.Figures.game_csv
+           (Nf_analysis.Figures.sweep_game (Netform.Game_registry.find_exn "transfers") ~n:5 ()))
         (Service.figure_csv s ()))
 
 (* stable_graph6 reads the graph6 column; it must name exactly the
-   records Query.game_entries picks, at every distinct endpoint, just off
+   records a linear scan picks, at every distinct endpoint, just off
    each, between endpoints, beyond the last finite one and on the paper
    grid — over a classic dual store, a union-region game store and a
    shard directory, all in 4-record chunks so answers span many chunks
    (and volumes) *)
 let check_graph6_parity ~label ~games path =
-  let idx = Index.load ~path in
-  let entries = Index.entries idx in
+  let header, entries = channel_records path in
   let s = Service.create ~path () in
   let probes = probes_of_endpoints (store_endpoints entries) @ Nf_analysis.Sweep.paper_grid in
   let widest = ref 0 in
@@ -413,7 +455,7 @@ let check_graph6_parity ~label ~games path =
       List.iter
         (fun alpha ->
           let expected =
-            List.map (fun i -> entries.(i).Layout.graph6) (Query.game_entries idx ~game ~alpha)
+            List.map (fun i -> entries.(i).Layout.graph6) (scan_ids header entries ~game ~alpha)
           in
           widest := max !widest (List.length expected);
           check_strings
@@ -446,7 +488,7 @@ let entry_line graph6 = Printf.sprintf {|{"op":"entry","graph6":%S}|} graph6
    list or entry read from unchecked bytes; health still answers *)
 let test_service_damaged_store () =
   with_store ~chunk:4 5 (fun path ->
-      let entries = Index.entries (Index.load ~path) in
+      let _, entries = channel_records path in
       damage_chunk0_body path;
       let s = Service.create ~path () in
       let ask line = fst (Server.handle_line s line) in
@@ -465,13 +507,41 @@ let test_service_damaged_store () =
         (String.starts_with ~prefix:{|{"ok":true,"op":"health","status":"serving"|}
            (ask {|{"op":"health"}|})))
 
+(* a store cut short — at a chunk boundary, mid-chunk or mid-footer —
+   refuses to open with the one pinned incomplete-store message, counting
+   the whole chunks before the cut *)
+let test_service_incomplete_store () =
+  with_store ~chunk:4 5 (fun path ->
+      let bytes = read_file path in
+      let header = Layout.decode_header bytes in
+      let chunk_end pos =
+        let _, _, next = Layout.decode_chunk ~content:header.Layout.content bytes ~pos in
+        next
+      in
+      let two_chunks = chunk_end (chunk_end (Layout.header_bytes header)) in
+      List.iter
+        (fun (what, cut, records, chunks) ->
+          write_file path (String.sub bytes 0 cut);
+          check_string what
+            (Printf.sprintf
+               "%s: incomplete store (%d records in %d complete chunks; resume the build)" path
+               records chunks)
+            (match Service.create ~path () with
+            | exception Layout.Corrupt msg -> msg
+            | _ -> "opened"))
+        [
+          ("cut at a chunk boundary", two_chunks, 8, 2);
+          ("cut mid-chunk", two_chunks + 5, 8, 2);
+          ("cut mid-footer", String.length bytes - (Layout.footer_size / 2), 21, 6);
+        ])
+
 (* the first stable-at and the first entry on a fresh service, raced
    from two domains (and, separately, two first stable-ats): each builds
    outside the lock and the first insert wins, so both answer as a
    sequential service does and the stats come out the same *)
 let test_service_first_use_race () =
   with_store ~chunk:4 6 (fun path ->
-      let entries = Index.entries (Index.load ~path) in
+      let _, entries = channel_records path in
       let ask s line = fst (Server.handle_line s line) in
       let race lines =
         let seq = Service.create ~path () in
@@ -603,7 +673,7 @@ let test_daemon_end_to_end () =
           if Sys.file_exists sock then Sys.remove sock)
         (fun () ->
           wait_for_socket sock;
-          let idx = Index.load ~path in
+          let _, entries = channel_records path in
           (* four concurrent connections, used interleaved *)
           let clients = List.init 4 (fun _ -> Client.connect sock) in
           let alphas = [ Rat.make 1 2; Rat.one; Rat.make 3 2; Rat.of_int 2 ] in
@@ -614,7 +684,7 @@ let test_daemon_end_to_end () =
               check_bool "ok" true (Protocol.response_ok resp);
               check_strings
                 (Printf.sprintf "stable at %s over the wire" (Rat.to_string alpha))
-                (List.map Graph6.encode (Query.game_stable_graphs idx ~game:"bcg" ~alpha))
+                (List.map Graph6.encode (Nf_analysis.Equilibria.bcg_stable_graphs ~n:5 ~alpha))
                 (expect_strings resp "graphs"))
             clients;
           (* the same connections again, out of the order they were opened *)
@@ -627,11 +697,13 @@ let test_daemon_end_to_end () =
           let c0 = List.hd clients in
           let fig = Client.request c0 (Protocol.Figure_points { grid = None }) in
           check_string "figures over the wire"
-            (Nf_analysis.Figures.to_csv (Query.figure_points idx ()))
+            (Nf_analysis.Figures.to_csv (Nf_analysis.Figures.sweep ~n:5 ()))
             (expect_str fig "csv");
           let exp = Client.request c0 Protocol.Export in
-          check_string "export over the wire" (Query.to_csv idx) (expect_str exp "csv");
-          let entry_g6 = (Index.entries idx).(3).Layout.graph6 in
+          check_string "export over the wire"
+            (Nf_analysis.Dataset.to_csv (Nf_analysis.Dataset.build 5))
+            (expect_str exp "csv");
+          let entry_g6 = entries.(3).Layout.graph6 in
           let ent = Client.request c0 (Protocol.Entry { graph6 = entry_g6 }) in
           check_string "entry graph6" entry_g6 (expect_str ent "graph6");
           (match Json.member "id" ent with
@@ -699,6 +771,7 @@ let () =
           Alcotest.test_case "game store figures" `Quick test_service_game_store_figures;
           Alcotest.test_case "graph6 parity" `Quick test_service_graph6_parity;
           Alcotest.test_case "damaged store" `Quick test_service_damaged_store;
+          Alcotest.test_case "incomplete store" `Quick test_service_incomplete_store;
           Alcotest.test_case "first-use race" `Quick test_service_first_use_race;
         ] );
       ( "protocol",

@@ -1,6 +1,7 @@
 (* Tests for nf_store: CRC32, the binary layout codecs, tolerant scan
-   vs strict verify, crash-resume byte parity, and query/export parity
-   with the live nf_analysis sweep. *)
+   vs strict verify, crash-resume byte parity, and stores read back
+   through Nf_serve.Service checked against a fresh nf_analysis
+   annotation. *)
 
 module Rat = Nf_util.Rat
 module Interval = Nf_util.Interval
@@ -8,6 +9,8 @@ module Pool = Nf_util.Pool
 module Graph = Nf_graph.Graph
 module Graph6 = Nf_graph.Graph6
 open Nf_store
+module Service = Nf_serve.Service
+module Mmap_reader = Nf_serve.Mmap_reader
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -313,23 +316,25 @@ let test_build_roundtrip () =
       check_int "all classes" 21 outcome.Build.records;
       check_int "chunk fan-out" 6 outcome.Build.chunks;
       check_int "fresh build resumes nothing" 0 outcome.Build.resumed_records;
-      let index = Index.load ~path in
-      check_int "n" 5 (Index.n index);
-      check_bool "ucg present" true (Index.with_ucg index);
-      check_int "length" 21 (Index.length index);
+      let service = Service.create ~path () in
+      check_int "n" 5 (Service.n service);
+      check_bool "ucg present" true
+        (Layout.content_with_ucg (Mmap_reader.content (Service.store service)));
+      check_int "length" 21 (Service.length service);
       (* entry-for-entry parity with the live annotation *)
       let expected = Nf_analysis.Dataset.build 5 in
-      List.iteri
-        (fun k e ->
-          let r = (Index.entries index).(k) in
-          Alcotest.check graph "graph" e.Nf_analysis.Dataset.graph (Index.graphs index).(k);
+      List.iter2
+        (fun e r ->
+          Alcotest.check graph "graph" e.Nf_analysis.Dataset.graph (Graph6.decode r.Layout.graph6);
           check_string "graph6" (Graph6.encode e.Nf_analysis.Dataset.graph) r.Layout.graph6;
           Alcotest.check interval "bcg" e.Nf_analysis.Dataset.bcg_stable r.Layout.bcg;
           check_bool "ucg" true
             (Interval.Union.equal
                (Option.get e.Nf_analysis.Dataset.ucg_nash)
                (Option.get r.Layout.ucg)))
-        expected)
+        expected
+        (let m = Service.store service in
+         List.init (Mmap_reader.length m) (Mmap_reader.record m)))
 
 let test_build_guards () =
   raises_invalid "n too large" (fun () -> Build.build ~path:"/tmp/never.nfs" ~n:12 ());
@@ -367,7 +372,7 @@ let test_scan_tolerates_truncation () =
       (* loading an incomplete store must fail loudly *)
       let part = Writer.part_path path in
       write_file part (String.sub bytes 0 (len - 1));
-      raises_corrupt "load incomplete" (fun () -> Reader.load ~path:part))
+      raises_corrupt "open incomplete" (fun () -> Service.create ~path:part ()))
 
 let test_verify_detects_any_flip () =
   with_store 4 ~chunk:2 (fun path _ ->
@@ -467,22 +472,25 @@ let test_build_parity_across_jobs () =
 
 let test_query_parity () =
   with_store 5 (fun path _ ->
-      let index = Index.load ~path in
+      let service = Service.create ~path () in
       List.iter
         (fun alpha ->
           let expected = Nf_analysis.Equilibria.bcg_stable_graphs ~n:5 ~alpha in
           Alcotest.check (Alcotest.list graph) "bcg stable" expected
-            (Query.bcg_stable_graphs index ~alpha);
+            (Service.stable_graphs service ~game:"bcg" ~alpha);
           let expected = Nf_analysis.Equilibria.ucg_nash_graphs ~n:5 ~alpha in
           Alcotest.check (Alcotest.list graph) "ucg nash" expected
-            (Query.ucg_nash_graphs index ~alpha))
+            (Service.stable_graphs service ~game:"ucg" ~alpha))
         [ Rat.make 1 2; Rat.one; Rat.of_int 2; Rat.of_int 8 ])
 
 let test_figure_points_parity () =
   with_store 5 (fun path _ ->
-      let index = Index.load ~path in
       let grid = [ Rat.make 1 2; Rat.of_int 2; Rat.of_int 8 ] in
-      let from_store = Query.figure_points index ~grid () in
+      let from_store =
+        match Service.figures (Service.create ~path ()) ~grid () with
+        | Service.Classic points -> points
+        | Service.Single _ -> Alcotest.fail "dual store swept as a single game"
+      in
       let live = Nf_analysis.Figures.sweep ~n:5 ~grid () in
       check_int "points" (List.length live) (List.length from_store);
       List.iter2
@@ -493,22 +501,26 @@ let test_figure_points_parity () =
             b.Nf_analysis.Figures.ucg.Netform.Poa.count;
           check_int "bcg count" a.Nf_analysis.Figures.bcg.Netform.Poa.count
             b.Nf_analysis.Figures.bcg.Netform.Poa.count)
-        live from_store)
+        live from_store;
+      check_string "figure csv" (Nf_analysis.Figures.to_csv live)
+        (Nf_analysis.Figures.to_csv from_store))
 
 let test_export_csv_identical () =
   with_store 5 (fun path _ ->
-      let index = Index.load ~path in
       check_string "csv byte-identical" (Nf_analysis.Dataset.to_csv (Nf_analysis.Dataset.build 5))
-        (Query.to_csv index))
+        (Service.export_csv (Service.create ~path ())))
 
 let test_query_without_ucg () =
   with_store ~with_ucg:false 5 (fun path _ ->
-      let index = Index.load ~path in
-      check_bool "no ucg stored" false (Index.with_ucg index);
+      let service = Service.create ~path () in
+      check_bool "no ucg stored" false
+        (Layout.content_with_ucg (Mmap_reader.content (Service.store service)));
       check_bool "bcg still served" true
-        (Query.bcg_stable_graphs index ~alpha:(Rat.of_int 2) <> []);
+        (Service.stable_graphs service ~game:"bcg" ~alpha:(Rat.of_int 2) <> []);
       raises_invalid "nash query refused" (fun () ->
-          Query.ucg_nash_graphs index ~alpha:(Rat.of_int 2)))
+          Service.stable_graphs service ~game:"ucg" ~alpha:(Rat.of_int 2));
+      check_bool "figures sweep the one game" true
+        (match Service.figures service () with Service.Single _ -> true | Service.Classic _ -> false))
 
 (* --- golden bytes (pre-refactor compatibility) -------------------------- *)
 
@@ -585,10 +597,10 @@ let test_game_store_roundtrip () =
           (match Reader.verify ~path with
           | Ok scan -> check_bool "verifies" true scan.Reader.complete
           | Error msg -> Alcotest.failf "game store rejected: %s" msg);
-          let index = Index.load ~path in
-          check_string "index game" game (Index.game index);
+          let service = Service.create ~path () in
+          check_string "service game" game (Service.game service);
           check_bool "no classic ucg payload claim" true
-            (Index.with_ucg index = (game = "ucg"));
+            (Layout.content_with_ucg (Mmap_reader.content (Service.store service)) = (game = "ucg"));
           (* the stored regions answer α-queries exactly like a live sweep *)
           let packed = Netform.Game_registry.find_exn game in
           List.iter
@@ -597,31 +609,36 @@ let test_game_store_roundtrip () =
                 Nf_analysis.Equilibria.stable_graphs_packed packed ~n:5 ~alpha
               in
               Alcotest.check (Alcotest.list graph) "alpha query" expected
-                (Query.game_stable_graphs index ~game ~alpha))
+                (Service.stable_graphs service ~game ~alpha))
             [ Rat.make 1 2; Rat.one; Rat.of_int 2; Rat.of_int 8 ]))
     [ "bcg"; "ucg"; "transfers"; "weighted_bcg"; "adversary"; "coalition:k=2" ]
 
+(* the rejection text is pinned: it names the store's game and the one
+   asked for *)
 let test_game_store_mismatch_rejected () =
+  let rejects service ~game expected =
+    check_string
+      (Printf.sprintf "%s refused" game)
+      expected
+      (match Service.stable_ids service ~game ~alpha:Rat.one with
+      | exception Invalid_argument msg -> msg
+      | _ -> "no rejection")
+  in
   with_game_store ~game:"transfers" 4 (fun path _ ->
-      let index = Index.load ~path in
-      raises_invalid "wrong game refused" (fun () ->
-          Query.game_stable_graphs index ~game:"weighted_bcg" ~alpha:Rat.one);
-      raises_invalid "classic query on game store refused" (fun () ->
-          Query.game_stable_graphs index ~game:"ucg" ~alpha:Rat.one);
-      raises_invalid "unknown game" (fun () ->
-          Query.game_stable_graphs index ~game:"nope" ~alpha:Rat.one));
+      let service = Service.create ~path () in
+      rejects service ~game:"weighted_bcg"
+        {|store carries "transfers" annotations, not "weighted_bcg"|};
+      rejects service ~game:"ucg" {|store carries "transfers" annotations, not "ucg"|};
+      rejects service ~game:"nope" {|store carries "transfers" annotations, not "nope"|});
   (* parameter bytes are part of the schema identity: same family,
      different member must be refused like any other game mismatch *)
   with_game_store ~game:"coalition:k=2" 4 (fun path _ ->
-      let index = Index.load ~path in
-      raises_invalid "same family, different params refused" (fun () ->
-          Query.game_stable_graphs index ~game:"coalition:k=3" ~alpha:Rat.one);
-      raises_invalid "classic query on param store refused" (fun () ->
-          Query.game_stable_graphs index ~game:"bcg" ~alpha:Rat.one));
+      let service = Service.create ~path () in
+      rejects service ~game:"coalition:k=3"
+        {|store carries "coalition:k=2" annotations, not "coalition:k=3"|};
+      rejects service ~game:"bcg" {|store carries "coalition:k=2" annotations, not "bcg"|});
   with_store ~with_ucg:false 4 (fun path _ ->
-      let index = Index.load ~path in
-      raises_invalid "ucg on bcg-only classic store" (fun () ->
-          Query.game_stable_graphs index ~game:"ucg" ~alpha:Rat.one))
+      rejects (Service.create ~path ()) ~game:"ucg" {|store carries "bcg" annotations, not "ucg"|})
 
 let test_game_store_resume_parity () =
   with_game_store ~game:"weighted_bcg" ~chunk:4 5 (fun path _ ->
@@ -641,9 +658,12 @@ let test_game_store_resume_parity () =
 
 let test_game_figure_points () =
   with_game_store ~game:"transfers" 5 (fun path _ ->
-      let index = Index.load ~path in
       let grid = [ Rat.make 1 2; Rat.of_int 2; Rat.of_int 8 ] in
-      let from_store = Query.game_figure_points index ~grid () in
+      let from_store =
+        match Service.figures (Service.create ~path ()) ~grid () with
+        | Service.Single points -> points
+        | Service.Classic _ -> Alcotest.fail "game store swept as the classic pair"
+      in
       let live =
         Nf_analysis.Figures.sweep_game (Netform.Game_registry.find_exn "transfers") ~n:5
           ~grid ()
@@ -725,28 +745,31 @@ let test_shard_merge_byte_parity () =
                 (read_file out))))
     [ (None, 3); (None, 5); (Some "transfers", 3) ]
 
-(* a directory of shard volumes loads and queries as the merged store *)
+(* a directory of shard volumes opens and queries as the merged store *)
 let test_shard_directory_index_query () =
   with_temp_dir (fun dir ->
       ignore (build_shards ~dir ~k:3 5);
-      let idx = Index.load ~path:dir in
-      check_int "all classes" 21 (Index.length idx);
-      check_bool "reads as whole" true (Index.shard idx = None);
-      check_int "n" 5 (Index.n idx);
+      let from_dir = Service.create ~path:dir () in
+      check_int "all classes" 21 (Service.length from_dir);
+      check_bool "reads as whole" true
+        ((Mmap_reader.header (Service.store from_dir)).Layout.shard = None);
+      check_int "n" 5 (Service.n from_dir);
       let out = Filename.concat dir "merged.nfs" in
       ignore (Merge.merge_dir ~dir ~out ());
-      let merged = Index.load ~path:out in
-      check_string "directory query = merged query" (Query.to_csv merged) (Query.to_csv idx);
+      let merged = Service.create ~path:out () in
+      check_string "directory query = merged query" (Service.export_csv merged)
+        (Service.export_csv from_dir);
       List.iter
         (fun alpha ->
           Alcotest.check (Alcotest.list graph) "alpha parity"
-            (Query.bcg_stable_graphs merged ~alpha)
-            (Query.bcg_stable_graphs idx ~alpha))
+            (Service.stable_graphs merged ~game:"bcg" ~alpha)
+            (Service.stable_graphs from_dir ~game:"bcg" ~alpha))
         [ Rat.make 1 2; Rat.one; Rat.of_int 2 ];
-      (* one volume alone still loads, and owns up to being a slice *)
-      let one = Index.load ~path:(Filename.concat dir "shard_02_of_03.nfs") in
-      check_bool "volume shard" true (Index.shard one = Some (2, 3));
-      check_bool "volume is a strict slice" true (Index.length one < 21))
+      (* one volume alone still opens, and owns up to being a slice *)
+      let one = Service.create ~path:(Filename.concat dir "shard_02_of_03.nfs") () in
+      check_bool "volume shard" true
+        ((Mmap_reader.header (Service.store one)).Layout.shard = Some (2, 3));
+      check_bool "volume is a strict slice" true (Service.length one < 21))
 
 (* Reader.verify on a damaged shard volume pins the offending chunk and
    the byte offset its frame starts at *)
@@ -815,27 +838,30 @@ let test_merge_validation () =
         ignore (Merge.merge ~force:true ~paths ~out ())
       | _ -> Alcotest.fail "expected 3 shards"))
 
-(* satellite: the streaming merge — one chunk resident at a time — emits
-   the same bytes and the same report lines as the in-memory one *)
+(* the merge — one chunk resident at a time — emits the single-process
+   build's bytes and one report line per volume, in shard order *)
 let test_streaming_merge_byte_parity () =
   List.iter
     (fun game ->
-      with_temp_dir (fun dir ->
-          ignore (build_shards ~dir ?game ~k:3 5);
-          let out_mem = Filename.concat dir "merged_mem.nfs" in
-          let out_str = Filename.concat dir "merged_str.nfs" in
-          let lines_of out streaming =
-            let lines = ref [] in
-            let m =
-              Merge.merge_dir ~streaming ~report:(fun l -> lines := l :: !lines) ~dir ~out ()
-            in
-            check_int "records" 21 m.Merge.records;
-            List.rev !lines
-          in
-          let mem_lines = lines_of out_mem false in
-          let str_lines = lines_of out_str true in
-          check_string "streaming merge byte-identical" (read_file out_mem) (read_file out_str);
-          check_bool "same report lines" true (mem_lines = str_lines)))
+      let whole = temp_store () in
+      Fun.protect
+        ~finally:(fun () -> cleanup whole)
+        (fun () ->
+          ignore (Build.build ?game ~chunk:4 ~path:whole ~n:5 ());
+          with_temp_dir (fun dir ->
+              let outcomes = build_shards ~dir ?game ~k:3 5 in
+              let out = Filename.concat dir "merged.nfs" in
+              let lines = ref [] in
+              let m = Merge.merge_dir ~report:(fun l -> lines := l :: !lines) ~dir ~out () in
+              check_int "records" 21 m.Merge.records;
+              check_string "merge byte-identical to single-process build" (read_file whole)
+                (read_file out);
+              Alcotest.(check (list string))
+                "report lines"
+                (List.map
+                   (fun o -> Printf.sprintf "%s: %d records folded in" o.Build.path o.Build.records)
+                   outcomes)
+                (List.rev !lines))))
     [ None; Some "transfers"; Some "ucg" ]
 
 (* fold_chunks walks a complete store chunk-by-chunk in order, and
