@@ -815,14 +815,17 @@ let store_merge_cmd =
     (Cmd.info "merge"
        ~doc:
          "Reassemble a directory of verified shard volumes into one canonical store, \
-          byte-identical to a single-process build; constant memory: each volume is verified \
-          and re-chunked off its input channel, one decoded chunk resident at a time")
+          byte-identical to a single-process build; constant memory: each volume is verified, \
+          then re-chunked, by one forward walk holding one frame at a time")
     Term.(const store_merge $ dir $ out $ force $ quiet)
 
 let store_shards path =
   setup_logs ();
   if Sys.file_exists path && Sys.is_directory path then begin
     match Nf_store.Merge.volumes ~dir:path with
+    | exception Failure msg ->
+      Printf.eprintf "error: %s\n" msg;
+      1
     | [] ->
       Printf.printf "%s: no shard volumes\n" path;
       1
@@ -844,6 +847,9 @@ let store_shards path =
   end
   else
     match Nf_store.Reader.scan ~path with
+    | { Nf_store.Reader.failure = Some reason; _ } ->
+      Printf.eprintf "%s: %s\n" path reason;
+      1
     | scan ->
       let h = scan.Nf_store.Reader.header in
       (match h.Nf_store.Layout.shard with

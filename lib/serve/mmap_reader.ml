@@ -1,15 +1,17 @@
 (* Mmap-backed store reader: the one read path of every store query.
 
-   The file is mapped once ([Unix.map_file], read-only, shared) and a
-   single header/frame walk builds a chunk directory: byte offset,
-   frame length and first-record ordinal per chunk, touching only the
-   16-byte chunk headers.  After that any record is an O(log chunks)
-   binary search plus one lazy chunk decode, and the only store bytes
-   this module keeps on the heap are the decoded chunks currently in the
-   bounded cache.  [Service] holds one more resident structure, a
-   graph6 column by ordinal, which it fills only through [iter] — the
-   CRC-checked pass — so the column never carries unchecked bytes
-   (DESIGN.md §13).
+   Each volume is walked once by [Reader.walk] in [Frames] mode, which
+   checks the framing, chunk sequence and footer totals through the
+   16-byte chunk headers and skips every body unread; its frames
+   (offset, length, record count, first ordinal) are the chunk
+   directory.  The file is then mapped ([Unix.map_file], read-only,
+   shared) through the same descriptor.  After that any record is an
+   O(log chunks) binary search plus one lazy chunk decode, and the only
+   store bytes this module keeps on the heap are the decoded chunks
+   currently in the bounded cache.  [Service] holds one more resident
+   structure, a graph6 column by ordinal, which it fills only through
+   [iter] — the CRC-checked pass — so the column never carries
+   unchecked bytes (DESIGN.md §13).
 
    Ownership rules (DESIGN.md §13): the mapping is private to this
    module and immutable — bytes are only ever copied out per chunk
@@ -18,12 +20,10 @@
    pages of an unlinked file alive until unmap).  Unmapping itself is
    the GC's business; [close] only drops the decoded-chunk cache.
 
-   The directory walk validates framing, chunk sequence and the
-   CRC-protected footer totals, but does not CRC every chunk body — a
-   chunk's CRC is verified by [Layout.decode_chunk] the first time the
-   chunk is actually decoded, so corruption surfaces as [Layout.Corrupt]
-   on access, pinned to the damaged chunk, while the rest of the store
-   keeps serving.
+   Chunk bodies are not CRC-checked at open: a chunk's CRC is verified
+   by [Layout.decode_chunk] the first time the chunk is actually
+   decoded, so corruption surfaces as [Layout.Corrupt] on access, pinned
+   to the damaged chunk, while the rest of the store keeps serving.
 
    A directory of shard volumes is served transparently: [Merge.family]
    proves the volumes form one complete split and each volume gets its
@@ -32,22 +32,16 @@
    store its merge would write. *)
 
 module Layout = Nf_store.Layout
+module Reader = Nf_store.Reader
 module Merge = Nf_store.Merge
 module Build = Nf_store.Build
 
 type map = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-type chunk_entry = {
-  off : int;  (* byte offset of the chunk frame in its volume *)
-  len : int;  (* whole frame length, header through CRC *)
-  count : int;  (* records in the chunk (from the frame header) *)
-  first : int;  (* volume-local ordinal of the chunk's first record *)
-}
-
 type volume = {
   vpath : string;
   map : map;
-  vchunks : chunk_entry array;
+  vchunks : Reader.frame array;
   vrecords : int;
   vfirst : int;  (* store-wide ordinal of this volume's first record *)
 }
@@ -67,96 +61,34 @@ type t = {
 let fail path fmt =
   Printf.ksprintf (fun m -> raise (Layout.Corrupt (Printf.sprintf "%s: %s" path m))) fmt
 
-let map_file path =
-  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      let len = (Unix.fstat fd).Unix.st_size in
-      if len = 0 then fail path "empty file";
-      Bigarray.array1_of_genarray (Unix.map_file fd Bigarray.char Bigarray.c_layout false [| len |]))
-
 let sub_string map ~pos ~len what path =
   if pos < 0 || len < 0 || pos + len > Bigarray.Array1.dim map then
     fail path "unexpected end of mapped store reading %s at byte %d" what pos;
   String.init len (fun i -> Bigarray.Array1.unsafe_get map (pos + i))
 
-let u32_at map pos =
-  Char.code (Bigarray.Array1.get map pos)
-  lor (Char.code (Bigarray.Array1.get map (pos + 1)) lsl 8)
-  lor (Char.code (Bigarray.Array1.get map (pos + 2)) lsl 16)
-  lor (Char.code (Bigarray.Array1.get map (pos + 3)) lsl 24)
-
-let magic_at map pos magic =
-  let rec eq i = i >= 4 || (Bigarray.Array1.get map (pos + i) = magic.[i] && eq (i + 1)) in
-  pos + 4 <= Bigarray.Array1.dim map && eq 0
-
-(* One header/frame walk over a mapped volume: decode the header, hop
-   chunk header to chunk header recording (offset, frame length, record
-   count, first ordinal), finish on a footer whose CRC-protected totals
-   must match the walk.  Only O(chunks) * 16 bytes are touched. *)
 let open_volume ~vfirst path =
-  let map = map_file path in
-  let dim = Bigarray.Array1.dim map in
-  (* two-step header read: the fixed bytes say (flag bit 3) whether a
-     parameter extension section follows; its u16 length sizes the rest *)
-  let header =
-    let fixed = sub_string map ~pos:0 ~len:Layout.header_size "header" path in
-    if not (Layout.header_has_params fixed) then Layout.decode_header fixed
-    else begin
-      let len_bytes = sub_string map ~pos:Layout.header_size ~len:2 "parameter section" path in
-      let rest =
-        sub_string map
-          ~pos:(Layout.header_size + 2)
-          ~len:(String.get_uint16_le len_bytes 0 + 4)
-          "parameter section" path
+  let ic = Unix.in_channel_of_descr (Unix.openfile path [ Unix.O_RDONLY ] 0) in
+  Fun.protect
+    ~finally:(fun () -> In_channel.close ic)
+    (fun () ->
+      let scan, frames =
+        try Reader.walk ic ~init:[] (Reader.Frames (fun acc f -> f :: acc))
+        with Layout.Corrupt m -> fail path "%s" m
       in
-      Layout.decode_header (fixed ^ len_bytes ^ rest)
-    end
-  in
-  let dir = ref [] in
-  let pos = ref (Layout.header_bytes header) in
-  let chunks = ref 0 in
-  let records = ref 0 in
-  let complete = ref false in
-  (* the file ends before its footer: a build that was cut (or a part
-     file copied into place), wherever the cut fell *)
-  let need bytes =
-    if !pos + bytes > dim then
-      fail path "incomplete store (%d records in %d complete chunks; resume the build)" !records
-        !chunks
-  in
-  while not !complete do
-    need 4;
-    if magic_at map !pos Layout.footer_magic then begin
-      need Layout.footer_size;
-      let footer = sub_string map ~pos:!pos ~len:Layout.footer_size "footer" path in
-      let total_chunks, total_records, _ = Layout.decode_footer footer ~pos:0 in
-      if total_chunks <> !chunks then
-        fail path "footer declares %d chunks, directory walk found %d" total_chunks !chunks;
-      if total_records <> !records then
-        fail path "footer declares %d records, directory walk found %d" total_records !records;
-      if !pos + Layout.footer_size <> dim then
-        fail path "%d trailing bytes after footer" (dim - !pos - Layout.footer_size);
-      complete := true
-    end
-    else if magic_at map !pos Layout.chunk_magic then begin
-      need Layout.chunk_header_size;
-      let index = u32_at map (!pos + 4) in
-      let count = u32_at map (!pos + 8) in
-      let body_len = u32_at map (!pos + 12) in
-      if index <> !chunks then fail path "chunk %d out of sequence (expected %d)" index !chunks;
-      let len = Layout.chunk_header_size + body_len + 4 in
-      need len;
-      dir := { off = !pos; len; count; first = !records } :: !dir;
-      chunks := !chunks + 1;
-      records := !records + count;
-      pos := !pos + len
-    end
-    else fail path "bad frame magic at byte %d" !pos
-  done;
-  ( { vpath = path; map; vchunks = Array.of_list (List.rev !dir); vrecords = !records; vfirst },
-    header )
+      Option.iter (fail path "%s") scan.Reader.failure;
+      let map =
+        Bigarray.array1_of_genarray
+          (Unix.map_file (Unix.descr_of_in_channel ic) Bigarray.char Bigarray.c_layout false
+             [| scan.Reader.data_end + Layout.footer_size |])
+      in
+      ( {
+          vpath = path;
+          map;
+          vchunks = Array.of_list (List.rev frames);
+          vrecords = scan.Reader.records;
+          vfirst;
+        },
+        scan.Reader.header ))
 
 let open_store ?(cache_chunks = 64) ~path () =
   let vols, header =
@@ -210,10 +142,11 @@ let cached_chunks t =
 let decode_chunk t vi ci =
   let v = t.vols.(vi) in
   let e = v.vchunks.(ci) in
-  let frame = sub_string v.map ~pos:e.off ~len:e.len "chunk frame" v.vpath in
+  let frame = sub_string v.map ~pos:e.Reader.offset ~len:e.Reader.length "chunk frame" v.vpath in
   let _, recs, _ = Layout.decode_chunk ~content:t.header.Layout.content frame ~pos:0 in
-  if Array.length recs <> e.count then
-    fail v.vpath "chunk %d decodes to %d records, directory said %d" ci (Array.length recs) e.count;
+  if Array.length recs <> e.Reader.count then
+    fail v.vpath "chunk %d decodes to %d records, directory said %d" ci (Array.length recs)
+      e.Reader.count;
   recs
 
 let chunk_records t vi ci =
@@ -258,11 +191,11 @@ let locate t i =
     let lo = ref 0 and hi = ref (Array.length v.vchunks - 1) in
     while !lo < !hi do
       let mid = (!lo + !hi + 1) / 2 in
-      if v.vchunks.(mid).first <= local then lo := mid else hi := mid - 1
+      if v.vchunks.(mid).Reader.first <= local then lo := mid else hi := mid - 1
     done;
     !lo
   in
-  (vi, ci, local - v.vchunks.(ci).first)
+  (vi, ci, local - v.vchunks.(ci).Reader.first)
 
 let record t i =
   let vi, ci, off = locate t i in

@@ -1,12 +1,13 @@
 (** Mmap-backed store reader: the one read path of every store query.
 
-    The NFATLAS1 file is mapped read-only ([Unix.map_file]) and a chunk
-    directory is built from one header/frame walk that touches only the
-    16-byte chunk headers.  Any record is then two binary searches plus
-    one lazy, CRC-checked chunk decode; the only store bytes this
-    module keeps on the heap are the decoded chunks in a small bounded
-    FIFO cache ([Service] adds a graph6 column, filled by one {!iter}
-    pass).  A directory of shard volumes is served transparently: each
+    The chunk directory of an NFATLAS1 file is the frames of one
+    {!Nf_store.Reader.walk} in [Frames] mode, which reads only the
+    header and the 16-byte chunk headers; the file is then mapped
+    read-only ([Unix.map_file]).  Any record is then two binary
+    searches plus one lazy, CRC-checked chunk decode; the only store
+    bytes this module keeps on the heap are the decoded chunks in a
+    small bounded FIFO cache ([Service] adds a graph6 column, filled by
+    one {!iter} pass).  A directory of shard volumes is served transparently: each
     volume gets its own mapping and record ordinals run across volumes
     in shard order, so the directory reads as the store its merge would
     produce.
@@ -26,11 +27,12 @@ val open_store : ?cache_chunks:int -> path:string -> unit -> t
 (** Map a store file, or every volume of a shard directory.
     [cache_chunks] bounds the decoded-chunk cache (default 64 chunks;
     [0] disables caching entirely).
-    @raise Nf_store.Layout.Corrupt on framing damage or footer totals
-    that disagree with the walk; a file that ends before its footer
-    (a cut mid-chunk, at a chunk boundary or mid-footer) raises the one
-    message ["PATH: incomplete store (R records in C complete chunks;
-    resume the build)"].
+    @raise Nf_store.Layout.Corrupt with the walk's reason after
+    ["PATH: "]: framing damage or footer totals that disagree with the
+    walk are ["PATH: chunk I (frame at byte B): …"], and a file that
+    ends before its footer (a cut mid-chunk, at a chunk boundary or
+    mid-footer) is the one message ["PATH: incomplete store (R records
+    in C complete chunks; resume the build)"].
     @raise Failure when a directory does not hold one complete shard
     family. *)
 

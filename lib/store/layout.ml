@@ -343,12 +343,21 @@ let encode_chunk ~index ~content records =
   add_u32 buf (Crc32.string framed);
   Buffer.contents buf
 
-let decode_chunk ~content s ~pos =
+(* The smallest record: u16 length, one graph6 byte, one region byte. *)
+let min_record_size = 4
+
+let decode_chunk_header s ~pos =
   need s pos chunk_header_size "chunk header";
   if String.sub s pos 4 <> chunk_magic then fail "bad chunk magic at byte %d" pos;
   let index = get_u32 s (pos + 4) "chunk index" in
   let count = get_u32 s (pos + 8) "chunk record count" in
   let body_len = get_u32 s (pos + 12) "chunk body length" in
+  if count > body_len / min_record_size then
+    fail "chunk %d declares %d records, more than its %d-byte body can hold" index count body_len;
+  (index, count, body_len)
+
+let decode_chunk ~content s ~pos =
+  let index, count, body_len = decode_chunk_header s ~pos in
   let framed_len = chunk_header_size + body_len in
   need s pos (framed_len + 4) "chunk body";
   let stored_crc = get_u32 s (pos + framed_len) "chunk crc" in
@@ -379,8 +388,6 @@ let encode_footer ~chunks ~records =
   let body = Buffer.contents buf in
   add_u32 buf (Crc32.string body);
   Buffer.contents buf
-
-let is_footer_at s pos = pos + 4 <= String.length s && String.sub s pos 4 = footer_magic
 
 let decode_footer s ~pos =
   need s pos footer_size "footer";

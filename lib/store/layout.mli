@@ -121,14 +121,18 @@ val encode_chunk : index:int -> content:content -> record array -> string
     @raise Invalid_argument when a record's payload contradicts
     [content]. *)
 
+val decode_chunk_header : string -> pos:int -> int * int * int
+(** [decode_chunk_header s ~pos] is the [(index, record count, body
+    length)] of the {!chunk_header_size}-byte frame header at [pos].
+    A count that cannot fit in the body at the minimum record size
+    (4 bytes) raises {!Corrupt}, so no decoder ever sizes an allocation
+    by a forged count. *)
+
 val decode_chunk : content:content -> string -> pos:int -> int * record array * int
-(** [decode_chunk ~content s ~pos] is [(index, records, next_pos)].
-    The CRC is verified {e before} any record is parsed. *)
+(** [decode_chunk ~content s ~pos] is [(index, records, next_pos)]:
+    {!decode_chunk_header}'s checks, then the CRC, verified {e before}
+    any record is parsed. *)
 
 val encode_footer : chunks:int -> records:int -> string
 val decode_footer : string -> pos:int -> int * int * int
 (** [(chunks, records, next_pos)]. *)
-
-val is_footer_at : string -> int -> bool
-(** Whether the footer magic starts at this offset (peek only — the
-    footer may still fail {!decode_footer}). *)

@@ -22,20 +22,11 @@ type outcome = {
   seconds : float;
 }
 
-let header_of_file path =
-  In_channel.with_open_bin path (fun ic ->
-      let pull len what =
-        match In_channel.really_input_string ic len with
-        | Some s -> s
-        | None -> raise (Layout.Corrupt (Printf.sprintf "%s: too short for a store %s" path what))
-      in
-      let fixed = pull Layout.header_size "header" in
-      if not (Layout.header_has_params fixed) then Layout.decode_header fixed
-      else begin
-        let len_bytes = pull 2 "parameter section" in
-        let rest = pull (String.get_uint16_le len_bytes 0 + 4) "parameter section" in
-        Layout.decode_header (fixed ^ len_bytes ^ rest)
-      end)
+(* [Reader.header], with a damaged header or an unreadable file named *)
+let header_of path =
+  try Reader.header ~path with
+  | Layout.Corrupt msg -> failwith (Printf.sprintf "Merge: %s: %s" path msg)
+  | Sys_error msg -> failwith ("Merge: " ^ msg)
 
 let volumes ~dir =
   if not (Sys.file_exists dir && Sys.is_directory dir) then
@@ -47,10 +38,9 @@ let volumes ~dir =
          let p = Filename.concat dir name in
          if Sys.is_directory p || Filename.check_suffix name ".part" then None
          else
-           match header_of_file p with
-           | { Layout.shard = Some _; _ } as h -> Some (p, h)
-           | { Layout.shard = None; _ } -> None
-           | exception (Layout.Corrupt _ | Sys_error _) -> None)
+           match header_of p with
+           | Some ({ Layout.shard = Some _; _ } as h) -> Some (p, h)
+           | Some { Layout.shard = None; _ } | None -> None)
 
 (* A merge family is exactly the k volumes of one split: same n, content
    and chunk size throughout, and shard indices covering 1..k once each.
@@ -98,16 +88,24 @@ let family vols =
 
 let merge ?(force = false) ?(report = ignore) ~paths ~out () =
   let start = Unix.gettimeofday () in
-  let vols, header = family (List.map (fun p -> (p, header_of_file p)) paths) in
+  let vols, header =
+    family
+      (List.map
+         (fun p ->
+           match header_of p with
+           | Some h -> (p, h)
+           | None -> failwith (Printf.sprintf "Merge: %s is not an NFATLAS1 store" p))
+         paths)
+  in
   let k = List.length vols in
   if Sys.file_exists out && not force then
     failwith (Printf.sprintf "%s already exists (pass force to overwrite)" out);
-  (* strict per-volume verification up front, off the channel with one
-     chunk resident at a time: a damaged shard must name itself (pinned
-     to the chunk) before the output file is even created *)
+  (* strict per-volume verification up front, one frame resident at a
+     time: a damaged shard must name itself (pinned to the chunk) before
+     the output file is even created *)
   List.iter
     (fun (p, _) ->
-      match Reader.verify_stream ~path:p with
+      match Reader.verify ~path:p with
       | Ok _ -> ()
       | Error msg -> failwith (Printf.sprintf "Merge: %s: %s" p msg))
     vols;
@@ -129,16 +127,20 @@ let merge ?(force = false) ?(report = ignore) ~paths ~out () =
     in
     List.iter
       (fun (p, _) ->
-        let _, (), _, records =
-          Reader.fold_chunks ~path:p ~init:() (fun _ () _ recs -> fold_in recs)
+        let scan, () =
+          In_channel.with_open_bin p (fun ic ->
+              Reader.walk ic ~init:() (Reader.Records (fun _ () _ recs -> fold_in recs)))
         in
-        report (Printf.sprintf "%s: %d records folded in" p records))
+        Option.iter
+          (fun msg -> failwith (Printf.sprintf "Merge: %s: %s" p msg))
+          scan.Reader.failure;
+        report (Printf.sprintf "%s: %d records folded in" p scan.Reader.records))
       vols;
     if Queue.length queue > 0 then emit ();
     Writer.finalize writer
   with
   | () ->
-    (match Reader.verify_stream ~path:out with
+    (match Reader.verify ~path:out with
     | Ok _ -> ()
     | Error msg -> failwith (Printf.sprintf "Merge: merged store %s failed verification: %s" out msg));
     {

@@ -24,10 +24,11 @@ type outcome = {
 
 val volumes : dir:string -> (string * Layout.header) list
 (** The shard volumes found directly in [dir] (files whose header
-    decodes and carries shard metadata), sorted by file name.  [.part]
-    files, subdirectories, unsharded stores and non-store files are
-    ignored.
-    @raise Failure when [dir] is not a directory. *)
+    carries shard metadata), sorted by file name.  [.part] files,
+    subdirectories, unsharded stores and files that do not start with
+    the NFATLAS1 magic are ignored.
+    @raise Failure when [dir] is not a directory, or naming the file
+    when one starts with the magic but its header fails to decode. *)
 
 val family : (string * Layout.header) list -> (string * Layout.header) list * Layout.header
 (** Validate that the volumes form exactly one [k]-way split — same
@@ -44,12 +45,12 @@ val merge :
   unit ->
   outcome
 (** Merge the shard volumes at [paths] into a canonical store at [out].
-    Every pass — the up-front verification, the record fold, the final
-    re-verification — runs off input channels via {!Reader.fold_chunks},
-    holding one decoded chunk at a time, never a whole volume.
-    @raise Failure when the volumes do not form a complete family, any
-    input fails strict verification, or [out] exists and [force] is not
-    set. *)
+    Every pass — the up-front {!Reader.verify}, the record fold, the
+    final re-verification — is one {!Reader.walk} off an input channel,
+    holding one frame at a time, never a whole volume.
+    @raise Failure when a path is not a store or has a damaged header,
+    the volumes do not form a complete family, any input fails strict
+    verification, or [out] exists and [force] is not set. *)
 
 val merge_dir :
   ?force:bool ->

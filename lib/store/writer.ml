@@ -30,7 +30,7 @@ let create ~path ~header =
 let reopen ~path =
   let part = part_path path in
   let scan = Reader.scan ~path:part in
-  if scan.Reader.complete then
+  if scan.Reader.failure = None then
     invalid_arg "Writer.reopen: part file already holds a complete store";
   (* drop the torn tail, then append from the end of the valid prefix *)
   let fd = Unix.openfile part [ Unix.O_WRONLY ] 0o644 in

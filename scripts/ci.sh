@@ -32,6 +32,19 @@ for jobs in 1 4; do
   dune exec bin/netform_cli.exe -- store verify "$pristine"
   size=$(wc -c < "$pristine")
   head -c $((size * 2 / 3)) "$pristine" > "$crashed.part"
+  # verify and shards on the cut copy: exit 1 with the incomplete-store
+  # text (not 0, not an uncaught exception's 125)
+  for cmd in verify shards; do
+    status=0
+    dune exec bin/netform_cli.exe -- store $cmd "$crashed.part" > "$store_dir/$cmd.out" 2>&1 \
+      || status=$?
+    if [ "$status" -ne 1 ] || ! grep -q "incomplete store (.* complete chunks; resume the build)" \
+      "$store_dir/$cmd.out"; then
+      echo "store $cmd on a truncated store: exit $status" >&2
+      cat "$store_dir/$cmd.out" >&2
+      exit 1
+    fi
+  done
   NETFORM_JOBS=$jobs dune exec bin/netform_cli.exe -- store resume -o "$crashed" --quiet
   dune exec bin/netform_cli.exe -- store verify "$crashed"
   cmp "$pristine" "$crashed"

@@ -78,10 +78,12 @@ let channel_records path =
   let volumes =
     List.map
       (fun p ->
-        let header, chunks, _, _ =
-          Reader.fold_chunks ~path:p ~init:[] (fun _ acc _ recs -> recs :: acc)
+        let scan, chunks =
+          In_channel.with_open_bin p (fun ic ->
+              Reader.walk ic ~init:[] (Reader.Records (fun _ acc _ recs -> recs :: acc)))
         in
-        (header, Array.concat (List.rev chunks)))
+        Option.iter Alcotest.fail scan.Reader.failure;
+        (scan.Reader.header, Array.concat (List.rev chunks)))
       paths
   in
   (fst (List.hd volumes), Array.concat (List.map snd volumes))
@@ -535,6 +537,33 @@ let test_service_incomplete_store () =
           ("cut mid-footer", String.length bytes - (Layout.footer_size / 2), 21, 6);
         ])
 
+(* a chunk's record count forged to 2^31 - 1 with its CRC recomputed,
+   and the footer totals forged to agree: opening refuses it from the
+   frame header alone, pinned, so nothing is ever sized by the count *)
+let test_service_forged_count () =
+  with_store ~chunk:512 4 (fun path ->
+      let b = Bytes.of_string (read_file path) in
+      let set_u32 at v = Bytes.set_int32_le b at (Int32.of_int v) in
+      let recrc ~pos ~len =
+        set_u32 (pos + len) (Nf_store.Crc32.sub (Bytes.to_string b) ~pos ~len)
+      in
+      let at = Layout.header_size in
+      let body = Int32.to_int (Bytes.get_int32_le b (at + 12)) in
+      set_u32 (at + 8) 0x7fffffff;
+      recrc ~pos:at ~len:(Layout.chunk_header_size + body);
+      let footer = Bytes.length b - Layout.footer_size in
+      set_u32 (footer + 8) 0x7fffffff;
+      recrc ~pos:footer ~len:12;
+      write_file path (Bytes.to_string b);
+      check_string "open refuses"
+        (Printf.sprintf
+           "%s: chunk 0 (frame at byte 24): chunk 0 declares 2147483647 records, more than its \
+            %d-byte body can hold"
+           path body)
+        (match Service.create ~path () with
+        | exception Layout.Corrupt msg -> msg
+        | _ -> "opened"))
+
 (* the first stable-at and the first entry on a fresh service, raced
    from two domains (and, separately, two first stable-ats): each builds
    outside the lock and the first insert wins, so both answer as a
@@ -772,6 +801,7 @@ let () =
           Alcotest.test_case "graph6 parity" `Quick test_service_graph6_parity;
           Alcotest.test_case "damaged store" `Quick test_service_damaged_store;
           Alcotest.test_case "incomplete store" `Quick test_service_incomplete_store;
+          Alcotest.test_case "forged record count" `Quick test_service_forged_count;
           Alcotest.test_case "first-use race" `Quick test_service_first_use_race;
         ] );
       ( "protocol",

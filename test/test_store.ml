@@ -306,8 +306,8 @@ let test_footer_roundtrip () =
   check_int "chunks" 7 chunks;
   check_int "records" 1044 records;
   check_int "consumed" Layout.footer_size next;
-  check_bool "footer magic peek" true (Layout.is_footer_at s 0);
-  check_bool "not footer" false (Layout.is_footer_at "CHNK" 0)
+  raises_corrupt "a chunk frame is not a footer" (fun () ->
+      Layout.decode_footer (Layout.chunk_magic ^ String.sub s 4 12) ~pos:0)
 
 (* --- build / load round trip ------------------------------------------- *)
 
@@ -354,32 +354,40 @@ let test_resume_nothing () =
 
 (* --- scan / verify / corruption ---------------------------------------- *)
 
+let incomplete ~records ~chunks =
+  Printf.sprintf "incomplete store (%d records in %d complete chunks; resume the build)" records
+    chunks
+
 let test_scan_tolerates_truncation () =
   with_store 5 (fun path _ ->
       let bytes = read_file path in
-      let full = Reader.scan_string bytes in
-      check_bool "full store complete" true full.Reader.complete;
+      let full = Reader.scan ~path in
+      check_bool "full store complete" true (full.Reader.failure = None);
       check_int "full records" 21 full.Reader.records;
       (* any truncation strictly inside the data yields a valid,
-         incomplete prefix with only whole chunks *)
+         incomplete prefix with only whole chunks, and says so *)
       let len = String.length bytes in
+      let part = Writer.part_path path in
       for cut = Layout.header_size to len - 1 do
-        let scan = Reader.scan_string (String.sub bytes 0 cut) in
-        check_bool "truncated not complete" false scan.Reader.complete;
+        write_file part (String.sub bytes 0 cut);
+        let scan = Reader.scan ~path:part in
         check_bool "prefix within cut" true (scan.Reader.data_end <= cut);
-        check_bool "chunk prefix" true (scan.Reader.chunks <= full.Reader.chunks)
+        check_bool "chunk prefix" true (scan.Reader.chunks <= full.Reader.chunks);
+        Alcotest.(check (option string))
+          "truncated is incomplete"
+          (Some (incomplete ~records:scan.Reader.records ~chunks:scan.Reader.chunks))
+          scan.Reader.failure
       done;
       (* loading an incomplete store must fail loudly *)
-      let part = Writer.part_path path in
       write_file part (String.sub bytes 0 (len - 1));
       raises_corrupt "open incomplete" (fun () -> Service.create ~path:part ()))
 
 let test_verify_detects_any_flip () =
   with_store 4 ~chunk:2 (fun path _ ->
       let bytes = read_file path in
-      (match Reader.verify_string bytes with
+      (match Reader.verify ~path with
       | Ok scan ->
-        check_bool "intact verifies" true scan.Reader.complete;
+        check_bool "intact verifies" true (scan.Reader.failure = None);
         check_int "intact records" 6 scan.Reader.records
       | Error msg -> Alcotest.failf "intact store rejected: %s" msg);
       (* a single flipped bit anywhere in the file must be caught *)
@@ -387,7 +395,8 @@ let test_verify_detects_any_flip () =
       for k = 0 to Bytes.length corrupted - 1 do
         let orig = Bytes.get corrupted k in
         Bytes.set corrupted k (Char.chr (Char.code orig lxor 0x01));
-        (match Reader.verify_string (Bytes.to_string corrupted) with
+        write_file path (Bytes.to_string corrupted);
+        (match Reader.verify ~path with
         | Ok _ -> Alcotest.failf "flip at byte %d not detected" k
         | Error _ -> ());
         Bytes.set corrupted k orig
@@ -395,10 +404,87 @@ let test_verify_detects_any_flip () =
 
 let test_verify_rejects_trailing_garbage () =
   with_store 4 (fun path _ ->
-      let bytes = read_file path in
-      match Reader.verify_string (bytes ^ "x") with
+      write_file path (read_file path ^ "x");
+      match Reader.verify ~path with
       | Ok _ -> Alcotest.fail "trailing garbage not detected"
-      | Error _ -> ())
+      | Error msg ->
+        check_bool (Printf.sprintf "%S names the trailing byte" msg) true
+          (String.ends_with ~suffix:"1 trailing bytes after footer" msg))
+
+(* Forgeries the frame CRCs cannot see: set a field, then recompute the
+   CRC over the [len] bytes from [pos] that covers it.  Either step is
+   skipped where it would fall outside the bytes. *)
+let set_u32 b at v =
+  if at >= 0 && at + 4 <= Bytes.length b then Bytes.set_int32_le b at (Int32.of_int v)
+
+let recrc b ~pos ~len =
+  if pos >= 0 && pos + len + 4 <= Bytes.length b then
+    Bytes.set_int32_le b (pos + len) (Int32.of_int (Crc32.sub (Bytes.to_string b) ~pos ~len))
+
+let body_len_at b pos = Int32.to_int (Bytes.get_int32_le b (pos + 12)) land 0xFFFFFFFF
+
+(* the chunk frame at [at] with its record count forged to [v] *)
+let forge_count s ~at v =
+  let b = Bytes.of_string s in
+  set_u32 b (at + 8) v;
+  recrc b ~pos:at ~len:(Layout.chunk_header_size + body_len_at b at);
+  Bytes.to_string b
+
+(* a record count its body cannot hold is refused before anything is
+   sized by it, even with the chunk CRC recomputed: decode_chunk pins
+   the count, verify pins the frame *)
+let test_forged_record_count () =
+  with_store ~chunk:512 4 (fun path _ ->
+      let bytes = read_file path in
+      check_int "the 476-byte n = 4 store" 476 (String.length bytes);
+      let at = Layout.header_size in
+      let body = body_len_at (Bytes.of_string bytes) at in
+      let forged = forge_count bytes ~at 0x7fffffff in
+      let reason =
+        Printf.sprintf "chunk 0 declares 2147483647 records, more than its %d-byte body can hold"
+          body
+      in
+      check_string "decode_chunk refuses" reason
+        (match Layout.decode_chunk ~content:(Layout.classic ~with_ucg:true) forged ~pos:at with
+        | exception Layout.Corrupt msg -> msg
+        | _ -> "decoded");
+      write_file path forged;
+      check_bool "verify pins the frame" true
+        (Reader.verify ~path = Error (Printf.sprintf "chunk 0 (frame at byte %d): %s" at reason)))
+
+(* the CLI on a truncated store: verify and shards both exit 1 with the
+   incomplete-store text (shards used to call it whole), and a forged
+   count is an ordinary CORRUPT verdict, not an uncaught exception *)
+let run_cli args =
+  let cli =
+    Filename.concat (Filename.dirname (Filename.dirname Sys.executable_name)) "bin/netform_cli.exe"
+  in
+  let log = Filename.temp_file "nf_store_cli" ".log" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove log)
+    (fun () ->
+      let status =
+        Sys.command
+          (Printf.sprintf "%s %s > %s 2>&1" (Filename.quote cli)
+             (String.concat " " (List.map Filename.quote args))
+             (Filename.quote log))
+      in
+      (status, String.trim (read_file log)))
+
+let test_cli_truncated_store () =
+  with_store 5 (fun path _ ->
+      let bytes = read_file path in
+      let header = Layout.decode_header bytes in
+      let _, _, chunk1 = Layout.decode_chunk ~content:header.Layout.content bytes ~pos:24 in
+      write_file path (String.sub bytes 0 (chunk1 + 5));
+      let reason = incomplete ~records:4 ~chunks:1 in
+      let check what args expected =
+        Alcotest.(check (pair int string)) what (1, expected) (run_cli ("store" :: args))
+      in
+      check "verify" [ "verify"; path ] (Printf.sprintf "%s: CORRUPT: %s" path reason);
+      check "shards" [ "shards"; path ] (Printf.sprintf "%s: %s" path reason);
+      write_file path (forge_count bytes ~at:24 0x7fffffff);
+      check_int "forged count verify exit" 1 (fst (run_cli [ "store"; "verify"; path ])))
 
 (* --- crash-resume byte parity ------------------------------------------ *)
 
@@ -438,8 +524,6 @@ let test_resume_after_kill_mid_chunk () =
             { Layout.n = 5; content = Layout.classic ~with_ucg:true; chunk_size = 4; shard = None }
           in
           let w = Writer.create ~path:resumed_path ~header in
-          let full = Reader.scan_string pristine in
-          ignore full;
           (* replay the first two pristine chunks through the writer, then
              simulate a crash by appending half a torn frame *)
           let pos = ref Layout.header_size in
@@ -595,7 +679,7 @@ let test_game_store_roundtrip () =
           check_string "outcome game" game outcome.Build.game;
           check_int "all classes" 21 outcome.Build.records;
           (match Reader.verify ~path with
-          | Ok scan -> check_bool "verifies" true scan.Reader.complete
+          | Ok scan -> check_bool "verifies" true (scan.Reader.failure = None)
           | Error msg -> Alcotest.failf "game store rejected: %s" msg);
           let service = Service.create ~path () in
           check_string "service game" game (Service.game service);
@@ -809,6 +893,39 @@ let test_verify_damaged_shard_message () =
           contains 0
         | _ -> false))
 
+(* a volume whose header carries the magic but fails to decode is an
+   error naming it — in the directory scan, the merge and the shard
+   directory read path — while files without the magic are skipped *)
+let test_damaged_header_named () =
+  with_temp_dir (fun dir ->
+      let p2 =
+        match build_shards ~dir ~k:2 5 with [ _; o2 ] -> o2.Build.path | _ -> assert false
+      in
+      write_file (Filename.concat dir "README") "not a store";
+      write_file (Filename.concat dir "empty") "";
+      check_int "non-stores skipped" 2 (List.length (Merge.volumes ~dir));
+      let bytes = Bytes.of_string (read_file p2) in
+      Bytes.set bytes 15 (Char.chr (Char.code (Bytes.get bytes 15) lxor 0x01));
+      write_file p2 (Bytes.to_string bytes);
+      let prefix = Printf.sprintf "Merge: %s: header crc mismatch" p2 in
+      let out = Filename.concat dir "m.nfs" in
+      List.iter
+        (fun (what, f) ->
+          match f () with
+          | exception Failure msg ->
+            check_bool (Printf.sprintf "%s: %S" what msg) true (String.starts_with ~prefix msg)
+          | _ -> Alcotest.failf "%s accepted a damaged header" what)
+        [
+          ("volumes", fun () -> ignore (Merge.volumes ~dir));
+          ("merge_dir", fun () -> ignore (Merge.merge_dir ~dir ~out ()));
+          ("merge paths", fun () -> ignore (Merge.merge ~paths:[ p2 ] ~out ()));
+          ("shard directory", fun () -> ignore (Service.create ~path:dir ()));
+        ];
+      check_bool "explicit non-store path refused" true
+        (match Merge.merge ~paths:[ Filename.concat dir "README" ] ~out () with
+        | exception Failure msg -> String.ends_with ~suffix:"is not an NFATLAS1 store" msg
+        | _ -> false))
+
 let test_merge_validation () =
   with_temp_dir (fun dir ->
       let outcomes = build_shards ~dir ~k:3 5 in
@@ -864,50 +981,64 @@ let test_streaming_merge_byte_parity () =
                 (List.rev !lines))))
     [ None; Some "transfers"; Some "ucg" ]
 
-(* fold_chunks walks a complete store chunk-by-chunk in order, and
-   verify_stream matches strict verify on both clean and damaged bytes *)
-let test_fold_chunks_and_verify_stream () =
+(* the one walk: Records visits every chunk in order with its decoded
+   records, Frames visits the same frames without reading a body, and
+   verify is Records plus the record checks — on clean, damaged and
+   truncated bytes *)
+let test_walk_frames_and_records () =
   with_store ~chunk:4 5 (fun path _ ->
-      let header, order, chunks, records =
-        Reader.fold_chunks ~path ~init:[] (fun h acc index recs ->
+      let walk visit = In_channel.with_open_bin path (fun ic -> Reader.walk ic ~init:[] visit) in
+      let records_visit =
+        Reader.Records
+          (fun h acc frame recs ->
             check_int "callback header n" 5 h.Layout.n;
-            (index, Array.length recs) :: acc)
+            check_int "frame count = decoded" frame.Reader.count (Array.length recs);
+            frame :: acc)
       in
-      check_int "n" 5 header.Layout.n;
-      check_int "records" 21 records;
-      check_bool "chunks in order" true
-        (List.rev (List.map fst order) = List.init chunks Fun.id);
-      check_int "chunk count" chunks (List.length order);
-      check_int "record partition" records
-        (List.fold_left (fun acc (_, c) -> acc + c) 0 order);
-      (* clean file: stream verify = strict verify, scan for scan *)
-      (match (Reader.verify ~path, Reader.verify_stream ~path) with
-      | Ok a, Ok b ->
-        check_int "chunks agree" a.Reader.chunks b.Reader.chunks;
-        check_int "records agree" a.Reader.records b.Reader.records;
-        check_int "data_end agrees" a.Reader.data_end b.Reader.data_end;
-        check_bool "complete" true (a.Reader.complete && b.Reader.complete)
-      | _ -> Alcotest.fail "clean store failed verification");
-      (* any flipped byte in a chunk body fails both, pinned to the chunk *)
+      let scan, by_records = walk records_visit in
+      let scan', by_frames = walk (Reader.Frames (fun acc frame -> frame :: acc)) in
+      check_bool "complete" true (scan.Reader.failure = None);
+      check_int "records" 21 scan.Reader.records;
+      check_bool "same frames" true (by_records = by_frames);
+      check_bool "same scan" true (scan = scan');
+      let frames = List.rev by_frames in
+      check_int "one frame per chunk" scan.Reader.chunks (List.length frames);
+      (* the frames tile the data, and first ordinals are running counts *)
+      let data_end, _ =
+        List.fold_left
+          (fun (pos, first) f ->
+            check_int "offset" pos f.Reader.offset;
+            check_int "first" first f.Reader.first;
+            (pos + f.Reader.length, first + f.Reader.count))
+          (Layout.header_size, 0) frames
+      in
       let pristine = read_file path in
+      check_int "data_end" (String.length pristine - Layout.footer_size) data_end;
+      check_int "scan data_end" data_end scan.Reader.data_end;
+      (match Reader.verify ~path with
+      | Ok v -> check_bool "verify = walk" true (v = scan)
+      | Error msg -> Alcotest.failf "clean store failed verification: %s" msg);
+      (* a flipped body byte stops Records and verify at chunk 0, pinned
+         to its frame; Frames never reads the body *)
       let at = Layout.header_size + Layout.chunk_header_size + 1 in
       let damaged = Bytes.of_string pristine in
       Bytes.set damaged at (Char.chr (Char.code (Bytes.get damaged at) lxor 0x10));
       write_file path (Bytes.to_string damaged);
-      (match Reader.verify_stream ~path with
-      | Ok _ -> Alcotest.fail "damaged store stream-verified"
-      | Error msg ->
-        check_bool
-          (Printf.sprintf "message %S pins chunk 0" msg)
-          true
-          (String.length msg >= 7 && String.sub msg 0 7 = "chunk 0");
-        check_bool "fold_chunks raises too" true
-          (match Reader.fold_chunks ~path ~init:() (fun _ () _ _ -> ()) with
-          | exception Layout.Corrupt _ -> true
-          | _ -> false));
-      (* truncation is an error, not an exception *)
+      let pinned = "chunk 0 (frame at byte 24): chunk 0 crc mismatch" in
+      let stopped, visited = walk records_visit in
+      check_bool "nothing visited" true (visited = []);
+      check_int "empty prefix" Layout.header_size stopped.Reader.data_end;
+      check_bool "walk pins chunk 0" true
+        (Option.fold ~none:false ~some:(String.starts_with ~prefix:pinned) stopped.Reader.failure);
+      check_bool "verify pins chunk 0" true
+        (match Reader.verify ~path with
+        | Error msg -> String.starts_with ~prefix:pinned msg
+        | Ok _ -> false);
+      let skipped, _ = walk (Reader.Frames (fun acc _ -> acc)) in
+      check_bool "frames skip bodies" true (skipped.Reader.failure = None);
+      (* truncation is an Error naming the surviving prefix *)
       write_file path (String.sub pristine 0 (String.length pristine - 5));
-      check_bool "truncated is Error" true (Result.is_error (Reader.verify_stream ~path));
+      check_bool "truncated" true (Reader.verify ~path = Error (incomplete ~records:21 ~chunks:6));
       write_file path pristine)
 
 (* a shard volume crash-resumes byte-identically, like any store: the
@@ -1000,6 +1131,180 @@ let prop_chunk_codec_roundtrip =
              && Interval.Union.equal (Option.get r.Layout.ucg) (Option.get record.Layout.ucg))
            records)
 
+let header_gen =
+  QCheck.Gen.(
+    let content =
+      oneof
+        [
+          map (fun with_ucg -> Layout.classic ~with_ucg) bool;
+          map3
+            (fun tag union params -> Layout.Game { tag; union; params })
+            (int_bound 0xFFFF) bool
+            (string_size ~gen:char (int_bound 40));
+        ]
+    in
+    let shard =
+      opt (int_range 2 Layout.max_shards >>= fun k -> map (fun i -> (i, k)) (int_range 1 k))
+    in
+    map
+      (fun (n, chunk_size, content, shard) -> { Layout.n; content; chunk_size; shard })
+      (quad (int_range 1 62) (int_range 1 100_000) content shard))
+
+(* decode ∘ encode = id on headers, both from the string and through
+   the one channel read the walk uses *)
+let prop_header_codec_roundtrip =
+  QCheck.Test.make ~name:"header codec roundtrip" ~count:200 (QCheck.make header_gen) (fun h ->
+      let enc = Layout.encode_header h in
+      let path = temp_store () in
+      Fun.protect
+        ~finally:(fun () -> cleanup path)
+        (fun () ->
+          write_file path enc;
+          Layout.decode_header enc = h && Reader.header ~path = Some h))
+
+(* --- seeded fuzz of the walk ------------------------------------------- *)
+
+type field = Count | Body_len | Index | Footer_chunks | Footer_records | Params_len
+
+type mutation =
+  | Flip of int * int  (** byte position, xor mask *)
+  | Truncate of int
+  | Insert of int * string
+  | Forge of field * int * int  (** field, chunk, value; the covering CRC recomputed *)
+
+let show_mutation = function
+  | Flip (p, m) -> Printf.sprintf "flip %d ^ %#x" p m
+  | Truncate p -> Printf.sprintf "truncate %d" p
+  | Insert (p, s) -> Printf.sprintf "insert %d %S" p s
+  | Forge (f, c, v) ->
+    let name =
+      match f with
+      | Count -> "count"
+      | Body_len -> "body_len"
+      | Index -> "index"
+      | Footer_chunks -> "footer chunks"
+      | Footer_records -> "footer records"
+      | Params_len -> "params length"
+    in
+    Printf.sprintf "forge %s of chunk %d := %d" name c v
+
+let mutation_gen =
+  QCheck.Gen.(
+    let value =
+      oneof
+        [ return 0; return 1; return 0x7fffffff; return 0xffffffff; int_bound 64; int_bound 100_000 ]
+    in
+    frequency
+      [
+        (3, map2 (fun p m -> Flip (p, 1 + m)) nat (int_bound 254));
+        (2, map (fun p -> Truncate p) nat);
+        (2, map2 (fun p s -> Insert (p, s)) nat (string_size ~gen:char (int_range 1 8)));
+        ( 4,
+          map3
+            (fun f c v -> Forge (f, c, v))
+            (oneofl [ Count; Body_len; Index; Footer_chunks; Footer_records; Params_len ])
+            nat value );
+      ])
+
+(* [frames] are the pristine store's, so a forgery lands on a real field
+   even after an earlier mutation shifted or cut the bytes (or on
+   whatever now sits there) *)
+let mutate ~frames s mutation =
+  let len = String.length s in
+  match mutation with
+  | Flip (p, m) when len > 0 ->
+    let b = Bytes.of_string s in
+    let p = p mod len in
+    Bytes.set b p (Char.chr (Char.code (Bytes.get b p) lxor m));
+    Bytes.to_string b
+  | Flip _ -> s
+  | Truncate p -> String.sub s 0 (p mod (len + 1))
+  | Insert (p, ins) ->
+    let p = p mod (len + 1) in
+    String.sub s 0 p ^ ins ^ String.sub s p (len - p)
+  | Forge (field, c, v) ->
+    let b = Bytes.of_string s in
+    (match field with
+    | Count | Body_len | Index ->
+      let at = frames.(c mod Array.length frames).Reader.offset in
+      set_u32 b (at + match field with Index -> 4 | Count -> 8 | _ -> 12) v;
+      if at + Layout.chunk_header_size <= len then
+        recrc b ~pos:at ~len:(Layout.chunk_header_size + body_len_at b at)
+    | Footer_chunks | Footer_records ->
+      let at = len - Layout.footer_size in
+      set_u32 b (at + if field = Footer_chunks then 4 else 8) v;
+      recrc b ~pos:at ~len:12
+    | Params_len ->
+      let v = v land 0xFFFF in
+      if Layout.header_size + 2 <= len then Bytes.set_uint16_le b Layout.header_size v;
+      recrc b ~pos:Layout.header_size ~len:(2 + v));
+    Bytes.to_string b
+
+(* Every user of the walk, on damaged bytes: verify answers Ok or Error;
+   scan, the mmap open + iter and a merge return or raise only
+   Layout.Corrupt or Failure — never Out_of_memory, Invalid_argument or
+   End_of_file.  Corpus: an n = 5 classic store, a coalition:k=2 store
+   (params header) and shard 2/2 of an n = 5 split, merged with its
+   intact partner. *)
+let test_fuzz_walk () =
+  with_temp_dir (fun dir ->
+      let build name f =
+        let path = Filename.concat dir name in
+        f path;
+        let _, frames =
+          In_channel.with_open_bin path (fun ic ->
+              Reader.walk ic ~init:[] (Reader.Frames (fun acc f -> f :: acc)))
+        in
+        (read_file path, Array.of_list (List.rev frames))
+      in
+      let classic = build "classic.nfs" (fun path -> ignore (Build.build ~chunk:4 ~path ~n:5 ())) in
+      let coalition =
+        build "coalition.nfs" (fun path ->
+            ignore (Build.build ~game:"coalition:k=2" ~chunk:4 ~path ~n:5 ()))
+      in
+      let shards = build_shards ~dir ~k:2 5 in
+      let partner = (List.hd shards).Build.path in
+      let shard2 =
+        build "shard2.nfs" (fun path -> Sys.rename (List.nth shards 1).Build.path path)
+      in
+      let corpus = [| (classic, []); (coalition, []); (shard2, [ partner ]) |] in
+      let victim = Filename.concat dir "victim.nfs" in
+      let out = Filename.concat dir "merged.nfs" in
+      let case =
+        QCheck.make
+          ~print:(fun (which, ms) ->
+            Printf.sprintf "corpus %d: %s" (which mod 3)
+              (String.concat "; " (List.map show_mutation ms)))
+          QCheck.Gen.(pair nat (list_size (int_range 1 3) mutation_gen))
+      in
+      let prop (which, mutations) =
+        let (pristine, frames), partners = corpus.(which mod Array.length corpus) in
+        write_file victim (List.fold_left (mutate ~frames) pristine mutations);
+        let tolerated what f =
+          match f () with
+          | () -> ()
+          | exception (Layout.Corrupt _ | Failure _) -> ()
+          | exception e -> QCheck.Test.fail_reportf "%s raised %s" what (Printexc.to_string e)
+        in
+        (match Reader.verify ~path:victim with
+        | Ok v ->
+          (* the users agree on what a verified store holds *)
+          if Reader.scan ~path:victim <> v then QCheck.Test.fail_report "scan <> verify";
+          if Mmap_reader.length (Mmap_reader.open_store ~path:victim ()) <> v.Reader.records then
+            QCheck.Test.fail_report "mmap length <> verify"
+        | Error _ -> ()
+        | exception e -> QCheck.Test.fail_reportf "verify raised %s" (Printexc.to_string e));
+        tolerated "scan" (fun () -> ignore (Reader.scan ~path:victim));
+        tolerated "mmap" (fun () ->
+            let m = Mmap_reader.open_store ~path:victim () in
+            Mmap_reader.iter m (fun _ _ -> ()));
+        tolerated "merge" (fun () ->
+            ignore (Merge.merge ~force:true ~paths:(partners @ [ victim ]) ~out ()));
+        true
+      in
+      QCheck.Test.check_exn ~rand:(Random.State.make [| 18 |])
+        (QCheck.Test.make ~name:"walk under mutation" ~count:400 case prop))
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let () =
@@ -1019,6 +1324,7 @@ let () =
           Alcotest.test_case "chunk" `Quick test_chunk_roundtrip;
           Alcotest.test_case "footer" `Quick test_footer_roundtrip;
           qcheck prop_chunk_codec_roundtrip;
+          qcheck ~rand:(Random.State.make [| 18 |]) prop_header_codec_roundtrip;
         ] );
       ( "build",
         [
@@ -1031,6 +1337,9 @@ let () =
           Alcotest.test_case "scan tolerates truncation" `Quick test_scan_tolerates_truncation;
           Alcotest.test_case "verify detects any flip" `Quick test_verify_detects_any_flip;
           Alcotest.test_case "trailing garbage" `Quick test_verify_rejects_trailing_garbage;
+          Alcotest.test_case "forged record count" `Quick test_forged_record_count;
+          Alcotest.test_case "cli truncated store" `Quick test_cli_truncated_store;
+          Alcotest.test_case "seeded fuzz of the walk" `Quick test_fuzz_walk;
         ] );
       ( "resume",
         [
@@ -1066,9 +1375,10 @@ let () =
           Alcotest.test_case "merge byte parity" `Quick test_shard_merge_byte_parity;
           Alcotest.test_case "directory index/query" `Quick test_shard_directory_index_query;
           Alcotest.test_case "damaged shard message" `Quick test_verify_damaged_shard_message;
+          Alcotest.test_case "damaged header named" `Quick test_damaged_header_named;
           Alcotest.test_case "merge validation" `Quick test_merge_validation;
           Alcotest.test_case "streaming merge parity" `Quick test_streaming_merge_byte_parity;
-          Alcotest.test_case "fold_chunks / verify_stream" `Quick test_fold_chunks_and_verify_stream;
+          Alcotest.test_case "walk: frames, records, verify" `Quick test_walk_frames_and_records;
           Alcotest.test_case "shard resume parity" `Quick test_shard_resume_parity;
         ] );
       ( "writer",
