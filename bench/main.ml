@@ -353,10 +353,10 @@ let store_rows () =
       let (), index8_t =
         time (fun () ->
             let m = Nf_serve.Mmap_reader.open_store ~path:path8 () in
-            let count = Nf_serve.Mmap_reader.length m in
-            let regions = Array.make count [] in
-            Nf_serve.Mmap_reader.iter m (fun i r -> regions.(i) <- [ r.Nf_store.Layout.bcg ]);
-            let idx = Nf_serve.Alpha_index.build ~count ~pieces:(Array.get regions) in
+            let b = Nf_serve.Alpha_index.builder () in
+            Nf_serve.Mmap_reader.iter m (fun _ r ->
+                Nf_serve.Alpha_index.add b [ r.Nf_store.Layout.bcg ]);
+            let idx = Nf_serve.Alpha_index.freeze b in
             let eps = Nf_serve.Alpha_index.endpoints idx in
             assert (Array.length eps > 0);
             let hits = ref 0 in

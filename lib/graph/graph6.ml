@@ -8,6 +8,7 @@
 let max_order = 258047 (* 2^18 - 1: the 3-byte header ceiling *)
 
 let header_length n = if n <= 62 then 1 else 4
+let encoded_length n = header_length n + (((n * (n - 1) / 2) + 5) / 6)
 
 let add_header buf n =
   if n <= 62 then Buffer.add_char buf (Char.chr (n + 63))
@@ -25,7 +26,7 @@ let encode g =
       (Printf.sprintf "Graph6.encode: order %d > %d (3-byte graph6 header limit)" n
          max_order);
   let bits = n * (n - 1) / 2 in
-  let buf = Buffer.create (header_length n + ((bits + 5) / 6)) in
+  let buf = Buffer.create (encoded_length n) in
   add_header buf n;
   let acc = ref 0
   and nacc = ref 0 in
@@ -80,8 +81,7 @@ let decode s =
   in
   let hdr = header_length n in
   let bits = n * (n - 1) / 2 in
-  let expected = hdr + ((bits + 5) / 6) in
-  if len <> expected then invalid_arg "Graph6.decode: wrong length";
+  if len <> encoded_length n then invalid_arg "Graph6.decode: wrong length";
   (* validate the whole body up front: every byte must be printable
      63..126 and the padding bits of the final byte must be zero, so
      decode accepts exactly the strings encode can produce (and

@@ -9,6 +9,9 @@
 val max_order : int
 (** Largest encodable order (258047, the 3-byte header ceiling). *)
 
+val encoded_length : int -> int
+(** The byte length of the graph6 of every order-[n] graph. *)
+
 val encode : Graph.t -> string
 (** @raise Invalid_argument when the order exceeds {!max_order}. *)
 

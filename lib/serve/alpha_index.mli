@@ -1,30 +1,37 @@
-(** α-interval index over a store's stability regions.
-
-    Turns "all records stable at link cost α" from an O(records) filter
-    into a binary search over the sorted distinct region endpoints plus
-    an O(log) segment-tree stabbing query, whose already-ascending node
-    arrays are k-way merged without a sort — with the open/closed
-    endpoint semantics of {!Nf_util.Interval.mem} preserved exactly,
-    including queries at the endpoints themselves (each endpoint is its
-    own elementary position).  Answers are ascending record ids,
-    identical to a linear [Interval.mem] filter over the records.  The structure is
-    immutable after {!build} and safe to query from any number of
-    domains concurrently. *)
+(** α-interval index over a store's stability regions: a dictionary
+    from each distinct region to the ascending ids of the records that
+    carry it.  A query tests each distinct region with
+    {!Nf_util.Interval.mem} and k-way merges the matching id arrays —
+    disjoint, since each record lies in one region — so answers are
+    ascending ids, identical to a linear [Interval.mem] filter over the
+    records, endpoints included.  Immutable after {!freeze} and safe to
+    query from any number of domains concurrently. *)
 
 type t
+type builder
 
-val build : count:int -> pieces:(int -> Nf_util.Interval.t list) -> t
-(** [build ~count ~pieces] indexes records [0 .. count-1]; [pieces i]
-    lists the stability intervals of record [i] (a singleton for an
-    interval region, [Union.to_list] for a union region; empty intervals
-    are ignored, overlapping pieces are tolerated).  [pieces] is called
-    once per record at build time. *)
+val builder : unit -> builder
+
+val add : builder -> Nf_util.Interval.t list -> unit
+(** [add b pieces] gives the next record id (0, 1, …) the region
+    [pieces]: a singleton for an interval region, [Union.to_list] for a
+    union region.  Empty pieces never match; overlapping pieces are
+    tolerated. *)
+
+val freeze : builder -> t
+
+val stab : t -> alpha:Nf_util.Rat.t -> int * ((int -> unit) -> unit)
+(** [(count, iter)]: how many records' regions contain [alpha], and an
+    iterator over their ids in ascending order. *)
 
 val stable_at : t -> alpha:Nf_util.Rat.t -> int list
 (** Ascending ids of the records whose region contains [alpha]. *)
 
 val endpoints : t -> Nf_util.Rat.t array
-(** The sorted distinct finite endpoints (exposed for stats and the
-    boundary-differential tests). *)
+(** The sorted distinct finite endpoints of the regions. *)
 
-val records : t -> int
+val regions : t -> int
+(** Distinct regions. *)
+
+val ids : t -> int
+(** Ids held: those of regions containing some point. *)

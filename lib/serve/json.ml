@@ -17,25 +17,30 @@ type t =
   | Str of string
   | List of t list
   | Obj of (string * t) list
+  | Slices of slices
+
+and slices = { slab : Bytes.t; width : int; count : int; iter : (int -> unit) -> unit }
 
 exception Parse_error of string
 
 (* ---------------- printing ---------------- *)
 
-let add_escaped buf s =
+(* bytes [pos, pos + len) of [b] as a JSON string *)
+let add_escaped_sub buf b pos len =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  for k = pos to pos + len - 1 do
+    match Bytes.get b k with
+    | '"' -> Buffer.add_string buf "\\\""
+    | '\\' -> Buffer.add_string buf "\\\\"
+    | '\n' -> Buffer.add_string buf "\\n"
+    | '\r' -> Buffer.add_string buf "\\r"
+    | '\t' -> Buffer.add_string buf "\\t"
+    | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+    | c -> Buffer.add_char buf c
+  done;
   Buffer.add_char buf '"'
+
+let add_escaped buf s = add_escaped_sub buf (Bytes.unsafe_of_string s) 0 (String.length s)
 
 let rec add buf = function
   | Null -> Buffer.add_string buf "null"
@@ -66,11 +71,30 @@ let rec add buf = function
         add buf v)
       kvs;
     Buffer.add_char buf '}'
+  | Slices { slab; width; iter; _ } ->
+    Buffer.add_char buf '[';
+    let first = ref true in
+    iter (fun i ->
+        if !first then first := false else Buffer.add_char buf ',';
+        add_escaped_sub buf slab (i * width) width);
+    Buffer.add_char buf ']'
 
-let to_string v =
-  let buf = Buffer.create 256 in
+(* the rendered length bar escapes and scalars, to size the buffer *)
+let rec size_hint = function
+  | Null | Bool _ | Int _ | Float _ -> 0
+  | Str s -> String.length s + 3
+  | List xs -> List.fold_left (fun acc x -> acc + size_hint x) 2 xs
+  | Obj kvs -> List.fold_left (fun acc (k, v) -> acc + String.length k + size_hint v + 4) 2 kvs
+  | Slices s -> 2 + (s.count * (s.width + 3))
+
+let render v ~newline =
+  let buf = Buffer.create (size_hint v + 64) in
   add buf v;
+  if newline then Buffer.add_char buf '\n';
   Buffer.contents buf
+
+let to_string v = render v ~newline:false
+let to_line v = render v ~newline:true
 
 (* ---------------- parsing ---------------- *)
 
@@ -264,6 +288,12 @@ let of_string s =
 
 let member name = function Obj kvs -> List.assoc_opt name kvs | _ -> None
 let to_str = function Str s -> Some s | _ -> None
-let to_int = function Int i -> Some i | _ -> None
-let to_bool = function Bool b -> Some b | _ -> None
-let to_list = function List xs -> Some xs | _ -> None
+let slice_strings { slab; width; iter; _ } =
+  let acc = ref [] in
+  iter (fun i -> acc := Bytes.sub_string slab (i * width) width :: !acc);
+  List.rev !acc
+
+let to_list = function
+  | List xs -> Some xs
+  | Slices s -> Some (List.map (fun g -> Str g) (slice_strings s))
+  | _ -> None

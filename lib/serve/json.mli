@@ -16,12 +16,23 @@ type t =
   | Str of string
   | List of t list
   | Obj of (string * t) list
+  | Slices of slices  (** renders as the [List] of the [Str]s of {!slice_strings} *)
+
+and slices = {
+  slab : Bytes.t;  (** read-only; string [i] is bytes [i*width .. (i+1)*width - 1] *)
+  width : int;
+  count : int;  (** how many indices [iter] yields *)
+  iter : (int -> unit) -> unit;  (** calls its argument on each index, in list order *)
+}
 
 exception Parse_error of string
 
 val to_string : t -> string
 (** Canonical single-line rendering (never contains a newline — the
     framing invariant of the line-delimited protocol). *)
+
+val to_line : t -> string
+(** {!to_string} and the line terminator, in one buffer. *)
 
 val of_string : string -> t
 (** @raise Parse_error on malformed input or trailing bytes. *)
@@ -30,6 +41,5 @@ val member : string -> t -> t option
 (** Field lookup; [None] on a non-object or a missing field. *)
 
 val to_str : t -> string option
-val to_int : t -> int option
-val to_bool : t -> bool option
+val slice_strings : slices -> string list
 val to_list : t -> t list option

@@ -8,9 +8,9 @@
    shared) through the same descriptor.  After that any record is an
    O(log chunks) binary search plus one lazy chunk decode, and the only
    store bytes this module keeps on the heap are the decoded chunks
-   currently in the bounded cache.  [Service] holds one more resident
-   structure, a graph6 column by ordinal, which it fills only through
-   [iter] — the CRC-checked pass — so the column never carries
+   currently in the bounded cache.  [Service] holds its own columnar
+   structures (a graph6 slab, region dictionaries), which it fills only
+   through [iter] — the CRC-checked pass — so they never carry
    unchecked bytes (DESIGN.md §13).
 
    Ownership rules (DESIGN.md §13): the mapping is private to this
@@ -218,11 +218,6 @@ let iter t f =
             (decode_chunk t vi ci))
         v.vchunks)
     t.vols
-
-let fold t ~init ~f =
-  let acc = ref init in
-  iter t (fun i r -> acc := f !acc i r);
-  !acc
 
 let close t =
   Mutex.lock t.lock;

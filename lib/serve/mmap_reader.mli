@@ -6,8 +6,9 @@
     read-only ([Unix.map_file]).  Any record is then two binary
     searches plus one lazy, CRC-checked chunk decode; the only store
     bytes this module keeps on the heap are the decoded chunks in a
-    small bounded FIFO cache ([Service] adds a graph6 column, filled by
-    one {!iter} pass).  A directory of shard volumes is served transparently: each
+    small bounded FIFO cache ([Service] adds a graph6 slab and region
+    dictionaries, filled by one {!iter} pass).  A directory of shard
+    volumes is served transparently: each
     volume gets its own mapping and record ordinals run across volumes
     in shard order, so the directory reads as the store its merge would
     produce.
@@ -63,8 +64,6 @@ val graph6 : t -> int -> string
 val iter : t -> (int -> Nf_store.Layout.record -> unit) -> unit
 (** In-order streaming pass decoding (and CRC-checking) each chunk
     exactly once; bypasses (and does not pollute) the chunk cache. *)
-
-val fold : t -> init:'a -> f:('a -> int -> Nf_store.Layout.record -> 'a) -> 'a
 
 val cached_chunks : t -> int
 (** Decoded chunks currently cached (always [<= cache_chunks]). *)

@@ -26,21 +26,19 @@ let addr_to_string = function
 
 (* ---------------- request evaluation ---------------- *)
 
-let rat_str r = Json.Str (Nf_util.Rat.to_string r)
-
 let eval service req =
   let open Protocol in
   match req with
   | Stable_at { game; alpha } ->
     let game = match game with Some g -> g | None -> Service.default_game service in
-    let graphs = Service.stable_graph6 service ~game ~alpha in
+    let graphs = Service.stable_slices service ~game ~alpha in
     ok_response
       [
         ("op", Json.Str "stable-at");
         ("game", Json.Str game);
-        ("alpha", rat_str alpha);
-        ("count", Json.Int (List.length graphs));
-        ("graphs", Json.List (List.map (fun g -> Json.Str g) graphs));
+        ("alpha", Json.Str (Nf_util.Rat.to_string alpha));
+        ("count", Json.Int graphs.Json.count);
+        ("graphs", Json.Slices graphs);
       ]
   | Entry { graph6 } -> (
     match Service.find_entry service ~graph6 with
@@ -60,6 +58,7 @@ let eval service req =
   | Export -> ok_response [ ("op", Json.Str "export"); ("csv", Json.Str (Service.export_csv service)) ]
   | Stats ->
     let s = Service.stats service in
+    let per_game kvs = Json.Obj (List.map (fun (g, k) -> (g, Json.Int k)) kvs) in
     ok_response
       [
         ("op", Json.Str "stats");
@@ -69,8 +68,9 @@ let eval service req =
         ("chunks", Json.Int s.Service.chunks);
         ("volumes", Json.Int s.Service.volumes);
         ("cached_chunks", Json.Int s.Service.cached_chunks);
-        ( "indexed_games",
-          Json.Obj (List.map (fun (g, k) -> (g, Json.Int k)) s.Service.indexed_games) );
+        ("indexed_games", per_game s.Service.indexed_games);
+        ("regions", per_game s.Service.regions);
+        ("resident_bytes", Json.Int s.Service.resident_bytes);
         ("figure_cache_entries", Json.Int s.Service.figure_cache_entries);
         ("figure_cache_hits", Json.Int s.Service.figure_cache_hits);
         ("requests", Json.Int s.Service.requests);
@@ -99,9 +99,9 @@ let respond service req =
 let handle_line service line =
   Service.tick_request service;
   match Protocol.request_of_line line with
-  | Error msg -> (Json.to_string (Protocol.error_response msg) ^ "\n", `Continue)
+  | Error msg -> (Json.to_line (Protocol.error_response msg), `Continue)
   | Ok req ->
-    ( Json.to_string (respond service req) ^ "\n",
+    ( Json.to_line (respond service req),
       match req with Protocol.Shutdown -> `Shutdown | _ -> `Continue )
 
 (* ---------------- the event loop ---------------- *)
@@ -109,8 +109,8 @@ let handle_line service line =
 type conn = {
   fd : Unix.file_descr;
   inbuf : Buffer.t;
-  outbuf : Buffer.t;
-  mutable sent : int;
+  outq : string Queue.t;  (* response lines not yet fully written *)
+  mutable sent : int;  (* bytes of the head line already written *)
 }
 
 (* split the complete lines off a connection buffer, leaving the last
@@ -161,7 +161,7 @@ let serve ?cache_chunks ?(report = ignore) ~addr ~path () =
     match Unix.accept listen_fd with
     | fd, _ ->
       Unix.set_nonblock fd;
-      Hashtbl.replace conns fd { fd; inbuf = Buffer.create 256; outbuf = Buffer.create 256; sent = 0 };
+      Hashtbl.replace conns fd { fd; inbuf = Buffer.create 256; outq = Queue.create (); sent = 0 };
       accept_all ()
     | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR), _, _) -> ()
   in
@@ -173,18 +173,21 @@ let serve ?cache_chunks ?(report = ignore) ~addr ~path () =
     | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR), _, _) -> ()
     | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> close_conn c
   in
-  let flush_conn c =
-    let pending = Buffer.length c.outbuf - c.sent in
-    if pending > 0 then
-      match Unix.write_substring c.fd (Buffer.contents c.outbuf) c.sent pending with
-      | k ->
-        c.sent <- c.sent + k;
-        if c.sent = Buffer.length c.outbuf then begin
-          Buffer.clear c.outbuf;
-          c.sent <- 0
-        end
+  (* write queued lines straight from their strings until the socket
+     would block *)
+  let rec flush_conn c =
+    match Queue.peek_opt c.outq with
+    | None -> ()
+    | Some line -> (
+      let pending = String.length line - c.sent in
+      match Unix.write_substring c.fd line c.sent pending with
+      | k when k = pending ->
+        ignore (Queue.pop c.outq);
+        c.sent <- 0;
+        flush_conn c
+      | k -> c.sent <- c.sent + k
       | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR), _, _) -> ()
-      | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> close_conn c
+      | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> close_conn c)
   in
   report
     (Printf.sprintf "serving %s (n=%d, game=%s, %d records) on %s" path (Service.n service)
@@ -195,7 +198,7 @@ let serve ?cache_chunks ?(report = ignore) ~addr ~path () =
      while not !finished do
        if Atomic.get stop then draining := true;
        let conn_list = Hashtbl.fold (fun _ c acc -> c :: acc) conns [] in
-       let writable = List.filter (fun c -> Buffer.length c.outbuf > c.sent) conn_list in
+       let writable = List.filter (fun c -> not (Queue.is_empty c.outq)) conn_list in
        if !draining && writable = [] then finished := true
        else begin
          let rds = if !draining then [] else listen_fd :: List.map (fun c -> c.fd) conn_list in
@@ -218,7 +221,7 @@ let serve ?cache_chunks ?(report = ignore) ~addr ~path () =
              let results = Nf_util.Pool.parallel_map (fun (_, line) -> handle_line service line) batch in
              List.iter2
                (fun (c, _) (resp, action) ->
-                 Buffer.add_string c.outbuf resp;
+                 Queue.push resp c.outq;
                  incr served;
                  match action with `Shutdown -> Atomic.set stop true | `Continue -> ())
                batch results

@@ -11,8 +11,6 @@
 
 type addr = Unix_socket of string | Tcp of int  (** TCP binds 127.0.0.1 only. *)
 
-val addr_to_string : addr -> string
-
 val respond : Service.t -> Protocol.request -> Json.t
 (** Evaluate one request to its response — the daemon's evaluator, and
     the one an in-process [netform query] answers with.  Errors come

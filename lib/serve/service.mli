@@ -2,10 +2,12 @@
     read path of every in-process store query ([netform query],
     [store query], [store export], [sweep --store]).
 
-    Wraps a mapped store ({!Mmap_reader}) with lazily built read
-    structures — per-game {!Alpha_index}es, a graph6 column by record
-    ordinal (filled once, by the first CRC-checked {!Mmap_reader.iter}
-    pass the service makes) with an entry table derived from it, and
+    Wraps a mapped store ({!Mmap_reader}) with columnar read structures,
+    all filled by the first CRC-checked {!Mmap_reader.iter} pass the
+    service makes: a fixed-width graph6 slab by record ordinal, one
+    region dictionary ({!Alpha_index}) per column the store carries,
+    and the ordinals sorted by graph6 for [entry] lookups ({!stats}
+    reports their [resident_bytes]).  Next to them sits
     the deterministic figure-sweep response cache keyed by
     [(game, n, α-grid)].  Equality with a fresh annotation is the
     contract: stable-at names exactly the classes
@@ -36,15 +38,15 @@ val stable_ids : t -> game:string -> alpha:Nf_util.Rat.t -> int list
     annotations (a classic store serves ["bcg"], and ["ucg"] when built
     with it; a single-game store serves exactly its own game). *)
 
-val stable_graph6 : t -> game:string -> alpha:Nf_util.Rat.t -> string list
-(** The graph6 strings of {!stable_ids}, read from the graph6 column
-    without a chunk decode. *)
+val stable_slices : t -> game:string -> alpha:Nf_util.Rat.t -> Json.slices
+(** The graph6 strings of {!stable_ids} as slices of the graph6 slab:
+    no chunk decode, no per-graph allocation. *)
 
 val stable_graphs : t -> game:string -> alpha:Nf_util.Rat.t -> Nf_graph.Graph.t list
 
 val find_entry : t -> graph6:string -> (int * Nf_store.Layout.record) option
 (** Exact-string lookup of a stored representative: a binary search
-    over the column's ordinals sorted by graph6, then the record off
+    over the ordinals sorted by their slab slice, then the record off
     the chunk cache. *)
 
 val region_strings : t -> Nf_store.Layout.record -> (string * string) list
@@ -80,7 +82,9 @@ type stats = {
   chunks : int;
   volumes : int;
   cached_chunks : int;
-  indexed_games : (string * int) list;  (** (game, distinct endpoints) *)
+  indexed_games : (string * int) list;  (** (game, distinct finite endpoints) *)
+  regions : (string * int) list;  (** (game, distinct regions) *)
+  resident_bytes : int;  (** slab + id arrays + entry order; 0 before first use *)
   figure_cache_entries : int;
   figure_cache_hits : int;
   requests : int;

@@ -268,6 +268,12 @@ if [ "${NETFORM_COUNTS_FULL:-0}" = "1" ]; then
   NETFORM_COUNTS_FULL=1 dune exec test/test_enum.exe -- -e sharding
 fi
 
+# Benchmark-worker smoke: perfbench/nfbench.ml calls Service, Server and
+# Mmap_reader directly but has no runtest rule, so run every workload of
+# the benchmark at toy sizes, traced and untraced, with its output checks.
+echo "== perfbench smoke (every workload at toy sizes, outputs checked) =="
+python3 perfbench/run.py --smoke
+
 echo "== bench smoke pass (perf-trajectory JSON, jobs=4) =="
 # experiments are NOT skipped: foot7_petersen_nash_set — the orbit
 # quotient's flagship row — is guarded by bench_check and must be in

@@ -237,6 +237,12 @@ let unit_pieces =
     [ Interval.full ];
   |]
 
+(* the dictionary over record i's region [pieces.(i)] *)
+let index_of pieces =
+  let b = Alpha_index.builder () in
+  Array.iter (Alpha_index.add b) pieces;
+  Alpha_index.freeze b
+
 let naive_stable_at pieces ~alpha =
   let hit ps = List.exists (fun p -> Interval.mem alpha p) ps in
   Array.to_list pieces
@@ -263,22 +269,31 @@ let probes_of_endpoints eps =
   in
   List.concat_map near eps @ mids eps @ outer
 
+(* the dictionary stab against the naive filter at one α: the ids, and
+   the count the renderer sizes its buffer from *)
+let check_stab label idx pieces ~alpha =
+  let expected = naive_stable_at pieces ~alpha in
+  let at = Printf.sprintf "%s at %s" label (Rat.to_string alpha) in
+  check_ids at expected (Alpha_index.stable_at idx ~alpha);
+  check_int (at ^ " count") (List.length expected) (fst (Alpha_index.stab idx ~alpha))
+
 let test_alpha_index_unit () =
-  let idx = Alpha_index.build ~count:(Array.length unit_pieces) ~pieces:(Array.get unit_pieces) in
-  check_int "records" (Array.length unit_pieces) (Alpha_index.records idx);
+  (* every region twice, interleaved, so each dictionary entry holds
+     several ids *)
+  let pieces = Array.append unit_pieces unit_pieces in
+  let idx = index_of pieces in
+  check_int "one entry per distinct region"
+    (List.length (List.sort_uniq compare (Array.to_list unit_pieces)))
+    (Alpha_index.regions idx);
+  (* the two pointless regions, [] and [empty], keep no ids *)
+  check_int "ids of live regions" (2 * (Array.length unit_pieces - 2)) (Alpha_index.ids idx);
   let probes = probes_of_endpoints (Alpha_index.endpoints idx) in
   check_bool "probes cover the endpoints" true (List.length probes > 10);
-  List.iter
-    (fun alpha ->
-      check_ids
-        (Printf.sprintf "stable at %s" (Rat.to_string alpha))
-        (naive_stable_at unit_pieces ~alpha)
-        (Alpha_index.stable_at idx ~alpha))
-    probes
+  List.iter (fun alpha -> check_stab "unit" idx pieces ~alpha) probes
 
 (* one record whose union pieces overlap (as a non-normalized union
-   would): the stab may meet its id on several path nodes, and the
-   merge must still return it once, in ascending order *)
+   would): several of its pieces contain the same α, and the stab must
+   still return it once, in ascending order *)
 let test_alpha_index_overlapping_pieces () =
   let pieces =
     [|
@@ -292,15 +307,12 @@ let test_alpha_index_overlapping_pieces () =
       [ Interval.closed Rat.zero (Rat.of_int 6) ];
     |]
   in
-  let idx = Alpha_index.build ~count:(Array.length pieces) ~pieces:(Array.get pieces) in
+  let idx = index_of pieces in
   check_ids "overlap point" [ 0; 1; 2 ] (Alpha_index.stable_at idx ~alpha:(Rat.of_int 3));
   check_ids "overlap tail" [ 1 ] (Alpha_index.stable_at idx ~alpha:(Rat.make 13 2));
   (* the naive filter lists each id once, ascending *)
   List.iter
-    (fun alpha ->
-      check_ids
-        (Printf.sprintf "at %s" (Rat.to_string alpha))
-        (naive_stable_at pieces ~alpha) (Alpha_index.stable_at idx ~alpha))
+    (fun alpha -> check_stab "overlap" idx pieces ~alpha)
     (probes_of_endpoints (Alpha_index.endpoints idx))
 
 let qcheck test = QCheck_alcotest.to_alcotest test
@@ -326,7 +338,7 @@ let prop_alpha_index_matches_naive =
     QCheck.(small_list (small_list arb_interval))
     (fun regions ->
       let pieces = Array.of_list regions in
-      let idx = Alpha_index.build ~count:(Array.length pieces) ~pieces:(Array.get pieces) in
+      let idx = index_of pieces in
       List.for_all
         (fun alpha -> naive_stable_at pieces ~alpha = Alpha_index.stable_at idx ~alpha)
         (probes_of_endpoints (Alpha_index.endpoints idx)))
@@ -377,9 +389,41 @@ let test_boundary_differential () =
               check_strings
                 (Printf.sprintf "%s graphs at %s" game_name (Rat.to_string alpha))
                 fresh
-                (Service.stable_graph6 service ~game:game_name ~alpha))
+                (Json.slice_strings (Service.stable_slices service ~game:game_name ~alpha)))
             (probes_of_endpoints endpoints)))
     (List.map Netform.Game.name (Netform.Game_registry.ci_instances ()))
+
+(* the dictionary stab against a linear [Interval.mem]/[Union.mem] scan
+   over [Mmap_reader.iter], for every column of the n = 7 classic store
+   and of an n = 6 union-game store: at every finite endpoint, just off
+   each, between consecutive ones, below the first and above the last *)
+let test_store_differential () =
+  let check ~game ~with_ucg n columns =
+    with_store ?game ?with_ucg ~chunk:16 n (fun path ->
+        let m = Mmap_reader.open_store ~path () in
+        let records = ref [] in
+        Mmap_reader.iter m (fun _ r -> records := r :: !records);
+        let records = Array.of_list (List.rev !records) in
+        let s = Service.create ~path () in
+        List.iter
+          (fun (name, union) ->
+            let stable alpha (r : Layout.record) =
+              if union then Option.fold ~none:false ~some:(Interval.Union.mem alpha) r.Layout.ucg
+              else Interval.mem alpha r.Layout.bcg
+            in
+            List.iter
+              (fun alpha ->
+                let scan = ref [] in
+                Array.iteri (fun i r -> if stable alpha r then scan := i :: !scan) records;
+                check_ids
+                  (Printf.sprintf "n=%d %s at %s" n name (Rat.to_string alpha))
+                  (List.rev !scan)
+                  (Service.stable_ids s ~game:name ~alpha))
+              (probes_of_endpoints (store_endpoints records)))
+          columns)
+  in
+  check ~game:None ~with_ucg:(Some true) 7 [ ("bcg", false); ("ucg", true) ];
+  check ~game:(Some "coalition:k=2") ~with_ucg:None 6 [ ("coalition:k=2", true) ]
 
 (* --- service ------------------------------------------------------------ *)
 
@@ -441,7 +485,7 @@ let test_service_game_store_figures () =
            (Nf_analysis.Figures.sweep_game (Netform.Game_registry.find_exn "transfers") ~n:5 ()))
         (Service.figure_csv s ()))
 
-(* stable_graph6 reads the graph6 column; it must name exactly the
+(* stable_slices reads the graph6 slab; it must name exactly the
    records a linear scan picks, at every distinct endpoint, just off
    each, between endpoints, beyond the last finite one and on the paper
    grid — over a classic dual store, a union-region game store and a
@@ -463,7 +507,7 @@ let check_graph6_parity ~label ~games path =
           check_strings
             (Printf.sprintf "%s %s at %s" label game (Rat.to_string alpha))
             expected
-            (Service.stable_graph6 s ~game ~alpha))
+            (Json.slice_strings (Service.stable_slices s ~game ~alpha)))
         probes)
     games;
   check_bool (label ^ ": some answer spans several chunks") true (!widest > 8)
@@ -483,6 +527,113 @@ let test_service_graph6_parity () =
 
 let stable_at_line alpha = Printf.sprintf {|{"op":"stable-at","alpha":%S}|} alpha
 let entry_line graph6 = Printf.sprintf {|{"op":"entry","graph6":%S}|} graph6
+
+(* a stable-at rendered from the slab is byte for byte the response the
+   list-of-strings renderer gives, escapes included: at n = 6 the class
+   "Es\o" (BCG region [1, 2]) is stable at 3/2 *)
+let test_service_slab_escapes () =
+  with_store ~chunk:4 6 (fun path ->
+      let header, records = channel_records path in
+      let s = Service.create ~path () in
+      let alpha = Rat.make 3 2 in
+      let graphs =
+        List.map (fun i -> records.(i).Layout.graph6) (scan_ids header records ~game:"bcg" ~alpha)
+      in
+      check_bool "the answer holds a graph6 with a backslash" true (List.mem {|Es\o|} graphs);
+      let listed =
+        Protocol.ok_response
+          [
+            ("op", Json.Str "stable-at");
+            ("game", Json.Str "bcg");
+            ("alpha", Json.Str "3/2");
+            ("count", Json.Int (List.length graphs));
+            ("graphs", Json.List (List.map (fun g -> Json.Str g) graphs));
+          ]
+      in
+      check_string "response bytes" (Json.to_string listed ^ "\n")
+        (fst (Server.handle_line s (stable_at_line "3/2")));
+      check_strings "slices read back as strings" graphs
+        (List.filter_map Json.to_str
+           (Option.get (Json.to_list (Json.Slices (Service.stable_slices s ~game:"bcg" ~alpha))))))
+
+(* stats report the columnar structures once the first pass has run —
+   distinct regions and finite endpoints per carried game, and the
+   payload bytes of slab, id arrays and entry order — and none before *)
+let test_service_resident_stats () =
+  with_store ~with_ucg:true ~chunk:4 6 (fun path ->
+      let _, records = channel_records path in
+      let s = Service.create ~path () in
+      let before = Service.stats s in
+      check_int "nothing resident before first use" 0 before.Service.resident_bytes;
+      check_bool "nothing indexed before first use" true
+        (before.Service.indexed_games = [] && before.Service.regions = []);
+      ignore (Service.find_entry s ~graph6:records.(0).Layout.graph6);
+      let after = Service.stats s in
+      let column (r : Layout.record) = function
+        | "bcg" -> [ r.Layout.bcg ]
+        | _ -> Interval.Union.to_list (Option.get r.Layout.ucg)
+      in
+      let per_game f = List.map (fun g -> (g, f g)) [ "bcg"; "ucg" ] in
+      let regions g =
+        List.sort_uniq compare (Array.to_list (Array.map (fun r -> column r g) records))
+      in
+      check_bool "distinct regions" true
+        (after.Service.regions = per_game (fun g -> List.length (regions g)));
+      let endpoints g =
+        List.concat_map
+          (fun r ->
+            List.concat_map
+              (fun p ->
+                match Interval.bounds p with
+                | None -> []
+                | Some (lo, _, hi, _) ->
+                  List.filter_map (function Interval.Finite e -> Some e | _ -> None) [ lo; hi ])
+              (column r g))
+          (Array.to_list records)
+      in
+      check_bool "distinct finite endpoints" true
+        (after.Service.indexed_games
+        = per_game (fun g -> List.length (List.sort_uniq Rat.compare (endpoints g))));
+      let live g =
+        let pointless r = List.for_all Interval.is_empty (column r g) in
+        Array.fold_left (fun acc r -> if pointless r then acc else acc + 1) 0 records
+      in
+      let count = Array.length records in
+      let resident =
+        (count * Graph6.encoded_length 6) + (Sys.word_size / 8 * (count + live "bcg" + live "ucg"))
+      in
+      check_int "resident bytes" resident after.Service.resident_bytes;
+      let reported = Json.of_string (fst (Server.handle_line s {|{"op":"stats"}|})) in
+      check_bool "the stats op reports them" true
+        (Json.member "resident_bytes" reported = Some (Json.Int resident)))
+
+(* a CRC-valid store whose record carries a graph6 of another order than
+   its header's: the first pass refuses it, pinned, and every later
+   stable-at or entry answers that error rather than a misread slab *)
+let test_service_graph6_width () =
+  let path = temp_store () in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      let header =
+        { Layout.n = 5; content = Layout.classic ~with_ucg:false; chunk_size = 2; shard = None }
+      in
+      let w = Nf_store.Writer.create ~path ~header in
+      Nf_store.Writer.append_chunk w
+        [|
+          { Layout.graph6 = "DQc"; bcg = Interval.point Rat.one; ucg = None };
+          { Layout.graph6 = "C~"; bcg = Interval.point Rat.one; ucg = None };
+        |];
+      Nf_store.Writer.finalize w;
+      let s = Service.create ~path () in
+      let pinned =
+        Printf.sprintf
+          {|{"ok":false,"error":"store corrupt: %s: record 1: graph6 \"C~\" is not 3 bytes"}|} path
+        ^ "\n"
+      in
+      List.iter
+        (fun line -> check_string line pinned (fst (Server.handle_line s line)))
+        [ stable_at_line "1"; entry_line "DQc"; stable_at_line "1" ])
 
 (* a store damaged after it was built: stable-at and entry both need a
    CRC-checked full pass, so both answer the pinned corruption error —
@@ -756,6 +907,53 @@ let test_daemon_end_to_end () =
           Domain.join server;
           check_bool "socket removed" true (not (Sys.file_exists sock))))
 
+(* pipelined requests whose responses overflow the socket buffer, read
+   back in 4 KB pieces: the daemon resumes each queued response line
+   where its last partial write stopped, so the bytes are exactly the
+   in-process handle_line outputs, in request order *)
+let test_daemon_pipelined_reads () =
+  with_store ~game:"bcg" ~chunk:512 8 (fun path ->
+      let s = Service.create ~path () in
+      let entry = Mmap_reader.graph6 (Service.store s) 100 in
+      (* four rounds of two heavy stable-ats (4155 graphs each at
+         n = 8) and an entry *)
+      let bcg_line = {|{"op":"stable-at","game":"bcg","alpha":"1"}|} in
+      let lines =
+        List.concat (List.init 4 (fun _ -> [ stable_at_line "1"; bcg_line; entry_line entry ]))
+      in
+      let expected = String.concat "" (List.map (fun l -> fst (Server.handle_line s l)) lines) in
+      check_bool "responses overflow a socket buffer" true (String.length expected > 256 * 1024);
+      let sock = Filename.temp_file "nf_serve_sock" ".sock" in
+      Sys.remove sock;
+      let server =
+        Domain.spawn (fun () -> Server.serve ~report:ignore ~addr:(Server.Unix_socket sock) ~path ())
+      in
+      wait_for_socket sock;
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX sock);
+      (* a stalled stream fails the read instead of hanging the test *)
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+      let send text = ignore (Unix.write_substring fd text 0 (String.length text)) in
+      send (String.concat "" (List.map (fun l -> l ^ "\n") lines));
+      (* let the daemon fill the socket buffer and stall before reading *)
+      Unix.sleepf 0.2;
+      let got = Buffer.create (String.length expected) in
+      let piece = Bytes.create 4096 in
+      while Buffer.length got < String.length expected do
+        match Unix.read fd piece 0 4096 with
+        | 0 -> Alcotest.fail "daemon closed the connection early"
+        | k -> Buffer.add_subbytes got piece 0 k
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          Alcotest.fail (Printf.sprintf "stream stalled after %d bytes" (Buffer.length got))
+      done;
+      check_int "bytes received" (String.length expected) (Buffer.length got);
+      check_bool "bytes equal the in-process responses, in order" true
+        (String.equal expected (Buffer.contents got));
+      send "{\"op\":\"shutdown\"}\n";
+      ignore (Unix.read fd piece 0 4096);
+      Unix.close fd;
+      Domain.join server)
+
 (* SIGTERM reaches the serve loop's handler and produces the same clean
    drain as the shutdown op *)
 let test_daemon_sigterm () =
@@ -793,12 +991,16 @@ let () =
           Alcotest.test_case "overlapping pieces" `Quick test_alpha_index_overlapping_pieces;
           qcheck prop_alpha_index_matches_naive;
           Alcotest.test_case "boundary differential" `Quick test_boundary_differential;
+          Alcotest.test_case "store differential" `Quick test_store_differential;
         ] );
       ( "service",
         [
           Alcotest.test_case "query parity" `Quick test_service_query_parity;
           Alcotest.test_case "game store figures" `Quick test_service_game_store_figures;
           Alcotest.test_case "graph6 parity" `Quick test_service_graph6_parity;
+          Alcotest.test_case "slab escapes" `Quick test_service_slab_escapes;
+          Alcotest.test_case "resident stats" `Quick test_service_resident_stats;
+          Alcotest.test_case "graph6 width refused" `Quick test_service_graph6_width;
           Alcotest.test_case "damaged store" `Quick test_service_damaged_store;
           Alcotest.test_case "incomplete store" `Quick test_service_incomplete_store;
           Alcotest.test_case "forged record count" `Quick test_service_forged_count;
@@ -813,6 +1015,7 @@ let () =
       ( "daemon",
         [
           Alcotest.test_case "end to end" `Quick test_daemon_end_to_end;
+          Alcotest.test_case "pipelined partial reads" `Quick test_daemon_pipelined_reads;
           Alcotest.test_case "sigterm" `Quick test_daemon_sigterm;
         ] );
     ]
