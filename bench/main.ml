@@ -382,16 +382,22 @@ let store_rows () =
    n=128 (a 3-word slab) run end to end — G(n,p) init, the randomized
    better-response walk to pairwise stability, exact social cost of the
    converged state.  One-shot wall clock for the same reason as the store
-   rows: a single trial runs for ~0.5s, far past any sensible Bechamel
-   quota. *)
+   rows: a single trial runs for ~0.25s, far past any sensible Bechamel
+   quota.  The trial's moves, evaluations and final edge count are pinned,
+   so the row cannot time a different walk. *)
 let dynamics_rows () =
   let t0 = Unix.gettimeofday () in
   let trials = Nf_dynamics.Mc_poa.run ~n:128 ~alpha:(Rat.of_int 2) ~trials:1 ~seed:1 () in
   let dt = Unix.gettimeofday () -. t0 in
-  let t = List.hd trials in
-  assert t.Nf_dynamics.Mc_poa.converged;
-  Printf.printf "\nmc-poa n=128 smoke: %d evals, %d moves, converged in %.2fs\n%!"
-    t.Nf_dynamics.Mc_poa.evals t.Nf_dynamics.Mc_poa.moves dt;
+  let { Nf_dynamics.Mc_poa.converged; moves; evals; final_edges; _ } = List.hd trials in
+  assert converged;
+  if (moves, evals, final_edges) <> (1698, 105664, 1005) then
+    failwith
+      (Printf.sprintf
+         "bench: mc-poa n=128 walk made %d moves, %d evals, %d final edges; expected 1698, \
+          105664, 1005"
+         moves evals final_edges);
+  Printf.printf "\nmc-poa n=128 smoke: %d evals, %d moves, converged in %.2fs\n%!" evals moves dt;
   [ ("netform/dynamics/mc_poa_n128_smoke", Some (dt *. 1e9)) ]
 
 (* ---------------- machine-readable report ---------------- *)

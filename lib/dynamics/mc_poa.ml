@@ -12,9 +12,11 @@ module Theory = Netform.Theory
    Exhaustive annotation stops at the enumerable orders; this module
    samples instead: seeded random initial graphs, a randomized
    first-improvement better-response walk run entirely inside a kernel
-   workspace (edge toggles + allocation-free BFS, so n in the hundreds is
-   a per-trial cost of seconds, not hours), and the exact-rational social
-   cost of the resulting stable states against the closed-form optimum.
+   workspace (exact distance rows priced and patched in place, edge
+   toggles and allocation-free BFS only where a row cannot be patched, so
+   n in the hundreds is a per-trial cost of seconds, not hours), and the
+   exact-rational social cost of the resulting stable states against the
+   closed-form optimum.
 
    The improving-move semantics are copied predicate-for-predicate from
    [Bcg] ([addition_blocks] / deletion loss with the same integer
@@ -96,6 +98,13 @@ let trial_seed ~seed index = seed + (0x9E3779B9 * (index + 1))
 let default_init_p n =
   if n < 2 then 0.0 else Float.min 1.0 ((log (float_of_int n) +. 1.0) /. float_of_int n)
 
+(* The scan-order array is a trial's largest allocation (C(n,2) ints),
+   so each domain keeps its last one for the next trial of the same
+   order: the walk itself allocates so little that fresh arrays would
+   pile up between major slices and set the peak heap.  Every slot is
+   rewritten before the shuffle, so the draws are unchanged. *)
+let scan_order_key = Domain.DLS.new_key (fun () -> [||])
+
 let run_trial ~n ~alpha ~max_evals ~init_p ~seed index =
   if n < 2 then invalid_arg "Mc_poa.run_trial: need n >= 2";
   let tseed = trial_seed ~seed index in
@@ -110,7 +119,14 @@ let run_trial ~n ~alpha ~max_evals ~init_p ~seed index =
   let init_edges = Graph.size g0 in
   (* the cyclic scan order: one seeded shuffle of the C(n,2) pairs *)
   let np = n * (n - 1) / 2 in
-  let pairs = Array.make np 0 in
+  let pairs =
+    match Domain.DLS.get scan_order_key with
+    | a when Array.length a = np -> a
+    | _ -> Array.make np 0
+  in
+  (* held by this trial until its walk ends; a trial started meanwhile on
+     this domain allocates its own *)
+  Domain.DLS.set scan_order_key [||];
   let t = ref 0 in
   Nf_util.Subset.iter_pairs n (fun i j ->
       pairs.(!t) <- (i * n) + j;
@@ -121,21 +137,90 @@ let run_trial ~n ~alpha ~max_evals ~init_p ~seed index =
       and den = Rat.den alpha in
       let lt k = k = inf || num < k * den
       and le k = k = inf || num <= k * den in
-      (* Lazily-versioned distance-sum cache: an applied move changes
-         distances for potentially every vertex, but each evaluation only
-         reads the two endpoints' sums — so instead of an O(n · BFS)
-         all-sources refresh per move, each vertex's sum is recomputed by
-         one single-source sweep the first time it is read after a move.
-         [ver.(v) = cur] certifies [base.(v)] is current. *)
-      let base = Array.make n 0
-      and ver = Array.make n 0
-      and cur = ref 1 in
-      let base_of v =
-        if ver.(v) <> !cur then begin
-          base.(v) <- Kernel.distance_sum_from ws v;
-          ver.(v) <- !cur
+      (* Exact distance rows: while [fresh.(v)], row [v] of the
+         workspace's 16-bit slab [d] (d(v,w) at byte [2·(v·n + w)])
+         holds d(v, ·) on the current graph, and [sum.(v)] its total
+         ({!Kernel.inf} when some vertex is unreachable).  A stale row
+         is rebuilt by one BFS the first time the walk reads it.  Additions are priced from two rows without
+         touching the graph, an applied addition patches every fresh row
+         in place, and an applied deletion invalidates only the rows
+         whose distances it can change. *)
+      let d = Kernel.distance_rows ws
+      and rinf = Kernel.row_inf in
+      let sum = Array.make n 0
+      and fresh = Array.make n false in
+      let row v =
+        if not fresh.(v) then begin
+          sum.(v) <- Kernel.distances_from ws v;
+          fresh.(v) <- true
         end;
-        base.(v)
+        2 * v * n
+      in
+      (* Σ_w min(d(i,w), 1 + d(j,w)) over rows at byte offsets [oi],
+         [oj]: the distance sum of [i] once edge ij exists.  Exact: a
+         shortest path from [i] that uses the new edge takes it first,
+         so it costs 1 + d(j,w). *)
+      let sum_through oi oj =
+        let s = ref 0
+        and reached = ref true in
+        for w = 0 to n - 1 do
+          let a = Bytes.get_uint16_ne d (oi + (2 * w))
+          and b = Bytes.get_uint16_ne d (oj + (2 * w)) in
+          let m = if b + 1 < a then b + 1 else a in
+          if m = rinf then reached := false else s := !s + m
+        done;
+        if !reached then !s else inf
+      in
+      (* row [v] at byte offset [ov] after an applied addition whose
+         endpoint nearer to [v] is at distance [near − 1]: every entry
+         becomes min(d(v,w), near + d(far,w)) *)
+      let patch_row v ov near ofar =
+        let s = ref 0
+        and reached = ref true in
+        for w = 0 to n - 1 do
+          let f = Bytes.get_uint16_ne d (ofar + (2 * w))
+          and x = Bytes.get_uint16_ne d (ov + (2 * w)) in
+          if f <> rinf && near + f < x then begin
+            Bytes.set_uint16_ne d (ov + (2 * w)) (near + f);
+            s := !s + near + f
+          end
+          else if x = rinf then reached := false
+          else s := !s + x
+        done;
+        sum.(v) <- (if !reached then !s else inf)
+      in
+      (* applied addition ab: d'(v,w) = min(d(v,w), d(v,a)+1+d(b,w),
+         d(v,b)+1+d(a,w)), since a shortest path crosses the new edge at
+         most once.  When |d(v,a) − d(v,b)| ≤ 1 both detours are no
+         shorter than d(v,w) by the triangle inequality, so only rows
+         with one endpoint at least two steps nearer change, and only
+         through the far endpoint's row.  Patching in place is safe:
+         when v's far endpoint is b, row b may already be patched, but a
+         patched entry d'(b,w) = 1 + d(a,w) offers v only the length
+         d(v,a) + 2 + d(a,w) > d(v,w). *)
+      let patch_addition a b =
+        for v = 0 to n - 1 do
+          if fresh.(v) then begin
+            let ov = 2 * v * n in
+            let dva = Bytes.get_uint16_ne d (ov + (2 * a))
+            and dvb = Bytes.get_uint16_ne d (ov + (2 * b)) in
+            if dva + 1 < dvb then patch_row v ov (dva + 1) (2 * b * n)
+            else if dvb + 1 < dva then patch_row v ov (dvb + 1) (2 * a * n)
+          end
+        done
+      in
+      (* applied deletion ab: the edge lies on a shortest path from [v]
+         only if it is crossed from the nearer endpoint to the farther,
+         i.e. only if d(v,a) ≠ d(v,b).  Every other fresh row stays
+         exact. *)
+      let invalidate_deletion a b =
+        for v = 0 to n - 1 do
+          let ov = 2 * v * n in
+          if
+            fresh.(v)
+            && Bytes.get_uint16_ne d (ov + (2 * a)) <> Bytes.get_uint16_ne d (ov + (2 * b))
+          then fresh.(v) <- false
+        done
       in
       let m = ref init_edges
       and moves = ref 0
@@ -168,10 +253,12 @@ let run_trial ~n ~alpha ~max_evals ~init_p ~seed index =
         incr evals;
         let i = code / n
         and j = code mod n in
-        (* both endpoints' pre-move sums, refreshed before the toggle so
-           the cache always describes the untoggled graph *)
-        let bi_base = base_of i in
-        let bj_base = base_of j in
+        (* both endpoints' rows, refreshed before any toggle so they
+           describe the current graph *)
+        let oi = row i in
+        let oj = row j in
+        let bi_base = sum.(i)
+        and bj_base = sum.(j) in
         let applied =
           if Kernel.has_edge ws i j then begin
             (* deletion slot: either endpoint severs unilaterally.  The
@@ -186,6 +273,7 @@ let run_trial ~n ~alpha ~max_evals ~init_p ~seed index =
             in
             if improving then begin
               decr m;
+              invalidate_deletion i j;
               true
             end
             else begin
@@ -196,37 +284,32 @@ let run_trial ~n ~alpha ~max_evals ~init_p ~seed index =
           else begin
             (* addition slot: bilateral, both must consent — the exact
                [Bcg.addition_blocks] predicate
-               [(lt bi && le bj) || (lt bj && le bi)].  When [le bi]
-               fails both disjuncts are dead (lt ⊆ le), so [j]'s BFS is
-               skipped. *)
-            Kernel.toggle ws i j;
-            let bi = ibenefit ~base:bi_base (Kernel.distance_sum_from ws i) in
+               [(lt bi && le bj) || (lt bj && le bi)], priced from the
+               rows with no toggle.  When [le bi] fails both disjuncts
+               are dead (lt ⊆ le), so [j]'s pass is skipped. *)
+            let bi = ibenefit ~base:bi_base (sum_through oi oj) in
             let improving =
               le bi
               &&
-              let bj = ibenefit ~base:bj_base (Kernel.distance_sum_from ws j) in
+              let bj = ibenefit ~base:bj_base (sum_through oj oi) in
               (lt bi && le bj) || (lt bj && le bi)
             in
             if improving then begin
+              Kernel.toggle ws i j;
               incr m;
+              patch_addition i j;
               true
             end
-            else begin
-              Kernel.toggle ws i j;
-              false
-            end
+            else false
           end
         in
         if applied then begin
           incr moves;
-          incr pass_moves;
-          (* one version bump invalidates every cached sum in O(1);
-             refreshes happen per-endpoint on demand, never as an
-             all-sources sweep *)
-          incr cur
+          incr pass_moves
         end
         end
       done;
+      Domain.DLS.set scan_order_key pairs;
       let converged = !stable in
       (* final statistics off one full fresh sweep *)
       let sums = Kernel.all_distance_sums ws in
@@ -273,7 +356,7 @@ let run_trial ~n ~alpha ~max_evals ~init_p ~seed index =
 (* ---------------- registry-generic trials ----------------
 
    The walk above is the BCG fast path: predicates inlined against the
-   kernel workspace, lazily versioned distance sums, pair-slot passes.
+   kernel workspace, cached exact distance rows, pair-slot passes.
    Any OTHER registered game that exposes a move generator
    ([Game.improving_moves]) gets the generic trial below instead: same
    seeded connected start, but the better-response walk is

@@ -21,6 +21,7 @@ type t = {
   mutable front1 : int array;  (** [words] scratch: single-source frontier *)
   mutable next1 : int array;  (** [words] scratch: one-round expansion *)
   mutable full : int array;  (** [words] mask of the [n] valid bits *)
+  mutable rows : Bytes.t;  (** [n * n] 16-bit distance rows, grown on first use *)
 }
 
 let inf = max_int
@@ -40,6 +41,7 @@ let create ?(hint = 16) () =
     front1 = Array.make 1 0;
     next1 = Array.make 1 0;
     full = Array.make 1 0;
+    rows = Bytes.empty;
   }
 
 let ensure ws n words =
@@ -365,6 +367,54 @@ let all_distance_sums_w ws =
     end
   done;
   sums
+
+(* Distance rows: one single-source generic-words BFS per row, writing
+   each round's fresh vertices at their level.  There is no one-word
+   copy: the generic loop runs at [words = 1] unchanged, so one routine
+   is tested at every order.  Entries are 16-bit so that an [n × n] slab
+   stays a quarter of an int array. *)
+
+let row_inf = 0xFFFF
+
+let distance_rows ws =
+  (* every finite distance is at most n − 1 < row_inf *)
+  if ws.n > row_inf then
+    invalid_arg
+      (Printf.sprintf "Kernel.distance_rows: order %d > %d overflows 16-bit entries" ws.n
+         row_inf);
+  let bytes = 2 * ws.n * ws.n in
+  if bytes > Bytes.length ws.rows then ws.rows <- Bytes.create bytes;
+  ws.rows
+
+let distances_from ws src =
+  let n = ws.n
+  and words = ws.words in
+  let rows = distance_rows ws in
+  let off = 2 * src * n in
+  Bytes.fill rows off (2 * n) '\255';
+  Bytes.set_uint16_ne rows (off + (2 * src)) 0;
+  start_single_source ws src;
+  let front = ws.front1 in
+  let level = ref 0
+  and sum = ref 0
+  and count = ref 1
+  and fresh = ref 1 in
+  while !fresh > 0 do
+    fresh := sweep_round_w ws;
+    incr level;
+    for k = 0 to words - 1 do
+      let base = k * Bw.bits_per_word in
+      let w = ref front.(k) in
+      while !w <> 0 do
+        let b = !w land - !w in
+        Bytes.set_uint16_ne rows (off + (2 * (base + bit_index b))) !level;
+        w := !w lxor b
+      done
+    done;
+    sum := !sum + (!level * !fresh);
+    count := !count + !fresh
+  done;
+  if !count = n then !sum else inf
 
 (* ---------------- dispatch ---------------- *)
 

@@ -3,16 +3,18 @@
     A {!t} is a reusable per-domain workspace: mutable adjacency rows
     stored in a flat multi-word slab (62 bits per word, [Bitset_w]
     layout), preallocated distance-sum / eccentricity / reach / frontier
-    scratch, and an edge-toggle primitive.  Loading a graph and running
+    scratch, a 16-bit distance-row slab grown on first use, and an
+    edge-toggle primitive.  Loading a graph and running
     any number of single-source or all-sources distance-sum sweeps
     allocates nothing after the workspace exists — every intermediate
     value is an immediate [int], and infinity is represented as {!inf}
     ([max_int]) instead of boxed [Ext_int.t].
 
-    For n ≤ 62 the slab is one word per vertex and every routine runs a
-    verbatim copy of the historical single-word code (same instruction
+    For n ≤ 62 the slab is one word per vertex and every sum routine runs
+    a verbatim copy of the historical single-word code (same instruction
     stream as the PR 4 bench rows); beyond 62 the same frontier algebra
     runs as loops over [words] ints per row, still allocation-free.
+    {!distances_from} has only the generic loop, at every order.
 
     {b Ownership rules}: a workspace is single-owner mutable state. Obtain
     one with {!with_ws} (or {!with_loaded}) which borrows the calling
@@ -77,6 +79,26 @@ val reach_stats : t -> int -> int * int
 (** [reach_stats ws src] is [(finite_sum, reached)]: the sum of distances
     to the vertices reachable from [src] and how many vertices are
     reachable (including [src] itself).  Never {!inf}. *)
+
+val row_inf : int
+(** Distance-row entry standing for an unreachable vertex ([0xFFFF]).
+    Every finite entry is below it, so [1 + d < e] needs no overflow
+    guard. *)
+
+val distance_rows : t -> Bytes.t
+(** The workspace's distance-row slab for the loaded order [n]: [n × n]
+    unsigned 16-bit native-endian entries, d(v, w) at byte
+    [2·(v·n + w)] ([Bytes.get_uint16_ne]).  Written by {!distances_from}
+    and by the caller; contents survive {!toggle} and every other kernel
+    call.  Grown on first use after loading a larger order, so the slab
+    is valid until the next load.
+    @raise Invalid_argument when [n > row_inf]. *)
+
+val distances_from : t -> int -> int
+(** [distances_from ws src] writes BFS distances from [src] into row
+    [src] of {!distance_rows} ({!row_inf} for unreachable vertices) and
+    returns their sum, exactly {!distance_sum_from} ({!inf} when some
+    vertex is unreachable).  Allocation-free once the slab exists. *)
 
 val all_distance_sums : t -> int array
 (** Bit-parallel all-sources sweep: every per-vertex frontier expands

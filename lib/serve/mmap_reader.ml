@@ -61,10 +61,14 @@ type t = {
 let fail path fmt =
   Printf.ksprintf (fun m -> raise (Layout.Corrupt (Printf.sprintf "%s: %s" path m))) fmt
 
-let sub_string map ~pos ~len what path =
+let sub_string (map : map) ~pos ~len what path =
   if pos < 0 || len < 0 || pos + len > Bigarray.Array1.dim map then
     fail path "unexpected end of mapped store reading %s at byte %d" what pos;
-  String.init len (fun i -> Bigarray.Array1.unsafe_get map (pos + i))
+  let b = Bytes.create len in
+  for i = 0 to len - 1 do
+    Bytes.unsafe_set b i (Bigarray.Array1.unsafe_get map (pos + i))
+  done;
+  Bytes.unsafe_to_string b
 
 let open_volume ~vfirst path =
   let ic = Unix.in_channel_of_descr (Unix.openfile path [ Unix.O_RDONLY ] 0) in

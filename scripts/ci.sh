@@ -261,6 +261,22 @@ done
 cmp "$store_dir/mc_poa_j1.csv" "$store_dir/mc_poa_j4.csv"
 echo "mc-poa smoke: jobs=1 and jobs=4 CSVs byte-identical"
 
+# Monte-Carlo walk bytes: the jobs parity leg above cannot see a walk
+# whose trajectory changed, so three seeded CSVs are pinned to golden
+# md5s — one-word rows (n=40), two-word rows (n=64) and the benchmark's
+# n=128 trials.
+echo "== mc-poa golden CSVs (n=40/64/128, seeded) =="
+for spec in "40 3 7 2c20d03856ac9fea2916010f566889e9" \
+            "64 2 42 91cbc754492ac27cb5d9f6f257dcd463" \
+            "128 2 1 4cc432c4c8ac90f7589da89762719571"; do
+  set -- $spec
+  out="$store_dir/mc_poa_n$1.csv"
+  "$CLI" mc-poa -n "$1" --alpha "$2" --trials 4 --seed "$3" --csv "$out" > /dev/null
+  sum=$(md5sum "$out" | cut -d' ' -f1)
+  [ "$sum" = "$4" ] || { echo "mc-poa n=$1 CSV: md5 $sum, expected $4" >&2; exit 1; }
+done
+echo "mc-poa golden CSVs: n=40, 64 and 128 match"
+
 # Full leg (opt-in, minutes of CPU): stream all of n=10 through a sharded
 # split and check the connected-class count against OEIS A001349.
 if [ "${NETFORM_COUNTS_FULL:-0}" = "1" ]; then

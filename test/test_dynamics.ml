@@ -129,6 +129,126 @@ let test_ucg_state_graph_consistent () =
 module Mc_poa = Nf_dynamics.Mc_poa
 module Pool = Nf_util.Pool
 
+(* Reference oracle: the walk as it was before distance rows — every
+   evaluation toggles the edge and runs fresh BFS, and endpoint sums are
+   cached under per-vertex version stamps that one counter bump
+   invalidates after every applied move.  Same seed derivation, start,
+   scan order and predicates as [Mc_poa.run_trial], so the two must
+   agree on every trial record. *)
+module Oracle = struct
+  module Kernel = Nf_graph.Kernel
+
+  let inf = Kernel.inf
+  let ibenefit ~base after = if base = inf then (if after = inf then 0 else inf) else base - after
+  let iloss ~base after = if base = inf || after = inf then inf else after - base
+  let trial_seed ~seed index = seed + (0x9E3779B9 * (index + 1))
+
+  let run_trial ~n ~alpha ~max_evals ~seed index =
+    let tseed = trial_seed ~seed index in
+    let rng = Prng.create tseed in
+    let g0 = Nf_graph.Random_graph.connected_gnp rng n (Mc_poa.default_init_p n) in
+    let init_edges = Graph.size g0 in
+    let np = n * (n - 1) / 2 in
+    let pairs = Array.make np 0 in
+    let t = ref 0 in
+    Nf_util.Subset.iter_pairs n (fun i j ->
+        pairs.(!t) <- (i * n) + j;
+        incr t);
+    Prng.shuffle rng pairs;
+    Kernel.with_loaded g0 (fun ws ->
+        let num = Rat.num alpha
+        and den = Rat.den alpha in
+        let lt k = k = inf || num < k * den
+        and le k = k = inf || num <= k * den in
+        let base = Array.make n 0
+        and ver = Array.make n 0
+        and cur = ref 1 in
+        let base_of v =
+          if ver.(v) <> !cur then begin
+            base.(v) <- Kernel.distance_sum_from ws v;
+            ver.(v) <- !cur
+          end;
+          base.(v)
+        in
+        let m = ref init_edges
+        and moves = ref 0
+        and evals = ref 0
+        and pass_moves = ref 0
+        and stable = ref false
+        and idx = ref 0 in
+        while (not !stable) && !evals < max_evals do
+          if !idx >= np then
+            if !pass_moves = 0 then stable := true
+            else begin
+              idx := 0;
+              pass_moves := 0;
+              Prng.shuffle rng pairs
+            end
+          else begin
+            let code = pairs.(!idx) in
+            incr idx;
+            incr evals;
+            let i = code / n
+            and j = code mod n in
+            let bi_base = base_of i in
+            let bj_base = base_of j in
+            Kernel.toggle ws i j;
+            let improving =
+              if Kernel.has_edge ws i j then begin
+                let bi = ibenefit ~base:bi_base (Kernel.distance_sum_from ws i) in
+                le bi
+                &&
+                let bj = ibenefit ~base:bj_base (Kernel.distance_sum_from ws j) in
+                (lt bi && le bj) || (lt bj && le bi)
+              end
+              else
+                (not (le (iloss ~base:bi_base (Kernel.distance_sum_from ws i))))
+                || not (le (iloss ~base:bj_base (Kernel.distance_sum_from ws j)))
+            in
+            if improving then begin
+              if Kernel.has_edge ws i j then incr m else decr m;
+              incr moves;
+              incr pass_moves;
+              incr cur
+            end
+            else Kernel.toggle ws i j
+          end
+        done;
+        let final =
+          Graph.build n (fun add ->
+              for v = 0 to n - 1 do
+                Kernel.iter_neighbors ws v (fun w -> if v < w then add v w)
+              done)
+        in
+        (* final statistics off the persistent-graph BFS, independent of
+           the kernel's all-sources sweep *)
+        let connected = Nf_graph.Connectivity.is_connected final in
+        let fin = function Nf_util.Ext_int.Fin x -> x | Nf_util.Ext_int.Inf -> -1 in
+        let wiener = ref 0
+        and diameter = ref (if connected then 0 else -1) in
+        if connected then
+          for v = 0 to n - 1 do
+            wiener := !wiener + fin (Nf_graph.Bfs.distance_sum final v);
+            diameter := max !diameter (fin (Nf_graph.Bfs.eccentricity final v))
+          done;
+        let social_cost =
+          if connected then Some (Rat.add (Rat.mul (r (2 * !m)) alpha) (r !wiener)) else None
+        in
+        {
+          Mc_poa.index;
+          seed = tseed;
+          init_edges;
+          moves = !moves;
+          evals = !evals;
+          converged = !stable;
+          final_edges = !m;
+          diameter = !diameter;
+          social_cost;
+          poa = Option.map (fun c -> Rat.div c (Mc_poa.optimum_cost ~alpha n)) social_cost;
+          final;
+        })
+end
+
 let test_mc_poa_trial_deterministic () =
   (* identical arguments must reproduce the trial record bit-for-bit,
      including the final graph *)
@@ -138,6 +258,33 @@ let test_mc_poa_trial_deterministic () =
   let t1 = go () and t2 = go () in
   check_bool "trial records identical" true (t1 = t2);
   check_bool "converged" true t1.Mc_poa.converged
+
+(* the distance-row walk against the oracle: equal trial records —
+   moves, evals, convergence, final graph, social cost — at α on both
+   sides of every regime boundary *)
+let rows_vs_oracle ~orders ~seeds () =
+  List.iter
+    (fun n ->
+      let np = n * (n - 1) / 2 in
+      let max_evals = max np (60 * np) in
+      List.iter
+        (fun alpha ->
+          List.iter
+            (fun seed ->
+              let want = Oracle.run_trial ~n ~alpha ~max_evals ~seed 0 in
+              let got = Mc_poa.run_trial ~n ~alpha ~max_evals ~init_p:None ~seed 0 in
+              let what =
+                Printf.sprintf "n=%d alpha=%s seed=%d" n (Rat.to_string alpha) seed
+              in
+              check Alcotest.int (what ^ ": moves") want.Mc_poa.moves got.Mc_poa.moves;
+              check Alcotest.int (what ^ ": evals") want.Mc_poa.evals got.Mc_poa.evals;
+              check_bool (what ^ ": record") true (want = got);
+              if got.Mc_poa.converged then
+                check_bool (what ^ ": converged final pairwise stable") true
+                  (Bcg.is_pairwise_stable ~alpha got.Mc_poa.final))
+            seeds)
+        [ rq 1 2; r 1; r 2; r 7; r 30 ])
+    orders
 
 let test_mc_poa_pool_width_parity () =
   (* the CSV is the cross-job determinism contract: jobs=1 and jobs=4 must
@@ -298,6 +445,10 @@ let () =
       ( "mc_poa",
         [
           Alcotest.test_case "trial determinism" `Quick test_mc_poa_trial_deterministic;
+          Alcotest.test_case "distance rows = oracle" `Quick
+            (rows_vs_oracle ~orders:[ 2; 3; 9; 40 ] ~seeds:[ 1; 29; 404; 7777 ]);
+          Alcotest.test_case "distance rows = oracle past 62" `Slow
+            (rows_vs_oracle ~orders:[ 64; 70 ] ~seeds:[ 1; 29 ]);
           Alcotest.test_case "pool width parity" `Quick test_mc_poa_pool_width_parity;
           Alcotest.test_case "converged finals stable" `Quick test_mc_poa_converged_is_stable;
           Alcotest.test_case "summary, csv, guards" `Quick test_mc_poa_summary_csv_and_guards;

@@ -595,6 +595,52 @@ let test_multiword_toggle_deltas () =
       done)
     [ 63; 65; 129 ]
 
+(* distance rows vs the persistent queue BFS: every row of every graph,
+   one-word, multi-word and forced-generic, disconnected ones included;
+   rows written earlier must survive later rows and toggles *)
+let test_distance_rows_vs_bfs () =
+  let check_graph g =
+    let n = Graph.order g in
+    Kernel.with_loaded g (fun ws ->
+        for v = 0 to n - 1 do
+          check ext "row sum = distance_sum_from"
+            (ext_of_kernel (Kernel.distance_sum_from ws v))
+            (ext_of_kernel (Kernel.distances_from ws v))
+        done;
+        (* a toggle pair leaves the graph, and so the rows, as they were *)
+        if n >= 2 then begin
+          Kernel.toggle ws 0 (n - 1);
+          ignore (Kernel.distance_sum_from ws 0);
+          Kernel.toggle ws 0 (n - 1)
+        end;
+        let rows = Kernel.distance_rows ws in
+        for v = 0 to n - 1 do
+          let want = Bfs.distances g v in
+          for w = 0 to n - 1 do
+            let got = Bytes.get_uint16_ne rows (2 * ((v * n) + w)) in
+            check_int
+              (Printf.sprintf "n=%d d(%d,%d)" n v w)
+              (if want.(w) < 0 then Kernel.row_inf else want.(w))
+              got
+          done
+        done)
+  in
+  let corpus = random_corpus () @ large_corpus () in
+  (* once the slab exists, a row costs no allocation *)
+  Kernel.with_loaded (Random_graph.gnp (Prng.create 9) 130 0.05) (fun ws ->
+      ignore (Kernel.distances_from ws 0);
+      let before = Gc.minor_words () in
+      for v = 0 to 129 do
+        ignore (Kernel.distances_from ws v)
+      done;
+      check_bool "rows allocate nothing" true (Gc.minor_words () -. before < 16.0));
+  Fun.protect
+    ~finally:(fun () -> Kernel.set_min_words_for_testing 1)
+    (fun () ->
+      List.iter check_graph corpus;
+      Kernel.set_min_words_for_testing 3;
+      List.iter check_graph corpus)
+
 let test_multiword_range_messages () =
   let ws = Kernel.create () in
   Alcotest.check_raises "load_rows past one word"
@@ -670,6 +716,7 @@ let () =
           Alcotest.test_case "forced words = one-word path" `Quick
             test_forced_multiword_parity;
           Alcotest.test_case "toggle deltas past 62" `Quick test_multiword_toggle_deltas;
+          Alcotest.test_case "distance rows vs queue BFS" `Quick test_distance_rows_vs_bfs;
           Alcotest.test_case "range messages" `Quick test_multiword_range_messages;
           QCheck_alcotest.to_alcotest prop_multiword_apsp_parity;
         ] );
