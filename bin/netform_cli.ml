@@ -504,8 +504,9 @@ let annotate_cmd =
 
 (* ---------------- experiments ---------------- *)
 
-let experiments jobs n game only out store =
-  setup jobs;
+let same_experiment_id a b = String.lowercase_ascii a = String.lowercase_ascii b
+
+let run_experiments n game only out store =
   let results =
     match game with
     | Some name -> [ Nf_analysis.Experiments.game_sweep ~game:name ~n () ]
@@ -515,9 +516,7 @@ let experiments jobs n game only out store =
     match only with
     | None -> results
     | Some id ->
-      List.filter
-        (fun r -> String.lowercase_ascii r.Nf_analysis.Experiments.id = String.lowercase_ascii id)
-        results
+      List.filter (fun r -> same_experiment_id r.Nf_analysis.Experiments.id id) results
   in
   print_string (Nf_analysis.Experiments.render_all results);
   (match out with
@@ -532,11 +531,31 @@ let experiments jobs n game only out store =
   | None -> ());
   if List.for_all (fun r -> r.Nf_analysis.Experiments.ok) results then 0 else 1
 
+(* --only is checked against the known ids before anything runs, so an id
+   that matches nothing fails at once instead of running the whole suite
+   (seconds to minutes) to print nothing *)
+let experiments jobs n game only out store =
+  setup jobs;
+  let known =
+    match game with
+    | Some name -> [ "G:" ^ name ]
+    | None -> Nf_analysis.Experiments.ids
+  in
+  match only with
+  | Some id when not (List.exists (same_experiment_id id) known) ->
+    Printf.eprintf "error: unknown experiment id %S (known: %s)\n" id
+      (String.concat ", " known);
+    2
+  | _ -> run_experiments n game only out store
+
 let only_opt =
   Arg.(
     value
     & opt (some string) None
-    & info [ "only" ] ~docv:"ID" ~doc:"Run a single experiment (e.g. E6).")
+    & info [ "only" ] ~docv:"ID"
+        ~doc:
+          "Print a single experiment (e.g. E6; $(b,G:)$(i,GAME) with $(b,--game)).  An \
+           unknown id exits 2 before anything runs.")
 
 let out_dir_opt =
   Arg.(

@@ -18,9 +18,10 @@ let cache_mutex = Mutex.create ()
    detection scans and every later game reuses the subgroups (and their
    cached edge orbits).  Memoizing whole chunks keeps the mutex off the
    per-graph path — one lookup and one insertion per ~thousand graphs.
-   Detection results are stored ungated — the quotient opt-out is applied
-   at the use site — so flipping the flag mid-process never serves stale
-   routing decisions.  Cleared together with the annotation cache. *)
+   Only twin-tier results are stored (the memo is skipped while the
+   quotient is disabled), and any stored subgroup is sound for every
+   game, so flipping the flag mid-process never serves a wrong region.
+   Cleared together with the annotation cache. *)
 let sym_cache : (int * int, Nf_iso.Symmetry.t array) Hashtbl.t = Hashtbl.create 64
 
 let clear_cache () =
@@ -54,49 +55,40 @@ let sym_chunk_add ~n ~index syms =
    results. *)
 let annotation_chunk = 1024
 
-(* Orbit-quotient routing: when the game has a symmetry-aware annotator
-   and the quotient is enabled, each worker detects its graph's twin
-   subgroup inline (an O(n²) word-compare scan — far below one edge
-   toggle — running inside the same fan-out, so detection parallelizes
-   with the annotation) and dispatches through [Game.annotate_sym_ws]: a
-   trivial subgroup runs exactly the unquotiented loop, so rigid graphs
-   pay only the scan.  The per-chunk subgroup arrays are memoized so a
-   second game sweeping the same level reuses them — along with their
-   lazily cached edge orbits — instead of re-deriving anything. *)
-let annotate (type r) ((module G) as game : r Game.t) n =
-  let use_sym =
-    Option.is_some G.stable_region_sym_ws && Nf_iso.Symmetry.quotient_enabled ()
-  in
+(* Orbit-quotient routing: each worker takes its graph's sweep-tier
+   subgroup ([Game.sweep_symmetry]: an O(n²) word-compare twin scan —
+   far below one edge toggle — running inside the same fan-out, so
+   detection parallelizes with the annotation) and hands it to the game's
+   one annotator; a trivial subgroup is the all-pairs scan, so rigid
+   graphs pay only the detection.  With the quotient enabled the
+   per-chunk subgroup arrays are memoized so a second game sweeping the
+   same level reuses them — along with their lazily cached edge orbits —
+   instead of re-deriving anything; with it disabled every subgroup is
+   the shared trivial one and nothing is memoized. *)
+let annotate (type r) ((module G) : r Game.t) n =
+  let memo = Nf_iso.Symmetry.quotient_enabled () in
+  let annotate_one g sym = Nf_graph.Kernel.with_ws (fun ws -> G.stable_region_ws ws sym g) in
   let chunks = ref [] in
   let ci = ref 0 in
   Nf_enum.Unlabeled.iter_connected_chunked ~chunk:annotation_chunk n (fun graphs ->
       let index = !ci in
       incr ci;
       let annotated =
-        if use_sym then begin
-          match sym_chunk_find ~n ~index with
-          | Some syms ->
-            Pool.parallel_map_array
-              (fun (g, sym) ->
-                (g, Nf_graph.Kernel.with_ws (fun ws -> Game.annotate_sym_ws game ws sym g)))
-              (Array.map2 (fun g sym -> (g, sym)) graphs syms)
-          | None ->
-            let results =
-              Pool.parallel_map_array
-                (fun g ->
-                  let sym = Nf_iso.Symmetry.detect_twins g in
-                  ( g,
-                    sym,
-                    Nf_graph.Kernel.with_ws (fun ws -> Game.annotate_sym_ws game ws sym g) ))
-                graphs
-            in
-            sym_chunk_add ~n ~index (Array.map (fun (_, sym, _) -> sym) results);
-            Array.map (fun (g, _, r) -> (g, r)) results
-        end
-        else
+        match if memo then sym_chunk_find ~n ~index else None with
+        | Some syms ->
           Pool.parallel_map_array
-            (fun g -> (g, Nf_graph.Kernel.with_ws (fun ws -> G.stable_region_ws ws g)))
-            graphs
+            (fun (g, sym) -> (g, annotate_one g sym))
+            (Array.map2 (fun g sym -> (g, sym)) graphs syms)
+        | None ->
+          let results =
+            Pool.parallel_map_array
+              (fun g ->
+                let sym = Game.sweep_symmetry g in
+                (g, sym, annotate_one g sym))
+              graphs
+          in
+          if memo then sym_chunk_add ~n ~index (Array.map (fun (_, sym, _) -> sym) results);
+          Array.map (fun (g, _, r) -> (g, r)) results
       in
       chunks := annotated :: !chunks);
   List.concat_map Array.to_list (List.rev !chunks)

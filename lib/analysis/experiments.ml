@@ -1140,30 +1140,36 @@ let game_sweep ~game ?(n = 6) () =
     ok;
   }
 
+let ids = List.init 23 (fun k -> Printf.sprintf "E%d" (k + 1))
+
 let run_all ?(n = 6) () =
   let e1, e2 = e1_e2_figures ~n () in
-  [
-    e1;
-    e2;
-    e3_figure1_gallery ();
-    e4_lemma4 ~n ();
-    e5_lemma5 ~n ();
-    e6_lemma6_cycles ();
-    e7_prop3_moore ();
-    e8_prop4_upper_bound ~n:(max n 7) ();
-    e9_prop5_trees ~conjecture_n:(min n 6) ();
-    e10_footnote5_cycles ();
-    e11_footnote7_petersen ();
-    e12_desargues ();
-    e13_eq5_bound ~n ();
-    e14_transfers ~n ();
-    e15_dynamics_and_prop2 ();
-    e16_shape_census ~n ();
-    e17_distance_utilities ();
-    e18_bcg_scaling ~max_n:(max n 7) ();
-    e19_sampled_n10 ();
-    e20_proper_equilibrium ();
-    e21_stochastic_stability ();
-    e22_large_n_monte_carlo ();
-    e23_parameterized_regimes ();
-  ]
+  let results =
+    [
+      e1;
+      e2;
+      e3_figure1_gallery ();
+      e4_lemma4 ~n ();
+      e5_lemma5 ~n ();
+      e6_lemma6_cycles ();
+      e7_prop3_moore ();
+      e8_prop4_upper_bound ~n:(max n 7) ();
+      e9_prop5_trees ~conjecture_n:(min n 6) ();
+      e10_footnote5_cycles ();
+      e11_footnote7_petersen ();
+      e12_desargues ();
+      e13_eq5_bound ~n ();
+      e14_transfers ~n ();
+      e15_dynamics_and_prop2 ();
+      e16_shape_census ~n ();
+      e17_distance_utilities ();
+      e18_bcg_scaling ~max_n:(max n 7) ();
+      e19_sampled_n10 ();
+      e20_proper_equilibrium ();
+      e21_stochastic_stability ();
+      e22_large_n_monte_carlo ();
+      e23_parameterized_regimes ();
+    ]
+  in
+  assert (List.map (fun r -> r.id) results = ids);
+  results

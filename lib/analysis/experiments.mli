@@ -96,6 +96,11 @@ val game_sweep : game:string -> ?n:int -> unit -> result
     sanity check that every observed PoA ratio is ≥ 1.
     @raise Invalid_argument on an unknown game name. *)
 
+val ids : string list
+(** The ids {!run_all} returns, in order (["E1"] … ["E23"]) — known
+    without running anything, so a caller can reject an unknown id up
+    front. *)
+
 val run_all : ?n:int -> unit -> result list
 (** Every experiment with consistent sizes. *)
 

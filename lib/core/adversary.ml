@@ -353,12 +353,10 @@ let game : Interval.t Game.t =
 
     let region_kind = Game.Region.Interval
     let schema_tag = 4
-    let stable_region_ws = stable_alpha_set_ws
-
     (* The separation term is isomorphism-invariant, so an orbit quotient
-       would be sound — it is just not implemented yet; the generic
-       annotator routes this game through the plain loop. *)
-    let stable_region_sym_ws = None
+       would be sound — it is just not implemented yet; the subgroup is
+       ignored and every pair is scanned. *)
+    let stable_region_ws ws _sym g = stable_alpha_set_ws ws g
     let stable_region_reference = stable_alpha_set_reference
     let is_stable = is_stable
     let improving_moves = Some improving_moves

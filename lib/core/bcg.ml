@@ -122,18 +122,27 @@ type iscan = {
   iscan_tied : bool;
 }
 
-let scan_stability_ws ws =
-  let n = Kernel.order ws in
+(* One pass over the representative pairs of the subgroup's orbits
+   (Symmetry.iter_pair_reps; every pair for the trivial subgroup).  An
+   automorphism σ carries the toggle of {i,j} to the toggle of {σi,σj}
+   and preserves distance sums, so the multiset {benefit_i, benefit_j}
+   (resp. {loss_i, loss_j}) is constant on each orbit — every max/min/tie
+   update the skipped pairs would contribute is already contributed, with
+   the same operands, by their representative.  The folds are
+   order-independent, so the result is structurally identical to the
+   all-pairs scan's (test/test_orbit.ml diffs it per registered game).
+   A twin pair has the transposition (i j) in the subgroup, so
+   benefit_j = benefit_i and loss_j = loss_i exactly: one sweep serves
+   both endpoints and the attaining pair always ties. *)
+let scan_stability_ws ws sym =
   let base = Kernel.all_distance_sums ws in
   let lo = ref 0 and tied = ref true and hi = ref inf in
-  for i = 0 to n - 2 do
-    let bi_base = base.(i) in
-    for j = i + 1 to n - 1 do
+  Symmetry.iter_pair_reps sym (fun i j twin ->
       if Kernel.has_edge ws i j then begin
         Kernel.toggle ws i j;
-        let li = iloss ~base:bi_base (Kernel.distance_sum_from ws i) in
+        let li = iloss ~base:base.(i) (Kernel.distance_sum_from ws i) in
         if li < !hi then hi := li;
-        if !hi > 0 then begin
+        if (not twin) && !hi > 0 then begin
           (* min with lj, skipped when hi is already 0 (cannot drop lower:
              losses are ≥ 0) — same result, fewer sweeps *)
           let lj = iloss ~base:base.(j) (Kernel.distance_sum_from ws j) in
@@ -143,11 +152,13 @@ let scan_stability_ws ws =
       end
       else begin
         Kernel.toggle ws i j;
-        let bi = ibenefit ~base:bi_base (Kernel.distance_sum_from ws i) in
+        let bi = ibenefit ~base:base.(i) (Kernel.distance_sum_from ws i) in
         (* bi < lo ⇒ min(bi, bj) < lo: the pair can neither raise the max
            nor tie it, so j's sweep is skipped — same scan result *)
         if bi >= !lo then begin
-          let bj = ibenefit ~base:base.(j) (Kernel.distance_sum_from ws j) in
+          let bj =
+            if twin then bi else ibenefit ~base:base.(j) (Kernel.distance_sum_from ws j)
+          in
           let m = if bi < bj then bi else bj in
           if m > !lo then begin
             lo := m;
@@ -156,115 +167,10 @@ let scan_stability_ws ws =
           else if m = !lo && bi <> bj then tied := false
         end;
         Kernel.toggle ws i j
-      end
-    done
-  done;
-  { iscan_lo = !lo; iscan_hi = !hi; iscan_tied = !tied }
-
-(* Orbit-quotient twins of the scan: one representative toggle per
-   automorphism orbit of the unordered pairs.  An automorphism σ carries
-   the toggle of {i,j} to the toggle of {σi,σj} and preserves distance
-   sums, so the multiset {benefit_i, benefit_j} (resp. {loss_i, loss_j})
-   is constant on each orbit — every max/min/tie update the skipped pairs
-   would contribute is already contributed, with the same operands, by
-   their representative.  The folds are order-independent, so the scan
-   result is structurally identical to the full loop's (the differential
-   harness in test/test_orbit.ml enforces this per registered game). *)
-
-(* Twin-class variant for the sweep tier: the O(1) representative test
-   from Symmetry.twin_partition replaces the materialized orbit table,
-   rows of vertices that are not their class minimum hold no
-   representatives at all, and a within-class pair has a transposition
-   swapping its endpoints in the subgroup, so benefit_j = benefit_i and
-   loss_j = loss_i exactly — one sweep serves both endpoints and the
-   attaining pair always ties. *)
-let scan_stability_classes_ws ws (cls : int array) (second : int array) =
-  let n = Kernel.order ws in
-  let base = Kernel.all_distance_sums ws in
-  let lo = ref 0 and tied = ref true and hi = ref inf in
-  for i = 0 to n - 2 do
-    if cls.(i) = i then begin
-      let bi_base = base.(i) in
-      let snd_i = second.(i) in
-      for j = i + 1 to n - 1 do
-        let same = cls.(j) = i in
-        if (if same then j = snd_i else cls.(j) = j) then
-          if Kernel.has_edge ws i j then begin
-            Kernel.toggle ws i j;
-            let li = iloss ~base:bi_base (Kernel.distance_sum_from ws i) in
-            if li < !hi then hi := li;
-            if (not same) && !hi > 0 then begin
-              let lj = iloss ~base:base.(j) (Kernel.distance_sum_from ws j) in
-              if lj < !hi then hi := lj
-            end;
-            Kernel.toggle ws i j
-          end
-          else begin
-            Kernel.toggle ws i j;
-            let bi = ibenefit ~base:bi_base (Kernel.distance_sum_from ws i) in
-            if same then begin
-              (* twin pair: bj = bi, so min = bi and the pair ties *)
-              if bi > !lo then begin
-                lo := bi;
-                tied := true
-              end
-            end
-            else if bi >= !lo then begin
-              let bj = ibenefit ~base:base.(j) (Kernel.distance_sum_from ws j) in
-              let m = if bi < bj then bi else bj in
-              if m > !lo then begin
-                lo := m;
-                tied := bi = bj
-              end
-              else if m = !lo && bi <> bj then tied := false
-            end;
-            Kernel.toggle ws i j
-          end
-      done
-    end
-  done;
-  { iscan_lo = !lo; iscan_hi = !hi; iscan_tied = !tied }
-
-let scan_stability_orbit_ws ws (eo : Symmetry.edge_orbits) =
-  let n = Kernel.order ws in
-  let base = Kernel.all_distance_sums ws in
-  let orb = eo.Symmetry.orbit_of_pair in
-  let lo = ref 0 and tied = ref true and hi = ref inf in
-  for i = 0 to n - 2 do
-    let bi_base = base.(i) in
-    for j = i + 1 to n - 1 do
-      let t = (j * (j - 1) / 2) + i in
-      if orb.(t) = t then
-        if Kernel.has_edge ws i j then begin
-          Kernel.toggle ws i j;
-          let li = iloss ~base:bi_base (Kernel.distance_sum_from ws i) in
-          if li < !hi then hi := li;
-          if !hi > 0 then begin
-            let lj = iloss ~base:base.(j) (Kernel.distance_sum_from ws j) in
-            if lj < !hi then hi := lj
-          end;
-          Kernel.toggle ws i j
-        end
-        else begin
-          Kernel.toggle ws i j;
-          let bi = ibenefit ~base:bi_base (Kernel.distance_sum_from ws i) in
-          if bi >= !lo then begin
-            let bj = ibenefit ~base:base.(j) (Kernel.distance_sum_from ws j) in
-            let m = if bi < bj then bi else bj in
-            if m > !lo then begin
-              lo := m;
-              tied := bi = bj
-            end
-            else if m = !lo && bi <> bj then tied := false
-          end;
-          Kernel.toggle ws i j
-        end
-    done
-  done;
+      end);
   { iscan_lo = !lo; iscan_hi = !hi; iscan_tied = !tied }
 
 let endpoint_of_int k = if k = inf then Interval.Pos_inf else Interval.Finite (Rat.of_int k)
-let ext_of_int k = if k = inf then Ext_int.Inf else Ext_int.Fin k
 
 let endpoint_of_ext = function
   | Ext_int.Fin k -> Interval.Finite (Rat.of_int k)
@@ -272,80 +178,27 @@ let endpoint_of_ext = function
 
 let positive = Interval.open_closed Rat.zero Interval.Pos_inf
 
-let alpha_min g =
-  Kernel.with_loaded g (fun ws ->
-      let n = Kernel.order ws in
-      let base = Kernel.all_distance_sums ws in
-      let lo = ref 0 in
-      for i = 0 to n - 2 do
-        for j = i + 1 to n - 1 do
-          if not (Kernel.has_edge ws i j) then begin
-            Kernel.toggle ws i j;
-            let bi = ibenefit ~base:base.(i) (Kernel.distance_sum_from ws i)
-            and bj = ibenefit ~base:base.(j) (Kernel.distance_sum_from ws j) in
-            Kernel.toggle ws i j;
-            let m = if bi < bj then bi else bj in
-            if m > !lo then lo := m
-          end
-        done
-      done;
-      ext_of_int !lo)
-
-let alpha_max g =
-  Kernel.with_loaded g (fun ws ->
-      let n = Kernel.order ws in
-      let base = Kernel.all_distance_sums ws in
-      let hi = ref inf in
-      for i = 0 to n - 2 do
-        for j = i + 1 to n - 1 do
-          if Kernel.has_edge ws i j then begin
-            Kernel.toggle ws i j;
-            let li = iloss ~base:base.(i) (Kernel.distance_sum_from ws i)
-            and lj = iloss ~base:base.(j) (Kernel.distance_sum_from ws j) in
-            Kernel.toggle ws i j;
-            if li < !hi then hi := li;
-            if lj < !hi then hi := lj
-          end
-        done
-      done;
-      ext_of_int !hi)
-
 let interval_of_iscan ~lo_closed s =
   Interval.inter positive
     (Interval.make ~lo:(endpoint_of_int s.iscan_lo) ~lo_closed
        ~hi:(endpoint_of_int s.iscan_hi) ~hi_closed:true)
 
 let stability_interval g =
-  Kernel.with_loaded g (fun ws -> interval_of_iscan ~lo_closed:false (scan_stability_ws ws))
+  Kernel.with_loaded g (fun ws ->
+      interval_of_iscan ~lo_closed:false
+        (scan_stability_ws ws (Symmetry.trivial (Graph.order g))))
 
-let stable_alpha_set_ws ws g =
-  (* The left end is attained exactly when every missing edge whose
-     less-interested benefit equals α_min is a tie (both endpoints equally
-     interested): at α = benefit the strict "ci < ci" premise of
-     Definition 3 fails on both sides. *)
-  Kernel.load ws g;
-  let s = scan_stability_ws ws in
-  interval_of_iscan ~lo_closed:(s.iscan_lo <> inf && s.iscan_tied) s
-
-(* The rigid fast path is literal: a trivial subgroup runs exactly
-   [scan_stability_ws], so asymmetric graphs pay only the caller's
-   detection scan. *)
+(* The left end is attained exactly when every missing edge whose
+   less-interested benefit equals α_min is a tie (both endpoints equally
+   interested): at α = benefit the strict "ci < ci" premise of
+   Definition 3 fails on both sides. *)
 let stable_alpha_set_sym_ws ws sym g =
   Kernel.load ws g;
-  let s =
-    if Symmetry.is_trivial sym then scan_stability_ws ws
-    else
-      match Symmetry.twin_partition sym with
-      | Some (cls, second) -> scan_stability_classes_ws ws cls second
-      | None -> scan_stability_orbit_ws ws (Symmetry.edge_orbits sym)
-  in
+  let s = scan_stability_ws ws sym in
   interval_of_iscan ~lo_closed:(s.iscan_lo <> inf && s.iscan_tied) s
 
 let stable_alpha_set g =
-  Kernel.with_ws (fun ws ->
-      if Symmetry.quotient_enabled () then
-        stable_alpha_set_sym_ws ws (Symmetry.detect_twins g) g
-      else stable_alpha_set_ws ws g)
+  Kernel.with_ws (fun ws -> stable_alpha_set_sym_ws ws (Game.sweep_symmetry g) g)
 
 let stable_alpha_set_reference g =
   let s = scan_stability_reference g in

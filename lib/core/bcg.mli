@@ -26,17 +26,11 @@ val severance_loss : Nf_graph.Graph.t -> int -> int -> Nf_util.Ext_int.t
     then).
     @raise Invalid_argument when [(i,j)] is not an edge. *)
 
-val alpha_min : Nf_graph.Graph.t -> Nf_util.Ext_int.t
-(** [max_{(i,k)∉A} min(benefit_i, benefit_k)] (Lemma 2); [Fin 0] for the
-    complete graph. *)
-
-val alpha_max : Nf_graph.Graph.t -> Nf_util.Ext_int.t
-(** [min] over edge endpoints of {!severance_loss}; [Inf] when every edge
-    is a bridge or there are no edges. *)
-
 val stability_interval : Nf_graph.Graph.t -> Nf_util.Interval.t
-(** The paper's characterization [(α_min, α_max]], intersected with
-    [α > 0]. *)
+(** The paper's characterization [(α_min, α_max]] (Lemma 2:
+    [α_min = max] over missing links of the less-interested endpoint's
+    benefit, [α_max = min] over edge endpoints of {!severance_loss}),
+    intersected with [α > 0]. *)
 
 val stable_alpha_set : Nf_graph.Graph.t -> Nf_util.Interval.t
 (** The exact set of positive link costs at which the graph is pairwise
@@ -45,21 +39,16 @@ val stable_alpha_set : Nf_graph.Graph.t -> Nf_util.Interval.t
     both endpoints (the revised Definition 3 is strict on one side
     only). *)
 
-val stable_alpha_set_ws : Nf_graph.Kernel.t -> Nf_graph.Graph.t -> Nf_util.Interval.t
-(** {!stable_alpha_set} against a caller-provided kernel workspace —
-    the allocation-free path used by chunked annotation, where one
-    workspace per domain is reused across every graph in a chunk.
-    Always the unquotiented loop; {!stable_alpha_set} itself applies the
-    twin-detection quotient tier when enabled. *)
-
 val stable_alpha_set_sym_ws :
   Nf_graph.Kernel.t -> Nf_iso.Symmetry.t -> Nf_graph.Graph.t -> Nf_util.Interval.t
-(** Orbit-quotient annotation: one representative toggle per orbit of
-    unordered pairs under the given automorphism subgroup, exploiting
-    that the per-pair benefit/loss multisets are orbit-invariant.
-    Structurally identical output to {!stable_alpha_set_ws} for any
-    subgroup of [Aut(g)]; a trivial subgroup runs exactly the
-    unquotiented scan (the rigid fast path). *)
+(** {!stable_alpha_set} against a caller-provided kernel workspace — the
+    path used by chunked annotation, where one workspace per domain is
+    reused across every graph in a chunk — toggling one
+    representative pair per orbit of the given automorphism subgroup
+    ({!Nf_iso.Symmetry.iter_pair_reps}; the per-pair benefit/loss
+    multisets are orbit-invariant).  The result is the same for any
+    subgroup of [Aut(g)]; [Symmetry.trivial n] scans every pair.
+    {!stable_alpha_set} passes {!Game.sweep_symmetry}. *)
 
 val stable_alpha_set_reference : Nf_graph.Graph.t -> Nf_util.Interval.t
 (** The retained persistent-path implementation (base sums via

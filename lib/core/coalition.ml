@@ -267,15 +267,12 @@ let make ~k : Interval.Union.t Game.t =
     let region_kind = Game.Region.Union
     let schema_tag = 5
 
-    let stable_region_ws ws g =
-      if k = 1 then Ucg.nash_alpha_set_ws ws g
-      else Interval.Union.of_list [ stable_alpha_set_ws ~k ws g ]
-
     (* k = 1 rides the UCG's orbit-pruned orientation walk; the k ≥ 2
-       scan is isomorphism-invariant but not yet quotiented. *)
-    let stable_region_sym_ws =
-      if k = 1 then Some (fun ws sym g -> Ucg.nash_alpha_set_sym_ws ws sym g)
-      else None
+       scan is isomorphism-invariant but not yet quotiented, so it
+       ignores the subgroup. *)
+    let stable_region_ws ws sym g =
+      if k = 1 then Ucg.nash_alpha_set_sym_ws ws sym g
+      else Interval.Union.of_list [ stable_alpha_set_ws ~k ws g ]
 
     let stable_region_reference g =
       if k = 1 then Ucg.nash_alpha_set_reference g

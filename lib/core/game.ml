@@ -62,8 +62,7 @@ module type S = sig
   val describe : string
   val region_kind : region Region.kind
   val schema_tag : int
-  val stable_region_ws : Kernel.t -> Graph.t -> region
-  val stable_region_sym_ws : (Kernel.t -> Nf_iso.Symmetry.t -> Graph.t -> region) option
+  val stable_region_ws : Kernel.t -> Nf_iso.Symmetry.t -> Graph.t -> region
   val stable_region_reference : Graph.t -> region
   val is_stable : alpha:Rat.t -> Graph.t -> bool
   val improving_moves : (alpha:Rat.t -> Graph.t -> move list) option
@@ -75,12 +74,10 @@ type 'r t = (module S with type region = 'r)
 type packed = Any : 'r t -> packed
 
 let name (Any (module G)) = G.name
-let family (Any (module G)) = G.family
 let params (Any (module G)) = G.params
 let describe (Any (module G)) = G.describe
 let schema_tag (Any (module G)) = G.schema_tag
 let has_moves (Any (module G)) = Option.is_some G.improving_moves
-let is_stable (Any (module G)) ~alpha g = G.is_stable ~alpha g
 
 let improving_moves (Any (module G)) ~alpha g =
   match G.improving_moves with
@@ -90,11 +87,6 @@ let improving_moves (Any (module G)) ~alpha g =
       (Printf.sprintf "Game.improving_moves: game %s has no move generator"
          G.name)
 
-let region_string_ws (Any (module G)) ws g =
-  Region.to_string G.region_kind (G.stable_region_ws ws g)
-
-let has_sym_annotator (Any (module G)) = Option.is_some G.stable_region_sym_ws
-
 (* The sweep-tier symmetry policy shared by every bulk consumer (pooled
    annotation, store chunk workers): twin detection, whose per-graph cost
    is far below one edge toggle, gated by the global opt-out.  One-off
@@ -103,8 +95,3 @@ let has_sym_annotator (Any (module G)) = Option.is_some G.stable_region_sym_ws
 let sweep_symmetry g =
   if Nf_iso.Symmetry.quotient_enabled () then Nf_iso.Symmetry.detect_twins g
   else Nf_iso.Symmetry.trivial (Graph.order g)
-
-let annotate_sym_ws (type r) ((module G) : r t) ws sym g : r =
-  match G.stable_region_sym_ws with
-  | Some f when not (Nf_iso.Symmetry.is_trivial sym) -> f ws sym g
-  | _ -> G.stable_region_ws ws g

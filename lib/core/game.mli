@@ -50,7 +50,7 @@ end
 
 (** What a connection game must provide.  The two annotators must be
     extensionally equal — [stable_region_ws] is the production
-    (kernel-workspace, allocation-free) path and
+    (kernel-workspace, orbit-quotiented) path and
     [stable_region_reference] the persistent specification twin; the
     registry-driven differential suites in [test/test_kernel.ml] hold
     every registered game to that contract, and [is_stable] must agree
@@ -92,29 +92,25 @@ module type S = sig
       instance of one parameterized family shares the family's tag — the
       header's parameter bytes ({!params}) tell the instances apart. *)
 
-  val stable_region_ws : Kernel.t -> Graph.t -> region
+  val stable_region_ws : Kernel.t -> Nf_iso.Symmetry.t -> Graph.t -> region
   (** Exact stable region, computed on a borrowed kernel workspace (the
-      graph is loaded by the callee; any toggles are undone). *)
-
-  val stable_region_sym_ws : (Kernel.t -> Nf_iso.Symmetry.t -> Graph.t -> region) option
-  (** Orbit-quotient twin of {!stable_region_ws}: given a subgroup of the
-      graph's automorphisms, evaluate one representative toggle per edge
-      orbit (or prune symmetric search branches) and return a region
-      {e structurally equal} to the unquotiented one — the differential
-      harness in [test/test_orbit.ml] holds every registered game to
-      that, and byte-identical stores depend on it.  [None] when the game
-      has no quotient implementation — because its annotator is not
-      isomorphism-invariant (per-player weights) or simply not yet
-      quotiented — which routes it through the plain loop.  The function
-      must itself fall back to the plain loop on a trivial subgroup (the
-      rigid fast path). *)
+      graph is loaded by the callee; any toggles are undone), given a
+      subgroup of the graph's automorphisms.  An isomorphism-invariant
+      annotator may evaluate one representative pair per orbit
+      ({!Nf_iso.Symmetry.iter_pair_reps}) or prune symmetric search
+      branches, but must return a region {e structurally equal} to the
+      one at [Symmetry.trivial n] — the differential harness in
+      [test/test_orbit.ml] holds every registered game to that, and
+      byte-identical stores depend on it.  A game whose annotator is not
+      isomorphism-invariant (per-player weights), or simply not
+      quotiented, ignores the subgroup. *)
 
   val stable_region_reference : Graph.t -> region
   (** Persistent-path specification twin of {!stable_region_ws}. *)
 
   val is_stable : alpha:Rat.t -> Graph.t -> bool
   (** Point certifier; agrees with [Region.mem region_kind alpha
-      (stable_region_ws ws g)] for every graph. *)
+      (stable_region_ws ws sym g)] for every graph and subgroup. *)
 
   val improving_moves : (alpha:Rat.t -> Graph.t -> move list) option
   (** Improving moves at [alpha] in a fixed documented order (so PRNG
@@ -139,27 +135,14 @@ type packed = Any : 'r t -> packed
     what name-driven code (CLI, scripts) manipulates. *)
 
 val name : packed -> string
-val family : packed -> string
 val params : packed -> string
 val describe : packed -> string
 val schema_tag : packed -> int
 val has_moves : packed -> bool
-val is_stable : packed -> alpha:Rat.t -> Graph.t -> bool
 val improving_moves : packed -> alpha:Rat.t -> Graph.t -> move list
 (** @raise Invalid_argument when the game has no move generator. *)
-
-val region_string_ws : packed -> Kernel.t -> Graph.t -> string
-(** Annotate on a workspace and render the region (CLI/CSV export). *)
-
-val has_sym_annotator : packed -> bool
 
 val sweep_symmetry : Graph.t -> Nf_iso.Symmetry.t
 (** The sweep-tier symmetry policy shared by bulk consumers (pooled
     annotation, store chunk workers): {!Nf_iso.Symmetry.detect_twins}
     when the quotient is enabled, the trivial subgroup otherwise. *)
-
-val annotate_sym_ws : 'r t -> Kernel.t -> Nf_iso.Symmetry.t -> Graph.t -> 'r
-(** Dispatch one annotation through the game's orbit-quotient path when
-    it has one and the subgroup is non-trivial, and through
-    [stable_region_ws] otherwise (the rigid fast path — byte-identical
-    to today's loop). *)

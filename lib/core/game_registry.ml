@@ -200,8 +200,6 @@ let resolve_tag tag ~params =
       in
       Some (instantiate_checked f tokens))
 
-let find_by_tag tag = resolve_tag tag ~params:""
-
 let ci_instances () =
   let base = all () in
   let covered = List.map Game.name base in
@@ -230,8 +228,7 @@ module Bcg_game = struct
   let describe = "bilateral connection game: pairwise stability (Definition 3)"
   let region_kind = Game.Region.Interval
   let schema_tag = 0
-  let stable_region_ws = Bcg.stable_alpha_set_ws
-  let stable_region_sym_ws = Some Bcg.stable_alpha_set_sym_ws
+  let stable_region_ws = Bcg.stable_alpha_set_sym_ws
   let stable_region_reference = Bcg.stable_alpha_set_reference
   let is_stable = Bcg.is_pairwise_stable
   let improving_moves = Some Bcg.improving_moves
@@ -248,8 +245,7 @@ module Ucg_game = struct
   let describe = "unilateral connection game: Nash graphs (Fabrikant et al.)"
   let region_kind = Game.Region.Union
   let schema_tag = 1
-  let stable_region_ws = Ucg.nash_alpha_set_ws
-  let stable_region_sym_ws = Some Ucg.nash_alpha_set_sym_ws
+  let stable_region_ws = Ucg.nash_alpha_set_sym_ws
   let stable_region_reference = Ucg.nash_alpha_set_reference
   let is_stable = Ucg.is_nash_graph
   let improving_moves = None
@@ -266,8 +262,7 @@ module Transfers_game = struct
   let describe = "pairwise stability with transfers (joint-surplus link decisions)"
   let region_kind = Game.Region.Interval
   let schema_tag = 2
-  let stable_region_ws = Transfers.stable_alpha_set_ws
-  let stable_region_sym_ws = Some Transfers.stable_alpha_set_sym_ws
+  let stable_region_ws = Transfers.stable_alpha_set_sym_ws
   let stable_region_reference = Transfers.stable_alpha_set_reference
   let is_stable = Transfers.is_stable
   let improving_moves = Some Transfers.improving_moves

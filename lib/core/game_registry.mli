@@ -90,10 +90,6 @@ val resolve_tag : int -> params:string -> Game.packed option
     @raise Invalid_argument when the tag names a family but the bytes do
     not parse under its grammar. *)
 
-val find_by_tag : int -> Game.packed option
-(** [resolve_tag tag ~params:""] — parameterless lookup, kept for
-    classic stores. *)
-
 (** The built-ins, also exposed with their region types for typed
     callers: *)
 

@@ -76,150 +76,47 @@ let two_le_i alpha k = k = inf || 2 * Rat.num alpha <= k * Rat.den alpha
 
 let half_int k = if k = inf then Interval.Pos_inf else Interval.Finite (Rat.make k 2)
 
-let scan_ws ws =
-  let n = Kernel.order ws in
+(* One pass over the subgroup's orbit-representative pairs
+   (Symmetry.iter_pair_reps; every pair for the trivial subgroup): the
+   joint benefit/loss of a pair is a sum of distance-sum differences,
+   preserved by any automorphism carrying one pair to another, so each
+   representative contributes exactly the values of every pair it stands
+   for and the max/min folds are unchanged.  A twin pair has the
+   transposition (i j) in the subgroup, so its joint value is twice one
+   endpoint's — one sweep per twin pair. *)
+let scan_ws ws sym =
   let base = Kernel.all_distance_sums ws in
   let lo = ref 0 and hi = ref inf in
-  for i = 0 to n - 2 do
-    for j = i + 1 to n - 1 do
+  Symmetry.iter_pair_reps sym (fun i j twin ->
       Kernel.toggle ws i j;
       if Kernel.has_edge ws i j then begin
         (* toggled a non-edge on: joint benefit *)
-        let bi = ibenefit ~base:base.(i) (Kernel.distance_sum_from ws i)
-        and bj = ibenefit ~base:base.(j) (Kernel.distance_sum_from ws j) in
+        let bi = ibenefit ~base:base.(i) (Kernel.distance_sum_from ws i) in
+        let bj = if twin then bi else ibenefit ~base:base.(j) (Kernel.distance_sum_from ws j) in
         let b = iadd bi bj in
         if b > !lo then lo := b
       end
       else begin
         (* toggled an edge off: joint loss *)
-        let li = iloss ~base:base.(i) (Kernel.distance_sum_from ws i)
-        and lj = iloss ~base:base.(j) (Kernel.distance_sum_from ws j) in
+        let li = iloss ~base:base.(i) (Kernel.distance_sum_from ws i) in
+        let lj = if twin then li else iloss ~base:base.(j) (Kernel.distance_sum_from ws j) in
         let l = iadd li lj in
         if l < !hi then hi := l
       end;
-      Kernel.toggle ws i j
-    done
-  done;
+      Kernel.toggle ws i j);
   (!lo, !hi)
 
 (* A link is added when joint benefit > 2α (strict, mirroring the revised
    Definition 3), so stability to additions is α >= benefit/2: closed.
    A link survives when joint loss >= 2α: α <= loss/2, closed. *)
-let stable_alpha_set_ws ws g =
-  Kernel.load ws g;
-  let lo, hi = scan_ws ws in
-  Interval.inter positive
-    (Interval.make ~lo:(half_int lo) ~lo_closed:true ~hi:(half_int hi) ~hi_closed:true)
-
-(* Orbit-quotient twin: the joint benefit/loss of a pair is a sum of
-   distance-sum differences, preserved by any automorphism carrying one
-   pair to another, so each orbit representative contributes exactly the
-   values of every pair it stands for — the max/min folds are unchanged.
-   Trivial subgroup ⇒ exactly [scan_ws] (the rigid fast path). *)
-let scan_orbit_ws ws (eo : Symmetry.edge_orbits) =
-  let n = Kernel.order ws in
-  let base = Kernel.all_distance_sums ws in
-  let orb = eo.Symmetry.orbit_of_pair in
-  let lo = ref 0 and hi = ref inf in
-  for i = 0 to n - 2 do
-    for j = i + 1 to n - 1 do
-      let t = (j * (j - 1) / 2) + i in
-      if orb.(t) = t then begin
-        Kernel.toggle ws i j;
-        if Kernel.has_edge ws i j then begin
-          let bi = ibenefit ~base:base.(i) (Kernel.distance_sum_from ws i)
-          and bj = ibenefit ~base:base.(j) (Kernel.distance_sum_from ws j) in
-          let b = iadd bi bj in
-          if b > !lo then lo := b
-        end
-        else begin
-          let li = iloss ~base:base.(i) (Kernel.distance_sum_from ws i)
-          and lj = iloss ~base:base.(j) (Kernel.distance_sum_from ws j) in
-          let l = iadd li lj in
-          if l < !hi then hi := l
-        end;
-        Kernel.toggle ws i j
-      end
-    done
-  done;
-  (!lo, !hi)
-
-(* Twin-class variant: the O(1) representative test replaces the orbit
-   table, non-minimal rows are skipped wholesale, and a within-class pair
-   has a transposition swapping its endpoints, so its joint benefit/loss
-   is twice the one endpoint's value — one sweep per twin pair. *)
-let scan_classes_ws ws (cls : int array) (second : int array) =
-  let n = Kernel.order ws in
-  let base = Kernel.all_distance_sums ws in
-  let lo = ref 0 and hi = ref inf in
-  for i = 0 to n - 2 do
-    if cls.(i) = i then begin
-      let snd_i = second.(i) in
-      for j = i + 1 to n - 1 do
-        let same = cls.(j) = i in
-        if (if same then j = snd_i else cls.(j) = j) then begin
-          Kernel.toggle ws i j;
-          if Kernel.has_edge ws i j then begin
-            let bi = ibenefit ~base:base.(i) (Kernel.distance_sum_from ws i) in
-            let bj =
-              if same then bi else ibenefit ~base:base.(j) (Kernel.distance_sum_from ws j)
-            in
-            let b = iadd bi bj in
-            if b > !lo then lo := b
-          end
-          else begin
-            let li = iloss ~base:base.(i) (Kernel.distance_sum_from ws i) in
-            let lj =
-              if same then li else iloss ~base:base.(j) (Kernel.distance_sum_from ws j)
-            in
-            let l = iadd li lj in
-            if l < !hi then hi := l
-          end;
-          Kernel.toggle ws i j
-        end
-      done
-    end
-  done;
-  (!lo, !hi)
-
 let stable_alpha_set_sym_ws ws sym g =
   Kernel.load ws g;
-  let lo, hi =
-    if Symmetry.is_trivial sym then scan_ws ws
-    else
-      match Symmetry.twin_partition sym with
-      | Some (cls, second) -> scan_classes_ws ws cls second
-      | None -> scan_orbit_ws ws (Symmetry.edge_orbits sym)
-  in
+  let lo, hi = scan_ws ws sym in
   Interval.inter positive
     (Interval.make ~lo:(half_int lo) ~lo_closed:true ~hi:(half_int hi) ~hi_closed:true)
 
 let stable_alpha_set g =
-  Kernel.with_ws (fun ws ->
-      if Symmetry.quotient_enabled () then
-        stable_alpha_set_sym_ws ws (Symmetry.detect_twins g) g
-      else stable_alpha_set_ws ws g)
-
-let alpha_min g =
-  if Graph.is_complete g then None
-  else
-    Kernel.with_loaded g (fun ws ->
-        let n = Kernel.order ws in
-        let base = Kernel.all_distance_sums ws in
-        let lo = ref 0 in
-        for i = 0 to n - 2 do
-          for j = i + 1 to n - 1 do
-            if not (Kernel.has_edge ws i j) then begin
-              Kernel.toggle ws i j;
-              let bi = ibenefit ~base:base.(i) (Kernel.distance_sum_from ws i)
-              and bj = ibenefit ~base:base.(j) (Kernel.distance_sum_from ws j) in
-              Kernel.toggle ws i j;
-              let b = iadd bi bj in
-              if b > !lo then lo := b
-            end
-          done
-        done;
-        if !lo = inf then None else Some (Rat.make !lo 2))
+  Kernel.with_ws (fun ws -> stable_alpha_set_sym_ws ws (Game.sweep_symmetry g) g)
 
 (* Joint improving moves for the transfers dynamics: a link is added when
    the pair's joint benefit exceeds its joint price 2α (strict, mirroring

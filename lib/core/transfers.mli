@@ -18,28 +18,19 @@ val joint_severance_loss : Nf_graph.Graph.t -> int -> int -> Nf_util.Ext_int.t
 (** Combined distance increase of both endpoints from severing an
     existing link. *)
 
-val alpha_min : Nf_graph.Graph.t -> Nf_util.Rat.t option
-(** [max] over missing links of half the joint benefit; [None] for the
-    complete graph, [Some] infinite cases surface as stability-set
-    emptiness instead. *)
-
 val stable_alpha_set : Nf_graph.Graph.t -> Nf_util.Interval.t
 (** The exact set of positive link costs at which the graph is pairwise
     stable with transfers. *)
 
-val stable_alpha_set_ws : Nf_graph.Kernel.t -> Nf_graph.Graph.t -> Nf_util.Interval.t
-(** {!stable_alpha_set} against a caller-provided kernel workspace (the
-    allocation-free chunked-annotation path).  Always the unquotiented
-    loop; {!stable_alpha_set} itself applies the twin-detection quotient
-    tier when enabled. *)
-
 val stable_alpha_set_sym_ws :
   Nf_graph.Kernel.t -> Nf_iso.Symmetry.t -> Nf_graph.Graph.t -> Nf_util.Interval.t
-(** Orbit-quotient annotation: one representative toggle per orbit of
-    unordered pairs (joint benefits/losses are orbit-invariant).
-    Structurally identical output to {!stable_alpha_set_ws} for any
-    subgroup of [Aut(g)]; trivial subgroup ⇒ exactly the unquotiented
-    scan. *)
+(** {!stable_alpha_set} against a caller-provided kernel workspace (the
+    chunked-annotation path), toggling one representative pair per orbit
+    of the given automorphism subgroup
+    ({!Nf_iso.Symmetry.iter_pair_reps}; joint benefits/losses are
+    orbit-invariant).  The result is the same for any subgroup of
+    [Aut(g)]; [Symmetry.trivial n] scans every pair.
+    {!stable_alpha_set} passes {!Game.sweep_symmetry}. *)
 
 val stable_alpha_set_reference : Nf_graph.Graph.t -> Nf_util.Interval.t
 (** Retained persistent-path implementation; structurally identical output

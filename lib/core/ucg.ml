@@ -239,10 +239,6 @@ let best_response ~alpha g i ~owned =
       assert (d <> inf);
       (!best, Rat.add (Rat.mul alpha (Rat.of_int k)) (Rat.of_int d)))
 
-let best_response_f ~alpha g i ~owned =
-  let targets, cost = best_response ~alpha g i ~owned in
-  (targets, Rat.to_float cost)
-
 (* --- orientation search ------------------------------------------------ *)
 
 (* Shared structure: assign each edge to an endpoint; as soon as a vertex
@@ -428,10 +424,6 @@ let nash_alpha_set_pruned ws g =
   nash_alpha_set_gen ~prune:true
     ~interval_of:(fun v owned -> acceptance_interval_ws ws v ~owned)
     g
-
-let nash_alpha_set_ws ws g =
-  Kernel.load ws g;
-  nash_alpha_set_pruned ws g
 
 (* ---- orbit-quotient orientation search ----------------------------------
    Two symmetry dividends on top of the plain walk, both exact:
@@ -712,13 +704,12 @@ let nash_alpha_set_sym_ws ws sym g =
    fast path keeps asymmetric graphs on exactly the plain walk. *)
 let nash_alpha_set g =
   Kernel.with_ws (fun ws ->
-      if not (Symmetry.quotient_enabled ()) then nash_alpha_set_ws ws g
-      else
-        let sym =
-          if Graph.size g >= 10 then Symmetry.detect_full g
-          else Symmetry.detect_twins g
-        in
-        nash_alpha_set_sym_ws ws sym g)
+      let sym =
+        if not (Symmetry.quotient_enabled ()) then Symmetry.trivial (Graph.order g)
+        else if Graph.size g >= 10 then Symmetry.detect_full g
+        else Symmetry.detect_twins g
+      in
+      nash_alpha_set_sym_ws ws sym g)
 
 let nash_alpha_set_reference g =
   nash_alpha_set_gen ~prune:false ~interval_of:(fun v owned -> acceptance_interval g v ~owned) g

@@ -41,11 +41,6 @@ val best_response :
     are compared by integer cross-multiplication, never through floats.
     Searches all [2^(candidates)] subsets. *)
 
-val best_response_f :
-  alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> int -> owned:owned -> owned * float
-(** {!best_response} with the cost rounded to a float — convenience for
-    examples and printing; the argmax itself is computed exactly. *)
-
 val accepts : alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> int -> owned:owned -> bool
 (** Player [i] has no strictly improving unilateral deviation when it owns
     [owned] in [g]. *)
@@ -78,24 +73,19 @@ val nash_alpha_set : Nf_graph.Graph.t -> Nf_util.Interval.Union.t
     scan below that — and prunes the orientation walk with it; the
     result is structurally identical either way. *)
 
-val nash_alpha_set_ws : Nf_graph.Kernel.t -> Nf_graph.Graph.t -> Nf_util.Interval.Union.t
-(** {!nash_alpha_set} against a caller-provided kernel workspace — the
-    allocation-light path used by chunked annotation (acceptance intervals
-    accumulated as integer fraction bounds around in-place edge
-    toggles).  Always the unquotiented walk, with coverage pruning (see
-    the module header). *)
-
 val nash_alpha_set_sym_ws :
   Nf_graph.Kernel.t -> Nf_iso.Symmetry.t -> Nf_graph.Graph.t -> Nf_util.Interval.Union.t
-(** Orbit-quotient orientation search: prunes owner-swap sibling branches
-    with live automorphisms of the given subgroup (any subgroup of
-    [Aut(g)] is sound — skipped subtrees emit exactly the pieces their
-    σ-image keeps) and runs the walk on lazily-filled integer acceptance
-    tables, pruning by coverage as well (the covered ranges are kept as
-    integer numerator/denominator/closedness registers, so the test does
-    not allocate).  Structurally identical output to
-    {!nash_alpha_set_ws}; a trivial subgroup runs exactly the plain walk
-    (the rigid fast path). *)
+(** {!nash_alpha_set} against a caller-provided kernel workspace — the
+    allocation-light path used by chunked annotation (acceptance
+    intervals accumulated as integer fraction bounds around in-place
+    edge toggles, pruned by coverage; see the module header).  A
+    non-trivial subgroup also prunes owner-swap sibling branches with
+    its live automorphisms (any subgroup of [Aut(g)] is sound — skipped
+    subtrees emit exactly the pieces their σ-image keeps) and runs the
+    walk on lazily-filled integer acceptance tables, the covered ranges
+    kept as integer numerator/denominator/closedness registers so the
+    coverage test does not allocate.  The result is the same for any
+    subgroup; [Symmetry.trivial n] runs the plain walk. *)
 
 val nash_alpha_set_reference : Nf_graph.Graph.t -> Nf_util.Interval.Union.t
 (** Retained persistent-path implementation built on

@@ -235,14 +235,12 @@ let make ?(name = "weighted_bcg")
     let describe = describe
     let region_kind = Game.Region.Interval
     let schema_tag = schema_tag
-    let stable_region_ws ws g = stable_alpha_set_ws ~weight ws g
-
-    (* No orbit-quotient path: the weight profile is indexed by player
+    (* No orbit quotient: the weight profile is indexed by player
        identity (w_i is not constant on automorphism orbits), so the
        per-pair fraction thresholds are not isomorphism-invariant and a
-       representative toggle cannot stand for its orbit.  The generic
-       annotator routes this game through the plain loop permanently. *)
-    let stable_region_sym_ws = None
+       representative toggle cannot stand for its orbit.  The subgroup is
+       ignored and every pair is scanned. *)
+    let stable_region_ws ws _sym g = stable_alpha_set_ws ~weight ws g
     let stable_region_reference g = stable_alpha_set_reference ~weight g
     let is_stable ~alpha g = is_stable ~weight ~alpha g
     let improving_moves = Some (fun ~alpha g -> improving_moves ~weight ~alpha g)

@@ -39,16 +39,6 @@ let make n witness = { n; witness; orbits_cache = Atomic.make None }
 let trivial_pool = Array.init 16 (fun n -> make n (Explicit []))
 let trivial n = if n < 16 then trivial_pool.(n) else make n (Explicit [])
 
-let of_generators n generators =
-  List.iter
-    (fun g ->
-      if Array.length g <> n then
-        invalid_arg "Symmetry.of_generators: generator length mismatch")
-    generators;
-  if generators = [] then trivial n else make n (Explicit generators)
-
-let order_n t = t.n
-
 (* star transpositions (v, min of v's class) span each class, so they
    generate exactly the product of class-symmetric groups the twin scan
    witnessed — materialized only for consumers that want concrete group
@@ -126,10 +116,54 @@ let edge_orbits t =
     Atomic.set t.orbits_cache (Some eo);
     eo
 
+(* ---- the pair traversal --------------------------------------------------
+   The one place a subgroup becomes the set of pairs a scan evaluates:
+   every orbit-quotiented loop runs its per-pair body through here, so
+   the representative rule lives in this module only.  Pairs come in
+   lexicographic (i < j) order, one per orbit, each the orbit's
+   lexicographically least member.  The flag is set only where the
+   subgroup is known to hold the transposition (i j), which makes the two
+   endpoints' per-vertex values equal so one sweep serves both.
+
+   - trivial: every pair, a plain double loop (the rigid fast path);
+   - twins: the O(1) class test — rows whose [i] is not its class
+     minimum are skipped whole, and a within-class pair is flagged;
+   - explicit generators: the cached orbit table, flag never set. *)
+let iter_pair_reps t f =
+  let n = t.n in
+  match t.witness with
+  | Explicit [] ->
+    for i = 0 to n - 2 do
+      for j = i + 1 to n - 1 do
+        f i j false
+      done
+    done
+  | Twins { classes; second } ->
+    for i = 0 to n - 2 do
+      if classes.(i) = i then begin
+        let snd_i = second.(i) in
+        for j = i + 1 to n - 1 do
+          let cj = classes.(j) in
+          if cj = i then begin
+            if j = snd_i then f i j true
+          end
+          else if cj = j then f i j false
+        done
+      end
+    done
+  | Explicit _ ->
+    let orb = (edge_orbits t).orbit_of_pair in
+    for i = 0 to n - 2 do
+      for j = i + 1 to n - 1 do
+        let p = Canon.pair_index i j in
+        if orb.(p) = p then f i j false
+      done
+    done
+
 (* ---- opt-out switch ------------------------------------------------------
    One process-wide flag: the CLI's --no-orbit-quotient and the
-   NETFORM_NO_ORBIT_QUOTIENT env var force every auto-detecting entry
-   point back onto the unquotiented loops, so a suspected mis-propagation
+   NETFORM_NO_ORBIT_QUOTIENT env var make every auto-detecting entry
+   point pass the trivial subgroup (every pair), so a suspected mis-propagation
    can be bisected in the field.  Set before parallel work starts (the
    CLI does); the sweeps only read it. *)
 let quotient_disabled_env =
@@ -180,8 +214,10 @@ let detect_twins g =
   else make n (Twins { classes = !cls; second = !snd })
 
 let detect_full g =
-  let full = Canon.full g in
-  of_generators (Graph.order g) full.Canon.generators
+  let n = Graph.order g in
+  match (Canon.full g).Canon.generators with
+  | [] -> trivial n
+  | gens -> make n (Explicit gens)
 
 (* ---- capped closure ------------------------------------------------------
    The UCG orientation search prunes sibling branches with concrete group

@@ -16,23 +16,16 @@
       graph, reserved for one-off calls whose annotation dwarfs it
       (gallery graphs, UCG orientation searches).
 
-    The rigid fast path is the caller's: {!is_trivial} routes back to
-    the unquotiented loop, so asymmetric graphs pay only the detection
-    scan. *)
+    {!iter_pair_reps} is the only place a subgroup turns into the set of
+    pairs a scan evaluates.  A trivial subgroup is its all-pairs case,
+    so asymmetric graphs run the plain double loop and pay only the
+    detection scan. *)
 
 type t
 (** A subgroup of the automorphisms of one [n]-vertex graph. *)
 
 val trivial : int -> t
 (** The trivial subgroup on [n] vertices ({!is_trivial} holds). *)
-
-val of_generators : int -> int array list -> t
-(** Wrap explicit generators (each a permutation of [0..n-1], old vertex
-    [v] → image [gen.(v)]).  The caller asserts they are automorphisms
-    of the graph being annotated; {!self_check} verifies it.
-    @raise Invalid_argument on a length mismatch. *)
-
-val order_n : t -> int
 
 val generators : t -> int array list
 (** Concrete generators of the witnessed subgroup.  For {!detect_twins}
@@ -50,7 +43,7 @@ val twin_partition : t -> (int array * int array) option
     groups on the classes, so a pair [{i, j}] ([i < j]) is its orbit's
     lexicographically-least representative iff [i = classes.(i)] and
     [j = classes.(j)] (distinct classes) or [j = second.(classes.(i))]
-    (same class) — an O(1) test the hot scans use instead of
+    (same class) — the O(1) test {!iter_pair_reps} applies instead of
     materializing {!edge_orbits}. *)
 
 val detect_twins : Nf_graph.Graph.t -> t
@@ -75,6 +68,17 @@ val edge_orbits : t -> edge_orbits
     computed once per value and cached (atomically — values are shared
     across annotation domains). *)
 
+val iter_pair_reps : t -> (int -> int -> bool -> unit) -> unit
+(** [iter_pair_reps sym f] calls [f i j twin] once per orbit of
+    unordered vertex pairs under the subgroup, on the orbit's
+    lexicographically least pair [i < j], in lexicographic order — as a
+    set, the visited pairs are exactly [(edge_orbits sym).reps].  [twin] is
+    [true] exactly on the twin tier's within-class pairs, where the
+    subgroup holds the transposition [(i j)]: the two endpoints'
+    per-vertex values are then equal and one sweep serves both.  A
+    trivial subgroup visits every pair with [twin = false]; the twin
+    tier never materializes {!edge_orbits}. *)
+
 val group_elements : cap:int -> t -> int array array
 (** Up to [cap] non-identity elements of the generated subgroup, by
     breadth-first closure.  Any prefix of the group is sound for the UCG
@@ -84,8 +88,8 @@ val group_elements : cap:int -> t -> int array array
 val quotient_enabled : unit -> bool
 (** [false] when [NETFORM_NO_ORBIT_QUOTIENT] is set (to anything but
     ["0"] or the empty string) or after {!set_quotient_enabled} [false]:
-    every auto-detecting annotation entry point then takes the
-    unquotiented loop. *)
+    every auto-detecting annotation entry point then passes the
+    trivial subgroup and scans every pair. *)
 
 val set_quotient_enabled : bool -> unit
 (** Flip the process-wide opt-out (the CLI's [--no-orbit-quotient]).

@@ -41,13 +41,12 @@ let game_of_content = function
     | None -> Printf.sprintf "unknown(tag %d)" tag)
 
 (* One workspace borrow covers the whole record: the worker domain's
-   resident kernel scratch is reused for every record it processes.  The
-   classic annotator keeps its layout (BCG interval, plus the UCG union
-   when flagged) but routes through the orbit-quotient dispatch — one
-   sweep-tier detection covers both regions of a record, and quotiented
-   regions are structurally identical to the plain loops' (the PR 5
-   golden md5s pin the resulting bytes); game stores dispatch through the
-   registry instance's annotator the same way. *)
+   resident kernel scratch is reused for every record it processes, and
+   one sweep-tier detection ([Game.sweep_symmetry]) covers every region
+   of the record.  The classic annotator keeps its layout (BCG interval,
+   plus the UCG union when flagged); game stores call the registry
+   instance's annotator.  Quotiented regions are structurally identical
+   to the all-pairs ones, and the golden store md5s pin the bytes. *)
 let annotator_of_content = function
   | Layout.Classic { with_ucg } ->
     fun g ->
@@ -61,14 +60,14 @@ let annotator_of_content = function
   | Layout.Game { tag; union; params } -> (
     match Game_registry.resolve_tag tag ~params with
     | None -> failwith (Printf.sprintf "no registered game has schema tag %d" tag)
-    | Some (Game.Any ((module G) as game)) -> (
+    | Some (Game.Any (module G)) -> (
       match (G.region_kind, union) with
       | Game.Region.Interval, false ->
         fun g ->
           Nf_graph.Kernel.with_ws (fun ws ->
               {
                 Layout.graph6 = Nf_graph.Graph6.encode g;
-                bcg = Game.annotate_sym_ws game ws (Game.sweep_symmetry g) g;
+                bcg = G.stable_region_ws ws (Game.sweep_symmetry g) g;
                 ucg = None;
               })
       | Game.Region.Union, true ->
@@ -77,7 +76,7 @@ let annotator_of_content = function
               {
                 Layout.graph6 = Nf_graph.Graph6.encode g;
                 bcg = Nf_util.Interval.empty;
-                ucg = Some (Game.annotate_sym_ws game ws (Game.sweep_symmetry g) g);
+                ucg = Some (G.stable_region_ws ws (Game.sweep_symmetry g) g);
               })
       | (Game.Region.Interval | Game.Region.Union), _ ->
         failwith

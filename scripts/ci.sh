@@ -91,17 +91,34 @@ echo "UCG n=7 store: four builds byte-identical, md5 $ucg7_md5"
 
 # BCG bytes at n=8: the first order enumerated by canonical augmentation,
 # whose representatives and stream order come from the refinement's exact
-# cell ordering, so both pool widths must reproduce the golden md5.
-echo "== BCG n=8 store (golden md5, both pool widths) =="
+# cell ordering, so both pool widths must reproduce the golden md5 — and
+# so must the all-pairs scan: 45% of the n=8 classes have twins, so the
+# quotient-off build checks the twin-tier pair rule on many subgroups.
+echo "== BCG n=8 store (golden md5, both pool widths, quotient on/off) =="
 bcg8_md5=0690cd63db39415fb220f1cf44d3ff89
 for jobs in 1 4; do
   NETFORM_JOBS=$jobs dune exec bin/netform_cli.exe -- store build -n 8 --game bcg \
     -o "$store_dir/bcg8_j$jobs.nfs" --quiet
 done
+dune exec bin/netform_cli.exe -- store build -n 8 --game bcg --no-orbit-quotient \
+  -o "$store_dir/bcg8_nq.nfs" --quiet
 cmp "$store_dir/bcg8_j1.nfs" "$store_dir/bcg8_j4.nfs"
+cmp "$store_dir/bcg8_j1.nfs" "$store_dir/bcg8_nq.nfs"
 sum=$(md5sum "$store_dir/bcg8_j1.nfs" | cut -d' ' -f1)
 [ "$sum" = "$bcg8_md5" ] || { echo "BCG n=8 store: md5 $sum, expected $bcg8_md5" >&2; exit 1; }
-echo "BCG n=8 store: jobs=1 and jobs=4 builds byte-identical, md5 $bcg8_md5"
+echo "BCG n=8 store: jobs=1, jobs=4 and quotient-off builds byte-identical, md5 $bcg8_md5"
+
+# Transfers bytes at n=7, quotient on vs off: the other interval game
+# whose scan runs over the orbit-representative pairs.
+echo "== transfers n=7 store (quotient on/off) =="
+for quotient in on off; do
+  flag=""
+  [ "$quotient" = on ] || flag="--no-orbit-quotient"
+  dune exec bin/netform_cli.exe -- store build -n 7 --game transfers $flag \
+    -o "$store_dir/transfers7_$quotient.nfs" --quiet
+done
+cmp "$store_dir/transfers7_on.nfs" "$store_dir/transfers7_off.nfs"
+echo "transfers n=7 store: quotient on and off byte-identical"
 
 # Registry exhaustiveness: every game the binary knows about must survive
 # the full annotate -> store build -> verify loop under both pool widths,

@@ -189,6 +189,49 @@ let test_cli_game_sweep_roundtrip () =
   in
   Alcotest.(check string) "CLI csv = library csv" expected from_cli
 
+let test_cli_experiments_unknown_only () =
+  (* an --only id that names no experiment is refused before the suite
+     runs: exit 2, nothing on stdout, the pinned message on stderr *)
+  let cli =
+    Filename.concat
+      (Filename.dirname (Filename.dirname Sys.executable_name))
+      "bin/netform_cli.exe"
+  in
+  let out_path = Filename.temp_file "netform_only" ".out" in
+  let err_path = Filename.temp_file "netform_only" ".err" in
+  let read_file path =
+    let ic = open_in_bin path in
+    let s = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    Sys.remove path;
+    s
+  in
+  let run args =
+    let status =
+      Sys.command
+        (Printf.sprintf "%s experiments %s > %s 2> %s" (Filename.quote cli) args
+           (Filename.quote out_path) (Filename.quote err_path))
+    in
+    let out = read_file out_path in
+    let err = read_file err_path in
+    (status, out, err)
+  in
+  let status, out, err = run "-n 5 --only E99" in
+  check_int "unknown id: exit 2" 2 status;
+  Alcotest.(check string) "unknown id: no stdout" "" out;
+  Alcotest.(check string) "unknown id: message"
+    (Printf.sprintf "error: unknown experiment id \"E99\" (known: %s)\n"
+       (String.concat ", " Experiments.ids))
+    err;
+  let status, out, err = run "-n 4 --game transfers --only E1" in
+  check_int "id outside the --game sweep: exit 2" 2 status;
+  Alcotest.(check string) "id outside the --game sweep: no stdout" "" out;
+  Alcotest.(check string) "id outside the --game sweep: message"
+    "error: unknown experiment id \"E1\" (known: G:transfers)\n" err;
+  Alcotest.(check (list string)) "ids"
+    (List.init 23 (fun k -> Printf.sprintf "E%d" (k + 1)))
+    Experiments.ids
+
 let test_dataset_roundtrip () =
   let module Dataset = Nf_analysis.Dataset in
   let entries = Dataset.build 5 in
@@ -367,6 +410,7 @@ let () =
           Alcotest.test_case "transfers stable graphs complete" `Quick
             test_transfers_stable_graphs_complete;
           Alcotest.test_case "cli game sweep roundtrip" `Quick test_cli_game_sweep_roundtrip;
+          Alcotest.test_case "cli unknown --only id" `Quick test_cli_experiments_unknown_only;
           Alcotest.test_case "render" `Quick test_experiment_render;
         ] );
     ]

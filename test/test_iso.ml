@@ -480,6 +480,57 @@ let test_generators_match_twin_witness () =
           (List.length (group_closure n (Symmetry.generators sym))))
     fixtures
 
+(* The representative rule lives in [Symmetry.iter_pair_reps] alone, so
+   it is pinned here against the orbit tables: under every tier, the
+   visited pairs come in strictly ascending lexicographic order, their
+   triangular indices are exactly [edge_orbits.reps], and the twin flag
+   is set exactly on twin-tier pairs inside one class — where the
+   transposition (i j) must then be an automorphism. *)
+let check_pair_reps label g sym =
+  let n = Graph.order g in
+  let visits = ref [] in
+  Symmetry.iter_pair_reps sym (fun i j twin -> visits := (i, j, twin) :: !visits);
+  let visits = List.rev !visits in
+  let rec ascending = function
+    | (i1, j1, _) :: ((i2, j2, _) :: _ as rest) -> compare (i1, j1) (i2, j2) < 0 && ascending rest
+    | [ _ ] | [] -> true
+  in
+  check_bool (label ^ ": pairs i < j") true
+    (List.for_all (fun (i, j, _) -> 0 <= i && i < j && j < n) visits);
+  check_bool (label ^ ": lexicographic order") true (ascending visits);
+  check (Alcotest.list Alcotest.int) (label ^ ": visits = edge_orbits reps")
+    (Array.to_list (Symmetry.edge_orbits sym).Symmetry.reps)
+    (List.sort compare (List.map (fun (i, j, _) -> Canon.pair_index i j) visits));
+  let classes = Option.map fst (Symmetry.twin_partition sym) in
+  List.iter
+    (fun (i, j, twin) ->
+      let same_class = match classes with Some c -> c.(i) = c.(j) | None -> false in
+      if twin <> same_class then
+        Alcotest.failf "%s: twin flag %b on (%d, %d), expected %b" label twin i j same_class;
+      if twin then
+        for k = 0 to n - 1 do
+          if k <> i && k <> j && Graph.has_edge g k i <> Graph.has_edge g k j then
+            Alcotest.failf "%s: flagged (%d, %d) are not twins" label i j
+        done)
+    visits
+
+let test_pair_reps () =
+  let fixtures =
+    List.concat_map
+      (fun n ->
+        List.mapi
+          (fun k g -> (Printf.sprintf "n=%d #%d" n k, g))
+          (Nf_enum.Unlabeled.connected_graphs n))
+      [ 1; 2; 3; 4; 5; 6; 7 ]
+    @ Nf_named.Gallery.all
+  in
+  List.iter
+    (fun (label, g) ->
+      check_pair_reps (label ^ " trivial") g (Symmetry.trivial (Graph.order g));
+      check_pair_reps (label ^ " twins") g (Symmetry.detect_twins g);
+      check_pair_reps (label ^ " full") g (Symmetry.detect_full g))
+    fixtures
+
 let prop_twin_orbits_refine_full =
   (* soundness of the cheap tier on random graphs: every twin-orbit lies
      inside one full-group orbit, and self_check holds *)
@@ -605,6 +656,7 @@ let () =
           Alcotest.test_case "twin partition" `Quick test_twin_partition_star;
           Alcotest.test_case "self-check gallery" `Quick test_symmetry_self_check_gallery;
           Alcotest.test_case "twin generators" `Quick test_generators_match_twin_witness;
+          Alcotest.test_case "pair representatives" `Quick test_pair_reps;
         ] );
       ( "ahu",
         [

@@ -24,6 +24,9 @@ let ext = Alcotest.testable Ext_int.pp Ext_int.equal
 let interval = Alcotest.testable Interval.pp Interval.equal
 let union = Alcotest.testable Interval.Union.pp Interval.Union.equal
 
+(* the annotators' all-pairs case *)
+let trivial g = Nf_iso.Symmetry.trivial (Graph.order g)
+
 (* seeded corpus: sparse through dense gnp at several orders, plus the
    degenerate shapes the kernel must not trip over *)
 let random_corpus () =
@@ -212,7 +215,7 @@ let game_parity (Game.Any (module G) as packed) () =
   List.iter
     (fun g ->
       check (region_testable G.region_kind) "ws = reference" (G.stable_region_reference g)
-        (G.stable_region_ws ws g))
+        (G.stable_region_ws ws (trivial g) g))
     (corpus_for packed)
 
 let game_toggle_walk (Game.Any (module G)) () =
@@ -226,14 +229,14 @@ let game_toggle_walk (Game.Any (module G)) () =
     let j = (i + 1 + Prng.int rng (n - 1)) mod n in
     g := (if Graph.has_edge !g i j then Graph.remove_edge else Graph.add_edge) !g i j;
     check (region_testable G.region_kind) "post-toggle ws = reference"
-      (G.stable_region_reference !g) (G.stable_region_ws ws !g)
+      (G.stable_region_reference !g) (G.stable_region_ws ws (trivial !g) !g)
   done
 
 let game_certifier (Game.Any (module G) as packed) () =
   let ws = Kernel.create () in
   List.iter
     (fun g ->
-      let region = G.stable_region_ws ws g in
+      let region = G.stable_region_ws ws (trivial g) g in
       List.iter
         (fun alpha ->
           check_bool "is_stable = region membership"
@@ -279,7 +282,7 @@ let test_coalition_k2_scan_is_bcg () =
   Kernel.with_ws (fun ws ->
       List.iter
         (fun g ->
-          check interval "k=2 scan = BCG interval" (Bcg.stable_alpha_set_ws ws g)
+          check interval "k=2 scan = BCG interval" (Bcg.stable_alpha_set_sym_ws ws (trivial g) g)
             (Coalition.stable_alpha_set_ws ~k:2 ws g))
         (coalition_corpus ()))
 
@@ -291,13 +294,13 @@ let test_coalition_instances_vs_classics () =
   Kernel.with_ws (fun ws ->
       List.iter
         (fun g ->
-          check union "coalition:k=1 region = UCG region" (U.stable_region_ws ws g)
-            (K1.stable_region_ws ws g);
-          let k2 = K2.stable_region_ws ws g in
+          check union "coalition:k=1 region = UCG region" (U.stable_region_ws ws (trivial g) g)
+            (K1.stable_region_ws ws (trivial g) g);
+          let k2 = K2.stable_region_ws ws (trivial g) g in
           check union "coalition:k=2 region = BCG interval"
-            (Interval.Union.of_list [ Bcg.stable_alpha_set_ws ws g ])
+            (Interval.Union.of_list [ Bcg.stable_alpha_set_sym_ws ws (trivial g) g ])
             k2;
-          let k3 = K3.stable_region_ws ws g in
+          let k3 = K3.stable_region_ws ws (trivial g) g in
           List.iter
             (fun alpha ->
               if Interval.Union.mem alpha k3 then
@@ -377,8 +380,8 @@ let test_weighted_uniform_is_bcg () =
   let ws = Kernel.create () in
   List.iter
     (fun g ->
-      check interval "uniform weighted = bcg" (Bcg.stable_alpha_set_ws ws g)
-        (U.stable_region_ws ws g);
+      check interval "uniform weighted = bcg" (Bcg.stable_alpha_set_sym_ws ws (trivial g) g)
+        (U.stable_region_ws ws (trivial g) g);
       List.iter
         (fun alpha ->
           check_bool "uniform certifier = bcg" (Bcg.is_pairwise_stable ~alpha g)
@@ -406,8 +409,8 @@ let test_weighted_scaled_is_bcg_over_w () =
   List.iter
     (fun g ->
       check interval "w=3 weighted = bcg region / 3"
-        (scale_interval w (Bcg.stable_alpha_set_ws ws g))
-        (U.stable_region_ws ws g))
+        (scale_interval w (Bcg.stable_alpha_set_sym_ws ws (trivial g) g))
+        (U.stable_region_ws ws (trivial g) g))
     (annotation_corpus ())
 
 let test_ucg_petersen_parity () =
