@@ -54,7 +54,12 @@ let () =
     Printf.printf "Dissection at alpha = %s:\n" (Rat.to_string alpha);
     Printf.printf "  UCG: is Nash graph?       %b\n" (Ucg.is_nash_graph ~alpha g);
     Printf.printf "  BCG: pairwise stable?     %b\n" (Bcg.is_pairwise_stable ~alpha g);
-    (match Bcg.improving_deletion ~alpha g with
+    (* the move list reversed: additions, then deletions, each in
+       lexicographic order *)
+    let moves = List.rev (Bcg.improving_moves ~alpha g) in
+    let first_delete = function Game.Delete (i, j) -> Some (i, j) | Game.Add _ -> None
+    and first_add = function Game.Add (i, j) -> Some (i, j) | Game.Delete _ -> None in
+    (match List.find_map first_delete moves with
     | Some (i, j) ->
       Printf.printf "  destabilizing move: player %d severs link %d-%d\n" i i j;
       (match Bcg.severance_loss g i j with
@@ -64,7 +69,7 @@ let () =
           (Rat.to_string alpha)
       | Nf_util.Ext_int.Inf -> ())
     | None -> (
-      match Bcg.improving_addition ~alpha g with
+      match List.find_map first_add moves with
       | Some (i, j) -> Printf.printf "  destabilizing move: add link %d-%d\n" i j
       | None -> ()));
     Printf.printf

@@ -6,6 +6,7 @@ module Connectivity = Nf_graph.Connectivity
 module Ext_int = Nf_util.Ext_int
 module Rat = Nf_util.Rat
 module Interval = Nf_util.Interval
+open Pairwise.Frac
 
 (* The adversary connection game (Kliemann, arXiv:1308.1832): bilateral
    link formation where player i's cost gains an expected-disconnection
@@ -17,10 +18,10 @@ module Interval = Nf_util.Interval
    (Connectivity.separation_sums) and m the total edge count (S/m := 0
    when m = 0: nothing to attack).  Deviations are pairwise, exactly the
    BCG's (bilateral addition with consent, unilateral deletion), so the
-   stable region is a single rational interval computed by the same
-   lo/hi scan as [Bcg] — with the integer thresholds replaced by exact
-   fractions whose denominators are the edge counts before/after the
-   toggle.
+   stable region is a single rational interval computed by the lo/hi
+   fold every pairwise game shares ([Pairwise.stable_interval]) — with
+   the BCG's integer thresholds replaced by exact fractions whose
+   denominators are the edge counts before/after the toggle.
 
    Threshold conventions mirror [Bcg.ibenefit]/[Bcg.iloss]: an addition
    that connects a disconnected player has benefit +∞; when the player is
@@ -38,24 +39,6 @@ module Interval = Nf_util.Interval
    the sampled-dynamics orders too. *)
 
 let inf = Kernel.inf
-
-(* fractions (num, den): den > 0 always, num = inf encodes +∞ *)
-let frac_lt (an, ad) (bn, bd) = if an = inf then false else bn = inf || an * bd < bn * ad
-
-let frac_eq (an, ad) (bn, bd) =
-  if an = inf || bn = inf then an = bn else an * bd = bn * ad
-
-let frac_min a b = if frac_lt b a then b else a
-
-let endpoint_of_frac (k, d) =
-  if k = inf then Interval.Pos_inf else Interval.Finite (Rat.make k d)
-
-let positive = Interval.open_closed Rat.zero Interval.Pos_inf
-
-(* α < f and α ≤ f for a threshold fraction (den > 0), by exact
-   cross-multiplication *)
-let frac_lt_alpha alpha (fn, fd) = fn = inf || Rat.num alpha * fd < fn * Rat.den alpha
-let frac_le_alpha alpha (fn, fd) = fn = inf || Rat.num alpha * fd <= fn * Rat.den alpha
 
 (* R(m, s) = s/m, with the edgeless convention *)
 let rterm m s = if m = 0 then (0, 1) else (s, m)
@@ -94,71 +77,32 @@ let separation_sums_ws ws =
   Connectivity.separation_sums ~n:(Kernel.order ws)
     ~iter_neighbors:(Kernel.iter_neighbors ws)
 
-(* ---- workspace kernel ---------------------------------------------------
-   The Bcg.scan_stability_ws shape: one all-sources sweep for the base
-   distance sums, then per toggle two single-source sweeps plus one
-   lowpoint DFS for the toggled state's separation sums (which serves
-   both endpoints at once). *)
-let scan_ws ws =
-  let n = Kernel.order ws in
+(* ---- pricing ------------------------------------------------------------
+   One all-sources sweep for the base distance sums, the edge count and
+   one lowpoint DFS for the base separation sums; per toggle two
+   single-source sweeps plus one lowpoint DFS for the toggled state's
+   separation sums (which serves both endpoints at once).  Distance sums,
+   m and separation sums are invariant under automorphisms, so the
+   annotator prices one pair per orbit. *)
+let price ws =
   let base = Kernel.all_distance_sums ws in
   let m = edge_count_ws ws in
   let sep = separation_sums_ws ws in
-  let lo = ref (0, 1) and tied = ref true and hi = ref ((inf : int), 1) in
-  for i = 0 to n - 2 do
-    let bi_base = base.(i) in
-    for j = i + 1 to n - 1 do
-      if Kernel.has_edge ws i j then begin
-        Kernel.toggle ws i j;
-        let sep' = separation_sums_ws ws in
-        let m' = m - 1 in
-        let li =
-          loss_frac ~base:bi_base
-            ~after:(Kernel.distance_sum_from ws i)
-            ~sep:sep.(i) ~sep':sep'.(i) ~m ~m'
-        and lj =
-          loss_frac ~base:base.(j)
-            ~after:(Kernel.distance_sum_from ws j)
-            ~sep:sep.(j) ~sep':sep'.(j) ~m ~m'
-        in
-        Kernel.toggle ws i j;
-        if frac_lt li !hi then hi := li;
-        if frac_lt lj !hi then hi := lj
-      end
-      else begin
-        Kernel.toggle ws i j;
-        let sep' = separation_sums_ws ws in
-        let m' = m + 1 in
-        let bi =
-          benefit_frac ~base:bi_base
-            ~after:(Kernel.distance_sum_from ws i)
-            ~sep:sep.(i) ~sep':sep'.(i) ~m ~m'
-        and bj =
-          benefit_frac ~base:base.(j)
-            ~after:(Kernel.distance_sum_from ws j)
-            ~sep:sep.(j) ~sep':sep'.(j) ~m ~m'
-        in
-        Kernel.toggle ws i j;
-        let p = frac_min bi bj in
-        if frac_lt !lo p then begin
-          lo := p;
-          tied := frac_eq bi bj
-        end
-        else if frac_eq p !lo && not (frac_eq bi bj) then tied := false
-      end
-    done
-  done;
-  (!lo, !hi, !tied)
+  fun i j ->
+    let sep' = separation_sums_ws ws in
+    let threshold, m' =
+      if Kernel.has_edge ws i j then (benefit_frac, m + 1) else (loss_frac, m - 1)
+    in
+    let at v =
+      threshold ~base:base.(v) ~after:(Kernel.distance_sum_from ws v) ~sep:sep.(v)
+        ~sep':sep'.(v) ~m ~m'
+    in
+    (at i, at j)
 
-let stable_alpha_set_ws ws g =
-  Kernel.load ws g;
-  let lo, hi, tied = scan_ws ws in
-  Interval.inter positive
-    (Interval.make ~lo:(endpoint_of_frac lo)
-       ~lo_closed:(fst lo <> inf && tied)
-       ~hi:(endpoint_of_frac hi) ~hi_closed:true)
+let stable_alpha_set_sym_ws ws sym g = Pairwise.stable_interval price ws sym g
 
-let stable_alpha_set g = Kernel.with_ws (fun ws -> stable_alpha_set_ws ws g)
+let stable_alpha_set g =
+  Kernel.with_ws (fun ws -> stable_alpha_set_sym_ws ws (Game.sweep_symmetry g) g)
 
 (* ---- persistent reference twin ------------------------------------------
    Same scan over persistent graphs with deliberately different
@@ -232,110 +176,8 @@ let stable_alpha_set_reference g =
        ~lo_closed:(fst !lo <> inf && !tied)
        ~hi:(endpoint_of_frac !hi) ~hi_closed:true)
 
-(* ---- point certifier and moves ------------------------------------------ *)
-
-(* evaluate both endpoints' thresholds for one toggled pair, sharing the
-   toggled state's separation DFS *)
-let with_toggled ws i j f =
-  Kernel.toggle ws i j;
-  let r = f (separation_sums_ws ws) in
-  Kernel.toggle ws i j;
-  r
-
-let is_stable ~alpha g =
-  Kernel.with_loaded g (fun ws ->
-      let n = Kernel.order ws in
-      let base = Kernel.all_distance_sums ws in
-      let m = edge_count_ws ws in
-      let sep = separation_sums_ws ws in
-      let ok = ref true in
-      (try
-         for i = 0 to n - 2 do
-           for j = i + 1 to n - 1 do
-             if Kernel.has_edge ws i j then begin
-               let li, lj =
-                 with_toggled ws i j (fun sep' ->
-                     ( loss_frac ~base:base.(i)
-                         ~after:(Kernel.distance_sum_from ws i)
-                         ~sep:sep.(i) ~sep':sep'.(i) ~m ~m':(m - 1),
-                       loss_frac ~base:base.(j)
-                         ~after:(Kernel.distance_sum_from ws j)
-                         ~sep:sep.(j) ~sep':sep'.(j) ~m ~m':(m - 1) ))
-               in
-               if (not (frac_le_alpha alpha li)) || not (frac_le_alpha alpha lj) then begin
-                 ok := false;
-                 raise_notrace Exit
-               end
-             end
-             else begin
-               let bi, bj =
-                 with_toggled ws i j (fun sep' ->
-                     ( benefit_frac ~base:base.(i)
-                         ~after:(Kernel.distance_sum_from ws i)
-                         ~sep:sep.(i) ~sep':sep'.(i) ~m ~m':(m + 1),
-                       benefit_frac ~base:base.(j)
-                         ~after:(Kernel.distance_sum_from ws j)
-                         ~sep:sep.(j) ~sep':sep'.(j) ~m ~m':(m + 1) ))
-               in
-               if
-                 (frac_lt_alpha alpha bi && frac_le_alpha alpha bj)
-                 || (frac_lt_alpha alpha bj && frac_le_alpha alpha bi)
-               then begin
-                 ok := false;
-                 raise_notrace Exit
-               end
-             end
-           done
-         done
-       with Exit -> ());
-      !ok)
-
-(* Same order contract as Bcg.improving_moves: additions in lexicographic
-   (i, j) order, then per edge Delete (i, j) before Delete (j, i). *)
-let improving_moves ~alpha g =
-  Kernel.with_loaded g (fun ws ->
-      let n = Kernel.order ws in
-      let base = Kernel.all_distance_sums ws in
-      let m = edge_count_ws ws in
-      let sep = separation_sums_ws ws in
-      let moves = ref [] in
-      for i = 0 to n - 2 do
-        for j = i + 1 to n - 1 do
-          if not (Kernel.has_edge ws i j) then begin
-            let bi, bj =
-              with_toggled ws i j (fun sep' ->
-                  ( benefit_frac ~base:base.(i)
-                      ~after:(Kernel.distance_sum_from ws i)
-                      ~sep:sep.(i) ~sep':sep'.(i) ~m ~m':(m + 1),
-                    benefit_frac ~base:base.(j)
-                      ~after:(Kernel.distance_sum_from ws j)
-                      ~sep:sep.(j) ~sep':sep'.(j) ~m ~m':(m + 1) ))
-            in
-            if
-              (frac_lt_alpha alpha bi && frac_le_alpha alpha bj)
-              || (frac_lt_alpha alpha bj && frac_le_alpha alpha bi)
-            then moves := Game.Add (i, j) :: !moves
-          end
-        done
-      done;
-      for i = 0 to n - 2 do
-        for j = i + 1 to n - 1 do
-          if Kernel.has_edge ws i j then begin
-            let li, lj =
-              with_toggled ws i j (fun sep' ->
-                  ( loss_frac ~base:base.(i)
-                      ~after:(Kernel.distance_sum_from ws i)
-                      ~sep:sep.(i) ~sep':sep'.(i) ~m ~m':(m - 1),
-                    loss_frac ~base:base.(j)
-                      ~after:(Kernel.distance_sum_from ws j)
-                      ~sep:sep.(j) ~sep':sep'.(j) ~m ~m':(m - 1) ))
-            in
-            if not (frac_le_alpha alpha li) then moves := Game.Delete (i, j) :: !moves;
-            if not (frac_le_alpha alpha lj) then moves := Game.Delete (j, i) :: !moves
-          end
-        done
-      done;
-      !moves)
+let is_stable ~alpha g = Pairwise.is_stable price ~alpha g
+let improving_moves ~alpha g = Pairwise.improving_moves price ~alpha g
 
 (* ---- the registered instance -------------------------------------------- *)
 
@@ -353,10 +195,7 @@ let game : Interval.t Game.t =
 
     let region_kind = Game.Region.Interval
     let schema_tag = 4
-    (* The separation term is isomorphism-invariant, so an orbit quotient
-       would be sound — it is just not implemented yet; the subgroup is
-       ignored and every pair is scanned. *)
-    let stable_region_ws ws _sym g = stable_alpha_set_ws ws g
+    let stable_region_ws = stable_alpha_set_sym_ws
     let stable_region_reference = stable_alpha_set_reference
     let is_stable = is_stable
     let improving_moves = Some improving_moves

@@ -8,23 +8,23 @@
     bridge separates from [i] ({!Nf_graph.Connectivity.separation_sums})
     and [m] is the edge count ([S/m = 0] for the edgeless graph).
     Deviations are the BCG's — bilateral additions, unilateral deletions
-    — so the stable region is a single rational interval, computed by the
-    BCG's lo/hi scan with the integer thresholds replaced by exact
-    fractions over the before/after edge counts.  Registered as
+    — so the stable region is a single rational interval, computed by
+    {!Pairwise.stable_interval} with the BCG's integer thresholds
+    replaced by exact fractions over the before/after edge counts.  Registered as
     ["adversary"] (schema tag 4). *)
 
-val separation_sums_ws : Nf_graph.Kernel.t -> int array
-(** {!Nf_graph.Connectivity.separation_sums} of the loaded workspace
-    graph — [S_i] per player, exposed for the differential tests. *)
-
-val stable_alpha_set_ws : Nf_graph.Kernel.t -> Nf_graph.Graph.t -> Nf_util.Interval.t
+val stable_alpha_set_sym_ws :
+  Nf_graph.Kernel.t -> Nf_iso.Symmetry.t -> Nf_graph.Graph.t -> Nf_util.Interval.t
 (** Exact stable region on a borrowed kernel workspace (the production
-    annotator path): one all-sources sweep for the base distance sums,
-    then per edge toggle two single-source sweeps plus one lowpoint DFS
-    for the toggled state's separation sums. *)
+    annotator path, {!Pairwise.stable_interval}), pricing one
+    representative pair per orbit of the given automorphism subgroup:
+    distance sums, [m] and separation sums are all
+    isomorphism-invariant.  The result is the same for any subgroup of
+    [Aut(g)]; [Symmetry.trivial n] prices every pair. *)
 
 val stable_alpha_set : Nf_graph.Graph.t -> Nf_util.Interval.t
-(** {!stable_alpha_set_ws} on a scratch workspace. *)
+(** {!stable_alpha_set_sym_ws} on a scratch workspace at
+    {!Game.sweep_symmetry}. *)
 
 val separation_sums_naive : Nf_graph.Graph.t -> int array
 (** Specification twin of the lowpoint-DFS separation sums: remove each
@@ -33,17 +33,16 @@ val separation_sums_naive : Nf_graph.Graph.t -> int array
     against each other. *)
 
 val stable_alpha_set_reference : Nf_graph.Graph.t -> Nf_util.Interval.t
-(** Persistent-path specification twin of {!stable_alpha_set_ws} built on
+(** Persistent-path specification twin of {!stable_alpha_set_sym_ws} built on
     {!Nf_graph.Apsp}, fresh BFS sweeps and {!separation_sums_naive}. *)
 
 val is_stable : alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> bool
-(** Point certifier; agrees with interval membership in
-    {!stable_alpha_set_ws}. *)
+(** Point certifier ({!Pairwise.is_stable}); agrees with interval
+    membership in {!stable_alpha_set_sym_ws}. *)
 
 val improving_moves : alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> Game.move list
-(** All improving moves at [alpha], in the {!Bcg.improving_moves} order
-    contract (additions in lexicographic [(i, j)] order, then per edge
-    [Delete (i, j)] before [Delete (j, i)]). *)
+(** All improving moves at [alpha], in {!Pairwise.improving_moves}'s
+    order contract. *)
 
 val game : Nf_util.Interval.t Game.t
 (** The registered instance: family ["adversary"], no parameters,

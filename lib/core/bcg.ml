@@ -6,6 +6,7 @@ module Symmetry = Nf_iso.Symmetry
 module Ext_int = Nf_util.Ext_int
 module Rat = Nf_util.Rat
 module Interval = Nf_util.Interval
+open Pairwise.Frac
 
 let addition_benefit g i j =
   if Graph.has_edge g i j then invalid_arg "Bcg.addition_benefit: edge present";
@@ -109,11 +110,6 @@ let ibenefit ~base after = if base = inf then (if after = inf then 0 else inf) e
    is already infinite either way. *)
 let iloss ~base after = if base = inf || after = inf then inf else after - base
 
-(* α < k and α ≤ k for integer-or-infinite thresholds, by exact
-   cross-multiplication (Rat.make normalizes to den > 0). *)
-let rat_lt_i alpha k = k = inf || Rat.num alpha < k * Rat.den alpha
-let rat_le_i alpha k = k = inf || Rat.num alpha <= k * Rat.den alpha
-
 (* The three scan results packed as ints to keep the hot path mono-field:
    lo/hi with inf = ∞, tied as bool. *)
 type iscan = {
@@ -176,8 +172,6 @@ let endpoint_of_ext = function
   | Ext_int.Fin k -> Interval.Finite (Rat.of_int k)
   | Ext_int.Inf -> Interval.Pos_inf
 
-let positive = Interval.open_closed Rat.zero Interval.Pos_inf
-
 let interval_of_iscan ~lo_closed s =
   Interval.inter positive
     (Interval.make ~lo:(endpoint_of_int s.iscan_lo) ~lo_closed
@@ -206,63 +200,24 @@ let stable_alpha_set_reference g =
     (Interval.make ~lo:(endpoint_of_ext s.scan_alpha_min) ~lo_closed:s.scan_lo_closed
        ~hi:(endpoint_of_ext s.scan_alpha_max) ~hi_closed:true)
 
-(* unstable when one endpoint strictly gains (α < b) and the other does not
-   strictly lose (α ≤ b) *)
-let addition_blocks alpha bi bj =
-  (rat_lt_i alpha bi && rat_le_i alpha bj) || (rat_lt_i alpha bj && rat_le_i alpha bi)
+(* BCG pricing: each endpoint's distance-sum change, over 1 *)
+let price ws =
+  let base = Kernel.all_distance_sums ws in
+  fun i j ->
+    let si = Kernel.distance_sum_from ws i and sj = Kernel.distance_sum_from ws j in
+    if Kernel.has_edge ws i j then
+      ((ibenefit ~base:base.(i) si, 1), (ibenefit ~base:base.(j) sj, 1))
+    else ((iloss ~base:base.(i) si, 1), (iloss ~base:base.(j) sj, 1))
 
-let no_improving_addition ~alpha ~base ws =
-  let n = Kernel.order ws in
-  let ok = ref true in
-  (try
-     for i = 0 to n - 2 do
-       for j = i + 1 to n - 1 do
-         if not (Kernel.has_edge ws i j) then begin
-           Kernel.toggle ws i j;
-           let bi = ibenefit ~base:base.(i) (Kernel.distance_sum_from ws i)
-           and bj = ibenefit ~base:base.(j) (Kernel.distance_sum_from ws j) in
-           Kernel.toggle ws i j;
-           if addition_blocks alpha bi bj then begin
-             ok := false;
-             raise_notrace Exit
-           end
-         end
-       done
-     done
-   with Exit -> ());
-  !ok
+let is_pairwise_stable ~alpha g = Pairwise.is_stable price ~alpha g
+let improving_moves ~alpha g = Pairwise.improving_moves price ~alpha g
 
-(* α ≤ α_max unfolded pairwise, sharing [base] and exiting early *)
-let no_improving_deletion ~alpha ~base ws =
-  let n = Kernel.order ws in
-  let ok = ref true in
-  (try
-     for i = 0 to n - 2 do
-       for j = i + 1 to n - 1 do
-         if Kernel.has_edge ws i j then begin
-           Kernel.toggle ws i j;
-           let li = iloss ~base:base.(i) (Kernel.distance_sum_from ws i)
-           and lj = iloss ~base:base.(j) (Kernel.distance_sum_from ws j) in
-           Kernel.toggle ws i j;
-           if (not (rat_le_i alpha li)) || not (rat_le_i alpha lj) then begin
-             ok := false;
-             raise_notrace Exit
-           end
-         end
-       done
-     done
-   with Exit -> ());
-  !ok
-
-let is_pairwise_stable ~alpha g =
-  Kernel.with_loaded g (fun ws ->
-      let base = Kernel.all_distance_sums ws in
-      no_improving_deletion ~alpha ~base ws && no_improving_addition ~alpha ~base ws)
-
+(* Nash part: no player gains by dropping any subset of its links (a
+   unilateral deviation can only sever in the BCG — announcing new links
+   without consent just costs α per announcement).  Single-link cuts are
+   among those subsets, so the pairwise part adds only the consented
+   additions of Definition 3. *)
 let is_pairwise_nash ~alpha g =
-  (* Nash part: no player gains by dropping any subset of its links (a
-     unilateral deviation can only sever in the BCG — announcing new links
-     without consent just costs α per announcement). *)
   Kernel.with_loaded g (fun ws ->
       let base = Kernel.all_distance_sums ws in
       let n = Kernel.order ws in
@@ -279,106 +234,5 @@ let is_pairwise_nash ~alpha g =
                 if (after - base.(i)) * Rat.den alpha < Rat.num alpha * k then nash_ok := false
             end)
       done;
-      !nash_ok
-      &&
-      (* pairwise part: identical to the addition half of pairwise stability *)
-      no_improving_addition ~alpha ~base ws)
-
-let is_pairwise_stable_f ~alpha g =
-  (* dyadic floats convert exactly; reject anything that does not *)
-  let denom = 4096 in
-  let scaled = alpha *. float_of_int denom in
-  if Float.is_integer scaled then
-    is_pairwise_stable ~alpha:(Rat.make (int_of_float scaled) denom) g
-  else invalid_arg "Bcg.is_pairwise_stable_f: alpha not dyadic with denominator <= 4096"
-
-let improving_addition ~alpha g =
-  Kernel.with_loaded g (fun ws ->
-      let base = Kernel.all_distance_sums ws in
-      let n = Kernel.order ws in
-      let found = ref None in
-      (try
-         for i = 0 to n - 2 do
-           for j = i + 1 to n - 1 do
-             if not (Kernel.has_edge ws i j) then begin
-               Kernel.toggle ws i j;
-               let bi = ibenefit ~base:base.(i) (Kernel.distance_sum_from ws i)
-               and bj = ibenefit ~base:base.(j) (Kernel.distance_sum_from ws j) in
-               Kernel.toggle ws i j;
-               if addition_blocks alpha bi bj then begin
-                 found := Some (i, j);
-                 raise_notrace Exit
-               end
-             end
-           done
-         done
-       with Exit -> ());
-      !found)
-
-(* One kernel sweep for the base sums, then one allocation-free toggle
-   evaluation per candidate move.  Moves are accumulated in exactly the
-   order the historical persistent path produced them (additions in
-   lexicographic (i, j) order, then per edge Delete (i, j) before
-   Delete (j, i)), so [Prng.pick] in the dynamics draws the same move at
-   every step and traces stay byte-identical across refactors. *)
-let improving_moves ~alpha g =
-  Kernel.with_loaded g (fun ws ->
-      let base = Kernel.all_distance_sums ws in
-      let n = Kernel.order ws in
-      let num = Rat.num alpha
-      and den = Rat.den alpha in
-      let lt k = k = inf || num < k * den
-      and le k = k = inf || num <= k * den in
-      let moves = ref [] in
-      for i = 0 to n - 2 do
-        for j = i + 1 to n - 1 do
-          if not (Kernel.has_edge ws i j) then begin
-            Kernel.toggle ws i j;
-            let bi = ibenefit ~base:base.(i) (Kernel.distance_sum_from ws i)
-            and bj = ibenefit ~base:base.(j) (Kernel.distance_sum_from ws j) in
-            Kernel.toggle ws i j;
-            if (lt bi && le bj) || (lt bj && le bi) then
-              moves := Game.Add (i, j) :: !moves
-          end
-        done
-      done;
-      for i = 0 to n - 2 do
-        for j = i + 1 to n - 1 do
-          if Kernel.has_edge ws i j then begin
-            Kernel.toggle ws i j;
-            let li = iloss ~base:base.(i) (Kernel.distance_sum_from ws i)
-            and lj = iloss ~base:base.(j) (Kernel.distance_sum_from ws j) in
-            Kernel.toggle ws i j;
-            if not (le li) then moves := Game.Delete (i, j) :: !moves;
-            if not (le lj) then moves := Game.Delete (j, i) :: !moves
-          end
-        done
-      done;
-      !moves)
-
-let improving_deletion ~alpha g =
-  Kernel.with_loaded g (fun ws ->
-      let base = Kernel.all_distance_sums ws in
-      let n = Kernel.order ws in
-      let found = ref None in
-      (try
-         for i = 0 to n - 2 do
-           for j = i + 1 to n - 1 do
-             if Kernel.has_edge ws i j then begin
-               Kernel.toggle ws i j;
-               let li = iloss ~base:base.(i) (Kernel.distance_sum_from ws i)
-               and lj = iloss ~base:base.(j) (Kernel.distance_sum_from ws j) in
-               Kernel.toggle ws i j;
-               if not (rat_le_i alpha li) then begin
-                 found := Some (i, j);
-                 raise_notrace Exit
-               end
-               else if not (rat_le_i alpha lj) then begin
-                 found := Some (j, i);
-                 raise_notrace Exit
-               end
-             end
-           done
-         done
-       with Exit -> ());
-      !found)
+      !nash_ok)
+  && is_pairwise_stable ~alpha g

@@ -57,31 +57,23 @@ val stable_alpha_set_reference : Nf_graph.Graph.t -> Nf_util.Interval.t
     reference the differential tests compare the workspace kernel
     against. *)
 
-val is_pairwise_stable : alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> bool
-(** Literal Definition 3 at an exact link cost. *)
+val price : Pairwise.pricing
+(** The BCG's {!Pairwise.pricing}: each endpoint's distance-sum decrease
+    (addition) or increase (deletion) at the toggled pair, over 1, with
+    the infinity conventions of {!addition_benefit} and
+    {!severance_loss}. *)
 
-val is_pairwise_stable_f : alpha:float -> Nf_graph.Graph.t -> bool
-(** Convenience wrapper converting a dyadic float [α] exactly. *)
+val is_pairwise_stable : alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> bool
+(** Literal Definition 3 at an exact link cost ({!Pairwise.is_stable}). *)
 
 val is_pairwise_nash : alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> bool
 (** Definition 2 computed structurally: no improving multi-link severance
     (checked over all subsets of each player's incident edges — [2^deg]
-    per player) and no addable mutually-improving link.  By Proposition 1
-    this agrees with {!is_pairwise_stable}; the test suite asserts it. *)
-
-val improving_addition :
-  alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> (int * int) option
-(** A missing link [(i,j)] whose addition strictly helps [i] and weakly
-    helps [j], if any (the bilateral move of an improving path). *)
-
-val improving_deletion :
-  alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> (int * int) option
-(** An edge listed as [(severer, other)] whose severer strictly gains from
-    cutting it, if any. *)
+    per player) and {!is_pairwise_stable}.  By Proposition 1 this agrees
+    with {!is_pairwise_stable}; the test suite asserts it. *)
 
 val improving_moves : alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> Game.move list
-(** All improving moves at [alpha] in a fixed order (additions in
-    lexicographic [(i, j)] order, then per edge [Delete (i, j)] before
-    [Delete (j, i)]), so PRNG draws in the dynamics are reproducible.
+(** All improving moves at [alpha], in {!Pairwise.improving_moves}'s
+    order contract, so PRNG draws in the dynamics are reproducible.
     [Nf_dynamics.Bcg_dynamics] is this generator run through the generic
     improving-path loop. *)

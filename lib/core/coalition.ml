@@ -4,6 +4,7 @@ module Kernel = Nf_graph.Kernel
 module Ext_int = Nf_util.Ext_int
 module Rat = Nf_util.Rat
 module Interval = Nf_util.Interval
+open Pairwise.Frac
 
 (* Stability against coalitions of at most [k] players.
    A coalition S (2 ≤ |S| ≤ k) deviates by forming every absent link
@@ -32,21 +33,6 @@ module Interval = Nf_util.Interval
    for the orders the empirical study enumerates. *)
 
 let inf = Kernel.inf
-
-(* fractions (num, den): den > 0, num = inf encodes +∞ *)
-let frac_lt (an, ad) (bn, bd) = if an = inf then false else bn = inf || an * bd < bn * ad
-
-let frac_eq (an, ad) (bn, bd) =
-  if an = inf || bn = inf then an = bn else an * bd = bn * ad
-
-let frac_min a b = if frac_lt b a then b else a
-let frac_lt_alpha alpha (fn, fd) = fn = inf || Rat.num alpha * fd < fn * Rat.den alpha
-let frac_le_alpha alpha (fn, fd) = fn = inf || Rat.num alpha * fd <= fn * Rat.den alpha
-
-let endpoint_of_frac (n, d) =
-  if n = inf then Interval.Pos_inf else Interval.Finite (Rat.make n d)
-
-let positive = Interval.open_closed Rat.zero Interval.Pos_inf
 
 let ibenefit ~base after = if base = inf then (if after = inf then 0 else inf) else base - after
 let iloss ~base after = if base = inf || after = inf then inf else after - base

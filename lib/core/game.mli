@@ -113,8 +113,9 @@ module type S = sig
       (stable_region_ws ws sym g)] for every graph and subgroup. *)
 
   val improving_moves : (alpha:Rat.t -> Graph.t -> move list) option
-  (** Improving moves at [alpha] in a fixed documented order (so PRNG
-      draws in the dynamics are reproducible), or [None] when the
+  (** Improving moves at [alpha] in a fixed order (so PRNG draws in the
+      dynamics are reproducible) — for the pairwise games, the contract
+      stated once in {!Pairwise.improving_moves} — or [None] when the
       game's dynamics are not graph-local (UCG best response depends on
       link ownership, not just the graph). *)
 

@@ -1,0 +1,116 @@
+module Graph = Nf_graph.Graph
+module Kernel = Nf_graph.Kernel
+module Symmetry = Nf_iso.Symmetry
+module Rat = Nf_util.Rat
+module Interval = Nf_util.Interval
+
+let inf = Kernel.inf
+
+module Frac = struct
+  type t = int * int
+
+  let frac_lt (an, ad) (bn, bd) = if an = inf then false else bn = inf || an * bd < bn * ad
+
+  let frac_eq (an, ad) (bn, bd) =
+    if an = inf || bn = inf then an = bn else an * bd = bn * ad
+
+  let frac_min a b = if frac_lt b a then b else a
+
+  (* α = num/den with den > 0 and f's den > 0, so α < fn/fd ⟺
+     num·fd < fn·den *)
+  let frac_lt_alpha alpha (fn, fd) = fn = inf || Rat.num alpha * fd < fn * Rat.den alpha
+  let frac_le_alpha alpha (fn, fd) = fn = inf || Rat.num alpha * fd <= fn * Rat.den alpha
+
+  let endpoint_of_frac (k, d) =
+    if k = inf then Interval.Pos_inf else Interval.Finite (Rat.make k d)
+
+  let positive = Interval.open_closed Rat.zero Interval.Pos_inf
+end
+
+open Frac
+
+type pricing = Kernel.t -> int -> int -> Frac.t * Frac.t
+
+(* The pricing function is a closure called once per pair, and the dev
+   profile compiles each module against the .cmi files of the others
+   only (no cross-module inlining), so every [at i j] below is a real
+   call.  That is noise next to the two distance sweeps each pair costs,
+   but it is why the two quotiented annotation scans, Bcg.scan_stability_ws
+   and Transfers.scan_ws, keep their own inline loops. *)
+
+let addition_blocks alpha ti tj =
+  (frac_lt_alpha alpha ti && frac_le_alpha alpha tj)
+  || (frac_lt_alpha alpha tj && frac_le_alpha alpha ti)
+
+let price_toggled ws at i j =
+  Kernel.toggle ws i j;
+  let t = at i j in
+  Kernel.toggle ws i j;
+  t
+
+(* every pair i < j in lexicographic order — the trivial subgroup's
+   case of the one pair traversal — with [present] read before the
+   toggle *)
+let iter_pairs ws f =
+  Symmetry.iter_pair_reps
+    (Symmetry.trivial (Kernel.order ws))
+    (fun i j _twin -> f i j (Kernel.has_edge ws i j))
+
+let is_stable price ~alpha g =
+  Kernel.with_loaded g (fun ws ->
+      let at = price ws in
+      try
+        iter_pairs ws (fun i j present ->
+            let ti, tj = price_toggled ws at i j in
+            let improving =
+              if present then not (frac_le_alpha alpha ti && frac_le_alpha alpha tj)
+              else addition_blocks alpha ti tj
+            in
+            if improving then raise_notrace Exit);
+        true
+      with Exit -> false)
+
+let improving_moves price ~alpha g =
+  Kernel.with_loaded g (fun ws ->
+      let at = price ws in
+      let adds = ref [] and dels = ref [] in
+      iter_pairs ws (fun i j present ->
+          let ti, tj = price_toggled ws at i j in
+          if present then begin
+            if not (frac_le_alpha alpha ti) then dels := Game.Delete (i, j) :: !dels;
+            if not (frac_le_alpha alpha tj) then dels := Game.Delete (j, i) :: !dels
+          end
+          else if addition_blocks alpha ti tj then adds := Game.Add (i, j) :: !adds);
+      !dels @ !adds)
+
+(* α_min is the running max of min(b_i, b_j) over missing links, with a
+   flag recording whether every pair attaining it is a tie (a new strict
+   maximum resets the flag, an equal one refines it); α_max is the
+   running min of the endpoint losses.  Every update is
+   order-independent, and an automorphism carrying {i,j} to {σi,σj}
+   carries the threshold pair along with it, so one representative per
+   orbit contributes every value its orbit would.  The twin flag is not
+   used: [at] prices both endpoints anyway. *)
+let stable_interval price ws sym g =
+  Kernel.load ws g;
+  let at = price ws in
+  let lo = ref (0, 1) and tied = ref true and hi = ref (inf, 1) in
+  Symmetry.iter_pair_reps sym (fun i j _twin ->
+      let present = Kernel.has_edge ws i j in
+      let ti, tj = price_toggled ws at i j in
+      if present then begin
+        if frac_lt ti !hi then hi := ti;
+        if frac_lt tj !hi then hi := tj
+      end
+      else begin
+        let m = frac_min ti tj in
+        if frac_lt !lo m then begin
+          lo := m;
+          tied := frac_eq ti tj
+        end
+        else if frac_eq m !lo && not (frac_eq ti tj) then tied := false
+      end);
+  (* Interval.make opens an infinite end, so an ∞ α_min needs no guard *)
+  Interval.inter positive
+    (Interval.make ~lo:(endpoint_of_frac !lo) ~lo_closed:!tied
+       ~hi:(endpoint_of_frac !hi) ~hi_closed:true)

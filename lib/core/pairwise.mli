@@ -1,0 +1,81 @@
+(** The pair-move core shared by the pairwise games (BCG, transfers,
+    weighted BCG, adversary).
+
+    Definition 3 fixes one deviation rule for all of them: a missing link
+    [(i, j)] is added when one endpoint strictly gains and the other
+    weakly gains, and a link is cut when either endpoint strictly gains
+    from cutting it.  A game differs from another only in how it
+    {e prices} a toggled pair — each endpoint's exact threshold in [α] —
+    so a game supplies one {!pricing} function and this module writes the
+    consent rule, the point certifier, the improving-move list and the
+    stable-interval fold once for every game.
+
+    Thresholds are exact fractions compared by integer
+    cross-multiplication; see {!Frac}. *)
+
+(** Exact threshold fractions [(num, den)] with [den > 0]; [num =
+    Nf_graph.Kernel.inf] encodes [+∞] whatever the denominator.  The game
+    modules [open] this to share one copy of the comparisons. *)
+module Frac : sig
+  type t = int * int
+
+  val frac_lt : t -> t -> bool
+  val frac_eq : t -> t -> bool
+  val frac_min : t -> t -> t
+
+  val frac_lt_alpha : Nf_util.Rat.t -> t -> bool
+  (** [frac_lt_alpha alpha f] is [α < f]. *)
+
+  val frac_le_alpha : Nf_util.Rat.t -> t -> bool
+  (** [frac_le_alpha alpha f] is [α ≤ f]. *)
+
+  val endpoint_of_frac : t -> Nf_util.Interval.endpoint
+  val positive : Nf_util.Interval.t
+  (** [(0, +∞)]: link costs are positive. *)
+end
+
+type pricing = Nf_graph.Kernel.t -> int -> int -> Frac.t * Frac.t
+(** [price ws] prepares the per-graph state of the graph loaded in [ws]
+    (base distance sums, and whatever else the cost model needs) and
+    returns [at].  [at i j] (with [i < j]) is called while the pair
+    [(i, j)] is toggled in [ws] and returns both endpoints' thresholds
+    [(t_i, t_j)]: each endpoint's benefit when the toggle added the edge
+    ([Kernel.has_edge ws i j] now holds), its loss when the toggle removed
+    it.  [at] must not leave the workspace changed. *)
+
+val addition_blocks : Nf_util.Rat.t -> Frac.t -> Frac.t -> bool
+(** The bilateral consent predicate: a missing link with benefits
+    [(b_i, b_j)] is an improving addition at [α] when one endpoint strictly
+    gains and the other weakly gains —
+    [(α < b_i ∧ α ≤ b_j) ∨ (α < b_j ∧ α ≤ b_i)]. *)
+
+val is_stable : pricing -> alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> bool
+(** Definition 3 at an exact link cost: no improving addition and no
+    endpoint with loss [< α]; stops at the first improving move. *)
+
+val improving_moves :
+  pricing -> alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> Game.move list
+(** Every improving move at [alpha], in the order contract of the
+    pairwise games' dynamics (a PRNG draws from this list, so the order
+    is part of every trace): first the deletions, in reverse
+    lexicographic edge order, with [Delete (j, i)] before [Delete (i, j)]
+    within the edge [(i, j)], [i < j]; then the additions [Add (i, j)],
+    also in reverse lexicographic order.  For the 5-cycle plus chord
+    [(0, 2)] at [α = 3], BCG pricing gives
+    [Delete (4, 3); Delete (3, 4); Delete (2, 3); …]. *)
+
+val stable_interval :
+  pricing ->
+  Nf_graph.Kernel.t ->
+  Nf_iso.Symmetry.t ->
+  Nf_graph.Graph.t ->
+  Nf_util.Interval.t
+(** The exact stable region on a borrowed workspace (the graph is
+    loaded here): [α_min] is the max over missing links of [min(b_i, b_j)]
+    — the left end is closed exactly when every attaining pair ties,
+    [b_i = b_j] — and [α_max] the min over edge endpoints of the loss,
+    intersected with {!Frac.positive}.  One representative pair per orbit
+    of the given automorphism subgroup is priced
+    ({!Nf_iso.Symmetry.iter_pair_reps}), which is sound when the pricing
+    is isomorphism-invariant; a pricing indexed by player identity must
+    be given [Symmetry.trivial n]. *)

@@ -6,6 +6,7 @@ module Symmetry = Nf_iso.Symmetry
 module Ext_int = Nf_util.Ext_int
 module Rat = Nf_util.Rat
 module Interval = Nf_util.Interval
+open Pairwise.Frac
 
 let joint_addition_benefit g i j =
   Ext_int.add (Bcg.addition_benefit g i j) (Bcg.addition_benefit g j i)
@@ -47,8 +48,6 @@ let half_ext = function
   | Ext_int.Fin k -> Interval.Finite (Rat.make k 2)
   | Ext_int.Inf -> Interval.Pos_inf
 
-let positive = Interval.open_closed Rat.zero Interval.Pos_inf
-
 let stable_alpha_set_reference g =
   let base = Apsp.distance_sums g in
   let lo = ref (Ext_int.Fin 0) in
@@ -68,11 +67,6 @@ let inf = Kernel.inf
 let ibenefit ~base after = if base = inf then (if after = inf then 0 else inf) else base - after
 let iloss ~base after = if base = inf || after = inf then inf else after - base
 let iadd a b = if a = inf || b = inf then inf else a + b
-
-(* [2α < k] and [2α ≤ k] against an integer-or-infinite joint threshold:
-   α = num/den with den > 0, so 2α < k ⟺ 2·num < k·den. *)
-let two_lt_i alpha k = k = inf || 2 * Rat.num alpha < k * Rat.den alpha
-let two_le_i alpha k = k = inf || 2 * Rat.num alpha <= k * Rat.den alpha
 
 let half_int k = if k = inf then Interval.Pos_inf else Interval.Finite (Rat.make k 2)
 
@@ -118,71 +112,22 @@ let stable_alpha_set_sym_ws ws sym g =
 let stable_alpha_set g =
   Kernel.with_ws (fun ws -> stable_alpha_set_sym_ws ws (Game.sweep_symmetry g) g)
 
-(* Joint improving moves for the transfers dynamics: a link is added when
-   the pair's joint benefit exceeds its joint price 2α (strict, mirroring
-   the revised Definition 3) and severed when the joint loss falls below
-   2α.  Severance is a joint decision — side payments make the initiator
-   irrelevant — so exactly one [Delete (i, j)] (i < j) is offered per
-   edge.  Additions come first in lexicographic (i, j) order, then
-   deletions, so PRNG draws in the dynamics are reproducible. *)
-let improving_moves ~alpha g =
-  Kernel.with_loaded g (fun ws ->
-      let base = Kernel.all_distance_sums ws in
-      let n = Kernel.order ws in
-      let moves = ref [] in
-      for i = 0 to n - 2 do
-        for j = i + 1 to n - 1 do
-          if not (Kernel.has_edge ws i j) then begin
-            Kernel.toggle ws i j;
-            let bi = ibenefit ~base:base.(i) (Kernel.distance_sum_from ws i)
-            and bj = ibenefit ~base:base.(j) (Kernel.distance_sum_from ws j) in
-            Kernel.toggle ws i j;
-            if two_lt_i alpha (iadd bi bj) then moves := Game.Add (i, j) :: !moves
-          end
-        done
-      done;
-      for i = 0 to n - 2 do
-        for j = i + 1 to n - 1 do
-          if Kernel.has_edge ws i j then begin
-            Kernel.toggle ws i j;
-            let li = iloss ~base:base.(i) (Kernel.distance_sum_from ws i)
-            and lj = iloss ~base:base.(j) (Kernel.distance_sum_from ws j) in
-            Kernel.toggle ws i j;
-            if not (two_le_i alpha (iadd li lj)) then
-              moves := Game.Delete (i, j) :: !moves
-          end
-        done
-      done;
-      !moves)
+(* Transfers pricing under the bilateral rule: an addition is priced at
+   the joint benefit over 2 on both sides, so consent reduces to
+   "joint benefit > 2α" (strict, mirroring the revised Definition 3); a
+   deletion at the joint loss over 2 for i and ∞ for j, so exactly one
+   Delete (i, j) is offered per edge whose joint loss is below 2α —
+   severance is a joint decision, side payments make the initiator
+   irrelevant. *)
+let price ws =
+  let base = Kernel.all_distance_sums ws in
+  fun i j ->
+    let si = Kernel.distance_sum_from ws i and sj = Kernel.distance_sum_from ws j in
+    if Kernel.has_edge ws i j then begin
+      let b = (iadd (ibenefit ~base:base.(i) si) (ibenefit ~base:base.(j) sj), 2) in
+      (b, b)
+    end
+    else ((iadd (iloss ~base:base.(i) si) (iloss ~base:base.(j) sj), 2), (inf, 1))
 
-let is_stable ~alpha g =
-  Kernel.with_loaded g (fun ws ->
-      let n = Kernel.order ws in
-      let base = Kernel.all_distance_sums ws in
-      let ok = ref true in
-      (try
-         for i = 0 to n - 2 do
-           for j = i + 1 to n - 1 do
-             Kernel.toggle ws i j;
-             if Kernel.has_edge ws i j then begin
-               let bi = ibenefit ~base:base.(i) (Kernel.distance_sum_from ws i)
-               and bj = ibenefit ~base:base.(j) (Kernel.distance_sum_from ws j) in
-               Kernel.toggle ws i j;
-               if two_lt_i alpha (iadd bi bj) then begin
-                 ok := false;
-                 raise_notrace Exit
-               end
-             end
-             else begin
-               let li = iloss ~base:base.(i) (Kernel.distance_sum_from ws i)
-               and lj = iloss ~base:base.(j) (Kernel.distance_sum_from ws j) in
-               Kernel.toggle ws i j;
-               if not (two_le_i alpha (iadd li lj)) then begin
-                 ok := false;
-                 raise_notrace Exit
-               end
-             end
-           done
-         done
-       with Exit -> ());
-      !ok)
+let improving_moves ~alpha g = Pairwise.improving_moves price ~alpha g
+let is_stable ~alpha g = Pairwise.is_stable price ~alpha g

@@ -37,12 +37,21 @@ val stable_alpha_set_reference : Nf_graph.Graph.t -> Nf_util.Interval.t
     to {!stable_alpha_set}, compared against it by the differential
     tests. *)
 
+val price : Pairwise.pricing
+(** Transfers as a {!Pairwise.pricing}: an addition is priced at the
+    joint benefit over 2 for both endpoints, a deletion at the joint loss
+    over 2 for [i] and [+∞] for [j].  Under the bilateral rule this is
+    exactly the joint rule — add when the joint benefit exceeds [2α], cut
+    when the joint loss falls below it, one [Delete (i, j)] ([i < j]) per
+    such edge. *)
+
 val is_stable : alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> bool
 (** Direct definition at an exact link cost; agrees with membership in
     {!stable_alpha_set} (property-tested). *)
 
 val improving_moves : alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> Game.move list
-(** Joint improving moves at [alpha]: additions with joint benefit
-    [> 2α] in lexicographic [(i, j)] order, then one [Delete (i, j)]
-    ([i < j]) per edge whose joint loss is [< 2α] — severance is a joint
-    decision under transfers, so the initiator is irrelevant. *)
+(** Joint improving moves at [alpha] in {!Pairwise.improving_moves}'s
+    order contract: additions with joint benefit [> 2α] and one
+    [Delete (i, j)] ([i < j]) per edge whose joint loss is [< 2α] —
+    severance is a joint decision under transfers, so the initiator is
+    irrelevant. *)

@@ -33,7 +33,8 @@ val stable_alpha_set :
 val stable_alpha_set_ws :
   weight:(int -> int) -> Nf_graph.Kernel.t -> Nf_graph.Graph.t -> Nf_util.Interval.t
 (** {!stable_alpha_set} against a caller-provided kernel workspace (the
-    allocation-free chunked-annotation path). *)
+    chunked-annotation path): {!Pairwise.stable_interval} at the trivial
+    subgroup, since the weights are indexed by player. *)
 
 val stable_alpha_set_reference :
   weight:(int -> int) -> Nf_graph.Graph.t -> Nf_util.Interval.t
@@ -43,14 +44,13 @@ val stable_alpha_set_reference :
 
 val is_stable :
   weight:(int -> int) -> alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> bool
-(** Literal weighted Definition 3 at an exact link cost; agrees with
-    membership in {!stable_alpha_set}. *)
+(** Literal weighted Definition 3 at an exact link cost
+    ({!Pairwise.is_stable}); agrees with membership in
+    {!stable_alpha_set}. *)
 
 val improving_moves :
   weight:(int -> int) -> alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> Game.move list
-(** Improving moves in {!Bcg.improving_moves}'s order contract
-    (lexicographic additions, then per edge [Delete (i, j)] before
-    [Delete (j, i)]). *)
+(** Improving moves in {!Pairwise.improving_moves}'s order contract. *)
 
 val make :
   ?name:string ->

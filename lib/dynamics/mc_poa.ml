@@ -19,10 +19,10 @@ module Theory = Netform.Theory
    closed-form optimum.
 
    The improving-move semantics are copied predicate-for-predicate from
-   [Bcg] ([addition_blocks] / deletion loss with the same integer
-   cross-multiplication), so a converged trial is pairwise stable by
-   [Bcg.is_pairwise_stable]'s own definition — the differential tests pin
-   exactly that. *)
+   the shared pair-move core ([Pairwise.addition_blocks] / the deletion
+   test, with the same integer cross-multiplication at denominator 1), so
+   a converged trial is pairwise stable by [Bcg.is_pairwise_stable]'s own
+   definition — the differential tests pin exactly that. *)
 
 let inf = Kernel.inf
 
@@ -283,7 +283,7 @@ let run_trial ~n ~alpha ~max_evals ~init_p ~seed index =
           end
           else begin
             (* addition slot: bilateral, both must consent — the exact
-               [Bcg.addition_blocks] predicate
+               [Pairwise.addition_blocks] predicate
                [(lt bi && le bj) || (lt bj && le bi)], priced from the
                rows with no toggle.  When [le bi] fails both disjuncts
                are dead (lt ⊆ le), so [j]'s pass is skipped. *)

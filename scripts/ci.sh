@@ -294,6 +294,22 @@ for spec in "40 3 7 2c20d03856ac9fea2916010f566889e9" \
 done
 echo "mc-poa golden CSVs: n=40, 64 and 128 match"
 
+# The goldens above run the BCG row-cache walk; every other game with
+# moves walks through Game_dynamics and its improving_moves list, so one
+# small seeded CSV per game pins each game's move order and PRNG draws.
+echo "== mc-poa generic-walk golden CSVs (n=24, one per game) =="
+for spec in "transfers de7da958e35209f67284d3ab2c75bc3a" \
+            "weighted_bcg 7906d20731b93006d9e7ff9fc3213023" \
+            "adversary 81e47b84a91368d9e3e126272c54fbe5" \
+            "coalition:k=2 fea0651386e0c9c9e028e656226ff3ba"; do
+  set -- $spec
+  out="$store_dir/mc_poa_generic.csv"
+  "$CLI" mc-poa -n 24 --alpha 2 --trials 2 --seed 5 --game "$1" --csv "$out" > /dev/null
+  sum=$(md5sum "$out" | cut -d' ' -f1)
+  [ "$sum" = "$2" ] || { echo "mc-poa --game $1 CSV: md5 $sum, expected $2" >&2; exit 1; }
+done
+echo "mc-poa generic-walk golden CSVs: transfers, weighted_bcg, adversary and coalition:k=2 match"
+
 # Full leg (opt-in, minutes of CPU): stream all of n=10 through a sharded
 # split and check the connected-class count against OEIS A001349.
 if [ "${NETFORM_COUNTS_FULL:-0}" = "1" ]; then

@@ -125,12 +125,6 @@ let test_definition_matches_interval () =
       alphas_probe
   done
 
-let test_is_pairwise_stable_f () =
-  check_bool "dyadic wrapper" true (Bcg.is_pairwise_stable_f ~alpha:0.5 (Families.complete 4));
-  Alcotest.check_raises "non-dyadic rejected"
-    (Invalid_argument "Bcg.is_pairwise_stable_f: alpha not dyadic with denominator <= 4096")
-    (fun () -> ignore (Bcg.is_pairwise_stable_f ~alpha:0.1 (Families.complete 4)))
-
 (* ---------------- Proposition 1 ---------------- *)
 
 let test_prop1_structural () =
@@ -253,23 +247,48 @@ let test_prop2_witness () =
 
 (* ---------------- improving moves ---------------- *)
 
+let is_add = function Game.Add _ -> true | Game.Delete _ -> false
+let is_delete m = not (is_add m)
+
 let test_improving_moves () =
   (* a path at small α: endpoints want a chord *)
   let g = Families.path 4 in
-  check_bool "addition available at alpha=1/2" true
-    (Bcg.improving_addition ~alpha:(rq 1 2) g <> None);
-  check_bool "no deletion in a tree" true (Bcg.improving_deletion ~alpha:(rq 1 2) g = None);
+  let moves = Bcg.improving_moves ~alpha:(rq 1 2) g in
+  check_bool "addition available at alpha=1/2" true (List.exists is_add moves);
+  check_bool "no deletion in a tree" false (List.exists is_delete moves);
   (* the complete graph at large α: everyone wants to sever *)
   let k = Families.complete 5 in
-  check_bool "deletion available at alpha=2" true
-    (Bcg.improving_deletion ~alpha:(r 2) k <> None);
-  check_bool "no addition in complete graph" true
-    (Bcg.improving_addition ~alpha:(r 2) k = None);
+  let moves = Bcg.improving_moves ~alpha:(r 2) k in
+  check_bool "deletion available at alpha=2" true (List.exists is_delete moves);
+  check_bool "no addition in complete graph" false (List.exists is_add moves);
   (* stable point: no moves *)
-  let star = Families.star 5 in
-  check_bool "stable star has no moves" true
-    (Bcg.improving_addition ~alpha:(r 2) star = None
-    && Bcg.improving_deletion ~alpha:(r 2) star = None)
+  check_bool "stable star has no moves" true (Bcg.improving_moves ~alpha:(r 2) (Families.star 5) = [])
+
+let move_to_string = function
+  | Game.Add (i, j) -> Printf.sprintf "Add(%d,%d)" i j
+  | Game.Delete (i, j) -> Printf.sprintf "Delete(%d,%d)" i j
+
+(* the documented order contract (Pairwise.improving_moves): deletions
+   first, reverse lexicographic, Delete (j, i) before Delete (i, j);
+   then additions, reverse lexicographic *)
+let test_improving_moves_order () =
+  let moves alpha g = List.map move_to_string (Bcg.improving_moves ~alpha g) in
+  let c5_chord = Graph.add_edge (Families.cycle 5) 0 2 in
+  Alcotest.(check (list string))
+    "C5 + chord (0,2) at alpha=3"
+    [
+      "Delete(4,3)"; "Delete(3,4)"; "Delete(2,3)"; "Delete(2,1)"; "Delete(1,2)";
+      "Delete(0,4)"; "Delete(2,0)"; "Delete(0,2)"; "Delete(1,0)"; "Delete(0,1)";
+    ]
+    (moves (r 3) c5_chord);
+  let triangle_tail = Graph.of_edges 6 [ (0, 1); (0, 2); (1, 2); (2, 3); (3, 4); (4, 5) ] in
+  Alcotest.(check (list string))
+    "triangle with a tail at alpha=3/2"
+    [
+      "Delete(2,1)"; "Delete(2,0)"; "Delete(1,0)"; "Delete(0,1)"; "Add(2,5)"; "Add(2,4)";
+      "Add(1,5)"; "Add(1,4)"; "Add(0,5)"; "Add(0,4)";
+    ]
+    (moves (rq 3 2) triangle_tail)
 
 (* ---------------- property tests ---------------- *)
 
@@ -308,7 +327,8 @@ let prop_deleting_stable_edge_never_improves =
           | Interval.Finite a -> Rat.add a Rat.one
           | Interval.Neg_inf | Interval.Pos_inf -> Rat.one
         in
-        if Interval.mem alpha set then Bcg.improving_deletion ~alpha g = None else true)
+        if Interval.mem alpha set then not (List.exists is_delete (Bcg.improving_moves ~alpha g))
+        else true)
 
 let qcheck = QCheck_alcotest.to_alcotest
 
@@ -336,7 +356,6 @@ let () =
       ( "definition",
         [
           Alcotest.test_case "matches interval" `Quick test_definition_matches_interval;
-          Alcotest.test_case "dyadic wrapper" `Quick test_is_pairwise_stable_f;
         ] );
       ( "proposition 1",
         [
@@ -355,7 +374,11 @@ let () =
           Alcotest.test_case "gap" `Quick test_link_convexity_gap;
           Alcotest.test_case "prop2 witness" `Quick test_prop2_witness;
         ] );
-      ("dynamics moves", [ Alcotest.test_case "improving moves" `Quick test_improving_moves ]);
+      ( "dynamics moves",
+        [
+          Alcotest.test_case "improving moves" `Quick test_improving_moves;
+          Alcotest.test_case "improving moves order" `Quick test_improving_moves_order;
+        ] );
       ( "properties",
         [ qcheck prop_stable_set_is_interval_of_probes; qcheck prop_deleting_stable_edge_never_improves ] );
     ]

@@ -367,6 +367,28 @@ let test_public_wrappers () =
         (Bcg.stable_alpha_set g))
     (annotation_corpus ())
 
+(* the shared interval fold of Pairwise, fed the BCG's and the transfers
+   game's pricing, must reproduce the two quotiented hot scans it does
+   not replace — structurally, at the trivial subgroup and at the twin
+   tier.  n = 7 is the smallest order with a BCG graph whose α_min is
+   attained by a tie before a non-tie (three classes), the case the
+   fold's tie reset exists for. *)
+let test_pairwise_fold_vs_hot_scans () =
+  let same = Alcotest.testable Interval.pp ( = ) in
+  let ws = Kernel.create () in
+  List.iter
+    (fun g ->
+      List.iter
+        (fun sym ->
+          check same "bcg: fold = scan_stability_ws"
+            (Bcg.stable_alpha_set_sym_ws ws sym g)
+            (Pairwise.stable_interval Bcg.price ws sym g);
+          check same "transfers: fold = scan_ws"
+            (Transfers.stable_alpha_set_sym_ws ws sym g)
+            (Pairwise.stable_interval Transfers.price ws sym g))
+        [ trivial g; Nf_iso.Symmetry.detect_twins g ])
+    (annotation_corpus () @ Nf_enum.Unlabeled.connected_graphs 7)
+
 (* ---------------- weighted BCG reductions ------------------------------- *)
 
 (* uniform multipliers must reduce weighted stability to plain BCG
@@ -702,6 +724,7 @@ let () =
           Alcotest.test_case "public wrappers" `Quick test_public_wrappers;
           Alcotest.test_case "ucg petersen parity" `Slow test_ucg_petersen_parity;
           Alcotest.test_case "improving moves parity" `Quick test_improving_moves_parity;
+          Alcotest.test_case "pairwise fold = hot scans" `Quick test_pairwise_fold_vs_hot_scans;
         ] );
       ( "weighted bcg",
         [
