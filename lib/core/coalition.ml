@@ -23,29 +23,35 @@ open Pairwise.Frac
    set is a single interval (lo, hi] accumulated exactly like the BCG's
    lo/tied/hi scan, with pair benefits replaced by coalition ratios.
 
+   A 2-coalition has a_i = a_j = 1 and no free rider, so θ = min(Δ_i, Δ_j),
+   tied iff Δ_i = Δ_j: the BCG's pair rule.  The unilateral deletions are
+   the BCG's too, so the k ≥ 2 region is the BCG interval (the orbit-
+   quotiented scan) intersected with the fold over the coalitions of size
+   3..k; [Interval.inter] closes an equal lower end only when both sides
+   are closed, i.e. when every attaining coalition ties.  The reference
+   twin folds every coalition of size 2..k and every deletion itself, and
+   the differential tests pin the two equal.
+
    The k = 1 instance has no consented additions at all and is the UCG
    Nash region (size-1 "coalitions" are unilateral deviations over owned
-   links); the k = 2 instance enumerates exactly the single absent pairs
-   and reproduces the BCG scan threshold-for-threshold — both parities
-   are pinned by the differential tests.  The family's region kind is
-   [Union] so all instances share one store schema; k ≥ 2 regions are
-   one-interval unions.  Enumeration visits C(n, ≤k) coalitions, intended
-   for the orders the empirical study enumerates. *)
+   links).  The family's region kind is [Union] so all instances share
+   one store schema; k ≥ 2 regions are one-interval unions.  Enumeration
+   visits C(n, ≤k) coalitions, intended for the orders the empirical
+   study enumerates. *)
 
 let inf = Kernel.inf
 
 let ibenefit ~base after = if base = inf then (if after = inf then 0 else inf) else base - after
-let iloss ~base after = if base = inf || after = inf then inf else after - base
 
 let int_of_ext = function
   | Ext_int.Fin k -> k
   | Ext_int.Inf -> inf
 
-(* Enumerate subsets of {0..n-1} of size 2..k (members accumulated in
-   decreasing order) and hand each to [consider]. *)
-let iter_coalitions ~n ~k consider =
+(* Enumerate subsets of {0..n-1} of size [min_size]..k (members
+   accumulated in decreasing order) and hand each to [consider]. *)
+let iter_coalitions ~min_size ~n ~k consider =
   let rec go start members size =
-    if size >= 2 then consider members;
+    if size >= min_size then consider members;
     if size < k then
       for v = start to n - 1 do
         go (v + 1) (v :: members) (size + 1)
@@ -105,11 +111,12 @@ let absent_pairs_ws ws members =
   in
   go members
 
-let scan_ws ~k ws =
-  let n = Kernel.order ws in
+(* The lo/tied fold over the coalitions of size 3..k, as an interval
+   (lo, +∞) or [lo, +∞); the pairs and the deletions are the BCG's. *)
+let larger_coalitions_ws ~k ws =
   let base = Kernel.all_distance_sums ws in
-  let lo = ref (0, 1) and tied = ref true and hi = ref inf in
-  iter_coalitions ~n ~k (fun members ->
+  let lo = ref (0, 1) and tied = ref true in
+  iter_coalitions ~min_size:3 ~n:(Kernel.order ws) ~k (fun members ->
       match absent_pairs_ws ws members with
       | [] -> ()
       | pairs ->
@@ -119,28 +126,13 @@ let scan_ws ~k ws =
           tied := tie
         end
         else if frac_eq theta !lo && not tie then tied := false);
-  for i = 0 to n - 2 do
-    for j = i + 1 to n - 1 do
-      if Kernel.has_edge ws i j then begin
-        Kernel.toggle ws i j;
-        let li = iloss ~base:base.(i) (Kernel.distance_sum_from ws i)
-        and lj = iloss ~base:base.(j) (Kernel.distance_sum_from ws j) in
-        Kernel.toggle ws i j;
-        if li < !hi then hi := li;
-        if lj < !hi then hi := lj
-      end
-    done
-  done;
-  (!lo, !tied, !hi)
+  Interval.make ~lo:(endpoint_of_frac !lo)
+    ~lo_closed:(fst !lo <> inf && !tied)
+    ~hi:Interval.Pos_inf ~hi_closed:false
 
-let stable_alpha_set_ws ~k ws g =
-  Kernel.load ws g;
-  let lo, tied, hi = scan_ws ~k ws in
-  let hi_ep = if hi = inf then Interval.Pos_inf else Interval.Finite (Rat.of_int hi) in
-  Interval.inter positive
-    (Interval.make ~lo:(endpoint_of_frac lo)
-       ~lo_closed:(fst lo <> inf && tied)
-       ~hi:hi_ep ~hi_closed:true)
+let stable_alpha_set_ws ~k ws sym g =
+  let pairs = Bcg.stable_alpha_set_sym_ws ws sym g in
+  Interval.inter pairs (larger_coalitions_ws ~k ws)
 
 (* ---- persistent reference twin ------------------------------------------ *)
 
@@ -159,7 +151,7 @@ let stable_alpha_set_reference ~k g =
   let n = Graph.order g in
   let base = Array.init n (fun v -> int_of_ext (Bfs.distance_sum g v)) in
   let lo = ref (0, 1) and tied = ref true and hi = ref inf in
-  iter_coalitions ~n ~k (fun members ->
+  iter_coalitions ~min_size:2 ~n ~k (fun members ->
       match absent_pairs g members with
       | [] -> ()
       | pairs ->
@@ -187,44 +179,11 @@ let stable_alpha_set_reference ~k g =
 
 (* ---- point certifier ----------------------------------------------------- *)
 
+(* the fold's interval holds exactly the α ≥ 0 no coalition of size 3..k
+   blocks *)
 let is_stable ~k ~alpha g =
-  Kernel.with_loaded g (fun ws ->
-      let n = Kernel.order ws in
-      let base = Kernel.all_distance_sums ws in
-      let ok = ref true in
-      (try
-         for i = 0 to n - 2 do
-           for j = i + 1 to n - 1 do
-             if Kernel.has_edge ws i j then begin
-               Kernel.toggle ws i j;
-               let li = iloss ~base:base.(i) (Kernel.distance_sum_from ws i)
-               and lj = iloss ~base:base.(j) (Kernel.distance_sum_from ws j) in
-               Kernel.toggle ws i j;
-               if
-                 (not (frac_le_alpha alpha (li, 1)))
-                 || not (frac_le_alpha alpha (lj, 1))
-               then begin
-                 ok := false;
-                 raise_notrace Exit
-               end
-             end
-           done
-         done;
-         iter_coalitions ~n ~k (fun members ->
-             match absent_pairs_ws ws members with
-             | [] -> ()
-             | pairs ->
-               let theta, tie = scan_coalition_ws ws base members pairs in
-               let blocks =
-                 if tie then frac_lt_alpha alpha theta
-                 else frac_le_alpha alpha theta
-               in
-               if blocks then begin
-                 ok := false;
-                 raise_notrace Exit
-               end)
-       with Exit -> ());
-      !ok)
+  Bcg.is_pairwise_stable ~alpha g
+  && Interval.mem alpha (Kernel.with_loaded g (larger_coalitions_ws ~k))
 
 (* ---- instances ----------------------------------------------------------- *)
 
@@ -253,12 +212,11 @@ let make ~k : Interval.Union.t Game.t =
     let region_kind = Game.Region.Union
     let schema_tag = 5
 
-    (* k = 1 rides the UCG's orbit-pruned orientation walk; the k ≥ 2
-       scan is isomorphism-invariant but not yet quotiented, so it
-       ignores the subgroup. *)
+    (* k = 1 rides the UCG's orbit-pruned orientation walk, k ≥ 2 the
+       BCG's orbit-quotiented pair scan *)
     let stable_region_ws ws sym g =
       if k = 1 then Ucg.nash_alpha_set_sym_ws ws sym g
-      else Interval.Union.of_list [ stable_alpha_set_ws ~k ws g ]
+      else Interval.Union.of_list [ stable_alpha_set_ws ~k ws sym g ]
 
     let stable_region_reference g =
       if k = 1 then Ucg.nash_alpha_set_reference g

@@ -8,16 +8,18 @@
     contributes an exact rational threshold [θ_S = min Δ_v/a_v] and the
     stable set is a single interval accumulated by the BCG's lo/tied/hi
     scan (wrapped as a one-interval union so the whole family shares the
-    [Union] region shape).
+    [Union] region shape).  The 2-coalitions and the deletions are
+    exactly the BCG's pairs, so the workspace path is the BCG's
+    orbit-quotiented scan intersected with the fold over coalitions of
+    size 3..k.
 
     The two small instances collapse onto the classic games, and the
     differential suites pin both parities:
     - [k = 1]: no consented additions exist, so stability is the UCG
       Nash region — the instance delegates to {!Ucg} wholesale
       (annotators, certifier, cost model, [alpha_of_link_cost]).
-    - [k = 2]: coalitions are exactly the absent pairs and the scan
-      reproduces {!Bcg.stable_alpha_set} threshold-for-threshold; its
-      dynamics are {!Bcg.improving_moves}.
+    - [k = 2]: coalitions are exactly the absent pairs and the region is
+      {!Bcg.stable_alpha_set}; its dynamics are {!Bcg.improving_moves}.
 
     Coalition enumeration is [C(n, ≤k)] per graph — intended for the
     orders the empirical study enumerates, like the UCG's orientation
@@ -27,16 +29,19 @@ val family_name : string
 (** ["coalition"]. *)
 
 val stable_alpha_set_ws :
-  k:int -> Nf_graph.Kernel.t -> Nf_graph.Graph.t -> Nf_util.Interval.t
-(** The k ≥ 2 interval scan on a borrowed workspace (exposed unwrapped
-    for the parity tests; [k] below 2 still runs the scan, which then
-    sees no coalitions and returns the deletions-only interval). *)
+  k:int -> Nf_graph.Kernel.t -> Nf_iso.Symmetry.t -> Nf_graph.Graph.t -> Nf_util.Interval.t
+(** The k ≥ 2 interval on a borrowed workspace (exposed unwrapped for the
+    parity tests): {!Bcg.stable_alpha_set_sym_ws} under the given
+    automorphism subgroup, intersected with the lo/tied fold over every
+    coalition of size 3..k. *)
 
 val stable_alpha_set_reference : k:int -> Nf_graph.Graph.t -> Nf_util.Interval.t
-(** Persistent specification twin of {!stable_alpha_set_ws}. *)
+(** Persistent specification twin of {!stable_alpha_set_ws}: folds every
+    coalition of size 2..k and every unilateral deletion itself. *)
 
 val is_stable : k:int -> alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> bool
-(** Point certifier for the k ≥ 2 scan semantics. *)
+(** Point certifier for k ≥ 2: {!Bcg.is_pairwise_stable} and no
+    coalition of size 3..k blocks. *)
 
 val make : k:int -> Nf_util.Interval.Union.t Game.t
 (** The instance for one coalition bound.  [k] must lie in 1..8;

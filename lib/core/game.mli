@@ -102,8 +102,7 @@ module type S = sig
       one at [Symmetry.trivial n] — the differential harness in
       [test/test_orbit.ml] holds every registered game to that, and
       byte-identical stores depend on it.  A game whose annotator is not
-      isomorphism-invariant (per-player weights), or simply not
-      quotiented, ignores the subgroup. *)
+      isomorphism-invariant (per-player weights) ignores the subgroup. *)
 
   val stable_region_reference : Graph.t -> region
   (** Persistent-path specification twin of {!stable_region_ws}. *)

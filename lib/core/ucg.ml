@@ -84,7 +84,7 @@ let acceptance_interval g i ~owned =
       end);
   !result
 
-(* ---- workspace kernel twins ---------------------------------------------
+(* ---- workspace kernel ----------------------------------------------------
    Same semantics against a loaded Kernel workspace: the base graph is two
    xors per owned edge instead of a persistent rebuild, every deviation is
    toggled on/off around one allocation-free sweep, and the acceptance
@@ -98,40 +98,13 @@ let inf = Kernel.inf
 let candidates_ws ws v =
   Bitset.diff (Bitset.remove v (Bitset.full (Kernel.order ws))) (Kernel.neighbors ws v)
 
-let cost_le_i alpha ~k0 ~d0 ~k ~dt =
-  if d0 = inf then dt = inf
-  else dt = inf || Rat.num alpha * (k0 - k) <= (dt - d0) * Rat.den alpha
-
-(* [ws] must hold the full graph; restored on exit. *)
-let accepts_ws ~alpha ws v ~owned =
-  let k0 = Bitset.cardinal owned in
-  let d0 = Kernel.distance_sum_from ws v in
-  (* strip v's own purchases to get the deviation base (mask to actual
-     neighbors so a stray non-edge in [owned] is ignored, like the
-     reference's remove_edge no-op) *)
-  let strip = Bitset.inter owned (Kernel.neighbors ws v) in
-  Bitset.iter (fun j -> Kernel.toggle ws v j) strip;
-  let ok = ref true in
-  (try
-     Nf_util.Subset.iter_subsets (candidates_ws ws v) (fun targets ->
-         Bitset.iter (fun j -> Kernel.toggle ws v j) targets;
-         let dt = Kernel.distance_sum_from ws v in
-         Bitset.iter (fun j -> Kernel.toggle ws v j) targets;
-         if not (cost_le_i alpha ~k0 ~d0 ~k:(Bitset.cardinal targets) ~dt) then begin
-           ok := false;
-           raise_notrace Exit
-         end)
-   with Exit -> ());
-  Bitset.iter (fun j -> Kernel.toggle ws v j) strip;
-  !ok
-
 (* [ws] must hold the full graph; restored on exit.  Raw-bound core of the
    acceptance interval: writes [lo_n; lo_d; lo_c; hi_n; hi_d; hi_c] into
    [out] (lo = lo_n/lo_d with lo_d > 0, hi_d = 0 meaning +∞, closedness
    as 0/1) and returns [false] when some equal-cardinality deviation
-   strictly improves the distances (no α helps).  The orbit-quotient
-   orientation search consumes the bounds directly, without boxing them
-   into an [Interval.t] per lookup. *)
+   strictly improves the distances (no α helps).  The orientation walk
+   consumes the bounds directly, without boxing them into an [Interval.t]
+   per lookup. *)
 let acceptance_bounds_ws ws v ~owned ~(out : int array) =
   let d0 = Kernel.distance_sum_from ws v in
   if d0 = inf then invalid_arg "Ucg.acceptance_interval: player disconnected";
@@ -198,16 +171,6 @@ let acceptance_bounds_ws ws v ~owned ~(out : int array) =
     true
   end
 
-let acceptance_interval_ws ws v ~owned =
-  let out = Array.make 6 0 in
-  if not (acceptance_bounds_ws ws v ~owned ~out) then Interval.empty
-  else
-    Interval.make
-      ~lo:(Interval.Finite (Rat.make out.(0) out.(1)))
-      ~lo_closed:(out.(2) = 1)
-      ~hi:(if out.(4) = 0 then Interval.Pos_inf else Interval.Finite (Rat.make out.(3) out.(4)))
-      ~hi_closed:(out.(5) = 1)
-
 let best_response ~alpha g i ~owned =
   Kernel.with_loaded g (fun ws ->
       let strip = Bitset.inter owned (Kernel.neighbors ws i) in
@@ -239,141 +202,6 @@ let best_response ~alpha g i ~owned =
       assert (d <> inf);
       (!best, Rat.add (Rat.mul alpha (Rat.of_int k)) (Rat.of_int d)))
 
-(* --- orientation search ------------------------------------------------ *)
-
-(* Shared structure: assign each edge to an endpoint; as soon as a vertex
-   has all its incident edges decided, test it (accept/interval) and
-   prune.  [judge] abstracts over the per-α boolean check and the exact
-   interval check. *)
-let search_orientations (type verdict) g ~(top : verdict)
-    ~(judge : int -> owned -> verdict -> verdict option)
-    ~(emit : verdict -> unit) =
-  let n = Graph.order g in
-  let edges = Array.of_list (Graph.edges g) in
-  let m = Array.length edges in
-  let remaining = Array.make n 0 in
-  Array.iter
-    (fun (i, j) ->
-      remaining.(i) <- remaining.(i) + 1;
-      remaining.(j) <- remaining.(j) + 1)
-    edges;
-  let owned_now = Array.make n Bitset.empty in
-  (* vertices with no edges are judged once, up front *)
-  let rec judge_isolated v acc =
-    if v >= n then Some acc
-    else if remaining.(v) = 0 then
-      match judge v Bitset.empty acc with
-      | Some acc -> judge_isolated (v + 1) acc
-      | None -> None
-    else judge_isolated (v + 1) acc
-  in
-  let rec assign e acc =
-    if e >= m then emit acc
-    else begin
-      let i, j = edges.(e) in
-      let try_owner owner other =
-        owned_now.(owner) <- Bitset.add other owned_now.(owner);
-        remaining.(i) <- remaining.(i) - 1;
-        remaining.(j) <- remaining.(j) - 1;
-        let verdict =
-          let after_i =
-            if remaining.(i) = 0 then judge i owned_now.(i) acc else Some acc
-          in
-          match after_i with
-          | None -> None
-          | Some acc -> if remaining.(j) = 0 then judge j owned_now.(j) acc else Some acc
-        in
-        (match verdict with
-        | Some acc -> assign (e + 1) acc
-        | None -> ());
-        owned_now.(owner) <- Bitset.remove other owned_now.(owner);
-        remaining.(i) <- remaining.(i) + 1;
-        remaining.(j) <- remaining.(j) + 1
-      in
-      try_owner i j;
-      try_owner j i
-    end
-  in
-  match judge_isolated 0 top with
-  | None -> ()
-  | Some acc -> if m = 0 then emit acc else assign 0 acc
-
-(* cheap orientation-independent necessary conditions *)
-let passes_necessary_conditions ~alpha g =
-  Kernel.with_loaded g (fun ws ->
-      let n = Kernel.order ws in
-      let base = Kernel.all_distance_sums ws in
-      let num = Rat.num alpha
-      and den = Rat.den alpha in
-      let ok = ref true in
-      (try
-         (* buying a missing link on top of the current strategy must not
-            strictly improve either endpoint: α >= D(G) - D(G+ij) *)
-         for i = 0 to n - 2 do
-           for j = i + 1 to n - 1 do
-             if not (Kernel.has_edge ws i j) then begin
-               Kernel.toggle ws i j;
-               let check a =
-                 let d1 = Kernel.distance_sum_from ws a in
-                 if d1 <> inf && (base.(a) = inf || num < (base.(a) - d1) * den) then begin
-                   ok := false;
-                   Kernel.toggle ws i j;
-                   raise_notrace Exit
-                 end
-               in
-               check i;
-               check j;
-               Kernel.toggle ws i j
-             end
-           done
-         done;
-         (* whichever endpoint owns an edge must tolerate it: some
-            endpoint's single-drop loss must reach α *)
-         for i = 0 to n - 2 do
-           for j = i + 1 to n - 1 do
-             if Kernel.has_edge ws i j then begin
-               Kernel.toggle ws i j;
-               let tolerates a =
-                 let d1 = Kernel.distance_sum_from ws a in
-                 base.(a) = inf || d1 = inf || num <= (d1 - base.(a)) * den
-               in
-               let t = tolerates i || tolerates j in
-               Kernel.toggle ws i j;
-               if not t then begin
-                 ok := false;
-                 raise_notrace Exit
-               end
-             end
-           done
-         done
-       with Exit -> ());
-      !ok)
-
-let is_nash_graph ~alpha g =
-  passes_necessary_conditions ~alpha g
-  && Kernel.with_loaded g (fun ws ->
-         let memo = Hashtbl.create 64 in
-         let accepts_memo v owned =
-           let key = (v, owned) in
-           match Hashtbl.find_opt memo key with
-           | Some verdict -> verdict
-           | None ->
-             let verdict = accepts_ws ~alpha ws v ~owned in
-             Hashtbl.add memo key verdict;
-             verdict
-         in
-         let found = ref false in
-         (let judge v owned () = if !found || not (accepts_memo v owned) then None else Some () in
-          let emit () = found := true in
-          search_orientations g ~top:() ~judge ~emit);
-         !found)
-
-let is_nash_graph_f ~alpha g =
-  let denom = 4096 in
-  let scaled = alpha *. float_of_int denom in
-  if Float.is_integer scaled then is_nash_graph ~alpha:(Rat.make (int_of_float scaled) denom) g
-  else invalid_arg "Ucg.is_nash_graph_f: alpha not dyadic with denominator <= 4096"
-
 let is_nash_orientation ~alpha g ~owner =
   let n = Graph.order g in
   let owned_of = Array.make n Bitset.empty in
@@ -382,94 +210,136 @@ let is_nash_orientation ~alpha g ~owner =
       if o <> i && o <> j then invalid_arg "Ucg.is_nash_orientation: owner not an endpoint";
       let other = if o = i then j else i in
       owned_of.(o) <- Bitset.add other owned_of.(o));
-  Kernel.with_loaded g (fun ws ->
-      let rec go v = v >= n || (accepts_ws ~alpha ws v ~owned:owned_of.(v) && go (v + 1)) in
-      go 0)
+  let rec go v = v >= n || (accepts ~alpha g v ~owned:owned_of.(v) && go (v + 1)) in
+  go 0
 
-(* Coverage pruning ([~prune:true]): every leaf below a node emits a
-   subset of the node's running interval, so once that interval lies
-   inside the union of the pieces emitted so far, the subtree can only
-   re-emit covered points and is cut.  [Union.of_list] merges touching
-   ranges, so the union's canonical form depends on the point set alone
-   and the pruned walk's result is structurally identical to the
-   exhaustive one.  The reference runs with [~prune:false]. *)
-let nash_alpha_set_gen ~prune ~interval_of g =
+(* ---- reference orientation search ---------------------------------------
+   Assign each edge to an endpoint; as soon as a vertex has all its
+   incident edges decided, intersect the running interval with its
+   (memoized) acceptance interval and cut the branch when it empties.
+   Every surviving orientation emits its interval: no coverage pruning,
+   so the walk stays an independent oracle for the workspace walk. *)
+
+let nash_alpha_set_reference g =
   if not (Nf_graph.Connectivity.is_connected g) || Graph.order g = 0 then
     Interval.Union.empty
   else begin
+    let n = Graph.order g in
+    let edges = Array.of_list (Graph.edges g) in
+    let m = Array.length edges in
+    let remaining = Array.make n 0 in
+    Array.iter
+      (fun (i, j) ->
+        remaining.(i) <- remaining.(i) + 1;
+        remaining.(j) <- remaining.(j) + 1)
+      edges;
+    let owned_now = Array.make n Bitset.empty in
     let memo = Hashtbl.create 64 in
-    let interval_memo v owned =
-      let key = (v, owned) in
-      match Hashtbl.find_opt memo key with
-      | Some interval -> interval
-      | None ->
-        let interval = interval_of v owned in
-        Hashtbl.add memo key interval;
-        interval
+    let judge v current =
+      let owned = owned_now.(v) in
+      let interval =
+        match Hashtbl.find_opt memo (v, owned) with
+        | Some interval -> interval
+        | None ->
+          let interval = acceptance_interval g v ~owned in
+          Hashtbl.add memo (v, owned) interval;
+          interval
+      in
+      let refined = Interval.inter current interval in
+      if Interval.is_empty refined then None else Some refined
     in
     let covered = ref Interval.Union.empty in
-    let judge v owned current =
-      let refined = Interval.inter current (interval_memo v owned) in
-      if Interval.is_empty refined || (prune && Interval.Union.covers !covered refined) then
-        None
-      else Some refined
+    let rec assign e current =
+      if e >= m then covered := Interval.Union.add current !covered
+      else begin
+        let i, j = edges.(e) in
+        let try_owner owner other =
+          owned_now.(owner) <- Bitset.add other owned_now.(owner);
+          remaining.(i) <- remaining.(i) - 1;
+          remaining.(j) <- remaining.(j) - 1;
+          let verdict =
+            match if remaining.(i) = 0 then judge i current else Some current with
+            | Some current when remaining.(j) = 0 -> judge j current
+            | verdict -> verdict
+          in
+          Option.iter (assign (e + 1)) verdict;
+          owned_now.(owner) <- Bitset.remove other owned_now.(owner);
+          remaining.(i) <- remaining.(i) + 1;
+          remaining.(j) <- remaining.(j) + 1
+        in
+        try_owner i j;
+        try_owner j i
+      end
     in
-    let emit interval = covered := Interval.Union.add interval !covered in
-    search_orientations g ~top:(Interval.open_closed Rat.zero Interval.Pos_inf) ~judge
-      ~emit;
+    (* a connected graph has an edgeless vertex only when n = 1: judge it
+       up front *)
+    let top = Interval.open_closed Rat.zero Interval.Pos_inf in
+    Option.iter (assign 0) (if m = 0 then judge 0 top else Some top);
     !covered
   end
 
-let nash_alpha_set_pruned ws g =
-  nash_alpha_set_gen ~prune:true
-    ~interval_of:(fun v owned -> acceptance_interval_ws ws v ~owned)
-    g
+(* ---- the orientation walk ------------------------------------------------
+   The production search, for every subgroup of [Aut(g)]:
 
-(* ---- orbit-quotient orientation search ----------------------------------
-   Two symmetry dividends on top of the plain walk, both exact:
+   1. Coverage pruning.  Every leaf below a node emits a subset of the
+      node's running interval, so once that interval lies inside the
+      union of the pieces emitted so far, the subtree can only re-emit
+      covered points and is cut.  [Union.of_list] merges touching ranges,
+      so the union's canonical form depends on the point set alone and
+      the pruned walk's result is structurally identical to the
+      exhaustive reference's.
 
-   1. Sibling-branch pruning by live group elements.  Walking the edge
+   2. Sibling-branch pruning by live group elements.  Walking the edge
       list in fixed order, maintain the subset of enumerated automorphisms
       that fix every already-assigned arc pointwise (a swap-to-front
       prefix of one index array — the set at each depth survives deeper
       reorderings).  At edge {i,j}, if some live σ swaps i and j, then σ
       maps the owner-i subtree onto the owner-j subtree leaf-for-leaf, and
       acceptance intervals are isomorphism-invariant, so the skipped
-      subtree would emit exactly the pieces the kept one does.
+      subtree would emit exactly the pieces the kept one does.  The
+      trivial subgroup has no elements, so the prune never fires.
 
-   2. An allocation-free walk.  The per-(vertex, owned) acceptance
+   3. An allocation-free walk.  The per-(vertex, owned) acceptance
       intervals live in lazily-filled integer tables indexed by compact
       owned-masks over each vertex's neighbor list, and the running
       intersection is a file of per-depth integer registers compared by
       exact cross-multiplication — no hashing and no boxed intervals until
       a leaf emits a piece.  Piece construction goes through the same
-      [Rat.make]/[Interval.make] normalization as the plain path, and
-      [Union.add] canonicalizes the collection, so the result is
-      structurally identical to the unquotiented walk's.  The coverage
-      prune (see [nash_alpha_set_gen]) runs against an integer mirror of
-      the emitted union, so it allocates only when a leaf grows it. *)
+      [Rat.make]/[Interval.make] normalization as the reference, and
+      [Union.add] canonicalizes the collection.  The coverage test runs
+      against an integer mirror of the emitted union, so it allocates
+      only when a leaf grows it. *)
 
 let closure_cap m = if m < 10 then 32 else 1024
 
 (* tables hold one slot per (vertex, subset of incident edges) *)
 let table_budget = 1 lsl 20
 
-let nash_alpha_set_quotient_ws ws sym g =
+let orientation_walk ws sym g =
   let n = Graph.order g in
   let edges = Array.of_list (Graph.edges g) in
   let m = Array.length edges in
   let elems = Symmetry.group_elements ~cap:(closure_cap m) sym in
-  let nelems = Array.length elems in
-  let live = Array.init nelems Fun.id in
-  let live_len = Array.make (m + 2) nelems in
+  let live = Array.init (Array.length elems) Fun.id in
+  let live_len = Array.make (m + 2) (Array.length elems) in
   let nbrs =
     Array.init n (fun v -> Array.of_list (Bitset.elements (Kernel.neighbors ws v)))
   in
-  let off = Array.make (n + 1) 0 in
+  (* a vertex of degree d gets a table of 2^d slots at off.(v) while the
+     tables fit the budget; a vertex left without one (off.(v) < 0)
+     recomputes its bounds on each visit into the scratch slot *)
+  let off = Array.make n (-1) in
+  let used = ref 0 in
   for v = 0 to n - 1 do
-    off.(v + 1) <- off.(v) + (1 lsl Array.length nbrs.(v))
+    let d = Array.length nbrs.(v) in
+    (* d < int_size - 1 keeps 1 lsl d positive *)
+    if d < Sys.int_size - 1 && 1 lsl d <= table_budget - !used then begin
+      off.(v) <- !used;
+      used := !used + (1 lsl d)
+    end
   done;
-  let tsize = off.(n) in
+  let scratch = !used in
+  let tsize = scratch + 1 in
   (* state: 0 unknown, 1 empty, 2 known; cl: bit 0 lo closed, bit 1 hi *)
   let state = Bytes.make tsize '\000' in
   let t_cl = Bytes.make tsize '\000' in
@@ -478,24 +348,32 @@ let nash_alpha_set_quotient_ws ws sym g =
   and t_hi_n = Array.make tsize 0
   and t_hi_d = Array.make tsize 0 in
   let bounds = Array.make 6 0 in
+  let fill idx v owned =
+    if acceptance_bounds_ws ws v ~owned ~out:bounds then begin
+      Bytes.set state idx '\002';
+      t_lo_n.(idx) <- bounds.(0);
+      t_lo_d.(idx) <- bounds.(1);
+      t_hi_n.(idx) <- bounds.(3);
+      t_hi_d.(idx) <- bounds.(4);
+      Bytes.set t_cl idx (Char.chr (bounds.(2) lor (bounds.(5) lsl 1)))
+    end
+    else Bytes.set state idx '\001'
+  in
   let lookup v owned =
-    let nb = nbrs.(v) in
-    let mask = ref 0 in
-    for k = 0 to Array.length nb - 1 do
-      if Bitset.mem nb.(k) owned then mask := !mask lor (1 lsl k)
-    done;
-    let idx = off.(v) + !mask in
-    if Bytes.get state idx = '\000' then
-      if acceptance_bounds_ws ws v ~owned ~out:bounds then begin
-        Bytes.set state idx '\002';
-        t_lo_n.(idx) <- bounds.(0);
-        t_lo_d.(idx) <- bounds.(1);
-        t_hi_n.(idx) <- bounds.(3);
-        t_hi_d.(idx) <- bounds.(4);
-        Bytes.set t_cl idx (Char.chr (bounds.(2) lor (bounds.(5) lsl 1)))
-      end
-      else Bytes.set state idx '\001';
-    idx
+    if off.(v) < 0 then begin
+      fill scratch v owned;
+      scratch
+    end
+    else begin
+      let nb = nbrs.(v) in
+      let mask = ref 0 in
+      for k = 0 to Array.length nb - 1 do
+        if Bitset.mem nb.(k) owned then mask := !mask lor (1 lsl k)
+      done;
+      let idx = off.(v) + !mask in
+      if Bytes.get state idx = '\000' then fill idx v owned;
+      idx
+    end
   in
   (* per-depth register file for the running intersection *)
   let r_lo_n = Array.make (m + 2) 0
@@ -646,7 +524,7 @@ let nash_alpha_set_quotient_ws ws sym g =
     if e >= m then emit e
     else begin
       let i, j = edges.(e) in
-      if nelems > 0 then filter_live e i j;
+      filter_live e i j;
       let try_owner owner other =
         owned_now.(owner) <- Bitset.add other owned_now.(owner);
         remaining.(i) <- remaining.(i) - 1;
@@ -662,46 +540,29 @@ let nash_alpha_set_quotient_ws ws sym g =
         remaining.(j) <- remaining.(j) + 1
       in
       try_owner i j;
-      if not (nelems > 0 && swap_exists e i j) then try_owner j i
+      if not (swap_exists e i j) then try_owner j i
     end
   in
-  (* top slot: (0, +inf], matching the plain walk's starting interval *)
+  (* top slot: (0, +inf], the reference's starting interval *)
   r_lo_n.(0) <- 0;
   r_lo_d.(0) <- 1;
   Bytes.set r_lo_c 0 '\000';
   r_hi_d.(0) <- 0;
-  (* connected graphs with n >= 2 have no isolated vertices, and n <= 1
-     never reaches this function (the subgroup is trivial there) *)
+  (* connected graphs with n >= 2 have no isolated vertices; at n = 1 the
+     lone vertex accepts every α > 0, which the top slot already is *)
   assign 0;
   !covered
 
 let nash_alpha_set_sym_ws ws sym g =
   Kernel.load ws g;
-  if Symmetry.is_trivial sym then nash_alpha_set_pruned ws g
-  else if not (Nf_graph.Connectivity.is_connected g) || Graph.order g = 0 then
+  if not (Nf_graph.Connectivity.is_connected g) || Graph.order g = 0 then
     Interval.Union.empty
-  else begin
-    (* table budget: a vertex of degree d costs 2^d slots; graphs dense
-       enough to blow it would not finish the 2^m walk either way, but
-       fail back to the plain path rather than allocate absurdly *)
-    let budget_ok =
-      let total = ref 0 in
-      (try
-         for v = 0 to Graph.order g - 1 do
-           total := !total + (1 lsl Graph.degree g v);
-           if !total > table_budget then raise_notrace Exit
-         done;
-         true
-       with Exit -> false)
-    in
-    if budget_ok then nash_alpha_set_quotient_ws ws sym g else nash_alpha_set_pruned ws g
-  end
+  else orientation_walk ws sym g
 
 (* One-off entry point: auto-detect symmetry when the quotient is enabled.
    The orientation walk is 2^m, so on searches big enough to matter
    (m >= 10) the exact group from Canon.full is cheap by comparison;
-   below that the twin scan costs well under a microsecond and the rigid
-   fast path keeps asymmetric graphs on exactly the plain walk. *)
+   below that the twin scan costs well under a microsecond. *)
 let nash_alpha_set g =
   Kernel.with_ws (fun ws ->
       let sym =
@@ -711,5 +572,4 @@ let nash_alpha_set g =
       in
       nash_alpha_set_sym_ws ws sym g)
 
-let nash_alpha_set_reference g =
-  nash_alpha_set_gen ~prune:false ~interval_of:(fun v owned -> acceptance_interval g v ~owned) g
+let is_nash_graph ~alpha g = Interval.Union.mem alpha (nash_alpha_set g)

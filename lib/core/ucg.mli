@@ -5,24 +5,24 @@
     endpoint (double purchases admit an improving drop), so supporting
     strategy profiles are exactly edge orientations.  Whether player [i]
     accepts its owned edge set is independent of who owns the other edges,
-    which lets the certifier search orientations with per-player
-    memoization: a graph is a Nash graph iff some orientation makes every
-    player accept.
+    so a graph is a Nash graph iff some orientation makes every player
+    accept.
 
     A player's acceptance constraints are linear in [α], so each
     [(player, owned set)] pair has an exact rational acceptance interval
     and each graph an exact Nash α-region (a finite union of rational
     intervals).
 
-    The Nash α-set walks prune by coverage: they keep the union of the
-    pieces emitted so far and cut a subtree as soon as its running
-    interval lies inside one range of that union.  Every leaf below a node
-    emits a subset of the node's running interval, so the cut subtree
-    could only re-emit covered points; and {!Nf_util.Interval.Union.of_list}
-    merges touching ranges, so the canonical union depends on the point
-    set alone.  The pruned result is therefore structurally identical to
-    the exhaustive walk's ({!nash_alpha_set_reference}, which does not
-    prune).
+    One orientation walk ({!nash_alpha_set_sym_ws}) computes that region
+    for every entry point; {!is_nash_graph} reads it.  The walk prunes by
+    coverage: it keeps the union of the pieces emitted so far and cuts a
+    subtree as soon as its running interval lies inside one range of that
+    union.  Every leaf below a node emits a subset of the node's running
+    interval, so the cut subtree could only re-emit covered points; and
+    {!Nf_util.Interval.Union.of_list} merges touching ranges, so the
+    canonical union depends on the point set alone.  The pruned result is
+    therefore structurally identical to the exhaustive walk's
+    ({!nash_alpha_set_reference}, which does not prune).
 
     These computations are exponential in the worst case (all orientations
     of dense graphs); they are intended for the orders the empirical study
@@ -58,10 +58,8 @@ val is_nash_orientation :
 
 val is_nash_graph : alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> bool
 (** Whether some orientation of [g] is a Nash equilibrium at link cost
-    [α] (Definition 1 existentially over supporting profiles). *)
-
-val is_nash_graph_f : alpha:float -> Nf_graph.Graph.t -> bool
-(** Dyadic-float convenience wrapper. *)
+    [α] (Definition 1 existentially over supporting profiles): membership
+    of [α] in {!nash_alpha_set}. *)
 
 val nash_alpha_set : Nf_graph.Graph.t -> Nf_util.Interval.Union.t
 (** The exact set of positive link costs at which [g] is a Nash graph.
@@ -76,16 +74,20 @@ val nash_alpha_set : Nf_graph.Graph.t -> Nf_util.Interval.Union.t
 val nash_alpha_set_sym_ws :
   Nf_graph.Kernel.t -> Nf_iso.Symmetry.t -> Nf_graph.Graph.t -> Nf_util.Interval.Union.t
 (** {!nash_alpha_set} against a caller-provided kernel workspace — the
-    allocation-light path used by chunked annotation (acceptance
-    intervals accumulated as integer fraction bounds around in-place
-    edge toggles, pruned by coverage; see the module header).  A
-    non-trivial subgroup also prunes owner-swap sibling branches with
-    its live automorphisms (any subgroup of [Aut(g)] is sound — skipped
-    subtrees emit exactly the pieces their σ-image keeps) and runs the
-    walk on lazily-filled integer acceptance tables, the covered ranges
-    kept as integer numerator/denominator/closedness registers so the
-    coverage test does not allocate.  The result is the same for any
-    subgroup; [Symmetry.trivial n] runs the plain walk. *)
+    allocation-light path used by chunked annotation, and the one walk
+    behind every entry point of this module.  Acceptance intervals are
+    accumulated as integer fraction bounds around in-place edge toggles
+    and memoized in per-vertex integer tables (a vertex of degree [d]
+    takes [2^d] slots while the tables fit a fixed budget of [2^20]
+    slots; a vertex past it recomputes its bounds on each visit); the
+    running intersection and the covered ranges are integer
+    numerator/denominator/closedness registers, so neither the
+    intersection nor the coverage test allocates.  A non-trivial
+    subgroup also prunes owner-swap sibling branches with its live
+    automorphisms (any subgroup of [Aut(g)] is sound — skipped subtrees
+    emit exactly the pieces their σ-image keeps); [Symmetry.trivial n]
+    has no elements, so that prune never fires.  The result is the same
+    for any subgroup. *)
 
 val nash_alpha_set_reference : Nf_graph.Graph.t -> Nf_util.Interval.Union.t
 (** Retained persistent-path implementation built on

@@ -177,21 +177,6 @@ module Union = struct
   let is_empty u = u = []
   let mem x u = List.exists (mem x) u
 
-  (* A connected set inside the union lies inside one of its ranges: the
-     ranges are the union's maximal connected pieces. *)
-  let covers u = function
-    | Empty -> true
-    | Range r ->
-      List.exists
-        (function
-          | Empty -> false
-          | Range c ->
-            let lo = compare_endpoint c.lo r.lo
-            and hi = compare_endpoint r.hi c.hi in
-            (lo < 0 || (lo = 0 && (c.lo_closed || not r.lo_closed)))
-            && (hi < 0 || (hi = 0 && (c.hi_closed || not r.hi_closed))))
-        u
-
   let add i u = of_list (i :: u)
   let union u1 u2 = of_list (u1 @ u2)
   let equal u1 u2 = List.length u1 = List.length u2 && List.for_all2 equal u1 u2

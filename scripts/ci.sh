@@ -72,8 +72,8 @@ echo "store read-back: store export and query --export = fresh annotate -n 6 (bo
 
 # UCG bytes at the largest default order: the classic n=7 store carries
 # the exact UCG Nash set of every connected class, so the pruned
-# orientation walks (plain and orbit-quotient, both pool widths) must all
-# reproduce the golden md5.
+# orientation walk (twin subgroups and the trivial one, both pool widths)
+# must reproduce the golden md5.
 echo "== UCG n=7 store (golden md5, both pool widths, quotient on/off) =="
 ucg7_md5=dcb9c2744be244711da55f1146b79d00
 for jobs in 1 4; do
@@ -88,6 +88,27 @@ for jobs in 1 4; do
   done
 done
 echo "UCG n=7 store: four builds byte-identical, md5 $ucg7_md5"
+
+# UCG bytes at n=8 and the coalition-k layering at n=7, each with the
+# quotient on and off: the rigid classes (4,986 of the 11,117 at n=8) run
+# the orientation walk with no owner-swap prune, and coalition:k>=2 is
+# the BCG pair scan plus the coalitions of size 3..k, which nothing else
+# pins.
+echo "== UCG n=8 and coalition:k=2/3 n=7 stores (golden md5s, quotient on/off) =="
+for spec in "8 ucg 19e879e4039e8b700a09c6f0bc02a37b" \
+            "7 coalition:k=2 41b2675b4e48338bc93e154954ce7965" \
+            "7 coalition:k=3 7e1c5267d2b04286db299e30995023d0"; do
+  set -- $spec
+  for quotient in on off; do
+    flag=""
+    [ "$quotient" = on ] || flag="--no-orbit-quotient"
+    out="$store_dir/golden_$2_$quotient.nfs"
+    dune exec bin/netform_cli.exe -- store build -n "$1" --game "$2" $flag -o "$out" --quiet
+    sum=$(md5sum "$out" | cut -d' ' -f1)
+    [ "$sum" = "$3" ] || { echo "$2 n=$1 store ($quotient): md5 $sum, expected $3" >&2; exit 1; }
+  done
+  echo "$2 n=$1 store: quotient on and off match md5 $3"
+done
 
 # BCG bytes at n=8: the first order enumerated by canonical augmentation,
 # whose representatives and stream order come from the refinement's exact

@@ -278,13 +278,31 @@ let registry_suites =
    sweeps enumerate at n ≤ 6 *)
 let coalition_corpus () = List.concat_map Nf_enum.Unlabeled.connected_graphs [ 3; 4; 5; 6 ]
 
+(* the workspace path is the BCG scan plus the coalitions of size 3..k;
+   the reference folds every coalition of size 2..k itself, so k = 2
+   against the BCG and k = 2..4 against the workspace path pin the
+   layering, over every connected class at n <= 7 and under both the
+   all-pairs and the twin subgroup *)
 let test_coalition_k2_scan_is_bcg () =
+  let structural = Alcotest.testable Interval.pp ( = ) in
   Kernel.with_ws (fun ws ->
       List.iter
         (fun g ->
-          check interval "k=2 scan = BCG interval" (Bcg.stable_alpha_set_sym_ws ws (trivial g) g)
-            (Coalition.stable_alpha_set_ws ~k:2 ws g))
-        (coalition_corpus ()))
+          let name = Nf_graph.Graph6.encode g in
+          check structural (name ^ ": k=2 reference = BCG interval") (Bcg.stable_alpha_set g)
+            (Coalition.stable_alpha_set_reference ~k:2 g);
+          List.iter
+            (fun k ->
+              let expected = Coalition.stable_alpha_set_reference ~k g in
+              List.iter
+                (fun (tier, sym) ->
+                  check structural
+                    (Printf.sprintf "%s: k=%d ws (%s) = reference" name k tier)
+                    expected
+                    (Coalition.stable_alpha_set_ws ~k ws sym g))
+                [ ("trivial", trivial g); ("twins", Nf_iso.Symmetry.detect_twins g) ])
+            [ 2; 3; 4 ])
+        (List.concat_map Nf_enum.Unlabeled.connected_graphs [ 2; 3; 4; 5; 6; 7 ]))
 
 let test_coalition_instances_vs_classics () =
   let module K1 = (val Coalition.make ~k:1) in

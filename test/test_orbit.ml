@@ -4,9 +4,8 @@
    families like coalition:k=2 cannot drop out — annotating through the
    symmetry path — with either detection tier — must agree exactly with
    the unquotiented loop on every connected graph up to n = 7 and on the
-   named gallery.  Games that ignore the subgroup (weighted BCG,
-   coalition:k>=2) ride along, so every annotator is held to the same
-   contract.
+   named gallery.  A game that ignores the subgroup (weighted BCG) rides
+   along, so every annotator is held to the same contract.
 
    The UCG orientation search makes Union-region games far more
    expensive per graph, so their gallery leg stops at order 10. *)

@@ -136,6 +136,9 @@ let test_vs_brute_force () =
             (Ucg.is_nash_graph ~alpha g))
         alphas)
 
+(* the exact Nash set against Definition 1 checked orientation by
+   orientation: [is_nash_graph] reads the set, so the pointwise side is
+   the brute force *)
 let test_interval_vs_pointwise () =
   let rng = Prng.create 91 in
   let alphas = List.map (fun (a, b) -> rq a b) [ (1, 4); (1, 2); (1, 1); (3, 2); (2, 1); (3, 1); (5, 1); (8, 1) ] in
@@ -144,14 +147,11 @@ let test_interval_vs_pointwise () =
     let set = Ucg.nash_alpha_set g in
     List.iter
       (fun alpha ->
-        check_bool "set membership = pointwise check"
-          (Ucg.is_nash_graph ~alpha g)
+        check_bool "set membership = brute force"
+          (brute_is_nash_graph ~alpha_f:(Rat.to_float alpha) g)
           (Interval.Union.mem alpha set))
       alphas
   done
-
-let test_is_nash_graph_f () =
-  check_bool "dyadic wrapper" true (Ucg.is_nash_graph_f ~alpha:0.5 (Families.complete 4))
 
 let test_acceptance_interval_matches_accepts () =
   (* for random (player, owned set) pairs, membership in the acceptance
@@ -176,12 +176,14 @@ let test_acceptance_interval_matches_accepts () =
       alphas
   done
 
-(* ---------------- pruned walks vs the exhaustive reference ------------ *)
+(* ---------------- pruned walk vs the exhaustive reference ------------- *)
 
-(* The workspace walks cut subtrees whose running interval the emitted
-   union already covers; the reference walks every orientation.  All
-   three pruned entry points must reproduce it structurally (polymorphic
-   equality, not just the same point set). *)
+(* The workspace walk cuts subtrees whose running interval the emitted
+   union already covers, and owner-swap siblings its subgroup maps onto
+   each other; the reference walks every orientation.  Under the trivial
+   subgroup, the twin subgroup and the full group the walk must
+   reproduce it structurally (polymorphic equality, not just the same
+   point set). *)
 let structural = Alcotest.testable Interval.Union.pp ( = )
 
 let check_pruned_paths ws g =
@@ -225,8 +227,7 @@ let test_dense_pin_n8 () =
   check union "G~~~vo Nash on [1,1]" unit_point
     (Ucg.nash_alpha_set (Nf_graph.Graph6.decode "G~~~vo"))
 
-(* every UCG Nash graph passes the orientation-free necessary conditions
-   implicitly; also check a known negative quickly *)
+(* a known negative, quickly *)
 let test_dense_not_nash_at_high_alpha () =
   check_bool "K6 not Nash at alpha=3" false (Ucg.is_nash_graph ~alpha:(r 3) (Families.complete 6))
 
@@ -253,7 +254,6 @@ let () =
         [
           Alcotest.test_case "vs brute force" `Slow test_vs_brute_force;
           Alcotest.test_case "interval vs pointwise" `Quick test_interval_vs_pointwise;
-          Alcotest.test_case "float wrapper" `Quick test_is_nash_graph_f;
           Alcotest.test_case "acceptance interval" `Quick test_acceptance_interval_matches_accepts;
           Alcotest.test_case "pruned = reference, connected n <= 6" `Quick
             test_pruned_vs_reference_small;
