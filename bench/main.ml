@@ -2,9 +2,9 @@
 
    Running this executable does two things:
 
-   1. prints every table and figure of the paper's evaluation (the E1-E22
-      reproduction suite from nf_analysis.Experiments) — the "rows and
-      series the paper reports";
+   1. prints every table and figure of the paper's evaluation (every
+      entry of Nf_analysis.Experiments.table) — the "rows and series the
+      paper reports";
    2. times the computation behind each artifact with Bechamel, one
       Test.make per table/figure, plus the substrate kernels they rest on
       (BFS, canonical labeling, enumeration, stability intervals, Nash
@@ -38,16 +38,19 @@ let quick = Sys.getenv_opt "NETFORM_BENCH_QUICK" = Some "1"
 
 (* ---------------- part 1: reproduce the paper ---------------- *)
 
+module Experiments = Nf_analysis.Experiments
+
 let print_experiments () =
   Printf.printf "netform reproduction suite (n=%d)\n" bench_n;
   Printf.printf "=================================\n\n%!";
-  let results = Nf_analysis.Experiments.run_all ~n:bench_n () in
-  print_string (Nf_analysis.Experiments.render_all results);
-  let failed = List.filter (fun r -> not r.Nf_analysis.Experiments.ok) results in
+  let ctx = Experiments.context bench_n in
+  let results = List.map (fun (e : Experiments.entry) -> e.run ctx) Experiments.table in
+  print_string (Experiments.render_all results);
+  let failed = List.filter (fun (r : Experiments.result) -> not r.ok) results in
   if failed = [] then Printf.printf "\nall experiment self-checks passed\n%!"
   else
     Printf.printf "\nFAILED self-checks: %s\n%!"
-      (String.concat ", " (List.map (fun r -> r.Nf_analysis.Experiments.id) failed))
+      (String.concat ", " (List.map (fun (r : Experiments.result) -> r.id) failed))
 
 (* ---------------- part 2: timing ---------------- *)
 
@@ -55,6 +58,11 @@ module Families = Nf_named.Families
 module Gallery = Nf_named.Gallery
 module Rat = Nf_util.Rat
 open Netform
+
+(* one table entry at n = 5 *)
+let run_experiment id =
+  let entry = Option.get (Experiments.find Experiments.table id) in
+  Staged.stage (fun () -> entry.run (Experiments.context 5))
 
 (* per-table/figure kernels (smaller sizes: timing, not reproduction) *)
 let experiment_tests =
@@ -66,12 +74,9 @@ let experiment_tests =
     Test.make ~name:"fig2_fig3_sweep_n5" (Staged.stage (fun () ->
         Nf_analysis.Equilibria.clear_cache ();
         Nf_analysis.Figures.sweep ~n:5 ()));
-    Test.make ~name:"lemma4_exhaustive_n5" (Staged.stage (fun () ->
-        Nf_analysis.Experiments.e4_lemma4 ~n:5 ()));
-    Test.make ~name:"lemma5_exhaustive_n5" (Staged.stage (fun () ->
-        Nf_analysis.Experiments.e5_lemma5 ~n:5 ()));
-    Test.make ~name:"lemma6_cycle_windows" (Staged.stage (fun () ->
-        Nf_analysis.Experiments.e6_lemma6_cycles ~max_n:12 ()));
+    Test.make ~name:"lemma4_exhaustive_n5" (run_experiment "E4");
+    Test.make ~name:"lemma5_exhaustive_n5" (run_experiment "E5");
+    Test.make ~name:"lemma6_cycle_windows" (run_experiment "E6");
     Test.make ~name:"prop3_moore_windows" (Staged.stage (fun () ->
         (Bcg.stable_alpha_set Gallery.petersen, Bcg.stable_alpha_set Gallery.mcgee)));
     Test.make ~name:"prop4_worst_poa_n6" (Staged.stage (fun () ->
@@ -88,8 +93,7 @@ let experiment_tests =
         Ucg.nash_alpha_set Gallery.petersen));
     Test.make ~name:"desargues_link_convexity" (Staged.stage (fun () ->
         Convexity.link_convexity_gap Gallery.desargues));
-    Test.make ~name:"eq5_bound_check_n5" (Staged.stage (fun () ->
-        Nf_analysis.Experiments.e13_eq5_bound ~n:5 ()));
+    Test.make ~name:"eq5_bound_check_n5" (run_experiment "E13");
     Test.make ~name:"transfers_stable_set_petersen" (Staged.stage (fun () ->
         Transfers.stable_alpha_set Gallery.petersen));
     Test.make ~name:"prop2_witness_gallery" (Staged.stage (fun () ->
@@ -107,9 +111,6 @@ let experiment_tests =
     Test.make ~name:"bcg_scaling_annotate_n6" (Staged.stage (fun () ->
         Nf_analysis.Equilibria.clear_cache ();
         Nf_analysis.Equilibria.bcg_annotated 6));
-    Test.make ~name:"sampled_n10_one_row" (Staged.stage (fun () ->
-        let rng = Nf_util.Prng.create 7 in
-        Nf_dynamics.Bcg_dynamics.sample_stable ~alpha:(Rat.of_int 4) ~rng ~n:10 ~attempts:20));
     Test.make ~name:"proper_n4_one_epsilon" (Staged.stage (fun () ->
         Proper.analyze Cost.Bcg ~alpha:2.0
           ~target:(Strategy.of_graph_bcg (Families.star 4))
@@ -192,7 +193,7 @@ let kernel_tests =
           ~owned:Nf_util.Bitset.empty));
     Test.make ~name:"bcg_dynamics_run_n8" (Staged.stage (fun () ->
         let rng = Nf_util.Prng.create 5 in
-        Nf_dynamics.Bcg_dynamics.run ~alpha:(Rat.of_int 2) ~rng
+        Nf_dynamics.Game_dynamics.run (Game.Any Game_registry.bcg) ~alpha:(Rat.of_int 2) ~rng
           (Nf_graph.Random_graph.connected_gnp rng 8 0.3)));
     Test.make ~name:"graph6_roundtrip_n30" (Staged.stage (fun () ->
         let g = Nf_graph.Random_graph.gnp (Nf_util.Prng.create 11) 30 0.3 in

@@ -10,7 +10,7 @@
      dynamics     run improving-path / best-response dynamics (--game)
      mc-poa       Monte-Carlo PoA estimate at large n (seeded, CSV)
      annotate     export the equilibrium atlas (graph6 + exact regions)
-     experiments  run the full E1-E22 reproduction suite
+     experiments  run the reproduction suite (E1-E23), or one entry (--only)
      store        persistent equilibrium-atlas store (build | resume |
                   query | verify | export | merge | shards), classic or
                   --game stores; build accepts --shard I/K and merge
@@ -218,14 +218,22 @@ let write_csv ~path contents =
   close_out oc;
   Printf.printf "\nwrote %s\n" path
 
-(* the paper's Figure 2/3 pair, read from a classic BCG+UCG store *)
+(* the paper's Figure 2/3 pair, read from a classic BCG+UCG store.  The
+   store's kind is checked from its header when this is called; the sweep
+   runs when the points are forced. *)
 let classic_figure_points service =
-  match Serve.Service.figures service () with
-  | Serve.Service.Classic points -> points
-  | Serve.Service.Single _ ->
+  let refuse () =
     invalid_arg
       (Printf.sprintf "store carries %S annotations only; Figures 2/3 need a BCG+UCG store"
          (Serve.Service.game service))
+  in
+  match Serve.Mmap_reader.content (Serve.Service.store service) with
+  | Nf_store.Layout.Classic { with_ucg = true } ->
+    lazy
+      (match Serve.Service.figures service () with
+      | Serve.Service.Classic points -> points
+      | Serve.Service.Single _ -> refuse ())
+  | Nf_store.Layout.Classic { with_ucg = false } | Nf_store.Layout.Game _ -> refuse ()
 
 (* one game's sweep (--game): the game's own alpha convention and cost
    model, from a fresh annotation or served from a store *)
@@ -263,7 +271,7 @@ let sweep jobs no_quotient n game csv store =
         let service = Serve.Service.create ~path () in
         Printf.printf "(figures served from %s: n=%d, %d classes)\n\n" path
           (Serve.Service.n service) (Serve.Service.length service);
-        classic_figure_points service
+        Lazy.force (classic_figure_points service)
       | None -> Nf_analysis.Figures.sweep ~n ()
     in
     print_string (Nf_analysis.Figures.figure2_table points);
@@ -279,14 +287,8 @@ let sweep jobs no_quotient n game csv store =
 let csv_opt =
   Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc:"Write CSV data.")
 
-let store_src_opt =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "store" ] ~docv:"STORE"
-        ~doc:
-          "Serve the figure curves from an equilibrium-atlas store (see $(b,netform store \
-           build)) instead of recomputing the annotation; $(b,-n) is ignored.")
+let store_src_opt doc =
+  Arg.(value & opt (some string) None & info [ "store" ] ~docv:"STORE" ~doc)
 
 let sweep_cmd =
   Cmd.v
@@ -296,7 +298,9 @@ let sweep_cmd =
           registered game with $(b,--game)")
     Term.(
       const sweep $ jobs_opt $ no_orbit_quotient_opt $ n_arg 6 $ game_opt $ csv_opt
-      $ store_src_opt)
+      $ store_src_opt
+          "Serve the figure curves from an equilibrium-atlas store (see $(b,netform store \
+           build)) instead of recomputing the annotation; $(b,-n) is ignored.")
 
 (* ---------------- dynamics ---------------- *)
 
@@ -504,49 +508,59 @@ let annotate_cmd =
 
 (* ---------------- experiments ---------------- *)
 
-let same_experiment_id a b = String.lowercase_ascii a = String.lowercase_ascii b
+module Experiments = Nf_analysis.Experiments
 
-let run_experiments n game only out store =
-  let results =
-    match game with
-    | Some name -> [ Nf_analysis.Experiments.game_sweep ~game:name ~n () ]
-    | None -> Nf_analysis.Experiments.run_all ~n ()
-  in
-  let results =
-    match only with
-    | None -> results
-    | Some id ->
-      List.filter (fun r -> same_experiment_id r.Nf_analysis.Experiments.id id) results
-  in
-  print_string (Nf_analysis.Experiments.render_all results);
-  (match out with
-  | Some dir ->
-    let points =
-      match store with
-      | Some path -> classic_figure_points (Serve.Service.create ~path ())
-      | None -> Nf_analysis.Figures.sweep ~n ()
-    in
-    let written = Nf_analysis.Report.write_all ~dir ~results ~points () in
-    Printf.printf "\nwrote %d artifacts under %s\n" (List.length written) dir
-  | None -> ());
-  if List.for_all (fun r -> r.Nf_analysis.Experiments.ok) results then 0 else 1
+(* under --store, every experiment runs at the store's n and E1/E2 (and
+   the --out CSV) read their points from it *)
+let experiment_context n store =
+  match store with
+  | None -> Experiments.context n
+  | Some path ->
+    let service = Serve.Service.create ~path () in
+    { Experiments.n = Serve.Service.n service; points = classic_figure_points service }
 
-(* --only is checked against the known ids before anything runs, so an id
-   that matches nothing fails at once instead of running the whole suite
-   (seconds to minutes) to print nothing *)
-let experiments jobs n game only out store =
-  setup jobs;
-  let known =
+(* the table (or the --game sweep), narrowed to the --only id *)
+let select_experiments game only =
+  let entries =
     match game with
-    | Some name -> [ "G:" ^ name ]
-    | None -> Nf_analysis.Experiments.ids
+    | Some name -> [ Experiments.game_entry name ]
+    | None -> Experiments.table
   in
   match only with
-  | Some id when not (List.exists (same_experiment_id id) known) ->
-    Printf.eprintf "error: unknown experiment id %S (known: %s)\n" id
-      (String.concat ", " known);
+  | None -> entries
+  | Some id -> (
+    match Experiments.find entries id with
+    | Some entry -> [ entry ]
+    | None ->
+      invalid_arg
+        (Printf.sprintf "unknown experiment id %S (known: %s)" id
+           (String.concat ", " (List.map (fun (e : Experiments.entry) -> e.id) entries))))
+
+(* the --only id and the store are checked before any experiment runs, so
+   a bad argument fails at once instead of after the suite (seconds to
+   minutes) *)
+let experiments jobs n game only out store =
+  setup jobs;
+  match
+    let entries = select_experiments game only in
+    (entries, experiment_context n store)
+  with
+  | exception (Invalid_argument msg | Failure msg | Nf_store.Layout.Corrupt msg) ->
+    Printf.eprintf "error: %s\n" msg;
     2
-  | _ -> run_experiments n game only out store
+  | exception Unix.Unix_error (e, fn, arg) ->
+    Printf.eprintf "error: %s: %s %s\n" (Unix.error_message e) fn arg;
+    2
+  | entries, ctx ->
+    let results = List.map (fun (e : Experiments.entry) -> e.run ctx) entries in
+    print_string (Experiments.render_all results);
+    Option.iter
+      (fun dir ->
+        let points = Lazy.force ctx.points in
+        let written = Nf_analysis.Report.write_all ~dir ~results ~points () in
+        Printf.printf "\nwrote %d artifacts under %s\n" (List.length written) dir)
+      out;
+    if List.for_all (fun (r : Experiments.result) -> r.ok) results then 0 else 1
 
 let only_opt =
   Arg.(
@@ -554,8 +568,8 @@ let only_opt =
     & opt (some string) None
     & info [ "only" ] ~docv:"ID"
         ~doc:
-          "Print a single experiment (e.g. E6; $(b,G:)$(i,GAME) with $(b,--game)).  An \
-           unknown id exits 2 before anything runs.")
+          "Run and print a single experiment (e.g. E6; $(b,G:)$(i,GAME) with \
+           $(b,--game)).  An unknown id exits 2 before anything runs.")
 
 let out_dir_opt =
   Arg.(
@@ -567,11 +581,15 @@ let experiments_cmd =
   Cmd.v
     (Cmd.info "experiments"
        ~doc:
-         "Run the full paper-reproduction suite (E1-E23), or one game's sweep experiment \
-          with $(b,--game)")
+         "Run the paper-reproduction suite (E1-E18, E20-E23), or one game's sweep \
+          experiment with $(b,--game)")
     Term.(
       const experiments $ jobs_opt $ n_arg 6 $ game_opt $ only_opt $ out_dir_opt
-      $ store_src_opt)
+      $ store_src_opt
+          "Read the Figure 2/3 points of E1, E2 and the $(b,--out) CSV from a classic \
+           BCG+UCG equilibrium-atlas store (see $(b,netform store build)) instead of \
+           recomputing them.  Every experiment runs at the store's n; $(b,-n) is ignored. \
+           Any other store exits 2 before anything runs.")
 
 (* ---------------- store ---------------- *)
 

@@ -16,7 +16,7 @@
 module Graph = Nf_graph.Graph
 module Rat = Nf_util.Rat
 module Prng = Nf_util.Prng
-module Dyn = Nf_dynamics.Bcg_dynamics
+module Dyn = Nf_dynamics.Game_dynamics
 open Netform
 
 let n = 9
@@ -44,7 +44,7 @@ let () =
       let alpha = Rat.make num den in
       let alpha_f = Rat.to_float alpha in
       let seed_topology = Nf_graph.Random_graph.connected_gnp rng n 0.25 in
-      let outcome = Dyn.run ~alpha ~rng seed_topology in
+      let outcome = Dyn.run (Game.Any Game_registry.bcg) ~alpha ~rng seed_topology in
       let g = outcome.Dyn.final in
       Nf_util.Table.add_row table
         [

@@ -60,7 +60,10 @@ let () =
 
   section "6. Dynamics: reaching a stable network";
   let rng = Nf_util.Prng.create 42 in
-  let outcome = Nf_dynamics.Bcg_dynamics.run ~alpha:a ~rng (Nf_named.Families.path 6) in
+  let outcome =
+    Nf_dynamics.Game_dynamics.run (Game.Any Game_registry.bcg) ~alpha:a ~rng
+      (Nf_named.Families.path 6)
+  in
   Printf.printf "improving path from P6: %d moves, converged=%b\nfinal: %s\n"
-    outcome.Nf_dynamics.Bcg_dynamics.steps outcome.Nf_dynamics.Bcg_dynamics.converged
-    (Graph.to_string outcome.Nf_dynamics.Bcg_dynamics.final)
+    outcome.Nf_dynamics.Game_dynamics.steps outcome.Nf_dynamics.Game_dynamics.converged
+    (Graph.to_string outcome.Nf_dynamics.Game_dynamics.final)

@@ -21,44 +21,44 @@ let render r =
 
 let render_all results = String.concat "\n" (List.map render results)
 
+type ctx = {
+  n : int;
+  points : Figures.point list Lazy.t;
+}
+
+let context n = { n; points = lazy (Figures.sweep ~n ()) }
+
 (* ---------------- E1/E2: Figures 2 and 3 ---------------- *)
 
-let e1_e2_figures ?(n = 6) () =
-  let points = Figures.sweep ~n () in
-  (* qualitative assertions from §5: cheap links favor the BCG, expensive
-     links favor the UCG, and BCG equilibria carry more links on average *)
-  let cheap =
-    List.filter (fun p -> Rat.(p.Figures.total_link_cost <= of_int 1)) points
-  in
-  let expensive =
-    List.filter (fun p -> Rat.(p.Figures.total_link_cost >= of_int 16)) points
-  in
-  let avg get l =
-    let values = List.filter (fun v -> not (Float.is_nan v)) (List.map get l) in
-    Nf_util.Stats.mean (Nf_util.Stats.of_list values)
-  in
-  let bcg_avg = avg (fun p -> p.Figures.bcg.Poa.average)
-  and ucg_avg = avg (fun p -> p.Figures.ucg.Poa.average)
-  and bcg_links = avg (fun p -> p.Figures.bcg.Poa.average_links)
-  and ucg_links = avg (fun p -> p.Figures.ucg.Poa.average_links) in
-  let ok_fig2 = bcg_avg cheap <= ucg_avg cheap && bcg_avg expensive >= ucg_avg expensive in
-  let ok_fig3 = bcg_links points >= ucg_links points in
-  let fig2 =
-    {
-      id = "E1";
-      title = Printf.sprintf "Figure 2 - average price of anarchy (n=%d, exhaustive)" n;
-      body = Figures.figure2_table points ^ "\n" ^ Figures.figure2_plot points;
-      ok = ok_fig2;
-    }
-  and fig3 =
-    {
-      id = "E2";
-      title = Printf.sprintf "Figure 3 - average links in equilibrium (n=%d, exhaustive)" n;
-      body = Figures.figure3_table points ^ "\n" ^ Figures.figure3_plot points;
-      ok = ok_fig3;
-    }
-  in
-  (fig2, fig3)
+(* qualitative assertions from §5: cheap links favor the BCG, expensive
+   links favor the UCG, and BCG equilibria carry more links on average *)
+let average get points =
+  let values = List.filter (fun v -> not (Float.is_nan v)) (List.map get points) in
+  Nf_util.Stats.mean (Nf_util.Stats.of_list values)
+
+let e1_figure2 ~id ctx =
+  let points = Lazy.force ctx.points in
+  let cheap = List.filter (fun p -> Rat.(p.Figures.total_link_cost <= of_int 1)) points
+  and expensive = List.filter (fun p -> Rat.(p.Figures.total_link_cost >= of_int 16)) points in
+  let bcg_avg = average (fun p -> p.Figures.bcg.Poa.average)
+  and ucg_avg = average (fun p -> p.Figures.ucg.Poa.average) in
+  {
+    id;
+    title = Printf.sprintf "Figure 2 - average price of anarchy (n=%d, exhaustive)" ctx.n;
+    body = Figures.figure2_table points ^ "\n" ^ Figures.figure2_plot points;
+    ok = bcg_avg cheap <= ucg_avg cheap && bcg_avg expensive >= ucg_avg expensive;
+  }
+
+let e2_figure3 ~id ctx =
+  let points = Lazy.force ctx.points in
+  {
+    id;
+    title = Printf.sprintf "Figure 3 - average links in equilibrium (n=%d, exhaustive)" ctx.n;
+    body = Figures.figure3_table points ^ "\n" ^ Figures.figure3_plot points;
+    ok =
+      average (fun p -> p.Figures.bcg.Poa.average_links) points
+      >= average (fun p -> p.Figures.ucg.Poa.average_links) points;
+  }
 
 (* ---------------- E3: Figure 1 gallery ---------------- *)
 
@@ -70,7 +70,7 @@ let classification g =
     | Some k -> Printf.sprintf "%d-regular" k
     | None -> "irregular")
 
-let e3_figure1_gallery () =
+let e3_figure1_gallery ~id _ =
   let table =
     Table.create
       [ "graph"; "n"; "m"; "class"; "girth"; "diam"; "#eigenvalues"; "stable alpha";
@@ -111,7 +111,7 @@ let e3_figure1_gallery () =
         ])
     figure1;
   {
-    id = "E3";
+    id;
     title = "Figure 1 - the stable-graph gallery (exact stability windows)";
     body =
       Table.render table
@@ -122,7 +122,7 @@ let e3_figure1_gallery () =
 
 (* ---------------- E4/E5: Lemmas 4 and 5 ---------------- *)
 
-let e4_lemma4 ?(n = 6) () =
+let e4_lemma4 ~id { n; _ } =
   let alpha = Rat.make 1 2 in
   let stable = Equilibria.bcg_stable_graphs ~n ~alpha in
   let efficient =
@@ -137,7 +137,7 @@ let e4_lemma4 ?(n = 6) () =
     && Graph.is_complete (List.hd efficient)
   in
   {
-    id = "E4";
+    id;
     title = Printf.sprintf "Lemma 4 - alpha<1: complete graph uniquely efficient and stable (n=%d)" n;
     body =
       Printf.sprintf
@@ -151,7 +151,7 @@ let e4_lemma4 ?(n = 6) () =
     ok;
   }
 
-let e5_lemma5 ?(n = 6) () =
+let e5_lemma5 ~id { n; _ } =
   let alpha = Rat.of_int 3 in
   let stable = Equilibria.bcg_stable_graphs ~n ~alpha in
   let efficient =
@@ -172,7 +172,7 @@ let e5_lemma5 ?(n = 6) () =
     | None -> "(none)"
   in
   {
-    id = "E5";
+    id;
     title = Printf.sprintf "Lemma 5 - alpha>1: star uniquely efficient, stable but not unique (n=%d)" n;
     body =
       Printf.sprintf
@@ -185,13 +185,13 @@ let e5_lemma5 ?(n = 6) () =
 
 (* ---------------- E6: Lemma 6, cycles ---------------- *)
 
-let e6_lemma6_cycles ?(max_n = 16) () =
+let e6_lemma6_cycles ~id _ =
   let table =
     Table.create
       [ "n"; "paper window"; "exact stable set"; "PoA(alpha_max)"; "stable for some alpha>1" ]
   in
   let ok = ref true in
-  for n = 4 to max_n do
+  for n = 4 to 16 do
     let g = Families.cycle n in
     let lo, hi = Theory.cycle_window n in
     let set = Bcg.stable_alpha_set g in
@@ -218,7 +218,7 @@ let e6_lemma6_cycles ?(max_n = 16) () =
       ]
   done;
   {
-    id = "E6";
+    id;
     title = "Lemma 6 - cycles are pairwise stable for a window of alpha > 1";
     body =
       Table.render table
@@ -229,7 +229,7 @@ let e6_lemma6_cycles ?(max_n = 16) () =
 
 (* ---------------- E7: Proposition 3 ---------------- *)
 
-let e7_prop3_moore () =
+let e7_prop3_moore ~id _ =
   let table =
     Table.create
       [ "graph"; "k"; "girth"; "moore ratio"; "S_a (paper)"; "S_r (paper)"; "exact gain";
@@ -295,7 +295,7 @@ let e7_prop3_moore () =
         ])
     candidates;
   {
-    id = "E7";
+    id;
     title = "Prop 3 - near-Moore regular graphs are stable; PoA grows like log2(alpha)";
     body =
       Table.render table
@@ -307,7 +307,8 @@ let e7_prop3_moore () =
 
 (* ---------------- E8: Proposition 4 ---------------- *)
 
-let e8_prop4_upper_bound ?(n = 7) () =
+let e8_prop4_upper_bound ~id ctx =
+  let n = max ctx.n 7 in
   let table =
     Table.create
       [ "alpha"; "#stable"; "worst PoA"; "min(sqrt a, n/sqrt a)"; "max diam"; "2 sqrt a + 1" ]
@@ -350,7 +351,7 @@ let e8_prop4_upper_bound ?(n = 7) () =
         ])
     Sweep.paper_grid;
   {
-    id = "E8";
+    id;
     title = Printf.sprintf "Prop 4 - worst-case PoA vs O(min(sqrt a, n/sqrt a)) (n=%d)" n;
     body = Table.render table;
     ok = !ok;
@@ -358,7 +359,8 @@ let e8_prop4_upper_bound ?(n = 7) () =
 
 (* ---------------- E9: Proposition 5 + conjecture ---------------- *)
 
-let e9_prop5_trees ?(max_n = 8) ?(conjecture_n = 6) () =
+let e9_prop5_trees ~id ctx =
+  let max_n = 8 and conjecture_n = min ctx.n 6 in
   let ok = ref true in
   let buf = Buffer.create 512 in
   (* Prop 5 (restated for trees): every UCG-Nash tree is BCG pairwise
@@ -422,7 +424,7 @@ let e9_prop5_trees ?(max_n = 8) ?(conjecture_n = 6) () =
          cn !conj_total !conj_nash !conj_ok)
   done;
   {
-    id = "E9";
+    id;
     title = "Prop 5 - UCG Nash trees are BCG stable at the same alpha (+ conjecture)";
     body = Buffer.contents buf;
     ok = !ok;
@@ -430,7 +432,7 @@ let e9_prop5_trees ?(max_n = 8) ?(conjecture_n = 6) () =
 
 (* ---------------- E10/E11: footnotes ---------------- *)
 
-let e10_footnote5_cycles () =
+let e10_footnote5_cycles ~id _ =
   let buf = Buffer.create 256 in
   let ok = ref true in
   for n = 5 to 9 do
@@ -452,20 +454,20 @@ let e10_footnote5_cycles () =
   Buffer.add_string buf
     "  clockwise-ownership C6 at alpha=2: not Nash (node 0 rewires to node 2)\n";
   {
-    id = "E10";
+    id;
     title = "Footnote 5 - cycles beyond C5 are BCG-stable but never UCG-Nash";
     body = Buffer.contents buf;
     ok = !ok;
   }
 
-let e11_footnote7_petersen () =
+let e11_footnote7_petersen ~id _ =
   let set = Ucg.nash_alpha_set Gallery.petersen in
   let claimed = Interval.closed Rat.one (Rat.of_int 4) in
   let contains_claim =
     List.exists (fun piece -> Interval.subset claimed piece) (Interval.Union.to_list set)
   in
   {
-    id = "E11";
+    id;
     title = "Footnote 7 - the Petersen graph is UCG-Nash for 1 <= alpha <= 4";
     body =
       Printf.sprintf "  exact UCG Nash set: %s\n  contains [1,4]: %b\n"
@@ -475,7 +477,7 @@ let e11_footnote7_petersen () =
 
 (* ---------------- E12: Desargues / dodecahedron ---------------- *)
 
-let e12_desargues () =
+let e12_desargues ~id _ =
   let report name g =
     let gain, loss =
       match Convexity.link_convexity_gap g with
@@ -497,11 +499,11 @@ let e12_desargues () =
     (not (Convexity.is_link_convex Gallery.desargues))
     && not (Convexity.is_link_convex Gallery.dodecahedron)
   in
-  { id = "E12"; title = "S4.1 - link convexity of Desargues vs dodecahedron"; body; ok }
+  { id; title = "S4.1 - link convexity of Desargues vs dodecahedron"; body; ok }
 
 (* ---------------- E13: eq. (5) ---------------- *)
 
-let e13_eq5_bound ?(n = 6) () =
+let e13_eq5_bound ~id { n; _ } =
   let alpha = 1.75 in
   let total = ref 0
   and tight = ref 0
@@ -518,7 +520,7 @@ let e13_eq5_bound ?(n = 6) () =
         if not (Nf_graph.Props.has_diameter_at_most g 2) then incr violations
       end);
   {
-    id = "E13";
+    id;
     title = Printf.sprintf "Eq. (5) - social-cost lower bound, tight iff diameter <= 2 (n=%d)" n;
     body =
       Printf.sprintf
@@ -529,7 +531,7 @@ let e13_eq5_bound ?(n = 6) () =
 
 (* ---------------- E14: transfers ablation (paper's §6 outlook) -------- *)
 
-let e14_transfers ?(n = 6) () =
+let e14_transfers ~id { n; _ } =
   let table =
     Table.create
       [ "alpha"; "#stable"; "avg PoA"; "worst PoA"; "#stable (transfers)";
@@ -561,7 +563,7 @@ let e14_transfers ?(n = 6) () =
         ])
     Sweep.paper_grid;
   {
-    id = "E14";
+    id;
     title =
       Printf.sprintf
         "Extension (S6 outlook) - transfers mediate the price of anarchy (n=%d)" n;
@@ -577,7 +579,7 @@ let e14_transfers ?(n = 6) () =
 
 (* ---------------- E15: dynamics and Proposition 2 ---------------- *)
 
-let e15_dynamics_and_prop2 ?(meta_n = 5) () =
+let e15_dynamics_and_prop2 ~id _ =
   let buf = Buffer.create 512 in
   let ok = ref true in
   (* Jackson–Watts: improving paths never get trapped — no closed
@@ -585,7 +587,7 @@ let e15_dynamics_and_prop2 ?(meta_n = 5) () =
   Buffer.add_string buf "Improving-move digraph over all labeled graphs:\n";
   List.iter
     (fun alpha ->
-      let a = Nf_dynamics.Meta.analyze ~alpha ~n:meta_n in
+      let a = Nf_dynamics.Meta.analyze ~alpha ~n:5 in
       if not (Nf_dynamics.Meta.no_closed_cycles a) then ok := false;
       Buffer.add_string buf (Format.asprintf "  %a\n" Nf_dynamics.Meta.pp a))
     [ Rat.make 1 2; Rat.one; Rat.make 3 2; Rat.of_int 2; Rat.of_int 4; Rat.of_int 8 ];
@@ -621,7 +623,7 @@ let e15_dynamics_and_prop2 ?(meta_n = 5) () =
         | None -> ok := false)
     Gallery.all;
   {
-    id = "E15";
+    id;
     title = "Dynamics convergence (Jackson-Watts) and Prop 2 witnesses";
     body = Buffer.contents buf;
     ok = !ok;
@@ -629,7 +631,7 @@ let e15_dynamics_and_prop2 ?(meta_n = 5) () =
 
 (* ---------------- E16: shape census (§5 discussion) ---------------- *)
 
-let e16_shape_census ?(n = 6) () =
+let e16_shape_census ~id { n; _ } =
   let table = Table.create [ "alpha"; "BCG stable shapes"; "UCG Nash shapes" ] in
   let ok = ref true in
   let grid =
@@ -654,7 +656,7 @@ let e16_shape_census ?(n = 6) () =
         ])
     grid;
   {
-    id = "E16";
+    id;
     title = Printf.sprintf "S5 discussion - shapes of equilibrium networks (n=%d)" n;
     body =
       Table.render table
@@ -666,7 +668,7 @@ let e16_shape_census ?(n = 6) () =
 
 (* ---------------- E17: distance-utility robustness ---------------- *)
 
-let e17_distance_utilities () =
+let e17_distance_utilities ~id _ =
   let profiles =
     [
       Distance_utility.linear;
@@ -716,7 +718,7 @@ let e17_distance_utilities () =
          (Interval.open_closed Rat.zero Interval.Pos_inf))
   then ok := false;
   {
-    id = "E17";
+    id;
     title = "Extension - stability windows under generalized distance utilities";
     body =
       Table.render table
@@ -729,7 +731,8 @@ let e17_distance_utilities () =
 
 (* ---------------- E18: BCG scaling in n ---------------- *)
 
-let e18_bcg_scaling ?(max_n = 7) () =
+let e18_bcg_scaling ~id ctx =
+  let max_n = max ctx.n 7 in
   let sizes =
     let rec upto k = if k > max_n then [] else k :: upto (k + 1) in
     upto 5
@@ -775,7 +778,7 @@ let e18_bcg_scaling ?(max_n = 7) () =
         crossover_costs)
     sizes;
   {
-    id = "E18";
+    id;
     title = Printf.sprintf "Scaling - BCG average PoA as n grows (exhaustive to n=%d)" max_n;
     body =
       Table.render table
@@ -786,83 +789,9 @@ let e18_bcg_scaling ?(max_n = 7) () =
     ok = !ok;
   }
 
-(* ---------------- E19: sampled study at the paper's n = 10 ------------ *)
-
-let e19_sampled_n10 ?(n = 10) ?(attempts = 120) ?(seed = 2005) () =
-  let table =
-    Table.create
-      [ "link cost c"; "#distinct stable (sampled)"; "avg PoA"; "worst PoA"; "avg links";
-        "shapes" ]
-  in
-  let ok = ref true in
-  let costs =
-    [ Rat.make 1 2; Rat.one; Rat.of_int 2; Rat.of_int 4; Rat.of_int 8; Rat.of_int 16;
-      Rat.of_int 32; Rat.of_int 64 ]
-  in
-  (* one independent generator per cost row, derived deterministically from
-     the seed, so the rows can run concurrently on the domain pool and the
-     table is identical whatever the pool width *)
-  let rows =
-    Nf_util.Pool.parallel_map
-      (fun (row, c) ->
-        let rng = Nf_util.Prng.create (seed + (1000003 * (row + 1))) in
-        (* BCG evaluated at α = c/2, matching the Figure 2/3 alignment *)
-        let alpha = Rat.div c (Rat.of_int 2) in
-        let samples =
-          Nf_dynamics.Bcg_dynamics.sample_stable ~alpha ~rng ~n ~attempts
-        in
-        (* deduplicate up to isomorphism *)
-        let seen = Hashtbl.create 32 in
-        let classes =
-          List.filter
-            (fun g ->
-              let key = Nf_iso.Canon.canonical_key g in
-              if Hashtbl.mem seen key then false
-              else begin
-                Hashtbl.add seen key ();
-                true
-              end)
-            samples
-        in
-        let row_ok = List.for_all (fun g -> Bcg.is_pairwise_stable ~alpha g) classes in
-        let s = Poa.summarize Cost.Bcg ~alpha:(Rat.to_float alpha) classes in
-        let cell v = if Float.is_nan v then "-" else Printf.sprintf "%.4f" v in
-        ( [
-            Rat.to_string c;
-            string_of_int s.Poa.count;
-            cell s.Poa.average;
-            cell s.Poa.worst;
-            cell s.Poa.average_links;
-            Shapes.census_to_string (Shapes.census classes);
-          ],
-          row_ok ))
-      (List.mapi (fun row c -> (row, c)) costs)
-  in
-  List.iter
-    (fun (cells, row_ok) ->
-      if not row_ok then ok := false;
-      Table.add_row table cells)
-    rows;
-  {
-    id = "E19";
-    title =
-      Printf.sprintf
-        "Paper-scale sampling - stable networks at n=%d via improving paths (%d seeds/row)"
-        n attempts;
-    body =
-      Table.render table
-      ^ "\nThe paper enumerates all stable topologies at n=10; full enumeration is out\n\
-         of scope here (11.7M classes), so this samples the stable set by running\n\
-         improving-path dynamics from random connected seeds and deduplicating up to\n\
-         isomorphism.  Sampling is biased toward large basins, but the Figure 2/3\n\
-         signatures persist at the paper's scale: optimality at low cost, a hump of\n\
-         many suboptimal equilibria at intermediate cost, trees at high cost.\n";
-    ok = !ok;
-  }
-
 (* ---------------- E20: proper equilibrium (Definition 5 / Prop 2) ----- *)
 
-let e20_proper_equilibrium () =
+let e20_proper_equilibrium ~id _ =
   let buf = Buffer.create 512 in
   let ok = ref true in
   let threshold = 0.9 in
@@ -903,7 +832,7 @@ let e20_proper_equilibrium () =
      notion rules it out, which is why the BCG needs pairwise stability rather\n\
      than Nash refinements.\n";
   {
-    id = "E20";
+    id;
     title = "Definition 5 / Prop 2 - proper equilibria, numerically (n=4)";
     body = Buffer.contents buf;
     ok = !ok;
@@ -911,7 +840,8 @@ let e20_proper_equilibrium () =
 
 (* ---------------- E21: stochastic stability (citation [22]) ----------- *)
 
-let e21_stochastic_stability ?(n = 5) () =
+let e21_stochastic_stability ~id _ =
+  let n = 5 in
   let table =
     Table.create
       [ "alpha"; "#stable (labeled)"; "#stochastically stable"; "= connected stable?";
@@ -949,7 +879,7 @@ let e21_stochastic_stability ?(n = 5) () =
       Table.add_row table cells)
     rows;
   {
-    id = "E21";
+    id;
     title =
       Printf.sprintf
         "Stochastic stability (Tercieux-Vannetelbosch direction) at n=%d" n;
@@ -966,7 +896,8 @@ let e21_stochastic_stability ?(n = 5) () =
 
 (* ---------------- E22: large-n Monte-Carlo vs asymptotic theory ---------------- *)
 
-let e22_large_n_monte_carlo ?(n = 128) ?(trials = 2) () =
+let e22_large_n_monte_carlo ~id _ =
+  let n = 128 and trials = 2 in
   let ok = ref true in
   (* part 1: Monte-Carlo PoA estimates in the regime the paper's
      asymptotics describe, against the O(min(√α, n/√α)) reference curve.
@@ -1031,7 +962,7 @@ let e22_large_n_monte_carlo ?(n = 128) ?(trials = 2) () =
   in
   if not star_ok then ok := false;
   {
-    id = "E22";
+    id;
     title =
       Printf.sprintf
         "Large-n regime: Monte-Carlo PoA vs Proposition 4, exact families at n=%d..%d"
@@ -1053,7 +984,8 @@ let e22_large_n_monte_carlo ?(n = 128) ?(trials = 2) () =
 
 (* ---------------- E23: parameterized regimes ---------------- *)
 
-let e23_parameterized_regimes ?(n = 5) () =
+let e23_parameterized_regimes ~id _ =
+  let n = 5 in
   (* Figure 2/3-style sweeps through the registry's parameterized
      families.  The assertions are the layering facts the new games are
      built on: coalition resilience at k = 1 is exactly UCG Nash and at
@@ -1106,7 +1038,7 @@ let e23_parameterized_regimes ?(n = 5) () =
         ])
     bcg_pts;
   {
-    id = "E23";
+    id;
     title =
       Printf.sprintf
         "Parameterized regimes - adversary and coalition-k sweeps (n=%d, exhaustive)" n;
@@ -1119,10 +1051,48 @@ let e23_parameterized_regimes ?(n = 5) () =
     ok = ok_k1 && ok_k2 && ok_k3 && ok_adv;
   }
 
+(* ---------------- the table ---------------- *)
+
+type entry = {
+  id : string;
+  run : ctx -> result;
+}
+
+(* the entry's id is written once, here, and stamped on its result *)
+let entry id run = { id; run = run ~id }
+
+let table =
+  [
+    entry "E1" e1_figure2;
+    entry "E2" e2_figure3;
+    entry "E3" e3_figure1_gallery;
+    entry "E4" e4_lemma4;
+    entry "E5" e5_lemma5;
+    entry "E6" e6_lemma6_cycles;
+    entry "E7" e7_prop3_moore;
+    entry "E8" e8_prop4_upper_bound;
+    entry "E9" e9_prop5_trees;
+    entry "E10" e10_footnote5_cycles;
+    entry "E11" e11_footnote7_petersen;
+    entry "E12" e12_desargues;
+    entry "E13" e13_eq5_bound;
+    entry "E14" e14_transfers;
+    entry "E15" e15_dynamics_and_prop2;
+    entry "E16" e16_shape_census;
+    entry "E17" e17_distance_utilities;
+    entry "E18" e18_bcg_scaling;
+    entry "E20" e20_proper_equilibrium;
+    entry "E21" e21_stochastic_stability;
+    entry "E22" e22_large_n_monte_carlo;
+    entry "E23" e23_parameterized_regimes;
+  ]
+
+let find entries id =
+  List.find_opt (fun e -> String.lowercase_ascii e.id = String.lowercase_ascii id) entries
+
 (* ---------------- per-game sweep (netform experiments --game) ---------------- *)
 
-let game_sweep ~game ?(n = 6) () =
-  let packed = Game_registry.find_exn game in
+let game_sweep ~game packed ~id { n; _ } =
   let points = Figures.sweep_game packed ~n () in
   (* sanity, not paper claims: the sweep is nonempty and every PoA ratio
      is >= 1 wherever an equilibrium exists *)
@@ -1134,42 +1104,10 @@ let game_sweep ~game ?(n = 6) () =
          points
   in
   {
-    id = "G:" ^ game;
+    id;
     title = Printf.sprintf "single-game sweep: %s (n=%d, exhaustive)" game n;
     body = Figures.game_table points ^ "\n" ^ Figures.game_plot points;
     ok;
   }
 
-let ids = List.init 23 (fun k -> Printf.sprintf "E%d" (k + 1))
-
-let run_all ?(n = 6) () =
-  let e1, e2 = e1_e2_figures ~n () in
-  let results =
-    [
-      e1;
-      e2;
-      e3_figure1_gallery ();
-      e4_lemma4 ~n ();
-      e5_lemma5 ~n ();
-      e6_lemma6_cycles ();
-      e7_prop3_moore ();
-      e8_prop4_upper_bound ~n:(max n 7) ();
-      e9_prop5_trees ~conjecture_n:(min n 6) ();
-      e10_footnote5_cycles ();
-      e11_footnote7_petersen ();
-      e12_desargues ();
-      e13_eq5_bound ~n ();
-      e14_transfers ~n ();
-      e15_dynamics_and_prop2 ();
-      e16_shape_census ~n ();
-      e17_distance_utilities ();
-      e18_bcg_scaling ~max_n:(max n 7) ();
-      e19_sampled_n10 ();
-      e20_proper_equilibrium ();
-      e21_stochastic_stability ();
-      e22_large_n_monte_carlo ();
-      e23_parameterized_regimes ();
-    ]
-  in
-  assert (List.map (fun r -> r.id) results = ids);
-  results
+let game_entry game = entry ("G:" ^ game) (game_sweep ~game (Game_registry.find_exn game))

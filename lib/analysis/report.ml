@@ -33,7 +33,7 @@ let write_all ~dir ~results ~points () =
     written := path :: !written
   in
   List.iter
-    (fun r ->
+    (fun (r : Experiments.result) ->
       let name =
         Printf.sprintf "%s_%s.txt"
           (String.lowercase_ascii r.Experiments.id)
@@ -45,7 +45,7 @@ let write_all ~dir ~results ~points () =
   let summary =
     String.concat "\n"
       (List.map
-         (fun r ->
+         (fun (r : Experiments.result) ->
            Printf.sprintf "%-4s %-70s %s" r.Experiments.id r.Experiments.title
              (if r.Experiments.ok then "ok" else "CHECK FAILED"))
          results)

@@ -75,5 +75,5 @@ val is_pairwise_nash : alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> bool
 val improving_moves : alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> Game.move list
 (** All improving moves at [alpha], in {!Pairwise.improving_moves}'s
     order contract, so PRNG draws in the dynamics are reproducible.
-    [Nf_dynamics.Bcg_dynamics] is this generator run through the generic
-    improving-path loop. *)
+    The BCG's improving-path dynamics ([Nf_dynamics.Game_dynamics.run])
+    draw from this list. *)

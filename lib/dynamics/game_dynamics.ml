@@ -48,19 +48,3 @@ let run game ~alpha ~rng ?(max_steps = 10_000) g =
       g
   in
   { final; steps; converged; trace = List.rev !trace }
-
-let sample_stable game ~alpha ~rng ~n ~attempts =
-  let seen = Hashtbl.create 32 in
-  let results = ref [] in
-  for _ = 1 to attempts do
-    let seed = Nf_graph.Random_graph.connected_gnp rng n (0.2 +. Prng.float rng 0.6) in
-    let outcome = run game ~alpha ~rng seed in
-    if outcome.converged then begin
-      let key = Graph.adjacency_key outcome.final in
-      if not (Hashtbl.mem seen key) then begin
-        Hashtbl.add seen key ();
-        results := outcome.final :: !results
-      end
-    end
-  done;
-  List.rev !results

@@ -3,15 +3,13 @@
 
     A state is just a graph.  Each step draws one move uniformly from the
     game's improving-move list; fixed points are exactly the game's
-    stable graphs, so the dynamics double as a sampler of the stable set
-    for orders beyond exhaustive enumeration.
-
-    {!Bcg_dynamics} is this module applied to the built-in BCG instance
-    — its traces are byte-identical to the historical implementation
-    because the move order contract and the PRNG draw sequence are
-    unchanged.  The UCG has no single-link improving moves (a best
-    response rewires a whole wish set); its dynamics live in
-    {!Ucg_dynamics}, on top of the same {!iterate} driver. *)
+    stable graphs.  For the BCG ([run (Game.Any Game_registry.bcg)]) a
+    move either severs a link whose severer strictly gains, or adds a
+    link that strictly helps one endpoint and weakly helps the other
+    (Jackson–Watts improving paths).  The UCG has no single-link
+    improving moves (a best response rewires a whole wish set); its
+    dynamics live in {!Ucg_dynamics}, on top of the same {!iterate}
+    driver. *)
 
 type outcome = {
   final : Nf_graph.Graph.t;
@@ -27,6 +25,8 @@ val iterate : max_steps:int -> step:('a -> 'a option) -> 'a -> 'a * int * bool
     {!Ucg_dynamics.run}'s round loop. *)
 
 val apply : Nf_graph.Graph.t -> Netform.Game.move -> Nf_graph.Graph.t
+(** The graph after one move: [Add (i, j)] adds the link,
+    [Delete (i, j)] removes it. *)
 
 val step :
   Netform.Game.packed ->
@@ -45,14 +45,3 @@ val run :
   Nf_graph.Graph.t ->
   outcome
 (** Iterate until stable or [max_steps] (default 10 000). *)
-
-val sample_stable :
-  Netform.Game.packed ->
-  alpha:Nf_util.Rat.t ->
-  rng:Nf_util.Prng.t ->
-  n:int ->
-  attempts:int ->
-  Nf_graph.Graph.t list
-(** Run the dynamics from [attempts] random connected seeds on [n]
-    vertices and collect the distinct stable graphs reached (by exact
-    adjacency, not isomorphism). *)

@@ -17,14 +17,8 @@ let check_order n =
 let successors ~alpha n mask =
   let g = Nf_enum.Labeled.graph_of_mask n mask in
   List.map
-    (fun move ->
-      let g' =
-        match move with
-        | Bcg_dynamics.Add (i, j) -> Graph.add_edge g i j
-        | Bcg_dynamics.Delete (i, j) -> Graph.remove_edge g i j
-      in
-      Nf_enum.Labeled.mask_of_graph g')
-    (Bcg_dynamics.improving_moves ~alpha g)
+    (fun move -> Nf_enum.Labeled.mask_of_graph (Game_dynamics.apply g move))
+    (Netform.Bcg.improving_moves ~alpha g)
 
 let build_digraph ~alpha n =
   let size = 1 lsl (n * (n - 1) / 2) in

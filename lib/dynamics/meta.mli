@@ -2,7 +2,7 @@
 
     For a fixed player count and link cost, every labeled graph is a node
     and every improving single-link move (the moves of
-    {!Bcg_dynamics.improving_moves}) an arc.  Improving paths then either
+    [Netform.Bcg.improving_moves]) an arc.  Improving paths then either
     terminate at a pairwise stable graph or fall into a closed cycle; this
     module materializes the digraph for small [n] and answers which.
 
@@ -29,6 +29,6 @@ val reaches_stable : alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> bool
 val no_closed_cycles : analysis -> bool
 (** [true] when every graph can improve its way to stability — the
     Jackson–Watts "no closed improving cycles" property, which guarantees
-    the stochastic dynamics of {!Bcg_dynamics.run} converge. *)
+    the stochastic dynamics of {!Game_dynamics.run} on the BCG converge. *)
 
 val pp : Format.formatter -> analysis -> unit

@@ -16,14 +16,8 @@ let improving_successors ~alpha n =
   Array.init size (fun mask ->
       let g = Nf_enum.Labeled.graph_of_mask n mask in
       List.map
-        (fun move ->
-          let g' =
-            match move with
-            | Bcg_dynamics.Add (i, j) -> Graph.add_edge g i j
-            | Bcg_dynamics.Delete (i, j) -> Graph.remove_edge g i j
-          in
-          Nf_enum.Labeled.mask_of_graph g')
-        (Bcg_dynamics.improving_moves ~alpha g))
+        (fun move -> Nf_enum.Labeled.mask_of_graph (Game_dynamics.apply g move))
+        (Netform.Bcg.improving_moves ~alpha g))
 
 (* 0/1-cost shortest distances from [source]: improving arcs cost 0,
    single-link mutations cost 1.  Bucket queue indexed by cost (costs are

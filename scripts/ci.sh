@@ -89,6 +89,36 @@ for jobs in 1 4; do
 done
 echo "UCG n=7 store: four builds byte-identical, md5 $ucg7_md5"
 
+# The experiment table: `--only ID` runs exactly one entry, so the
+# entries run one per process and joined the way render_all joins them
+# (one blank line between) must be the whole suite's output.  The ids
+# come from the suite's own section headers.
+echo "== experiments: one process per --only entry = the whole suite (n=5) =="
+dune exec bin/netform_cli.exe -- experiments -n 5 > "$store_dir/experiments5.txt"
+ids=$(sed -n 's/^=== \(E[0-9]*\): .*/\1/p' "$store_dir/experiments5.txt")
+[ -n "$ids" ] || { echo "experiments: no ids in the suite's output" >&2; exit 1; }
+sep=""
+for id in $ids; do
+  printf "%s" "$sep"
+  dune exec bin/netform_cli.exe -- experiments -n 5 --only "$id"
+  sep="
+"
+done > "$store_dir/experiments5_joined.txt"
+cmp "$store_dir/experiments5.txt" "$store_dir/experiments5_joined.txt"
+echo "experiments: $(echo $ids | wc -w) --only runs joined = the whole suite"
+
+# --store feeds E1/E2: the classic n=7 store's points at the store's own
+# n must print exactly what a fresh n=7 sweep prints.
+echo "== experiments --store (n=7 classic store) = experiments -n 7, E1 and E2 =="
+for id in E1 E2; do
+  dune exec bin/netform_cli.exe -- experiments --store "$store_dir/ucg7_j1_on.nfs" \
+    --only "$id" > "$store_dir/experiments_store_$id.txt"
+  dune exec bin/netform_cli.exe -- experiments -n 7 --only "$id" \
+    > "$store_dir/experiments_fresh_$id.txt"
+  cmp "$store_dir/experiments_store_$id.txt" "$store_dir/experiments_fresh_$id.txt"
+done
+echo "experiments --store: E1 and E2 from the n=7 store byte-identical to a fresh sweep"
+
 # UCG bytes at n=8 and the coalition-k layering at n=7, each with the
 # quotient on and off: the rigid classes (4,986 of the 11,117 at n=8) run
 # the orientation walk with no owner-swap prune, and coalition:k>=2 is

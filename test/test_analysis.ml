@@ -1,5 +1,5 @@
 (* Tests for nf_analysis: grids, equilibrium caches, figure sweeps, and
-   the experiment runners' self-checks. *)
+   the experiment table's self-checks. *)
 
 module Rat = Nf_util.Rat
 module Interval = Nf_util.Interval
@@ -65,24 +65,32 @@ let test_figures_sweep () =
   let csv = Figures.to_csv points in
   check_int "csv lines" 4 (List.length (String.split_on_char '\n' (String.trim csv)))
 
+(* one entry of the experiment table, run at n = 5 *)
+let run_entry id = (Option.get (Experiments.find Experiments.table id)).run (Experiments.context 5)
+
 let test_experiment_checks_pass () =
   (* the cheap experiments self-validate *)
-  let results =
-    [
-      Experiments.e3_figure1_gallery ();
-      Experiments.e4_lemma4 ~n:5 ();
-      Experiments.e5_lemma5 ~n:5 ();
-      Experiments.e6_lemma6_cycles ~max_n:10 ();
-      Experiments.e10_footnote5_cycles ();
-      Experiments.e12_desargues ();
-      Experiments.e13_eq5_bound ~n:5 ();
-    ]
-  in
   List.iter
-    (fun r ->
-      check_bool (r.Experiments.id ^ " ok") true r.Experiments.ok;
-      check_bool (r.Experiments.id ^ " has body") true (String.length r.Experiments.body > 0))
-    results
+    (fun id ->
+      let r = run_entry id in
+      Alcotest.(check string) "result carries the entry's id" id r.Experiments.id;
+      check_bool (id ^ " ok") true r.Experiments.ok;
+      check_bool (id ^ " has body") true (String.length r.Experiments.body > 0))
+    [ "E3"; "E4"; "E5"; "E6"; "E10"; "E12"; "E13" ]
+
+let test_experiment_table () =
+  (* the table is the one list of experiments: unique ids in order, E19
+     (the sampled n = 10 study) retired, and lookups case-insensitive *)
+  let ids = List.map (fun (e : Experiments.entry) -> e.id) Experiments.table in
+  Alcotest.(check (list string)) "ids in order"
+    (List.filter (( <> ) "E19") (List.init 23 (fun k -> Printf.sprintf "E%d" (k + 1))))
+    ids;
+  check_int "ids unique" (List.length ids) (List.length (List.sort_uniq compare ids));
+  check_bool "find is case-insensitive" true
+    (match Experiments.find Experiments.table "e12" with
+    | Some e -> e.id = "E12"
+    | None -> false);
+  check_bool "no E19" true (Experiments.find Experiments.table "E19" = None)
 
 let test_shapes_classify () =
   let module Shapes = Nf_analysis.Shapes in
@@ -103,14 +111,9 @@ let test_shapes_classify () =
   check_bool "all_trees" true (Shapes.all_trees [ Families.star 4; Families.path 6 ]);
   check_bool "not all_trees" false (Shapes.all_trees [ Families.cycle 4 ])
 
-let test_e18_e19_smoke () =
-  let e18 = Experiments.e18_bcg_scaling ~max_n:5 () in
-  check_bool "e18 ok" true e18.Experiments.ok;
-  let e19 = Experiments.e19_sampled_n10 ~n:8 ~attempts:10 ~seed:1 () in
-  check_bool "e19 ok" true e19.Experiments.ok;
-  (* deterministic given the seed *)
-  let e19' = Experiments.e19_sampled_n10 ~n:8 ~attempts:10 ~seed:1 () in
-  Alcotest.(check string) "e19 deterministic" e19.Experiments.body e19'.Experiments.body
+let test_e18_smoke () =
+  let e18 = run_entry "E18" in
+  check_bool "e18 ok" true e18.Experiments.ok
 
 let test_transfers_equilibria () =
   List.iter
@@ -153,17 +156,22 @@ let test_transfers_stable_graphs_complete () =
         alphas)
     [ 4; 5 ]
 
+(* the CLI binary, located relative to this test executable
+   (_build/default/test/..) so the tests work from any cwd *)
+let cli =
+  Filename.concat (Filename.dirname (Filename.dirname Sys.executable_name)) "bin/netform_cli.exe"
+
+let read_and_remove path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  s
+
 let test_cli_game_sweep_roundtrip () =
   (* `netform sweep --game transfers --csv` must emit exactly the CSV the
      library produces for the same sweep — the CLI is a thin shell over
-     Figures.sweep_game, not a second implementation.  The binary is
-     located relative to this test executable (_build/default/test/..),
-     so the test works regardless of the caller's cwd. *)
-  let cli =
-    Filename.concat
-      (Filename.dirname (Filename.dirname Sys.executable_name))
-      "bin/netform_cli.exe"
-  in
+     Figures.sweep_game, not a second implementation. *)
   check_bool "CLI binary built" true (Sys.file_exists cli);
   let csv_path = Filename.temp_file "netform_sweep" ".csv" in
   let log_path = Filename.temp_file "netform_sweep" ".log" in
@@ -172,16 +180,8 @@ let test_cli_game_sweep_roundtrip () =
       (Filename.quote cli) (Filename.quote csv_path) (Filename.quote log_path)
   in
   let status = Sys.command command in
-  let read_file path =
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
-  let from_cli = read_file csv_path in
-  let log = read_file log_path in
-  Sys.remove csv_path;
-  Sys.remove log_path;
+  let from_cli = read_and_remove csv_path in
+  let log = read_and_remove log_path in
   check_int ("sweep exit status; output:\n" ^ log) 0 status;
   let expected =
     Figures.game_csv
@@ -189,48 +189,65 @@ let test_cli_game_sweep_roundtrip () =
   in
   Alcotest.(check string) "CLI csv = library csv" expected from_cli
 
+(* `netform experiments ARGS`: exit status, stdout, stderr *)
+let run_experiments_cli args =
+  let out_path = Filename.temp_file "netform_only" ".out" in
+  let err_path = Filename.temp_file "netform_only" ".err" in
+  let status =
+    Sys.command
+      (Printf.sprintf "%s experiments %s > %s 2> %s" (Filename.quote cli) args
+         (Filename.quote out_path) (Filename.quote err_path))
+  in
+  let out = read_and_remove out_path in
+  let err = read_and_remove err_path in
+  (status, out, err)
+
 let test_cli_experiments_unknown_only () =
   (* an --only id that names no experiment is refused before the suite
      runs: exit 2, nothing on stdout, the pinned message on stderr *)
-  let cli =
-    Filename.concat
-      (Filename.dirname (Filename.dirname Sys.executable_name))
-      "bin/netform_cli.exe"
-  in
-  let out_path = Filename.temp_file "netform_only" ".out" in
-  let err_path = Filename.temp_file "netform_only" ".err" in
-  let read_file path =
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    Sys.remove path;
-    s
-  in
-  let run args =
-    let status =
-      Sys.command
-        (Printf.sprintf "%s experiments %s > %s 2> %s" (Filename.quote cli) args
-           (Filename.quote out_path) (Filename.quote err_path))
-    in
-    let out = read_file out_path in
-    let err = read_file err_path in
-    (status, out, err)
-  in
-  let status, out, err = run "-n 5 --only E99" in
+  let status, out, err = run_experiments_cli "-n 5 --only E99" in
   check_int "unknown id: exit 2" 2 status;
   Alcotest.(check string) "unknown id: no stdout" "" out;
   Alcotest.(check string) "unknown id: message"
     (Printf.sprintf "error: unknown experiment id \"E99\" (known: %s)\n"
-       (String.concat ", " Experiments.ids))
+       (String.concat ", " (List.map (fun (e : Experiments.entry) -> e.id) Experiments.table)))
     err;
-  let status, out, err = run "-n 4 --game transfers --only E1" in
+  let status, out, err = run_experiments_cli "-n 4 --game transfers --only E1" in
   check_int "id outside the --game sweep: exit 2" 2 status;
   Alcotest.(check string) "id outside the --game sweep: no stdout" "" out;
   Alcotest.(check string) "id outside the --game sweep: message"
-    "error: unknown experiment id \"E1\" (known: G:transfers)\n" err;
-  Alcotest.(check (list string)) "ids"
-    (List.init 23 (fun k -> Printf.sprintf "E%d" (k + 1)))
-    Experiments.ids
+    "error: unknown experiment id \"E1\" (known: G:transfers)\n" err
+
+let test_cli_experiments_store () =
+  (* --store feeds E1/E2 the store's points at the store's n: the same
+     bytes as a fresh sweep at that n.  A store without the UCG column
+     cannot give Figures 2/3 and is refused before anything runs. *)
+  let build ?game n =
+    let path = Filename.temp_file "netform_experiments" ".nfs" in
+    ignore (Nf_store.Build.build ?game ~force:true ~path ~n ());
+    path
+  in
+  let classic = build 5 in
+  List.iter
+    (fun id ->
+      let status, from_store, err =
+        run_experiments_cli (Printf.sprintf "--store %s --only %s" (Filename.quote classic) id)
+      in
+      check_int (id ^ " from the store: exit 0; stderr:\n" ^ err) 0 status;
+      let status, fresh, _ = run_experiments_cli ("-n 5 --only " ^ id) in
+      check_int (id ^ " fresh: exit 0") 0 status;
+      Alcotest.(check string) (id ^ ": store = fresh sweep") fresh from_store)
+    [ "E1"; "E2" ];
+  let bcg_only = build ~game:"bcg" 5 in
+  let status, out, err =
+    run_experiments_cli (Printf.sprintf "--store %s --only E1" (Filename.quote bcg_only))
+  in
+  Sys.remove classic;
+  Sys.remove bcg_only;
+  check_int "BCG-only store: exit 2" 2 status;
+  Alcotest.(check string) "BCG-only store: no stdout" "" out;
+  Alcotest.(check string) "BCG-only store: message"
+    "error: store carries \"bcg\" annotations only; Figures 2/3 need a BCG+UCG store\n" err
 
 let test_dataset_roundtrip () =
   let module Dataset = Nf_analysis.Dataset in
@@ -345,7 +362,7 @@ let test_report_write_all () =
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "netform_report_test" in
   if Sys.file_exists dir then
     Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  let results = [ Experiments.e12_desargues () ] in
+  let results = [ run_entry "E12" ] in
   let points = Figures.sweep ~n:5 ~grid:[ Rat.of_int 2 ] () in
   let written = Report.write_all ~dir ~results ~points () in
   check_int "three files" 3 (List.length written);
@@ -367,7 +384,7 @@ let test_report_slug () =
     (Nf_analysis.Report.slug_of_title "Figure 2 - average PoA (n=6)")
 
 let test_experiment_render () =
-  let r = Experiments.e12_desargues () in
+  let r = run_entry "E12" in
   let s = Experiments.render r in
   check_bool "render mentions id" true
     (String.length s > 10 && String.sub s 0 7 = "=== E12")
@@ -405,12 +422,14 @@ let () =
       ( "experiments",
         [
           Alcotest.test_case "self checks" `Slow test_experiment_checks_pass;
-          Alcotest.test_case "e18/e19 smoke" `Quick test_e18_e19_smoke;
+          Alcotest.test_case "table" `Quick test_experiment_table;
+          Alcotest.test_case "e18 smoke" `Quick test_e18_smoke;
           Alcotest.test_case "transfers equilibria" `Quick test_transfers_equilibria;
           Alcotest.test_case "transfers stable graphs complete" `Quick
             test_transfers_stable_graphs_complete;
           Alcotest.test_case "cli game sweep roundtrip" `Quick test_cli_game_sweep_roundtrip;
           Alcotest.test_case "cli unknown --only id" `Quick test_cli_experiments_unknown_only;
+          Alcotest.test_case "cli --store feeds E1/E2" `Quick test_cli_experiments_store;
           Alcotest.test_case "render" `Quick test_experiment_render;
         ] );
     ]

@@ -1,11 +1,11 @@
 (* Tests for nf_dynamics: fixed points are equilibria, convergence on
-   known instances, sampling finds known stable graphs. *)
+   known instances. *)
 
 module Graph = Nf_graph.Graph
 module Rat = Nf_util.Rat
 module Prng = Nf_util.Prng
 module Families = Nf_named.Families
-module Bcg_dynamics = Nf_dynamics.Bcg_dynamics
+module Game_dynamics = Nf_dynamics.Game_dynamics
 module Ucg_dynamics = Nf_dynamics.Ucg_dynamics
 open Netform
 
@@ -13,15 +13,16 @@ let check = Alcotest.check
 let check_bool = Alcotest.(check bool)
 let r = Rat.of_int
 let rq = Rat.make
+let bcg = Game.Any Game_registry.bcg
 
 (* ---------------- BCG dynamics ---------------- *)
 
 let test_bcg_stable_is_fixed_point () =
   (* stable graphs admit no moves *)
   check Alcotest.int "star at alpha=2" 0
-    (List.length (Bcg_dynamics.improving_moves ~alpha:(r 2) (Families.star 6)));
+    (List.length (Bcg.improving_moves ~alpha:(r 2) (Families.star 6)));
   check Alcotest.int "complete at alpha=1/2" 0
-    (List.length (Bcg_dynamics.improving_moves ~alpha:(rq 1 2) (Families.complete 6)))
+    (List.length (Bcg.improving_moves ~alpha:(rq 1 2) (Families.complete 6)))
 
 let test_bcg_run_reaches_stability () =
   let rng = Prng.create 7 in
@@ -30,10 +31,10 @@ let test_bcg_run_reaches_stability () =
     (fun alpha ->
       for _ = 1 to 20 do
         let seed = Nf_graph.Random_graph.connected_gnp rng 7 0.4 in
-        let outcome = Bcg_dynamics.run ~alpha ~rng seed in
-        check_bool "converged" true outcome.Bcg_dynamics.converged;
+        let outcome = Game_dynamics.run bcg ~alpha ~rng seed in
+        check_bool "converged" true outcome.Game_dynamics.converged;
         check_bool "fixed point is pairwise stable" true
-          (Bcg.is_pairwise_stable ~alpha outcome.Bcg_dynamics.final)
+          (Bcg.is_pairwise_stable ~alpha outcome.Game_dynamics.final)
       done)
     alphas
 
@@ -41,37 +42,29 @@ let test_bcg_small_alpha_completes () =
   (* at α < 1 the only stable graph is complete: the dynamics must build
      every edge *)
   let rng = Prng.create 11 in
-  let outcome = Bcg_dynamics.run ~alpha:(rq 1 2) ~rng (Families.path 6) in
-  check_bool "reaches complete graph" true (Graph.is_complete outcome.Bcg_dynamics.final);
+  let outcome = Game_dynamics.run bcg ~alpha:(rq 1 2) ~rng (Families.path 6) in
+  check_bool "reaches complete graph" true (Graph.is_complete outcome.Game_dynamics.final);
   check_bool "trace is all additions" true
     (List.for_all
        (function
-         | Bcg_dynamics.Add _ -> true
-         | Bcg_dynamics.Delete _ -> false)
-       outcome.Bcg_dynamics.trace)
+         | Game.Add _ -> true
+         | Game.Delete _ -> false)
+       outcome.Game_dynamics.trace)
 
 let test_bcg_trace_replays () =
   let rng = Prng.create 13 in
   let seed = Nf_graph.Random_graph.connected_gnp rng 6 0.5 in
-  let outcome = Bcg_dynamics.run ~alpha:(r 2) ~rng seed in
+  let outcome = Game_dynamics.run bcg ~alpha:(r 2) ~rng seed in
   let replayed =
     List.fold_left
       (fun g move ->
         match move with
-        | Bcg_dynamics.Add (i, j) -> Graph.add_edge g i j
-        | Bcg_dynamics.Delete (i, j) -> Graph.remove_edge g i j)
-      seed outcome.Bcg_dynamics.trace
+        | Game.Add (i, j) -> Graph.add_edge g i j
+        | Game.Delete (i, j) -> Graph.remove_edge g i j)
+      seed outcome.Game_dynamics.trace
   in
   check (Alcotest.testable Graph.pp Graph.equal) "trace replays to final"
-    outcome.Bcg_dynamics.final replayed
-
-let test_bcg_sample_stable () =
-  let rng = Prng.create 17 in
-  let stable = Bcg_dynamics.sample_stable ~alpha:(r 2) ~rng ~n:6 ~attempts:40 in
-  check_bool "found at least one" true (stable <> []);
-  List.iter
-    (fun g -> check_bool "sampled graphs stable" true (Bcg.is_pairwise_stable ~alpha:(r 2) g))
-    stable
+    outcome.Game_dynamics.final replayed
 
 (* ---------------- UCG dynamics ---------------- *)
 
@@ -433,7 +426,6 @@ let () =
           Alcotest.test_case "reaches stability" `Quick test_bcg_run_reaches_stability;
           Alcotest.test_case "small alpha completes" `Quick test_bcg_small_alpha_completes;
           Alcotest.test_case "trace replays" `Quick test_bcg_trace_replays;
-          Alcotest.test_case "sampling" `Quick test_bcg_sample_stable;
         ] );
       ( "ucg",
         [

@@ -476,19 +476,19 @@ let reference_improving_moves ~alpha g =
       let bi = Bcg.addition_benefit g i j
       and bj = Bcg.addition_benefit g j i in
       if (ext_lt bi && ext_le bj) || (ext_lt bj && ext_le bi) then
-        moves := Nf_dynamics.Bcg_dynamics.Add (i, j) :: !moves);
+        moves := Game.Add (i, j) :: !moves);
   Graph.iter_edges g (fun i j ->
       if not (ext_le (Bcg.severance_loss g i j)) then
-        moves := Nf_dynamics.Bcg_dynamics.Delete (i, j) :: !moves;
+        moves := Game.Delete (i, j) :: !moves;
       if not (ext_le (Bcg.severance_loss g j i)) then
-        moves := Nf_dynamics.Bcg_dynamics.Delete (j, i) :: !moves);
+        moves := Game.Delete (j, i) :: !moves);
   !moves
 
 let move_testable =
   let pp fmt m =
     match m with
-    | Nf_dynamics.Bcg_dynamics.Add (i, j) -> Format.fprintf fmt "Add(%d,%d)" i j
-    | Nf_dynamics.Bcg_dynamics.Delete (i, j) -> Format.fprintf fmt "Delete(%d,%d)" i j
+    | Game.Add (i, j) -> Format.fprintf fmt "Add(%d,%d)" i j
+    | Game.Delete (i, j) -> Format.fprintf fmt "Delete(%d,%d)" i j
   in
   Alcotest.testable pp ( = )
 
@@ -507,7 +507,7 @@ let test_improving_moves_parity () =
             Alcotest.(list move_testable)
             "improving moves identical (incl. order)"
             (reference_improving_moves ~alpha g)
-            (Nf_dynamics.Bcg_dynamics.improving_moves ~alpha g))
+            (Bcg.improving_moves ~alpha g))
         grid)
     subjects
 

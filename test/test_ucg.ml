@@ -208,6 +208,21 @@ let test_pruned_vs_reference_dense7 () =
         (fun g6 -> check_pruned_paths ws (Nf_graph.Graph6.decode g6))
         [ "F~~~w"; "F~~~o"; "F~~~_"; "F~~vW" ])
 
+(* Rotations: cycles and circulants on 8-10 vertices, whose groups hold
+   rotations of order n, and a 9-vertex graph whose group is a rotation
+   of order 3 alone, labeled so that the walk's first edge (0, 1) is one
+   the rotation maps 0 onto 1 while no automorphism swaps the pair; the
+   owner-swap prune must keep both owners there.  (On at most 8 vertices
+   no graph has such an edge, for any set of fixed points.) *)
+let test_pruned_vs_reference_rotations () =
+  Nf_graph.Kernel.with_ws (fun ws ->
+      List.iter (check_pruned_paths ws)
+        ([ Families.cycle 8; Families.cycle 9; Families.cycle 10 ]
+        @ List.map
+            (fun (n, jumps) -> Families.circulant n jumps)
+            [ (8, [ 1; 4 ]); (9, [ 1; 3 ]); (10, [ 1; 4 ]) ]
+        @ [ Nf_graph.Graph6.decode "H}dl@dE" ]))
+
 (* Dense graphs have one-interval Nash sets that the first few leaves
    already cover.  Without the coverage prune K8 (2^28 orientations)
    takes about a minute against milliseconds, so a lost prune shows up
@@ -259,6 +274,8 @@ let () =
             test_pruned_vs_reference_small;
           Alcotest.test_case "pruned = reference, dense n = 7" `Slow
             test_pruned_vs_reference_dense7;
+          Alcotest.test_case "pruned = reference, rotations n = 8..10" `Quick
+            test_pruned_vs_reference_rotations;
         ] );
       ( "dense pins",
         [
