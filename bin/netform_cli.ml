@@ -210,6 +210,20 @@ let enumerate_cmd =
     (Cmd.info "enumerate" ~doc:"Count equilibrium topologies exhaustively")
     Term.(const enumerate $ jobs_opt $ n_arg 6 $ alpha_opt)
 
+(* A bad argument or an unusable store (missing, corrupt, of the wrong
+   kind) is found by [setup] before anything is printed: [checked setup
+   run] reports it as "error: …" on stderr with exit 2, and otherwise
+   hands [setup]'s result to [run]. *)
+let checked setup run =
+  match setup () with
+  | exception (Invalid_argument msg | Failure msg | Nf_store.Layout.Corrupt msg) ->
+    Printf.eprintf "error: %s\n" msg;
+    2
+  | exception Unix.Unix_error (e, fn, arg) ->
+    Printf.eprintf "error: %s: %s %s\n" (Unix.error_message e) fn arg;
+    2
+  | x -> run x
+
 (* ---------------- sweep ---------------- *)
 
 let write_csv ~path contents =
@@ -238,11 +252,14 @@ let classic_figure_points service =
 (* one game's sweep (--game): the game's own alpha convention and cost
    model, from a fresh annotation or served from a store *)
 let sweep_one_game ~name ~n ~csv ~store =
-  let packed = Game_registry.find_exn name in
+  checked
+    (fun () ->
+      ( Game_registry.find_exn name,
+        Option.map (fun path -> (path, Serve.Service.create ~path ())) store ))
+  @@ fun (packed, served) ->
   let points =
-    match store with
-    | Some path ->
-      let service = Serve.Service.create ~path () in
+    match served with
+    | Some (path, service) ->
       Printf.printf "(sweep served from %s: game=%s, n=%d, %d classes)\n\n" path
         (Serve.Service.game service) (Serve.Service.n service) (Serve.Service.length service);
       Nf_analysis.Figures.sweep_game_via packed
@@ -253,25 +270,31 @@ let sweep_one_game ~name ~n ~csv ~store =
   print_string (Nf_analysis.Figures.game_table points);
   print_newline ();
   print_string (Nf_analysis.Figures.game_plot points);
-  Option.iter (fun path -> write_csv ~path (Nf_analysis.Figures.game_csv points)) csv
+  Option.iter (fun path -> write_csv ~path (Nf_analysis.Figures.game_csv points)) csv;
+  0
 
 let sweep jobs no_quotient n game csv store =
   setup jobs;
   setup_quotient no_quotient;
   match game with
-  | Some name ->
-    sweep_one_game ~name ~n ~csv ~store;
-    0
+  | Some name -> sweep_one_game ~name ~n ~csv ~store
   | None ->
+    checked
+      (fun () ->
+        Option.map
+          (fun path ->
+            let service = Serve.Service.create ~path () in
+            (path, service, classic_figure_points service))
+          store)
+    @@ fun served ->
     let points =
-      match store with
-      | Some path ->
+      match served with
+      | Some (path, service, points) ->
         (* warm path: the annotation is read from the atlas store, never
            recomputed; only the PoA summaries run here *)
-        let service = Serve.Service.create ~path () in
         Printf.printf "(figures served from %s: n=%d, %d classes)\n\n" path
           (Serve.Service.n service) (Serve.Service.length service);
-        Lazy.force (classic_figure_points service)
+        Lazy.force points
       | None -> Nf_analysis.Figures.sweep ~n ()
     in
     print_string (Nf_analysis.Figures.figure2_table points);
@@ -541,26 +564,17 @@ let select_experiments game only =
    minutes) *)
 let experiments jobs n game only out store =
   setup jobs;
-  match
-    let entries = select_experiments game only in
-    (entries, experiment_context n store)
-  with
-  | exception (Invalid_argument msg | Failure msg | Nf_store.Layout.Corrupt msg) ->
-    Printf.eprintf "error: %s\n" msg;
-    2
-  | exception Unix.Unix_error (e, fn, arg) ->
-    Printf.eprintf "error: %s: %s %s\n" (Unix.error_message e) fn arg;
-    2
-  | entries, ctx ->
-    let results = List.map (fun (e : Experiments.entry) -> e.run ctx) entries in
-    print_string (Experiments.render_all results);
-    Option.iter
-      (fun dir ->
-        let points = Lazy.force ctx.points in
-        let written = Nf_analysis.Report.write_all ~dir ~results ~points () in
-        Printf.printf "\nwrote %d artifacts under %s\n" (List.length written) dir)
-      out;
-    if List.for_all (fun (r : Experiments.result) -> r.ok) results then 0 else 1
+  checked (fun () -> (select_experiments game only, experiment_context n store))
+  @@ fun (entries, ctx) ->
+  let results = List.map (fun (e : Experiments.entry) -> e.run ctx) entries in
+  print_string (Experiments.render_all results);
+  Option.iter
+    (fun dir ->
+      let points = Lazy.force ctx.points in
+      let written = Nf_analysis.Report.write_all ~dir ~results ~points () in
+      Printf.printf "\nwrote %d artifacts under %s\n" (List.length written) dir)
+    out;
+  if List.for_all (fun (r : Experiments.result) -> r.ok) results then 0 else 1
 
 let only_opt =
   Arg.(
@@ -730,7 +744,7 @@ let store_verify_cmd =
 
 let store_query jobs path alpha game figures csv list_graphs =
   setup jobs;
-  let service = Serve.Service.create ~path () in
+  checked (fun () -> Serve.Service.create ~path ()) @@ fun service ->
   Printf.printf "%s: n=%d, %d annotated classes, game=%s\n" path (Serve.Service.n service)
     (Serve.Service.length service) (Serve.Service.game service);
   (match alpha with
@@ -797,7 +811,7 @@ let store_query_cmd =
 
 let store_export jobs path out =
   setup jobs;
-  let service = Serve.Service.create ~path () in
+  checked (fun () -> Serve.Service.create ~path ()) @@ fun service ->
   let csv = Serve.Service.export_csv service in
   (match out with
   | Some file ->

@@ -1,12 +1,7 @@
-module Graph = Nf_graph.Graph
-module Bfs = Nf_graph.Bfs
-module Apsp = Nf_graph.Apsp
 module Kernel = Nf_graph.Kernel
 module Connectivity = Nf_graph.Connectivity
-module Ext_int = Nf_util.Ext_int
 module Rat = Nf_util.Rat
 module Interval = Nf_util.Interval
-open Pairwise.Frac
 
 (* The adversary connection game (Kliemann, arXiv:1308.1832): bilateral
    link formation where player i's cost gains an expected-disconnection
@@ -104,78 +99,6 @@ let stable_alpha_set_sym_ws ws sym g = Pairwise.stable_interval price ws sym g
 let stable_alpha_set g =
   Kernel.with_ws (fun ws -> stable_alpha_set_sym_ws ws (Game.sweep_symmetry g) g)
 
-(* ---- persistent reference twin ------------------------------------------
-   Same scan over persistent graphs with deliberately different
-   machinery: Apsp.distance_sums + one allocating BFS per endpoint per
-   toggle for distances, and a naive remove-each-edge-and-diff-the-
-   reachable-counts separation count instead of the lowpoint DFS. *)
-
-let reachable_count g v =
-  let c = ref 0 in
-  Array.iter (fun d -> if d >= 0 then incr c) (Bfs.distances g v);
-  !c
-
-let separation_sums_naive g =
-  let n = Graph.order g in
-  let sep = Array.make n 0 in
-  let before = Array.init n (fun v -> reachable_count g v) in
-  List.iter
-    (fun (u, w) ->
-      let g' = Graph.remove_edge g u w in
-      for v = 0 to n - 1 do
-        sep.(v) <- sep.(v) + (before.(v) - reachable_count g' v)
-      done)
-    (Graph.edges g);
-  sep
-
-let int_of_ext = function
-  | Ext_int.Fin k -> k
-  | Ext_int.Inf -> inf
-
-let stable_alpha_set_reference g =
-  let base = Array.map int_of_ext (Apsp.distance_sums g) in
-  let m = Graph.size g in
-  let sep = separation_sums_naive g in
-  let lo = ref (0, 1) and tied = ref true and hi = ref ((inf : int), 1) in
-  Graph.iter_non_edges g (fun i j ->
-      let added = Graph.add_edge g i j in
-      let sep' = separation_sums_naive added in
-      let m' = m + 1 in
-      let bi =
-        benefit_frac ~base:base.(i)
-          ~after:(int_of_ext (Bfs.distance_sum added i))
-          ~sep:sep.(i) ~sep':sep'.(i) ~m ~m'
-      and bj =
-        benefit_frac ~base:base.(j)
-          ~after:(int_of_ext (Bfs.distance_sum added j))
-          ~sep:sep.(j) ~sep':sep'.(j) ~m ~m'
-      in
-      let p = frac_min bi bj in
-      if frac_lt !lo p then begin
-        lo := p;
-        tied := frac_eq bi bj
-      end
-      else if frac_eq p !lo && not (frac_eq bi bj) then tied := false);
-  Graph.iter_edges g (fun i j ->
-      let removed = Graph.remove_edge g i j in
-      let sep' = separation_sums_naive removed in
-      let m' = m - 1 in
-      let li =
-        loss_frac ~base:base.(i)
-          ~after:(int_of_ext (Bfs.distance_sum removed i))
-          ~sep:sep.(i) ~sep':sep'.(i) ~m ~m'
-      and lj =
-        loss_frac ~base:base.(j)
-          ~after:(int_of_ext (Bfs.distance_sum removed j))
-          ~sep:sep.(j) ~sep':sep'.(j) ~m ~m'
-      in
-      if frac_lt li !hi then hi := li;
-      if frac_lt lj !hi then hi := lj);
-  Interval.inter positive
-    (Interval.make ~lo:(endpoint_of_frac !lo)
-       ~lo_closed:(fst !lo <> inf && !tied)
-       ~hi:(endpoint_of_frac !hi) ~hi_closed:true)
-
 let is_stable ~alpha g = Pairwise.is_stable price ~alpha g
 let improving_moves ~alpha g = Pairwise.improving_moves price ~alpha g
 
@@ -196,7 +119,6 @@ let game : Interval.t Game.t =
     let region_kind = Game.Region.Interval
     let schema_tag = 4
     let stable_region_ws = stable_alpha_set_sym_ws
-    let stable_region_reference = stable_alpha_set_reference
     let is_stable = is_stable
     let improving_moves = Some improving_moves
     let alpha_of_link_cost c = Rat.div c (Rat.of_int 2)

@@ -26,16 +26,6 @@ val stable_alpha_set : Nf_graph.Graph.t -> Nf_util.Interval.t
 (** {!stable_alpha_set_sym_ws} on a scratch workspace at
     {!Game.sweep_symmetry}. *)
 
-val separation_sums_naive : Nf_graph.Graph.t -> int array
-(** Specification twin of the lowpoint-DFS separation sums: remove each
-    edge in turn and diff the per-vertex reachable counts.  Quadratically
-    slower; the QCheck differential in [test/test_graph.ml] pins the two
-    against each other. *)
-
-val stable_alpha_set_reference : Nf_graph.Graph.t -> Nf_util.Interval.t
-(** Persistent-path specification twin of {!stable_alpha_set_sym_ws} built on
-    {!Nf_graph.Apsp}, fresh BFS sweeps and {!separation_sums_naive}. *)
-
 val is_stable : alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> bool
 (** Point certifier ({!Pairwise.is_stable}); agrees with interval
     membership in {!stable_alpha_set_sym_ws}. *)

@@ -1,6 +1,5 @@
 module Graph = Nf_graph.Graph
 module Bfs = Nf_graph.Bfs
-module Apsp = Nf_graph.Apsp
 module Kernel = Nf_graph.Kernel
 module Symmetry = Nf_iso.Symmetry
 module Ext_int = Nf_util.Ext_int
@@ -30,75 +29,11 @@ let severance_loss g i j =
        weak deletion inequality of Definition 3 always holds *)
     Ext_int.Inf
 
-(* ---- persistent reference kernel ----------------------------------------
-   The BFS-sharing scan over persistent graphs (base sums via
-   Apsp.distance_sums, one fresh allocating BFS per endpoint per toggle).
-   It is no longer the production path — the workspace scan below is — but
-   stays as the independently-reviewed reference that the parity tests in
-   test_pool.ml and test_kernel.ml compare against. *)
-
-let benefit_from ~base after =
-  match base, after with
-  | Ext_int.Fin b, Ext_int.Fin a -> Ext_int.Fin (b - a)
-  | Ext_int.Inf, Ext_int.Fin _ -> Ext_int.Inf
-  | Ext_int.Inf, Ext_int.Inf -> Ext_int.Fin 0
-  | Ext_int.Fin _, Ext_int.Inf -> assert false (* adding cannot disconnect *)
-
-let loss_from ~base after =
-  match base, after with
-  | Ext_int.Fin b, Ext_int.Fin a -> Ext_int.Fin (a - b)
-  | Ext_int.Fin _, Ext_int.Inf -> Ext_int.Inf (* bridge *)
-  | Ext_int.Inf, _ -> Ext_int.Inf
-
-(* One pass over the non-edges computes α_min and the attainment flag
-   together: track the running maximum of the pairwise willingness and
-   whether every pair attaining it is a tie (both endpoints equally
-   interested) — a new strict maximum resets the flag, an equal one refines
-   it, smaller pairs cannot matter. *)
-type scan = {
-  scan_alpha_min : Ext_int.t;
-  scan_alpha_max : Ext_int.t;
-  scan_lo_closed : bool;
-}
-
-let scan_stability_reference g =
-  let base = Apsp.distance_sums g in
-  let lo = ref (Ext_int.Fin 0) in
-  let tied = ref true in
-  Graph.iter_non_edges g (fun i j ->
-      let added = Graph.add_edge g i j in
-      let bi = benefit_from ~base:base.(i) (Bfs.distance_sum added i)
-      and bj = benefit_from ~base:base.(j) (Bfs.distance_sum added j) in
-      let m = Ext_int.min bi bj in
-      let c = Ext_int.compare m !lo in
-      if c > 0 then begin
-        lo := m;
-        tied := Ext_int.equal bi bj
-      end
-      else if c = 0 && not (Ext_int.equal bi bj) then tied := false);
-  let hi = ref Ext_int.Inf in
-  Graph.iter_edges g (fun i j ->
-      let removed = Graph.remove_edge g i j in
-      hi := Ext_int.min !hi (loss_from ~base:base.(i) (Bfs.distance_sum removed i));
-      hi := Ext_int.min !hi (loss_from ~base:base.(j) (Bfs.distance_sum removed j)));
-  {
-    scan_alpha_min = !lo;
-    scan_alpha_max = !hi;
-    scan_lo_closed =
-      (match !lo with
-      | Ext_int.Inf -> false
-      | Ext_int.Fin _ -> !tied);
-  }
-
 (* ---- workspace kernel ---------------------------------------------------
-   The production path: base distance sums from one bit-parallel
-   all-sources sweep, then every edge toggle is two in-place xors plus one
-   allocation-free single-source sweep per endpoint, with benefits/losses
-   kept as raw ints (Kernel.inf as ∞) and α compared by integer
-   cross-multiplication.  Toggle enumeration is the same lexicographic
-   (i < j) order as Graph.iter_non_edges/iter_edges, and every max/min/tie
-   update is order-independent, so the resulting intervals are structurally
-   identical to the reference scan's. *)
+   Base distance sums from one bit-parallel all-sources sweep, then every
+   edge toggle is two in-place xors plus one allocation-free single-source
+   sweep per endpoint, with benefits/losses kept as raw ints (Kernel.inf as
+   ∞) and α compared by integer cross-multiplication. *)
 
 let inf = Kernel.inf
 
@@ -168,10 +103,6 @@ let scan_stability_ws ws sym =
 
 let endpoint_of_int k = if k = inf then Interval.Pos_inf else Interval.Finite (Rat.of_int k)
 
-let endpoint_of_ext = function
-  | Ext_int.Fin k -> Interval.Finite (Rat.of_int k)
-  | Ext_int.Inf -> Interval.Pos_inf
-
 let interval_of_iscan ~lo_closed s =
   Interval.inter positive
     (Interval.make ~lo:(endpoint_of_int s.iscan_lo) ~lo_closed
@@ -193,12 +124,6 @@ let stable_alpha_set_sym_ws ws sym g =
 
 let stable_alpha_set g =
   Kernel.with_ws (fun ws -> stable_alpha_set_sym_ws ws (Game.sweep_symmetry g) g)
-
-let stable_alpha_set_reference g =
-  let s = scan_stability_reference g in
-  Interval.inter positive
-    (Interval.make ~lo:(endpoint_of_ext s.scan_alpha_min) ~lo_closed:s.scan_lo_closed
-       ~hi:(endpoint_of_ext s.scan_alpha_max) ~hi_closed:true)
 
 (* BCG pricing: each endpoint's distance-sum change, over 1 *)
 let price ws =

@@ -50,13 +50,6 @@ val stable_alpha_set_sym_ws :
     subgroup of [Aut(g)]; [Symmetry.trivial n] scans every pair.
     {!stable_alpha_set} passes {!Game.sweep_symmetry}. *)
 
-val stable_alpha_set_reference : Nf_graph.Graph.t -> Nf_util.Interval.t
-(** The retained persistent-path implementation (base sums via
-    [Apsp.distance_sums], one fresh BFS per endpoint per edge toggle).
-    Structurally identical output to {!stable_alpha_set}; kept as the
-    reference the differential tests compare the workspace kernel
-    against. *)
-
 val price : Pairwise.pricing
 (** The BCG's {!Pairwise.pricing}: each endpoint's distance-sum decrease
     (addition) or increase (deletion) at the toggled pair, over 1, with

@@ -1,7 +1,4 @@
-module Graph = Nf_graph.Graph
-module Bfs = Nf_graph.Bfs
 module Kernel = Nf_graph.Kernel
-module Ext_int = Nf_util.Ext_int
 module Rat = Nf_util.Rat
 module Interval = Nf_util.Interval
 open Pairwise.Frac
@@ -28,9 +25,9 @@ open Pairwise.Frac
    the BCG's too, so the k ≥ 2 region is the BCG interval (the orbit-
    quotiented scan) intersected with the fold over the coalitions of size
    3..k; [Interval.inter] closes an equal lower end only when both sides
-   are closed, i.e. when every attaining coalition ties.  The reference
-   twin folds every coalition of size 2..k and every deletion itself, and
-   the differential tests pin the two equal.
+   are closed, i.e. when every attaining coalition ties.  The test
+   oracle folds every coalition of size 2..k and every deletion itself,
+   and the differential table pins the two equal.
 
    The k = 1 instance has no consented additions at all and is the UCG
    Nash region (size-1 "coalitions" are unilateral deviations over owned
@@ -43,15 +40,11 @@ let inf = Kernel.inf
 
 let ibenefit ~base after = if base = inf then (if after = inf then 0 else inf) else base - after
 
-let int_of_ext = function
-  | Ext_int.Fin k -> k
-  | Ext_int.Inf -> inf
-
-(* Enumerate subsets of {0..n-1} of size [min_size]..k (members
+(* Enumerate subsets of {0..n-1} of size 3..k (members
    accumulated in decreasing order) and hand each to [consider]. *)
-let iter_coalitions ~min_size ~n ~k consider =
+let iter_coalitions ~n ~k consider =
   let rec go start members size =
-    if size >= min_size then consider members;
+    if size >= 3 then consider members;
     if size < k then
       for v = start to n - 1 do
         go (v + 1) (v :: members) (size + 1)
@@ -116,7 +109,7 @@ let absent_pairs_ws ws members =
 let larger_coalitions_ws ~k ws =
   let base = Kernel.all_distance_sums ws in
   let lo = ref (0, 1) and tied = ref true in
-  iter_coalitions ~min_size:3 ~n:(Kernel.order ws) ~k (fun members ->
+  iter_coalitions ~n:(Kernel.order ws) ~k (fun members ->
       match absent_pairs_ws ws members with
       | [] -> ()
       | pairs ->
@@ -133,49 +126,6 @@ let larger_coalitions_ws ~k ws =
 let stable_alpha_set_ws ~k ws sym g =
   let pairs = Bcg.stable_alpha_set_sym_ws ws sym g in
   Interval.inter pairs (larger_coalitions_ws ~k ws)
-
-(* ---- persistent reference twin ------------------------------------------ *)
-
-let absent_pairs g members =
-  let rec go = function
-    | [] -> []
-    | v :: rest ->
-      List.filter_map
-        (fun u -> if Graph.has_edge g u v then None else Some (min u v, max u v))
-        rest
-      @ go rest
-  in
-  go members
-
-let stable_alpha_set_reference ~k g =
-  let n = Graph.order g in
-  let base = Array.init n (fun v -> int_of_ext (Bfs.distance_sum g v)) in
-  let lo = ref (0, 1) and tied = ref true and hi = ref inf in
-  iter_coalitions ~min_size:2 ~n ~k (fun members ->
-      match absent_pairs g members with
-      | [] -> ()
-      | pairs ->
-        let g' = List.fold_left (fun g (u, w) -> Graph.add_edge g u w) g pairs in
-        let new_deg v =
-          List.fold_left (fun c (u, w) -> if u = v || w = v then c + 1 else c) 0 pairs
-        in
-        let delta v = ibenefit ~base:base.(v) (int_of_ext (Bfs.distance_sum g' v)) in
-        let theta, tie = coalition_threshold ~members ~new_deg ~delta in
-        if frac_lt !lo theta then begin
-          lo := theta;
-          tied := tie
-        end
-        else if frac_eq theta !lo && not tie then tied := false);
-  Graph.iter_edges g (fun i j ->
-      let l = int_of_ext (Bcg.severance_loss g i j)
-      and l' = int_of_ext (Bcg.severance_loss g j i) in
-      if l < !hi then hi := l;
-      if l' < !hi then hi := l');
-  let hi_ep = if !hi = inf then Interval.Pos_inf else Interval.Finite (Rat.of_int !hi) in
-  Interval.inter positive
-    (Interval.make ~lo:(endpoint_of_frac !lo)
-       ~lo_closed:(fst !lo <> inf && !tied)
-       ~hi:hi_ep ~hi_closed:true)
 
 (* ---- point certifier ----------------------------------------------------- *)
 
@@ -217,10 +167,6 @@ let make ~k : Interval.Union.t Game.t =
     let stable_region_ws ws sym g =
       if k = 1 then Ucg.nash_alpha_set_sym_ws ws sym g
       else Interval.Union.of_list [ stable_alpha_set_ws ~k ws sym g ]
-
-    let stable_region_reference g =
-      if k = 1 then Ucg.nash_alpha_set_reference g
-      else Interval.Union.of_list [ stable_alpha_set_reference ~k g ]
 
     let is_stable ~alpha g =
       if k = 1 then Ucg.is_nash_graph ~alpha g else is_stable ~k ~alpha g

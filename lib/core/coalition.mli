@@ -35,10 +35,6 @@ val stable_alpha_set_ws :
     automorphism subgroup, intersected with the lo/tied fold over every
     coalition of size 3..k. *)
 
-val stable_alpha_set_reference : k:int -> Nf_graph.Graph.t -> Nf_util.Interval.t
-(** Persistent specification twin of {!stable_alpha_set_ws}: folds every
-    coalition of size 2..k and every unilateral deletion itself. *)
-
 val is_stable : k:int -> alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> bool
 (** Point certifier for k ≥ 2: {!Bcg.is_pairwise_stable} and no
     coalition of size 3..k blocks. *)

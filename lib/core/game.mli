@@ -48,13 +48,13 @@ module Region : sig
   val pp : 'r kind -> Format.formatter -> 'r -> unit
 end
 
-(** What a connection game must provide.  The two annotators must be
-    extensionally equal — [stable_region_ws] is the production
-    (kernel-workspace, orbit-quotiented) path and
-    [stable_region_reference] the persistent specification twin; the
-    registry-driven differential suites in [test/test_kernel.ml] hold
-    every registered game to that contract, and [is_stable] must agree
-    with membership in the region. *)
+(** What a connection game must provide: one exact annotator
+    ([stable_region_ws], the kernel-workspace, orbit-quotiented path), a
+    point certifier that agrees with membership in its region, and
+    optionally a move generator.  The differential table in
+    [test/test_differential.ml] holds every registered game to a
+    specification oracle of its family, kept in [test/support] and
+    outside the library. *)
 val render_name : family:string -> params:string -> string
 (** [family] when [params] is empty, else [family ^ ":" ^ params] — the
     one canonical instance-name form shared by the registry, the CLI and
@@ -99,13 +99,10 @@ module type S = sig
       annotator may evaluate one representative pair per orbit
       ({!Nf_iso.Symmetry.iter_pair_reps}) or prune symmetric search
       branches, but must return a region {e structurally equal} to the
-      one at [Symmetry.trivial n] — the differential harness in
-      [test/test_orbit.ml] holds every registered game to that, and
+      one at [Symmetry.trivial n] — the differential table in
+      [test/test_differential.ml] holds every registered game to that, and
       byte-identical stores depend on it.  A game whose annotator is not
       isomorphism-invariant (per-player weights) ignores the subgroup. *)
-
-  val stable_region_reference : Graph.t -> region
-  (** Persistent-path specification twin of {!stable_region_ws}. *)
 
   val is_stable : alpha:Rat.t -> Graph.t -> bool
   (** Point certifier; agrees with [Region.mem region_kind alpha

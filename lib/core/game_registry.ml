@@ -229,7 +229,6 @@ module Bcg_game = struct
   let region_kind = Game.Region.Interval
   let schema_tag = 0
   let stable_region_ws = Bcg.stable_alpha_set_sym_ws
-  let stable_region_reference = Bcg.stable_alpha_set_reference
   let is_stable = Bcg.is_pairwise_stable
   let improving_moves = Some Bcg.improving_moves
   let alpha_of_link_cost c = Rat.div c (Rat.of_int 2)
@@ -246,7 +245,6 @@ module Ucg_game = struct
   let region_kind = Game.Region.Union
   let schema_tag = 1
   let stable_region_ws = Ucg.nash_alpha_set_sym_ws
-  let stable_region_reference = Ucg.nash_alpha_set_reference
   let is_stable = Ucg.is_nash_graph
   let improving_moves = None
   let alpha_of_link_cost c = c
@@ -263,7 +261,6 @@ module Transfers_game = struct
   let region_kind = Game.Region.Interval
   let schema_tag = 2
   let stable_region_ws = Transfers.stable_alpha_set_sym_ws
-  let stable_region_reference = Transfers.stable_alpha_set_reference
   let is_stable = Transfers.is_stable
   let improving_moves = Some Transfers.improving_moves
   let alpha_of_link_cost c = Rat.div c (Rat.of_int 2)

@@ -1,61 +1,8 @@
-module Graph = Nf_graph.Graph
-module Bfs = Nf_graph.Bfs
-module Apsp = Nf_graph.Apsp
 module Kernel = Nf_graph.Kernel
 module Symmetry = Nf_iso.Symmetry
-module Ext_int = Nf_util.Ext_int
 module Rat = Nf_util.Rat
 module Interval = Nf_util.Interval
 open Pairwise.Frac
-
-let joint_addition_benefit g i j =
-  Ext_int.add (Bcg.addition_benefit g i j) (Bcg.addition_benefit g j i)
-
-let joint_severance_loss g i j =
-  Ext_int.add (Bcg.severance_loss g i j) (Bcg.severance_loss g j i)
-
-(* ---- persistent reference kernel ----------------------------------------
-   Base-sharing twins over persistent graphs, retained as the parity-tested
-   reference for the workspace path below (and for external one-off
-   queries through the per-pair entry points). *)
-
-let benefit_from ~base after =
-  match base, after with
-  | Ext_int.Fin b, Ext_int.Fin a -> Ext_int.Fin (b - a)
-  | Ext_int.Inf, Ext_int.Fin _ -> Ext_int.Inf
-  | Ext_int.Inf, Ext_int.Inf -> Ext_int.Fin 0
-  | Ext_int.Fin _, Ext_int.Inf -> assert false (* adding cannot disconnect *)
-
-let loss_from ~base after =
-  match base, after with
-  | Ext_int.Fin b, Ext_int.Fin a -> Ext_int.Fin (a - b)
-  | Ext_int.Fin _, Ext_int.Inf -> Ext_int.Inf (* bridge *)
-  | Ext_int.Inf, _ -> Ext_int.Inf
-
-let joint_benefit_from ~base g i j =
-  let added = Graph.add_edge g i j in
-  Ext_int.add
-    (benefit_from ~base:base.(i) (Bfs.distance_sum added i))
-    (benefit_from ~base:base.(j) (Bfs.distance_sum added j))
-
-let joint_loss_from ~base g i j =
-  let removed = Graph.remove_edge g i j in
-  Ext_int.add
-    (loss_from ~base:base.(i) (Bfs.distance_sum removed i))
-    (loss_from ~base:base.(j) (Bfs.distance_sum removed j))
-
-let half_ext = function
-  | Ext_int.Fin k -> Interval.Finite (Rat.make k 2)
-  | Ext_int.Inf -> Interval.Pos_inf
-
-let stable_alpha_set_reference g =
-  let base = Apsp.distance_sums g in
-  let lo = ref (Ext_int.Fin 0) in
-  Graph.iter_non_edges g (fun i j -> lo := Ext_int.max !lo (joint_benefit_from ~base g i j));
-  let hi = ref Ext_int.Inf in
-  Graph.iter_edges g (fun i j -> hi := Ext_int.min !hi (joint_loss_from ~base g i j));
-  Interval.inter positive
-    (Interval.make ~lo:(half_ext !lo) ~lo_closed:true ~hi:(half_ext !hi) ~hi_closed:true)
 
 (* ---- workspace kernel ---------------------------------------------------
    Joint thresholds as raw ints (Kernel.inf as ∞): one all-sources sweep

@@ -10,14 +10,6 @@
     therefore half-integers, and each graph again has an exact stable
     interval — now closed at both ends. *)
 
-val joint_addition_benefit : Nf_graph.Graph.t -> int -> int -> Nf_util.Ext_int.t
-(** Combined distance saving of both endpoints from adding a missing
-    link. *)
-
-val joint_severance_loss : Nf_graph.Graph.t -> int -> int -> Nf_util.Ext_int.t
-(** Combined distance increase of both endpoints from severing an
-    existing link. *)
-
 val stable_alpha_set : Nf_graph.Graph.t -> Nf_util.Interval.t
 (** The exact set of positive link costs at which the graph is pairwise
     stable with transfers. *)
@@ -31,11 +23,6 @@ val stable_alpha_set_sym_ws :
     orbit-invariant).  The result is the same for any subgroup of
     [Aut(g)]; [Symmetry.trivial n] scans every pair.
     {!stable_alpha_set} passes {!Game.sweep_symmetry}. *)
-
-val stable_alpha_set_reference : Nf_graph.Graph.t -> Nf_util.Interval.t
-(** Retained persistent-path implementation; structurally identical output
-    to {!stable_alpha_set}, compared against it by the differential
-    tests. *)
 
 val price : Pairwise.pricing
 (** Transfers as a {!Pairwise.pricing}: an addition is priced at the

@@ -9,11 +9,9 @@ module Interval = Nf_util.Interval
 
 type owned = Bitset.t
 
-(* ---- persistent reference path ------------------------------------------
-   Straight off the definitions, over persistent graphs: retained as the
-   public one-off entry points ([accepts], [acceptance_interval]) and as
-   the reference that the differential tests compare the workspace kernel
-   against ([nash_alpha_set_reference]). *)
+(* ---- persistent path -------------------------------------------------------
+   Straight off the definitions, over persistent graphs: the public
+   one-off point check [accepts]. *)
 
 (* The graph player i faces after discarding its own purchases: edges
    bought by others survive. *)
@@ -50,48 +48,13 @@ let accepts ~alpha g i ~owned =
       end);
   !ok
 
-let acceptance_interval g i ~owned =
-  let d0 =
-    match Bfs.distance_sum g i with
-    | Ext_int.Fin d -> d
-    | Ext_int.Inf -> invalid_arg "Ucg.acceptance_interval: player disconnected"
-  in
-  let k0 = Bitset.cardinal owned in
-  let base = base_graph g i ~owned in
-  let result = ref (Interval.open_closed Rat.zero Interval.Pos_inf) in
-  Nf_util.Subset.iter_subsets (candidates base i) (fun targets ->
-      if not (Interval.is_empty !result) then begin
-        match Bfs.distance_sum (with_targets base i targets) i with
-        | Ext_int.Inf -> () (* deviation has infinite cost: never binding *)
-        | Ext_int.Fin dt ->
-          let k = Bitset.cardinal targets in
-          (* constraint: α·k0 + d0 <= α·k + dt *)
-          let constraint_interval =
-            if k > k0 then
-              (* α >= (d0 - dt)/(k - k0) *)
-              Interval.make
-                ~lo:(Interval.Finite (Rat.make (d0 - dt) (k - k0)))
-                ~lo_closed:true ~hi:Interval.Pos_inf ~hi_closed:false
-            else if k < k0 then
-              (* α <= (dt - d0)/(k0 - k) *)
-              Interval.make ~lo:Interval.Neg_inf ~lo_closed:false
-                ~hi:(Interval.Finite (Rat.make (dt - d0) (k0 - k)))
-                ~hi_closed:true
-            else if dt >= d0 then Interval.full
-            else Interval.empty
-          in
-          result := Interval.inter !result constraint_interval
-      end);
-  !result
-
 (* ---- workspace kernel ----------------------------------------------------
-   Same semantics against a loaded Kernel workspace: the base graph is two
+   Acceptance against a loaded Kernel workspace: the base graph is two
    xors per owned edge instead of a persistent rebuild, every deviation is
    toggled on/off around one allocation-free sweep, and the acceptance
    interval is accumulated as integer fraction bounds (numerator,
-   denominator > 0, closedness) instead of a chain of boxed Interval
-   intersections — the bound updates are the same order-independent
-   max/min folds, so the resulting intervals are structurally identical. *)
+   denominator > 0, closedness) by order-independent max/min folds,
+   without boxing an Interval per constraint. *)
 
 let inf = Kernel.inf
 
@@ -107,7 +70,7 @@ let candidates_ws ws v =
    per lookup. *)
 let acceptance_bounds_ws ws v ~owned ~(out : int array) =
   let d0 = Kernel.distance_sum_from ws v in
-  if d0 = inf then invalid_arg "Ucg.acceptance_interval: player disconnected";
+  if d0 = inf then invalid_arg "Ucg.acceptance_bounds_ws: player disconnected";
   let k0 = Bitset.cardinal owned in
   let strip = Bitset.inter owned (Kernel.neighbors ws v) in
   Bitset.iter (fun j -> Kernel.toggle ws v j) strip;
@@ -213,71 +176,6 @@ let is_nash_orientation ~alpha g ~owner =
   let rec go v = v >= n || (accepts ~alpha g v ~owned:owned_of.(v) && go (v + 1)) in
   go 0
 
-(* ---- reference orientation search ---------------------------------------
-   Assign each edge to an endpoint; as soon as a vertex has all its
-   incident edges decided, intersect the running interval with its
-   (memoized) acceptance interval and cut the branch when it empties.
-   Every surviving orientation emits its interval: no coverage pruning,
-   so the walk stays an independent oracle for the workspace walk. *)
-
-let nash_alpha_set_reference g =
-  if not (Nf_graph.Connectivity.is_connected g) || Graph.order g = 0 then
-    Interval.Union.empty
-  else begin
-    let n = Graph.order g in
-    let edges = Array.of_list (Graph.edges g) in
-    let m = Array.length edges in
-    let remaining = Array.make n 0 in
-    Array.iter
-      (fun (i, j) ->
-        remaining.(i) <- remaining.(i) + 1;
-        remaining.(j) <- remaining.(j) + 1)
-      edges;
-    let owned_now = Array.make n Bitset.empty in
-    let memo = Hashtbl.create 64 in
-    let judge v current =
-      let owned = owned_now.(v) in
-      let interval =
-        match Hashtbl.find_opt memo (v, owned) with
-        | Some interval -> interval
-        | None ->
-          let interval = acceptance_interval g v ~owned in
-          Hashtbl.add memo (v, owned) interval;
-          interval
-      in
-      let refined = Interval.inter current interval in
-      if Interval.is_empty refined then None else Some refined
-    in
-    let covered = ref Interval.Union.empty in
-    let rec assign e current =
-      if e >= m then covered := Interval.Union.add current !covered
-      else begin
-        let i, j = edges.(e) in
-        let try_owner owner other =
-          owned_now.(owner) <- Bitset.add other owned_now.(owner);
-          remaining.(i) <- remaining.(i) - 1;
-          remaining.(j) <- remaining.(j) - 1;
-          let verdict =
-            match if remaining.(i) = 0 then judge i current else Some current with
-            | Some current when remaining.(j) = 0 -> judge j current
-            | verdict -> verdict
-          in
-          Option.iter (assign (e + 1)) verdict;
-          owned_now.(owner) <- Bitset.remove other owned_now.(owner);
-          remaining.(i) <- remaining.(i) + 1;
-          remaining.(j) <- remaining.(j) + 1
-        in
-        try_owner i j;
-        try_owner j i
-      end
-    in
-    (* a connected graph has an edgeless vertex only when n = 1: judge it
-       up front *)
-    let top = Interval.open_closed Rat.zero Interval.Pos_inf in
-    Option.iter (assign 0) (if m = 0 then judge 0 top else Some top);
-    !covered
-  end
-
 (* ---- the orientation walk ------------------------------------------------
    The production search, for every subgroup of [Aut(g)]:
 
@@ -287,7 +185,7 @@ let nash_alpha_set_reference g =
       covered points and is cut.  [Union.of_list] merges touching ranges,
       so the union's canonical form depends on the point set alone and
       the pruned walk's result is structurally identical to the
-      exhaustive reference's.
+      exhaustive walk's.
 
    2. Sibling-branch pruning by live group elements.  Walking the edge
       list in fixed order, maintain the subset of enumerated automorphisms
@@ -304,9 +202,9 @@ let nash_alpha_set_reference g =
       owned-masks over each vertex's neighbor list, and the running
       intersection is a file of per-depth integer registers compared by
       exact cross-multiplication — no hashing and no boxed intervals until
-      a leaf emits a piece.  Piece construction goes through the same
-      [Rat.make]/[Interval.make] normalization as the reference, and
-      [Union.add] canonicalizes the collection.  The coverage test runs
+      a leaf emits a piece.  Piece construction goes through the
+      [Rat.make]/[Interval.make] normalization, and [Union.add]
+      canonicalizes the collection.  The coverage test runs
       against an integer mirror of the emitted union, so it allocates
       only when a leaf grows it. *)
 
@@ -543,7 +441,7 @@ let orientation_walk ws sym g =
       if not (swap_exists e i j) then try_owner j i
     end
   in
-  (* top slot: (0, +inf], the reference's starting interval *)
+  (* top slot: (0, +inf], the running interval's start *)
   r_lo_n.(0) <- 0;
   r_lo_d.(0) <- 1;
   Bytes.set r_lo_c 0 '\000';

@@ -21,8 +21,8 @@
     interval, so the cut subtree could only re-emit covered points; and
     {!Nf_util.Interval.Union.of_list} merges touching ranges, so the
     canonical union depends on the point set alone.  The pruned result is
-    therefore structurally identical to the exhaustive walk's
-    ({!nash_alpha_set_reference}, which does not prune).
+    therefore structurally identical to the exhaustive walk's (the test
+    oracle, which does not prune).
 
     These computations are exponential in the worst case (all orientations
     of dense graphs); they are intended for the orders the empirical study
@@ -44,12 +44,6 @@ val best_response :
 val accepts : alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> int -> owned:owned -> bool
 (** Player [i] has no strictly improving unilateral deviation when it owns
     [owned] in [g]. *)
-
-val acceptance_interval :
-  Nf_graph.Graph.t -> int -> owned:owned -> Nf_util.Interval.t
-(** The exact set of positive link costs at which {!accepts} holds.
-    Requires [Σd(i,·)] finite (connected from [i]); @raise Invalid_argument
-    otherwise. *)
 
 val is_nash_orientation :
   alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> owner:(int -> int -> int) -> bool
@@ -88,10 +82,3 @@ val nash_alpha_set_sym_ws :
     emit exactly the pieces their σ-image keeps); [Symmetry.trivial n]
     has no elements, so that prune never fires.  The result is the same
     for any subgroup. *)
-
-val nash_alpha_set_reference : Nf_graph.Graph.t -> Nf_util.Interval.Union.t
-(** Retained persistent-path implementation built on
-    {!acceptance_interval}; it walks every orientation, without coverage
-    pruning, so it stays an independent oracle.  Structurally identical
-    output to {!nash_alpha_set}, compared against it by the differential
-    tests. *)

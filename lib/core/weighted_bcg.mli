@@ -36,12 +36,6 @@ val stable_alpha_set_ws :
     chunked-annotation path): {!Pairwise.stable_interval} at the trivial
     subgroup, since the weights are indexed by player. *)
 
-val stable_alpha_set_reference :
-  weight:(int -> int) -> Nf_graph.Graph.t -> Nf_util.Interval.t
-(** Persistent-path twin (base sums via [Apsp.distance_sums], one fresh
-    BFS per endpoint per toggle); structurally identical output,
-    compared against the workspace path by the differential tests. *)
-
 val is_stable :
   weight:(int -> int) -> alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> bool
 (** Literal weighted Definition 3 at an exact link cost

@@ -8,6 +8,20 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# The game oracles live in test/support, outside the product: no
+# `let ..._reference` under lib/, and no lib/ or bin/ dune file links the
+# test-support library.
+echo "== oracles stay in test/support =="
+if grep -rnE "^[[:space:]]*(let|and)[[:space:]]+(rec[[:space:]]+)?[a-z0-9_']*_reference\b" \
+  --include='*.ml' lib/; then
+  echo "lib/ defines a *_reference function; oracles belong in test/support" >&2
+  exit 1
+fi
+if grep -rln "nf_test_support" --include=dune lib/ bin/; then
+  echo "a lib/ or bin/ dune file names the test-support library nf_test_support" >&2
+  exit 1
+fi
+
 echo "== dune build =="
 dune build
 

@@ -189,18 +189,25 @@ let test_cli_game_sweep_roundtrip () =
   in
   Alcotest.(check string) "CLI csv = library csv" expected from_cli
 
-(* `netform experiments ARGS`: exit status, stdout, stderr *)
-let run_experiments_cli args =
+(* `netform ARGS`: exit status, stdout, stderr *)
+let run_cli args =
   let out_path = Filename.temp_file "netform_only" ".out" in
   let err_path = Filename.temp_file "netform_only" ".err" in
   let status =
     Sys.command
-      (Printf.sprintf "%s experiments %s > %s 2> %s" (Filename.quote cli) args
-         (Filename.quote out_path) (Filename.quote err_path))
+      (Printf.sprintf "%s %s > %s 2> %s" (Filename.quote cli) args (Filename.quote out_path)
+         (Filename.quote err_path))
   in
   let out = read_and_remove out_path in
   let err = read_and_remove err_path in
   (status, out, err)
+
+let run_experiments_cli args = run_cli ("experiments " ^ args)
+
+let build_store ?game n =
+  let path = Filename.temp_file "netform_experiments" ".nfs" in
+  ignore (Nf_store.Build.build ?game ~force:true ~path ~n ());
+  path
 
 let test_cli_experiments_unknown_only () =
   (* an --only id that names no experiment is refused before the suite
@@ -222,12 +229,7 @@ let test_cli_experiments_store () =
   (* --store feeds E1/E2 the store's points at the store's n: the same
      bytes as a fresh sweep at that n.  A store without the UCG column
      cannot give Figures 2/3 and is refused before anything runs. *)
-  let build ?game n =
-    let path = Filename.temp_file "netform_experiments" ".nfs" in
-    ignore (Nf_store.Build.build ?game ~force:true ~path ~n ());
-    path
-  in
-  let classic = build 5 in
+  let classic = build_store 5 in
   List.iter
     (fun id ->
       let status, from_store, err =
@@ -238,7 +240,7 @@ let test_cli_experiments_store () =
       check_int (id ^ " fresh: exit 0") 0 status;
       Alcotest.(check string) (id ^ ": store = fresh sweep") fresh from_store)
     [ "E1"; "E2" ];
-  let bcg_only = build ~game:"bcg" 5 in
+  let bcg_only = build_store ~game:"bcg" 5 in
   let status, out, err =
     run_experiments_cli (Printf.sprintf "--store %s --only E1" (Filename.quote bcg_only))
   in
@@ -248,6 +250,30 @@ let test_cli_experiments_store () =
   Alcotest.(check string) "BCG-only store: no stdout" "" out;
   Alcotest.(check string) "BCG-only store: message"
     "error: store carries \"bcg\" annotations only; Figures 2/3 need a BCG+UCG store\n" err
+
+let test_cli_store_errors () =
+  (* every command that reads a store refuses a missing one, and sweep's
+     Figure 2/3 path a store without the UCG column, before printing
+     anything: exit 2, empty stdout, one "error: ..." line *)
+  let missing = Filename.temp_file "netform_missing" ".nfs" in
+  Sys.remove missing;
+  let bcg_only = build_store ~game:"bcg" 5 in
+  let no_file = Printf.sprintf "error: No such file or directory: open %s\n" missing in
+  List.iter
+    (fun (args, message) ->
+      let status, out, err = run_cli args in
+      check_int (args ^ ": exit 2") 2 status;
+      Alcotest.(check string) (args ^ ": no stdout") "" out;
+      Alcotest.(check string) (args ^ ": message") message err)
+    [
+      ("sweep --store " ^ Filename.quote missing, no_file);
+      ("sweep --game bcg --store " ^ Filename.quote missing, no_file);
+      ("store query --alpha 1 " ^ Filename.quote missing, no_file);
+      ("store export " ^ Filename.quote missing, no_file);
+      ( "sweep --store " ^ Filename.quote bcg_only,
+        "error: store carries \"bcg\" annotations only; Figures 2/3 need a BCG+UCG store\n" );
+    ];
+  Sys.remove bcg_only
 
 let test_dataset_roundtrip () =
   let module Dataset = Nf_analysis.Dataset in
@@ -430,6 +456,7 @@ let () =
           Alcotest.test_case "cli game sweep roundtrip" `Quick test_cli_game_sweep_roundtrip;
           Alcotest.test_case "cli unknown --only id" `Quick test_cli_experiments_unknown_only;
           Alcotest.test_case "cli --store feeds E1/E2" `Quick test_cli_experiments_store;
+          Alcotest.test_case "cli store errors exit 2" `Quick test_cli_store_errors;
           Alcotest.test_case "render" `Quick test_experiment_render;
         ] );
     ]

@@ -1,0 +1,339 @@
+(* The differential table: every check that a production annotator,
+   certifier or move generator agrees with a specification over a corpus
+   is one row — a name, the fast path, the reference, the corpus and the
+   comparator — and one runner turns each row into its own Alcotest case.
+   The references are the test/support oracles (one per game family,
+   sharing nothing with the production paths) or, where one production
+   path is pinned to another, that path: the unquotiented scan for the
+   orbit rows, the BCG for the uniform-weight rows, the hand-written hot
+   scans for the shared Pairwise fold.
+   A newly registered game gets its registry rows with no test changes,
+   and fails them until its family has an oracle. *)
+
+open Netform
+module Graph = Nf_graph.Graph
+module Kernel = Nf_graph.Kernel
+module Sym = Nf_iso.Symmetry
+module Rat = Nf_util.Rat
+module Interval = Nf_util.Interval
+module Prng = Nf_util.Prng
+module Random_graph = Nf_graph.Random_graph
+module Oracle = Nf_test_support.Oracle
+
+type row =
+  | Row : {
+      group : string;
+      name : string;
+      speed : Alcotest.speed_level;
+      corpus : unit -> Graph.t list;
+      fast : Graph.t -> 'b;
+      reference : Graph.t -> 'b;
+      equal : 'b Alcotest.testable;
+    }
+      -> row
+
+let row ?(speed = `Quick) ~group ~name ~corpus ~fast ~reference equal =
+  Row { group; name; speed; corpus; fast; reference; equal }
+
+(* a row whose corpus came out empty would pass without checking
+   anything, so it fails instead *)
+let case (Row r) =
+  Alcotest.test_case r.name r.speed (fun () ->
+      match r.corpus () with
+      | [] -> Alcotest.failf "%s %s: empty corpus" r.group r.name
+      | gs ->
+        List.iter
+          (fun g -> Alcotest.check r.equal (Nf_graph.Graph6.encode g) (r.reference g) (r.fast g))
+          gs)
+
+(* rows grouped in order of first appearance *)
+let suites rows =
+  List.fold_left
+    (fun groups (Row r) -> if List.mem r.group groups then groups else groups @ [ r.group ])
+    [] rows
+  |> List.map (fun group ->
+         ( group,
+           List.filter_map
+             (fun (Row r as x) -> if r.group = group then Some (case x) else None)
+             rows ))
+
+(* ---- comparators and corpora ---------------------------------------------- *)
+
+let structural pp = Alcotest.testable pp ( = )
+let interval = structural Interval.pp
+let union = structural Interval.Union.pp
+let region (type r) (kind : r Game.Region.kind) =
+  Alcotest.testable (Game.Region.pp kind) (Game.Region.equal kind)
+
+let moves =
+  Alcotest.list
+    (Alcotest.testable
+       (fun fmt -> function
+         | Game.Add (i, j) -> Format.fprintf fmt "Add(%d,%d)" i j
+         | Game.Delete (i, j) -> Format.fprintf fmt "Delete(%d,%d)" i j)
+       ( = ))
+
+let trivial g = Sym.trivial (Graph.order g)
+let connected orders () = List.concat_map Nf_enum.Unlabeled.connected_graphs orders
+
+(* every connected class at n = 5, the disconnected and edgeless shapes
+   the annotators must not trip over, a few larger families, and every
+   connected class at n = 5 and 6 again under a seeded random labeling
+   (the enumeration hands out canonical labelings only) *)
+let annotation_corpus () =
+  let rng = Prng.create 0x6f7261 in
+  let relabeled g =
+    let perm = Array.init (Graph.order g) Fun.id in
+    Prng.shuffle rng perm;
+    Graph.relabel g perm
+  in
+  connected [ 5 ] ()
+  @ [
+      Graph.empty 1;
+      Graph.empty 4;
+      Graph.of_edges 5 [ (0, 1); (2, 3) ];
+      Graph.of_edges 6 [ (0, 1); (1, 2); (3, 4) ];
+      Nf_named.Families.cycle 8;
+      Nf_named.Families.star 7;
+      Nf_named.Families.path 7;
+    ]
+  @ List.map relabeled (connected [ 5; 6 ] ())
+
+(* Interval games also get every connected class at n = 7, the smallest
+   order where a BCG graph's α_min is attained by a tie before a non-tie.
+   Union games run an orientation search per graph and keep the smaller
+   corpus. *)
+let corpus_for (type r) (kind : r Game.Region.kind) () =
+  match kind with
+  | Game.Region.Interval -> annotation_corpus () @ connected [ 7 ] ()
+  | Game.Region.Union ->
+    connected [ 5 ] ()
+    @ [
+        Graph.empty 1;
+        Graph.empty 4;
+        Graph.of_edges 5 [ (0, 1); (2, 3) ];
+        Nf_named.Families.cycle 7;
+        Nf_named.Families.star 6;
+        Nf_named.Families.path 6;
+      ]
+
+let alpha_grid =
+  [ Rat.make 1 2; Rat.one; Rat.make 3 2; Rat.of_int 2; Rat.make 5 2; Rat.of_int 4 ]
+
+(* a seeded random toggle walk on 5 vertices *)
+let toggle_walk steps () =
+  let rng = Prng.create 0x67616d65 in
+  let g = ref (Random_graph.gnp rng 5 0.4) in
+  List.init steps (fun _ ->
+      let i = Prng.int rng 5 in
+      let j = (i + 1 + Prng.int rng 4) mod 5 in
+      g := (if Graph.has_edge !g i j then Graph.remove_edge else Graph.add_edge) !g i j;
+      !g)
+
+(* ---- the registry rows: every registered game, one example per family ---- *)
+
+let game_rows (Game.Any (module G)) =
+  let group = "game:" ^ G.name in
+  let kind = G.region_kind in
+  let annotate g = Kernel.with_ws (fun ws -> G.stable_region_ws ws (trivial g) g) in
+  let over_grid f g = List.map (fun alpha -> f ~alpha g) alpha_grid in
+  [
+    row ~group ~name:"ws = reference" ~corpus:(corpus_for kind) ~fast:annotate
+      ~reference:(Oracle.region (module G)) (region kind);
+    row ~group ~name:"toggle walk"
+      ~corpus:(toggle_walk (match kind with Game.Region.Interval -> 40 | Game.Region.Union -> 20))
+      ~fast:annotate ~reference:(Oracle.region (module G)) (region kind);
+    row ~group ~name:"certifier = membership" ~corpus:(corpus_for kind)
+      ~fast:(over_grid G.is_stable)
+      ~reference:(fun g ->
+        let r = annotate g in
+        List.map (fun alpha -> Game.Region.mem kind alpha r) alpha_grid)
+      Alcotest.(list bool);
+  ]
+  @
+  match G.improving_moves with
+  | None -> []
+  | Some generate ->
+    [
+      row ~group ~name:"moves fixpoint" ~corpus:(corpus_for kind)
+        ~fast:(over_grid (fun ~alpha g -> generate ~alpha g = []))
+        ~reference:(over_grid G.is_stable) Alcotest.(list bool);
+      row ~group ~name:"improving moves = oracle" ~corpus:annotation_corpus
+        ~fast:(over_grid generate)
+        ~reference:(over_grid (Oracle.pairwise_moves (Oracle.pricing ~family:G.family)))
+        (Alcotest.list moves);
+    ]
+
+(* The orbit quotient (DESIGN.md §11): annotating under the twin tier
+   and under the full group must equal the unquotiented scan, on every
+   connected graph at 3 <= n <= 7 and on the named gallery (to order 10
+   for Union games, whose orientation search costs far more). *)
+let orbit_rows (Game.Any (module G)) =
+  let kind = G.region_kind in
+  let under sym g = Kernel.with_ws (fun ws -> G.stable_region_ws ws sym g) in
+  let cap = match kind with Game.Region.Interval -> 30 | Game.Region.Union -> 10 in
+  let tiers g = (under (Sym.detect_twins g) g, under (Sym.detect_full g) g) in
+  let plain g =
+    let r = under (trivial g) g in
+    (r, r)
+  in
+  List.map
+    (fun (what, corpus) ->
+      row ~group:"differential" ~name:(G.name ^ " " ^ what) ~corpus ~fast:tiers ~reference:plain
+        Alcotest.(pair (region kind) (region kind)))
+    [
+      ("exhaustive", connected [ 3; 4; 5; 6; 7 ]);
+      ( "gallery",
+        fun () ->
+          List.filter_map
+            (fun (_, g) -> if Graph.order g <= cap then Some g else None)
+            Nf_named.Gallery.all );
+    ]
+
+(* ---- the rows named one by one ------------------------------------------- *)
+
+let bcg = Oracle.pairwise_region Oracle.bcg
+let transfers = Oracle.pairwise_region Oracle.transfers
+
+let weighted ~name ~weight =
+  Weighted_bcg.make ~name ~describe:(name ^ " test instance") ~schema_tag:1001 ~weight ()
+
+(* every finite endpoint over k *)
+let scale_interval k i =
+  match Interval.bounds i with
+  | None -> Interval.empty
+  | Some (lo, lo_closed, hi, hi_closed) ->
+    let scale = function
+      | Interval.Finite r -> Interval.Finite (Rat.div r (Rat.of_int k))
+      | e -> e
+    in
+    Interval.make ~lo:(scale lo) ~lo_closed ~hi:(scale hi) ~hi_closed
+
+(* the pruned orientation walk under the trivial subgroup, the twin
+   subgroup and the full group, against the exhaustive oracle walk *)
+let ucg_tiers g =
+  List.map
+    (fun sym -> Kernel.with_ws (fun ws -> Ucg.nash_alpha_set_sym_ws ws sym g))
+    [ trivial g; Sym.detect_twins g; Sym.detect_full g ]
+
+let ucg_pruned ?speed name corpus =
+  row ?speed ~group:"cross-validation" ~name ~corpus ~fast:ucg_tiers
+    ~reference:(fun g ->
+      let o = Oracle.ucg_nash g in
+      [ o; o; o ])
+    (Alcotest.list union)
+
+let named_rows =
+  [
+    row ~group:"annotation" ~name:"public wrappers" ~corpus:annotation_corpus
+      ~fast:Bcg.stable_alpha_set ~reference:bcg interval;
+    row ~speed:`Slow ~group:"annotation" ~name:"ucg petersen parity"
+      ~corpus:(fun () -> [ Nf_named.Gallery.petersen ])
+      ~fast:Ucg.nash_alpha_set ~reference:Oracle.ucg_nash union;
+    (let grid = [ Rat.make 1 2; Rat.one; Rat.make 3 2; Rat.of_int 2; Rat.of_int 4 ] in
+     row ~group:"annotation" ~name:"improving moves parity"
+       ~corpus:(fun () ->
+         let rng = Prng.create 0x6d767273 in
+         List.init 12 (fun _ -> Random_graph.gnp rng 6 0.4)
+         @ [ Graph.of_edges 5 [ (0, 1); (2, 3) ]; Graph.empty 4; Nf_named.Families.cycle 6 ])
+       ~fast:(fun g -> List.map (fun alpha -> Bcg.improving_moves ~alpha g) grid)
+       ~reference:(fun g -> List.map (fun alpha -> Oracle.pairwise_moves Oracle.bcg ~alpha g) grid)
+       (Alcotest.list moves));
+    (* the shared interval fold of Pairwise, fed the BCG's and the
+       transfers game's pricing, against the two quotiented hot scans it
+       does not replace, at the trivial subgroup and at the twin tier *)
+    (let both annotate g =
+       Kernel.with_ws (fun ws ->
+           List.concat_map
+             (fun sym -> annotate ws sym g)
+             [ trivial g; Sym.detect_twins g ])
+     in
+     row ~group:"annotation" ~name:"pairwise fold = hot scans"
+       ~corpus:(fun () -> annotation_corpus () @ connected [ 7 ] ())
+       ~fast:
+         (both (fun ws sym g ->
+              [
+                Pairwise.stable_interval Bcg.price ws sym g;
+                Pairwise.stable_interval Transfers.price ws sym g;
+              ]))
+       ~reference:
+         (both (fun ws sym g ->
+              [ Bcg.stable_alpha_set_sym_ws ws sym g; Transfers.stable_alpha_set_sym_ws ws sym g ]))
+       (Alcotest.list interval));
+    (* uniform multipliers reduce weighted stability to the BCG's: w_i = 1
+       gives the same intervals and certificates, w_i = 3 scales every
+       finite endpoint by 1/3 *)
+    (let (module U) = weighted ~name:"wbcg_uniform_test" ~weight:(fun _ -> 1) in
+     let with_certificates annotate certify g =
+       ( Kernel.with_ws (fun ws -> annotate ws (trivial g) g),
+         List.map (fun alpha -> certify ~alpha g) alpha_grid )
+     in
+     row ~group:"weighted bcg" ~name:"uniform = bcg" ~corpus:annotation_corpus
+       ~fast:(with_certificates U.stable_region_ws U.is_stable)
+       ~reference:(with_certificates Bcg.stable_alpha_set_sym_ws Bcg.is_pairwise_stable)
+       Alcotest.(pair interval (list bool)));
+    (let (module U) = weighted ~name:"wbcg_scaled_test" ~weight:(fun _ -> 3) in
+     row ~group:"weighted bcg" ~name:"w=3 = bcg/3" ~corpus:annotation_corpus
+       ~fast:(fun g -> Kernel.with_ws (fun ws -> U.stable_region_ws ws (trivial g) g))
+       ~reference:(fun g ->
+         scale_interval 3 (Kernel.with_ws (fun ws -> Bcg.stable_alpha_set_sym_ws ws (trivial g) g)))
+       interval);
+    (* coalition layering: k = 2 reproduces the BCG interval, and the
+       workspace path (the BCG scan plus the coalitions of size 3..k)
+       equals the oracle's fold over every coalition of size 2..k, at
+       the trivial subgroup and the twin tier *)
+    row ~group:"coalition layering" ~name:"k=2 scan = bcg interval"
+      ~corpus:(connected [ 2; 3; 4; 5; 6; 7 ])
+      ~fast:(fun g ->
+        Bcg.stable_alpha_set g
+        :: List.concat_map
+             (fun k ->
+               List.map
+                 (fun sym -> Kernel.with_ws (fun ws -> Coalition.stable_alpha_set_ws ~k ws sym g))
+                 [ trivial g; Sym.detect_twins g ])
+             [ 2; 3; 4 ])
+      ~reference:(fun g ->
+        Oracle.coalition ~k:2 g
+        :: List.concat_map
+             (fun k ->
+               let o = Oracle.coalition ~k g in
+               [ o; o ])
+             [ 2; 3; 4 ])
+      (Alcotest.list interval);
+    row ~group:"parity" ~name:"fused kernel vs reference"
+      ~corpus:(fun () ->
+        connected [ 5 ] ()
+        @ [
+            Graph.of_edges 5 [ (0, 1); (2, 3) ];
+            Nf_named.Gallery.petersen;
+            Nf_named.Families.cycle 8;
+            Nf_named.Families.star 7;
+          ])
+      ~fast:(fun g -> (Bcg.stable_alpha_set g, Transfers.stable_alpha_set g))
+      ~reference:(fun g -> (bcg g, transfers g))
+      Alcotest.(pair interval interval);
+    ucg_pruned "pruned = reference, connected n <= 6" (connected [ 1; 2; 3; 4; 5; 6 ]);
+    ucg_pruned ~speed:`Slow "pruned = reference, dense n = 7" (fun () ->
+        List.map Nf_graph.Graph6.decode [ "F~~~w"; "F~~~o"; "F~~~_"; "F~~vW" ]);
+    (* cycles and circulants whose groups hold rotations of order n, and a
+       9-vertex graph whose group is a rotation of order 3 alone, labeled
+       so that the walk's first edge (0, 1) is one the rotation maps 0 onto
+       1 while no automorphism swaps the pair: the owner-swap prune must
+       keep both owners there *)
+    ucg_pruned "pruned = reference, rotations n = 8..10" (fun () ->
+        Nf_named.Families.
+          [
+            cycle 8;
+            cycle 9;
+            cycle 10;
+            circulant 8 [ 1; 4 ];
+            circulant 9 [ 1; 3 ];
+            circulant 10 [ 1; 4 ];
+          ]
+        @ [ Nf_graph.Graph6.decode "H}dl@dE" ]);
+  ]
+
+let () =
+  let games = Game_registry.ci_instances () in
+  Alcotest.run "nf_differential"
+    (suites (named_rows @ List.concat_map orbit_rows games @ List.concat_map game_rows games))

@@ -1,9 +1,9 @@
 (* Differential tests for the zero-allocation batched distance kernel:
    bit-parallel all-sources sums vs naive per-source BFS, toggle deltas vs
-   persistent graph edits, workspace annotation vs the retained
-   persistent-path references, Bfs.distance early exit, and the per-domain
+   persistent graph edits, Bfs.distance early exit, and the per-domain
    workspace borrow discipline — over seeded Prng random graphs including
-   disconnected and edgeless ones. *)
+   disconnected and edgeless ones.  The annotators built on the kernel
+   are held to their oracles in test_differential.ml. *)
 
 module Graph = Nf_graph.Graph
 module Bfs = Nf_graph.Bfs
@@ -21,7 +21,6 @@ let check = Alcotest.check
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let ext = Alcotest.testable Ext_int.pp Ext_int.equal
-let interval = Alcotest.testable Interval.pp Interval.equal
 let union = Alcotest.testable Interval.Union.pp Interval.Union.equal
 
 (* the annotators' all-pairs case *)
@@ -164,112 +163,6 @@ let test_apsp_metrics_vs_fold () =
       done)
     (random_corpus ())
 
-(* ---------------- registry-driven differential harness ------------------- *)
-
-(* One harness instead of a copied parity suite per game: every game in
-   {!Game_registry} is held to the same contract — the kernel-workspace
-   annotator equals the persistent reference (connected, disconnected and
-   edgeless input alike), annotation survives a random toggle walk
-   re-using one workspace, the point certifier agrees with region
-   membership, and (when the game has dynamics) a graph has no improving
-   moves exactly when it is stable.  A newly registered game gets all
-   four suites with no test changes. *)
-
-let region_testable (type r) (kind : r Game.Region.kind) : r Alcotest.testable =
-  Alcotest.testable (Game.Region.pp kind) (Game.Region.equal kind)
-
-let annotation_corpus () =
-  Nf_enum.Unlabeled.connected_graphs 5
-  @ [
-      Graph.empty 1;
-      Graph.empty 4;
-      Graph.of_edges 5 [ (0, 1); (2, 3) ];
-      Graph.of_edges 6 [ (0, 1); (1, 2); (3, 4) ];
-      Nf_named.Families.cycle 8;
-      Nf_named.Families.star 7;
-      Nf_named.Families.path 7;
-    ]
-
-(* union-region games run an orientation search per graph, so they keep
-   the smaller corpus the historical UCG suite used (still including
-   disconnected and edgeless shapes) *)
-let corpus_for (Game.Any (module G)) =
-  match G.region_kind with
-  | Game.Region.Interval -> annotation_corpus ()
-  | Game.Region.Union ->
-    Nf_enum.Unlabeled.connected_graphs 5
-    @ [
-        Graph.empty 1;
-        Graph.empty 4;
-        Graph.of_edges 5 [ (0, 1); (2, 3) ];
-        Nf_named.Families.cycle 7;
-        Nf_named.Families.star 6;
-        Nf_named.Families.path 6;
-      ]
-
-let alpha_grid =
-  [ Rat.make 1 2; Rat.one; Rat.make 3 2; Rat.of_int 2; Rat.make 5 2; Rat.of_int 4 ]
-
-let game_parity (Game.Any (module G) as packed) () =
-  let ws = Kernel.create () in
-  List.iter
-    (fun g ->
-      check (region_testable G.region_kind) "ws = reference" (G.stable_region_reference g)
-        (G.stable_region_ws ws (trivial g) g))
-    (corpus_for packed)
-
-let game_toggle_walk (Game.Any (module G)) () =
-  let rng = Prng.create 0x67616d65 in
-  let ws = Kernel.create () in
-  let n = 5 in
-  let steps = match G.region_kind with Game.Region.Interval -> 40 | Game.Region.Union -> 20 in
-  let g = ref (Random_graph.gnp rng n 0.4) in
-  for _step = 1 to steps do
-    let i = Prng.int rng n in
-    let j = (i + 1 + Prng.int rng (n - 1)) mod n in
-    g := (if Graph.has_edge !g i j then Graph.remove_edge else Graph.add_edge) !g i j;
-    check (region_testable G.region_kind) "post-toggle ws = reference"
-      (G.stable_region_reference !g) (G.stable_region_ws ws (trivial !g) !g)
-  done
-
-let game_certifier (Game.Any (module G) as packed) () =
-  let ws = Kernel.create () in
-  List.iter
-    (fun g ->
-      let region = G.stable_region_ws ws (trivial g) g in
-      List.iter
-        (fun alpha ->
-          check_bool "is_stable = region membership"
-            (Game.Region.mem G.region_kind alpha region)
-            (G.is_stable ~alpha g))
-        alpha_grid)
-    (corpus_for packed)
-
-let game_moves_fixpoint (Game.Any (module G) as packed) () =
-  match G.improving_moves with
-  | None -> ()
-  | Some moves ->
-    List.iter
-      (fun g ->
-        List.iter
-          (fun alpha ->
-            check_bool "no improving moves <=> stable" (G.is_stable ~alpha g)
-              (moves ~alpha g = []))
-          alpha_grid)
-      (corpus_for packed)
-
-let registry_suites =
-  List.map
-    (fun (Game.Any (module G) as packed) ->
-      ( "game:" ^ G.name,
-        [
-          Alcotest.test_case "ws = reference" `Quick (game_parity packed);
-          Alcotest.test_case "toggle walk" `Quick (game_toggle_walk packed);
-          Alcotest.test_case "certifier = membership" `Quick (game_certifier packed);
-          Alcotest.test_case "moves fixpoint" `Quick (game_moves_fixpoint packed);
-        ] ))
-    (Game_registry.ci_instances ())
-
 (* ---- coalition-k layering against the classic games (satellite) -------- *)
 
 (* the exact collapse the family documents: k = 1 is the UCG Nash region
@@ -278,31 +171,8 @@ let registry_suites =
    sweeps enumerate at n ≤ 6 *)
 let coalition_corpus () = List.concat_map Nf_enum.Unlabeled.connected_graphs [ 3; 4; 5; 6 ]
 
-(* the workspace path is the BCG scan plus the coalitions of size 3..k;
-   the reference folds every coalition of size 2..k itself, so k = 2
-   against the BCG and k = 2..4 against the workspace path pin the
-   layering, over every connected class at n <= 7 and under both the
-   all-pairs and the twin subgroup *)
-let test_coalition_k2_scan_is_bcg () =
-  let structural = Alcotest.testable Interval.pp ( = ) in
-  Kernel.with_ws (fun ws ->
-      List.iter
-        (fun g ->
-          let name = Nf_graph.Graph6.encode g in
-          check structural (name ^ ": k=2 reference = BCG interval") (Bcg.stable_alpha_set g)
-            (Coalition.stable_alpha_set_reference ~k:2 g);
-          List.iter
-            (fun k ->
-              let expected = Coalition.stable_alpha_set_reference ~k g in
-              List.iter
-                (fun (tier, sym) ->
-                  check structural
-                    (Printf.sprintf "%s: k=%d ws (%s) = reference" name k tier)
-                    expected
-                    (Coalition.stable_alpha_set_ws ~k ws sym g))
-                [ ("trivial", trivial g); ("twins", Nf_iso.Symmetry.detect_twins g) ])
-            [ 2; 3; 4 ])
-        (List.concat_map Nf_enum.Unlabeled.connected_graphs [ 2; 3; 4; 5; 6; 7 ]))
+let alpha_grid =
+  [ Rat.make 1 2; Rat.one; Rat.make 3 2; Rat.of_int 2; Rat.make 5 2; Rat.of_int 4 ]
 
 let test_coalition_instances_vs_classics () =
   let module K1 = (val Coalition.make ~k:1) in
@@ -376,140 +246,6 @@ let test_registry_collisions () =
         ~describe:"collision probe" ~example:"zz_probe:x=1" (fun _ -> assert false));
   check_int "rejected probes left the registry untouched" before
     (List.length (Game_registry.all ()))
-
-(* the public (non-workspace) wrappers still route through the same math *)
-let test_public_wrappers () =
-  List.iter
-    (fun g ->
-      check interval "bcg public = reference" (Bcg.stable_alpha_set_reference g)
-        (Bcg.stable_alpha_set g))
-    (annotation_corpus ())
-
-(* the shared interval fold of Pairwise, fed the BCG's and the transfers
-   game's pricing, must reproduce the two quotiented hot scans it does
-   not replace — structurally, at the trivial subgroup and at the twin
-   tier.  n = 7 is the smallest order with a BCG graph whose α_min is
-   attained by a tie before a non-tie (three classes), the case the
-   fold's tie reset exists for. *)
-let test_pairwise_fold_vs_hot_scans () =
-  let same = Alcotest.testable Interval.pp ( = ) in
-  let ws = Kernel.create () in
-  List.iter
-    (fun g ->
-      List.iter
-        (fun sym ->
-          check same "bcg: fold = scan_stability_ws"
-            (Bcg.stable_alpha_set_sym_ws ws sym g)
-            (Pairwise.stable_interval Bcg.price ws sym g);
-          check same "transfers: fold = scan_ws"
-            (Transfers.stable_alpha_set_sym_ws ws sym g)
-            (Pairwise.stable_interval Transfers.price ws sym g))
-        [ trivial g; Nf_iso.Symmetry.detect_twins g ])
-    (annotation_corpus () @ Nf_enum.Unlabeled.connected_graphs 7)
-
-(* ---------------- weighted BCG reductions ------------------------------- *)
-
-(* uniform multipliers must reduce weighted stability to plain BCG
-   stability: w_i = 1 gives structurally identical intervals, w_i = w
-   scales every finite endpoint by 1/w *)
-let test_weighted_uniform_is_bcg () =
-  let (module U : Game.S with type region = Interval.t) =
-    Weighted_bcg.make ~name:"wbcg_uniform_test" ~describe:"uniform test instance"
-      ~schema_tag:1001 ~weight:(fun _ -> 1) ()
-  in
-  let ws = Kernel.create () in
-  List.iter
-    (fun g ->
-      check interval "uniform weighted = bcg" (Bcg.stable_alpha_set_sym_ws ws (trivial g) g)
-        (U.stable_region_ws ws (trivial g) g);
-      List.iter
-        (fun alpha ->
-          check_bool "uniform certifier = bcg" (Bcg.is_pairwise_stable ~alpha g)
-            (U.is_stable ~alpha g))
-        alpha_grid)
-    (annotation_corpus ())
-
-let scale_interval k i =
-  match Interval.bounds i with
-  | None -> Interval.empty
-  | Some (lo, lo_closed, hi, hi_closed) ->
-    let scale = function
-      | Interval.Finite r -> Interval.Finite (Rat.div r (Rat.of_int k))
-      | e -> e
-    in
-    Interval.make ~lo:(scale lo) ~lo_closed ~hi:(scale hi) ~hi_closed
-
-let test_weighted_scaled_is_bcg_over_w () =
-  let w = 3 in
-  let (module U : Game.S with type region = Interval.t) =
-    Weighted_bcg.make ~name:"wbcg_scaled_test" ~describe:"scaled test instance"
-      ~schema_tag:1002 ~weight:(fun _ -> w) ()
-  in
-  let ws = Kernel.create () in
-  List.iter
-    (fun g ->
-      check interval "w=3 weighted = bcg region / 3"
-        (scale_interval w (Bcg.stable_alpha_set_sym_ws ws (trivial g) g))
-        (U.stable_region_ws ws (trivial g) g))
-    (annotation_corpus ())
-
-let test_ucg_petersen_parity () =
-  check union "petersen nash set = reference"
-    (Ucg.nash_alpha_set_reference Nf_named.Gallery.petersen)
-    (Ucg.nash_alpha_set Nf_named.Gallery.petersen)
-
-(* naive improving-move list straight off the exported per-pair functions
-   (the pre-kernel implementation) *)
-let reference_improving_moves ~alpha g =
-  let ext_lt v =
-    match v with
-    | Ext_int.Inf -> true
-    | Ext_int.Fin k -> Rat.(alpha < of_int k)
-  in
-  let ext_le v =
-    match v with
-    | Ext_int.Inf -> true
-    | Ext_int.Fin k -> Rat.(alpha <= of_int k)
-  in
-  let moves = ref [] in
-  Graph.iter_non_edges g (fun i j ->
-      let bi = Bcg.addition_benefit g i j
-      and bj = Bcg.addition_benefit g j i in
-      if (ext_lt bi && ext_le bj) || (ext_lt bj && ext_le bi) then
-        moves := Game.Add (i, j) :: !moves);
-  Graph.iter_edges g (fun i j ->
-      if not (ext_le (Bcg.severance_loss g i j)) then
-        moves := Game.Delete (i, j) :: !moves;
-      if not (ext_le (Bcg.severance_loss g j i)) then
-        moves := Game.Delete (j, i) :: !moves);
-  !moves
-
-let move_testable =
-  let pp fmt m =
-    match m with
-    | Game.Add (i, j) -> Format.fprintf fmt "Add(%d,%d)" i j
-    | Game.Delete (i, j) -> Format.fprintf fmt "Delete(%d,%d)" i j
-  in
-  Alcotest.testable pp ( = )
-
-let test_improving_moves_parity () =
-  let rng = Prng.create 0x6d767273 in
-  let grid = [ Rat.make 1 2; Rat.one; Rat.make 3 2; Rat.of_int 2; Rat.of_int 4 ] in
-  let subjects =
-    List.init 12 (fun _ -> Random_graph.gnp rng 6 0.4)
-    @ [ Graph.of_edges 5 [ (0, 1); (2, 3) ]; Graph.empty 4; Nf_named.Families.cycle 6 ]
-  in
-  List.iter
-    (fun g ->
-      List.iter
-        (fun alpha ->
-          check
-            Alcotest.(list move_testable)
-            "improving moves identical (incl. order)"
-            (reference_improving_moves ~alpha g)
-            (Bcg.improving_moves ~alpha g))
-        grid)
-    subjects
 
 (* ---------------- workspace borrow discipline ---------------- *)
 
@@ -724,7 +460,7 @@ let prop_multiword_apsp_parity =
 
 let () =
   Alcotest.run "nf_kernel"
-    ([
+    [
       ( "sums",
         [
           Alcotest.test_case "all sources vs naive" `Quick test_all_sums_vs_naive;
@@ -736,18 +472,6 @@ let () =
         [
           Alcotest.test_case "toggle deltas vs persistent" `Quick test_toggle_deltas;
           Alcotest.test_case "bfs distance early exit" `Quick test_bfs_distance_early_exit;
-        ] );
-      ( "annotation",
-        [
-          Alcotest.test_case "public wrappers" `Quick test_public_wrappers;
-          Alcotest.test_case "ucg petersen parity" `Slow test_ucg_petersen_parity;
-          Alcotest.test_case "improving moves parity" `Quick test_improving_moves_parity;
-          Alcotest.test_case "pairwise fold = hot scans" `Quick test_pairwise_fold_vs_hot_scans;
-        ] );
-      ( "weighted bcg",
-        [
-          Alcotest.test_case "uniform = bcg" `Quick test_weighted_uniform_is_bcg;
-          Alcotest.test_case "w=3 = bcg/3" `Quick test_weighted_scaled_is_bcg_over_w;
         ] );
       ( "workspace",
         [
@@ -766,7 +490,6 @@ let () =
         ] );
       ( "coalition layering",
         [
-          Alcotest.test_case "k=2 scan = bcg interval" `Quick test_coalition_k2_scan_is_bcg;
           Alcotest.test_case "instances vs classics" `Quick
             test_coalition_instances_vs_classics;
           Alcotest.test_case "registry route" `Quick test_coalition_registry_route;
@@ -774,4 +497,3 @@ let () =
       ( "registry collisions",
         [ Alcotest.test_case "both axes rejected" `Quick test_registry_collisions ] );
     ]
-    @ registry_suites)

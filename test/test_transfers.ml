@@ -19,12 +19,12 @@ let rq = Rat.make
 
 let test_joint_values () =
   let star = Families.star 5 in
-  (* leaf-leaf addition: each saves 1, jointly 2 *)
-  check_bool "joint benefit" true
-    (Nf_util.Ext_int.equal (Transfers.joint_addition_benefit star 1 2) (Nf_util.Ext_int.Fin 2));
+  let priced (i, j) = Nf_test_support.Oracle.thresholds Nf_test_support.Oracle.transfers star i j in
+  (* leaf-leaf addition: each saves 1, jointly 2, priced at 2/2 on both
+     sides *)
+  check_bool "joint benefit" true (priced (1, 2) = (Interval.Finite (r 1), Interval.Finite (r 1)));
   (* bridge severance: jointly infinite *)
-  check_bool "joint loss inf" true
-    (Transfers.joint_severance_loss star 0 1 = Nf_util.Ext_int.Inf)
+  check_bool "joint loss inf" true (priced (0, 1) = (Interval.Pos_inf, Interval.Pos_inf))
 
 let test_transfer_stable_sets () =
   (* star: joint leaf benefit 2 => stable for alpha >= 1, bridges keep the

@@ -1,6 +1,7 @@
 (* Tests for the unilateral connection game: acceptance, best response,
    orientation search, exact Nash α-sets, and the paper's footnotes 5 and
-   7 (cycles and the Petersen graph). *)
+   7 (cycles and the Petersen graph).  The pruned orientation walk is held
+   to the exhaustive oracle walk in test_differential.ml. *)
 
 open Netform
 module Graph = Nf_graph.Graph
@@ -10,6 +11,7 @@ module Interval = Nf_util.Interval
 module Prng = Nf_util.Prng
 module Families = Nf_named.Families
 module Gallery = Nf_named.Gallery
+module Oracle = Nf_test_support.Oracle
 
 let check = Alcotest.check
 let check_bool = Alcotest.(check bool)
@@ -38,7 +40,7 @@ let test_accepts_star_center () =
 
 let test_acceptance_interval_star () =
   let g = Families.star 5 in
-  let i = Ucg.acceptance_interval g 1 ~owned:Bitset.empty in
+  let i = Oracle.acceptance_interval g 1 ~owned:Bitset.empty in
   check (Alcotest.testable Interval.pp Interval.equal) "leaf interval [1,inf)"
     (closed_ray 1) i
 
@@ -167,7 +169,7 @@ let test_acceptance_interval_matches_accepts () =
         (fun j acc -> if Prng.bool rng then Bitset.add j acc else acc)
         (Graph.neighbors g i) Bitset.empty
     in
-    let interval = Ucg.acceptance_interval g i ~owned in
+    let interval = Oracle.acceptance_interval g i ~owned in
     List.iter
       (fun alpha ->
         check_bool "interval membership = accepts"
@@ -175,53 +177,6 @@ let test_acceptance_interval_matches_accepts () =
           (Ucg.accepts ~alpha g i ~owned))
       alphas
   done
-
-(* ---------------- pruned walk vs the exhaustive reference ------------- *)
-
-(* The workspace walk cuts subtrees whose running interval the emitted
-   union already covers, and owner-swap siblings its subgroup maps onto
-   each other; the reference walks every orientation.  Under the trivial
-   subgroup, the twin subgroup and the full group the walk must
-   reproduce it structurally (polymorphic equality, not just the same
-   point set). *)
-let structural = Alcotest.testable Interval.Union.pp ( = )
-
-let check_pruned_paths ws g =
-  let name = Nf_graph.Graph6.encode g in
-  let expected = Ucg.nash_alpha_set_reference g in
-  check structural (name ^ ": sym ws, trivial") expected
-    (Ucg.nash_alpha_set_sym_ws ws (Nf_iso.Symmetry.trivial (Graph.order g)) g);
-  check structural (name ^ ": sym ws, twins") expected
-    (Ucg.nash_alpha_set_sym_ws ws (Nf_iso.Symmetry.detect_twins g) g);
-  check structural (name ^ ": sym ws, full group") expected
-    (Ucg.nash_alpha_set_sym_ws ws (Nf_iso.Symmetry.detect_full g) g)
-
-let test_pruned_vs_reference_small () =
-  Nf_graph.Kernel.with_ws (fun ws ->
-      for n = 1 to 6 do
-        List.iter (check_pruned_paths ws) (Nf_enum.Unlabeled.connected_graphs n)
-      done)
-
-let test_pruned_vs_reference_dense7 () =
-  Nf_graph.Kernel.with_ws (fun ws ->
-      List.iter
-        (fun g6 -> check_pruned_paths ws (Nf_graph.Graph6.decode g6))
-        [ "F~~~w"; "F~~~o"; "F~~~_"; "F~~vW" ])
-
-(* Rotations: cycles and circulants on 8-10 vertices, whose groups hold
-   rotations of order n, and a 9-vertex graph whose group is a rotation
-   of order 3 alone, labeled so that the walk's first edge (0, 1) is one
-   the rotation maps 0 onto 1 while no automorphism swaps the pair; the
-   owner-swap prune must keep both owners there.  (On at most 8 vertices
-   no graph has such an edge, for any set of fixed points.) *)
-let test_pruned_vs_reference_rotations () =
-  Nf_graph.Kernel.with_ws (fun ws ->
-      List.iter (check_pruned_paths ws)
-        ([ Families.cycle 8; Families.cycle 9; Families.cycle 10 ]
-        @ List.map
-            (fun (n, jumps) -> Families.circulant n jumps)
-            [ (8, [ 1; 4 ]); (9, [ 1; 3 ]); (10, [ 1; 4 ]) ]
-        @ [ Nf_graph.Graph6.decode "H}dl@dE" ]))
 
 (* Dense graphs have one-interval Nash sets that the first few leaves
    already cover.  Without the coverage prune K8 (2^28 orientations)
@@ -270,12 +225,6 @@ let () =
           Alcotest.test_case "vs brute force" `Slow test_vs_brute_force;
           Alcotest.test_case "interval vs pointwise" `Quick test_interval_vs_pointwise;
           Alcotest.test_case "acceptance interval" `Quick test_acceptance_interval_matches_accepts;
-          Alcotest.test_case "pruned = reference, connected n <= 6" `Quick
-            test_pruned_vs_reference_small;
-          Alcotest.test_case "pruned = reference, dense n = 7" `Slow
-            test_pruned_vs_reference_dense7;
-          Alcotest.test_case "pruned = reference, rotations n = 8..10" `Quick
-            test_pruned_vs_reference_rotations;
         ] );
       ( "dense pins",
         [
