@@ -43,7 +43,7 @@ module Experiments = Nf_analysis.Experiments
 let print_experiments () =
   Printf.printf "netform reproduction suite (n=%d)\n" bench_n;
   Printf.printf "=================================\n\n%!";
-  let ctx = Experiments.context bench_n in
+  let ctx = Experiments.context (Nf_analysis.Source.classic bench_n) in
   let results = List.map (fun (e : Experiments.entry) -> e.run ctx) Experiments.table in
   print_string (Experiments.render_all results);
   let failed = List.filter (fun (r : Experiments.result) -> not r.ok) results in
@@ -62,7 +62,7 @@ open Netform
 (* one table entry at n = 5 *)
 let run_experiment id =
   let entry = Option.get (Experiments.find Experiments.table id) in
-  Staged.stage (fun () -> entry.run (Experiments.context 5))
+  Staged.stage (fun () -> entry.run (Experiments.context (Nf_analysis.Source.classic 5)))
 
 (* per-table/figure kernels (smaller sizes: timing, not reproduction) *)
 let experiment_tests =
@@ -80,10 +80,9 @@ let experiment_tests =
     Test.make ~name:"prop3_moore_windows" (Staged.stage (fun () ->
         (Bcg.stable_alpha_set Gallery.petersen, Bcg.stable_alpha_set Gallery.mcgee)));
     Test.make ~name:"prop4_worst_poa_n6" (Staged.stage (fun () ->
-        let annotated = Nf_analysis.Equilibria.bcg_annotated 6 in
+        let source = Nf_analysis.Source.of_game "bcg" 6 in
         List.map
-          (fun alpha ->
-            List.filter (fun (_, set) -> Nf_util.Interval.mem alpha set) annotated)
+          (fun alpha -> Nf_analysis.Source.stable source ~game:"bcg" ~alpha)
           Nf_analysis.Sweep.paper_grid));
     Test.make ~name:"prop5_tree_nash_sets_n7" (Staged.stage (fun () ->
         List.map Ucg.nash_alpha_set (Nf_enum.Trees.unlabeled_trees 7)));
@@ -102,7 +101,7 @@ let experiment_tests =
         Nf_dynamics.Meta.analyze ~alpha:(Rat.of_int 2) ~n:4));
     Test.make ~name:"shape_census_n6" (Staged.stage (fun () ->
         Nf_analysis.Shapes.census
-          (Nf_analysis.Equilibria.bcg_stable_graphs ~n:6 ~alpha:(Rat.of_int 2))));
+          (Nf_analysis.Source.(stable (of_game "bcg" 6)) ~game:"bcg" ~alpha:(Rat.of_int 2))));
     Test.make ~name:"distance_utilities_windows" (Staged.stage (fun () ->
         List.map
           (fun p -> Distance_utility.stable_alpha_set p Gallery.petersen)
@@ -210,28 +209,29 @@ let kernel_tests =
   ]
 
 (* registry-driven games: the extension game's full annotation sweep
-   exercises the generic Equilibria cache + Game kernel path end to
-   end — the trajectory row for everything that is NOT the classic
-   bcg/ucg pair *)
+   exercises a fresh single-game source (the store's per-record
+   annotator, pooled and chunked) end to end — the trajectory row for
+   everything that is NOT the classic bcg/ucg pair *)
+let annotate_game name n =
+  Nf_analysis.Source.clear_cache ();
+  Nf_analysis.Source.fold (Nf_analysis.Source.of_game name n) (fun k _ _ -> k + 1) 0
+
 let game_tests =
   [
     Test.make ~name:"weighted_bcg_annotate_n6" (Staged.stage (fun () ->
-        Nf_analysis.Equilibria.clear_cache ();
-        Nf_analysis.Equilibria.annotated Game_registry.weighted_bcg 6));
-    (* the parameterized-family path: instance resolution, the coalition
-       threshold scan (C(n,≤2) coalitions per graph) and the generic
-       cache keyed by the canonical member name *)
+        annotate_game "weighted_bcg" 6));
+    (* the parameterized-family path: instance resolution and the
+       coalition threshold scan (C(n,≤2) coalitions per graph) *)
     Test.make ~name:"coalition_k2_annotate_n6" (Staged.stage (fun () ->
-        Nf_analysis.Equilibria.clear_cache ();
-        Nf_analysis.Equilibria.annotated (Coalition.make ~k:2) 6));
+        annotate_game "coalition:k=2" 6));
   ]
 
 (* ---------------- store cold/warm trajectory ---------------- *)
 
 (* The nf_store acceptance record: a one-shot timed cold build (the full
    annotation sweep into a fresh store) against a warm figure
-   regeneration from that store (Service.create + Service.figures over
-   the paper grid).  One-shot wall-clock rather than a Bechamel staged
+   regeneration from that store (the figure of Service.source over the
+   paper grid).  One-shot wall-clock rather than a Bechamel staged
    loop because the cold build at n=7 runs for ~10s, far past any
    sensible quota; a single run is plenty to witness the cold/warm
    ratio. *)
@@ -266,11 +266,11 @@ let store_rows () =
       let outcome, cold =
         time (fun () -> Nf_store.Build.build ~path ~n:store_n ~force:true ())
       in
-      let points, warm =
+      let figure, warm =
         time (fun () ->
-            Nf_serve.Service.figures (Nf_serve.Service.create ~path ()) ())
+            Nf_analysis.Figures.figure (Nf_serve.Service.source (Nf_serve.Service.create ~path ())))
       in
-      assert (match points with Nf_serve.Service.Classic ps -> ps <> [] | Single _ -> false);
+      assert (match figure with Nf_analysis.Figures.Pair ps -> ps <> [] | Single _ -> false);
       Printf.printf
         "\nstore trajectory: n=%d, %d classes; cold build %.2fs, warm figures %.4fs (%.0fx)\n%!"
         store_n outcome.Nf_store.Build.records cold warm (cold /. warm);

@@ -183,7 +183,8 @@ let game_opt =
 
 let enumerate jobs n alpha =
   setup jobs;
-  let bcg = Nf_analysis.Equilibria.bcg_stable_graphs ~n ~alpha in
+  let source = Nf_analysis.Source.fresh (Nf_store.Layout.classic ~with_ucg:(n <= 7)) n in
+  let bcg = Nf_analysis.Source.stable source ~game:"bcg" ~alpha in
   Printf.printf "connected isomorphism classes on %d vertices: %d\n" n
     (Nf_enum.Unlabeled.count_connected n);
   Printf.printf "BCG pairwise stable at alpha=%s: %d\n" (Rat.to_string alpha)
@@ -191,7 +192,7 @@ let enumerate jobs n alpha =
   let bcg_summary = Poa.summarize Cost.Bcg ~alpha:(Rat.to_float alpha) bcg in
   Format.printf "  %a@." Poa.pp_summary bcg_summary;
   if n <= 7 then begin
-    let ucg = Nf_analysis.Equilibria.ucg_nash_graphs ~n ~alpha in
+    let ucg = Nf_analysis.Source.stable source ~game:"ucg" ~alpha in
     Printf.printf "UCG Nash graphs at alpha=%s: %d\n" (Rat.to_string alpha) (List.length ucg);
     let ucg_summary = Poa.summarize Cost.Ucg ~alpha:(Rat.to_float alpha) ucg in
     Format.printf "  %a@." Poa.pp_summary ucg_summary
@@ -216,7 +217,8 @@ let enumerate_cmd =
    hands [setup]'s result to [run]. *)
 let checked setup run =
   match setup () with
-  | exception (Invalid_argument msg | Failure msg | Nf_store.Layout.Corrupt msg) ->
+  | exception (Invalid_argument msg | Failure msg | Sys_error msg | Nf_store.Layout.Corrupt msg)
+    ->
     Printf.eprintf "error: %s\n" msg;
     2
   | exception Unix.Unix_error (e, fn, arg) ->
@@ -232,80 +234,30 @@ let write_csv ~path contents =
   close_out oc;
   Printf.printf "\nwrote %s\n" path
 
-(* the paper's Figure 2/3 pair, read from a classic BCG+UCG store.  The
-   store's kind is checked from its header when this is called; the sweep
-   runs when the points are forced. *)
-let classic_figure_points service =
-  let refuse () =
-    invalid_arg
-      (Printf.sprintf "store carries %S annotations only; Figures 2/3 need a BCG+UCG store"
-         (Serve.Service.game service))
-  in
-  match Serve.Mmap_reader.content (Serve.Service.store service) with
-  | Nf_store.Layout.Classic { with_ucg = true } ->
-    lazy
-      (match Serve.Service.figures service () with
-      | Serve.Service.Classic points -> points
-      | Serve.Service.Single _ -> refuse ())
-  | Nf_store.Layout.Classic { with_ucg = false } | Nf_store.Layout.Game _ -> refuse ()
-
-(* one game's sweep (--game): the game's own alpha convention and cost
-   model, from a fresh annotation or served from a store *)
-let sweep_one_game ~name ~n ~csv ~store =
-  checked
-    (fun () ->
-      ( Game_registry.find_exn name,
-        Option.map (fun path -> (path, Serve.Service.create ~path ())) store ))
-  @@ fun (packed, served) ->
-  let points =
-    match served with
-    | Some (path, service) ->
-      Printf.printf "(sweep served from %s: game=%s, n=%d, %d classes)\n\n" path
-        (Serve.Service.game service) (Serve.Service.n service) (Serve.Service.length service);
-      Nf_analysis.Figures.sweep_game_via packed
-        ~stable:(fun ~alpha -> Serve.Service.stable_graphs service ~game:name ~alpha)
-        ()
-    | None -> Nf_analysis.Figures.sweep_game packed ~n ()
-  in
-  print_string (Nf_analysis.Figures.game_table points);
-  print_newline ();
-  print_string (Nf_analysis.Figures.game_plot points);
-  Option.iter (fun path -> write_csv ~path (Nf_analysis.Figures.game_csv points)) csv;
-  0
-
+(* the figure of a source: a store's (--store), or a fresh annotation at
+   -n.  --game picks that game's curves; without it a BCG+UCG atlas gives
+   the Figure 2/3 pair and any other store its own game's curves. *)
 let sweep jobs no_quotient n game csv store =
   setup jobs;
   setup_quotient no_quotient;
-  match game with
-  | Some name -> sweep_one_game ~name ~n ~csv ~store
-  | None ->
-    checked
-      (fun () ->
-        Option.map
-          (fun path ->
-            let service = Serve.Service.create ~path () in
-            (path, service, classic_figure_points service))
-          store)
-    @@ fun served ->
-    let points =
-      match served with
-      | Some (path, service, points) ->
-        (* warm path: the annotation is read from the atlas store, never
-           recomputed; only the PoA summaries run here *)
-        Printf.printf "(figures served from %s: n=%d, %d classes)\n\n" path
-          (Serve.Service.n service) (Serve.Service.length service);
-        Lazy.force points
-      | None -> Nf_analysis.Figures.sweep ~n ()
-    in
-    print_string (Nf_analysis.Figures.figure2_table points);
-    print_newline ();
-    print_string (Nf_analysis.Figures.figure2_plot points);
-    print_newline ();
-    print_string (Nf_analysis.Figures.figure3_table points);
-    print_newline ();
-    print_string (Nf_analysis.Figures.figure3_plot points);
-    Option.iter (fun path -> write_csv ~path (Nf_analysis.Figures.to_csv points)) csv;
-    0
+  checked (fun () ->
+      match store with
+      | Some path ->
+        let service = Serve.Service.create ~path () in
+        ( Printf.sprintf "(figures served from %s: game=%s, n=%d, %d classes)\n\n" path
+            (Serve.Service.game service) (Serve.Service.n service) (Serve.Service.length service),
+          Serve.Service.source ?game service )
+      | None ->
+        ( "",
+          match game with
+          | Some name -> Nf_analysis.Source.of_game name n
+          | None -> Nf_analysis.Source.classic n ))
+  @@ fun (banner, source) ->
+  let figure = Nf_analysis.Figures.figure ?game source in
+  print_string banner;
+  print_string (Nf_analysis.Figures.render figure);
+  Option.iter (fun path -> write_csv ~path (Nf_analysis.Figures.csv figure)) csv;
+  0
 
 let csv_opt =
   Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc:"Write CSV data.")
@@ -467,50 +419,22 @@ let mc_poa_cmd =
 
 (* ---------------- annotate ---------------- *)
 
-(* the single-game atlas CSV (--game): same graph6/n/m prefix as the
-   classic Dataset CSV, one region column named after the game *)
-let game_atlas_csv ~name entries =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf (Printf.sprintf "graph6,n,m,%s_stable\n" name);
-  List.iter
-    (fun (g, region) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s,%d,%d,%s\n" (Nf_graph.Graph6.encode g) (Graph.order g)
-           (Graph.size g) region))
-    entries;
-  Buffer.contents buf
-
+(* the atlas of --game, or the classic one: the CSV a store of the same
+   content exports *)
 let annotate jobs no_quotient n game out with_ucg =
   setup jobs;
   setup_quotient no_quotient;
-  match game with
-  | Some name ->
-    if Option.is_some with_ucg then
-      invalid_arg "annotate: pass either --game or --ucg, not both";
-    let packed = Game_registry.find_exn name in
-    Logs.info (fun m ->
-        m "annotating %d connected classes on %d vertices (game=%s)"
-          (Nf_enum.Unlabeled.count_connected n) n name);
-    let csv = game_atlas_csv ~name (Nf_analysis.Equilibria.annotated_regions packed n) in
-    (match out with
-    | Some path ->
-      let oc = open_out path in
-      output_string oc csv;
-      close_out oc;
-      Printf.printf "wrote %s atlas for n=%d to %s\n" name n path
-    | None -> print_string csv);
-    0
-  | None ->
-    let with_ucg = Option.value ~default:(n <= 7) with_ucg in
-    Logs.info (fun m -> m "annotating %d connected classes on %d vertices (ucg=%b)"
-                  (Nf_enum.Unlabeled.count_connected n) n with_ucg);
-    let entries = Nf_analysis.Dataset.build ~with_ucg n in
-    (match out with
-    | Some path ->
-      Nf_analysis.Dataset.save ~path entries;
-      Printf.printf "wrote %d annotated classes to %s\n" (List.length entries) path
-    | None -> print_string (Nf_analysis.Dataset.to_csv entries));
-    0
+  checked (fun () -> Nf_store.Build.content ?game ?with_ucg n) @@ fun content ->
+  Logs.info (fun m ->
+      m "annotating %d connected classes on %d vertices (game=%s)"
+        (Nf_enum.Unlabeled.count_connected n) n (Nf_store.Build.game_of_content content));
+  let source = Nf_analysis.Source.fresh content n in
+  (match out with
+  | Some path ->
+    Nf_analysis.Dataset.save ~path source;
+    Printf.printf "wrote %d annotated classes to %s\n" (Nf_enum.Unlabeled.count_connected n) path
+  | None -> print_string (Nf_analysis.Dataset.to_csv source));
+  0
 
 let annotate_cmd =
   let out =
@@ -533,14 +457,12 @@ let annotate_cmd =
 
 module Experiments = Nf_analysis.Experiments
 
-(* under --store, every experiment runs at the store's n and E1/E2 (and
-   the --out CSV) read their points from it *)
+(* under --store, every experiment runs off the store at its n *)
 let experiment_context n store =
-  match store with
-  | None -> Experiments.context n
-  | Some path ->
-    let service = Serve.Service.create ~path () in
-    { Experiments.n = Serve.Service.n service; points = classic_figure_points service }
+  Experiments.context
+    (match store with
+    | None -> Nf_analysis.Source.classic n
+    | Some path -> Serve.Service.source (Serve.Service.create ~path ()))
 
 (* the table (or the --game sweep), narrowed to the --only id *)
 let select_experiments game only =
@@ -600,10 +522,11 @@ let experiments_cmd =
     Term.(
       const experiments $ jobs_opt $ n_arg 6 $ game_opt $ only_opt $ out_dir_opt
       $ store_src_opt
-          "Read the Figure 2/3 points of E1, E2 and the $(b,--out) CSV from a classic \
-           BCG+UCG equilibrium-atlas store (see $(b,netform store build)) instead of \
-           recomputing them.  Every experiment runs at the store's n; $(b,-n) is ignored. \
-           Any other store exits 2 before anything runs.")
+          "Run off a classic BCG+UCG equilibrium-atlas store (see $(b,netform store \
+           build)) instead of a fresh annotation: E1, E2 and the $(b,--out) CSV read their \
+           Figure 2/3 points from it, and every entry reading BCG or UCG regions at the \
+           store's n reads them from it.  Every experiment runs at the store's n; $(b,-n) \
+           is ignored.  Any other store exits 2 before anything runs.")
 
 (* ---------------- store ---------------- *)
 
@@ -744,15 +667,22 @@ let store_verify_cmd =
 
 let store_query jobs path alpha game figures csv list_graphs =
   setup jobs;
-  checked (fun () -> Serve.Service.create ~path ()) @@ fun service ->
+  checked (fun () ->
+      let service = Serve.Service.create ~path () in
+      let game =
+        match game with
+        | Some name -> String.lowercase_ascii name
+        | None -> Serve.Service.default_game service
+      in
+      let source = Serve.Service.source ~game service in
+      (service, source, Game_registry.find_exn game))
+  @@ fun (service, source, (Game.Any (module G))) ->
   Printf.printf "%s: n=%d, %d annotated classes, game=%s\n" path (Serve.Service.n service)
     (Serve.Service.length service) (Serve.Service.game service);
   (match alpha with
   | Some alpha ->
-    let name = String.lowercase_ascii game in
-    let (Game.Any (module G)) = Game_registry.find_exn name in
-    let graphs = Serve.Service.stable_graphs service ~game:name ~alpha in
-    Printf.printf "%s equilibria at alpha=%s: %d\n" (String.uppercase_ascii name)
+    let graphs = Nf_analysis.Source.stable source ~game:G.name ~alpha in
+    Printf.printf "%s equilibria at alpha=%s: %d\n" (String.uppercase_ascii G.name)
       (Rat.to_string alpha) (List.length graphs);
     Format.printf "  %a@." Poa.pp_summary
       (Poa.summarize G.cost_model ~alpha:(Rat.to_float alpha) graphs);
@@ -760,25 +690,12 @@ let store_query jobs path alpha game figures csv list_graphs =
       List.iter (fun g -> print_endline (Nf_graph.Graph6.encode g)) graphs
   | None -> ());
   if figures then begin
-    (* classic dual stores serve the paper's Figure 2/3 pair; a
-       single-game store serves its own game's curves *)
-    match Serve.Service.figures service () with
-    | Serve.Service.Classic points ->
-      print_newline ();
-      print_string (Nf_analysis.Figures.figure2_table points);
-      print_newline ();
-      print_string (Nf_analysis.Figures.figure2_plot points);
-      print_newline ();
-      print_string (Nf_analysis.Figures.figure3_table points);
-      print_newline ();
-      print_string (Nf_analysis.Figures.figure3_plot points);
-      Option.iter (fun file -> write_csv ~path:file (Nf_analysis.Figures.to_csv points)) csv
-    | Serve.Service.Single points ->
-      print_newline ();
-      print_string (Nf_analysis.Figures.game_table points);
-      print_newline ();
-      print_string (Nf_analysis.Figures.game_plot points);
-      Option.iter (fun file -> write_csv ~path:file (Nf_analysis.Figures.game_csv points)) csv
+    (* the store's own figure: the Figure 2/3 pair on a classic BCG+UCG
+       store, its one game's curves otherwise *)
+    let figure = Nf_analysis.Figures.figure source in
+    print_newline ();
+    print_string (Nf_analysis.Figures.render figure);
+    Option.iter (fun file -> write_csv ~path:file (Nf_analysis.Figures.csv figure)) csv
   end;
   0
 
@@ -792,12 +709,19 @@ let store_query_cmd =
   let game =
     Arg.(
       value
-      & opt string "bcg"
+      & opt (some string) None
       & info [ "game" ] ~docv:"GAME"
-          ~doc:"The registered game to query (must match the store's annotations).")
+          ~doc:
+            "The registered game to query (default: bcg on a classic store, the store's own \
+             game otherwise).  A game the store does not carry exits 2.")
   in
   let figures =
-    Arg.(value & flag & info [ "figures" ] ~doc:"Regenerate the Figure 2/3 series from the store.")
+    Arg.(
+      value & flag
+      & info [ "figures" ]
+          ~doc:
+            "Regenerate the store's figure: the Figure 2/3 series on a classic BCG+UCG \
+             store, its one game's curves otherwise.")
   in
   let list_graphs =
     Arg.(value & flag & info [ "list" ] ~doc:"Print the graph6 of each equilibrium class.")
@@ -812,7 +736,7 @@ let store_query_cmd =
 let store_export jobs path out =
   setup jobs;
   checked (fun () -> Serve.Service.create ~path ()) @@ fun service ->
-  let csv = Serve.Service.export_csv service in
+  let csv = Nf_analysis.Dataset.to_csv (Serve.Service.source service) in
   (match out with
   | Some file ->
     let oc = open_out file in
@@ -831,7 +755,9 @@ let store_export_cmd =
   in
   Cmd.v
     (Cmd.info "export"
-       ~doc:"Dump a store as the annotate-compatible CSV atlas (byte-identical to Dataset.to_csv)")
+       ~doc:
+         "Dump a store as the CSV atlas: byte-identical to $(b,netform annotate) with the \
+          store's $(b,-n) and $(b,--game)")
     Term.(const store_export $ jobs_opt $ store_path_arg $ out)
 
 let store_merge dir out force quiet =
@@ -1075,17 +1001,23 @@ let render_response ~op ~csv resp =
       print_endline "server shutting down";
       0
 
-(* in-process: the daemon's own evaluator over a service on the store *)
-let query_local ~path ~csv = function
-  | Serve.Protocol.Health | Serve.Protocol.Shutdown ->
-    Printf.eprintf "error: this operation needs a daemon (pass --remote ADDR)\n";
-    1
-  | req -> render_response ~op:req ~csv (Serve.Server.respond (Serve.Service.create ~path ()) req)
-
-let query_remote ~addr ~csv req =
-  let client = Serve.Client.connect addr in
-  Fun.protect ~finally:(fun () -> Serve.Client.close client) @@ fun () ->
-  render_response ~op:req ~csv (Serve.Client.request client req)
+(* the response to one request: in-process, the daemon's own evaluator
+   over a service on the store, after the column check of an explicit
+   --game; with --remote, the daemon's *)
+let query_response ~remote ~target ~game req =
+  if remote then begin
+    let client = Serve.Client.connect target in
+    Fun.protect ~finally:(fun () -> Serve.Client.close client) @@ fun () ->
+    Serve.Client.request client req
+  end
+  else
+    match req with
+    | Serve.Protocol.Health | Serve.Protocol.Shutdown ->
+      failwith "this operation needs a daemon (pass --remote ADDR)"
+    | req ->
+      let service = Serve.Service.create ~path:target () in
+      Option.iter (fun game -> ignore (Serve.Service.source ~game service)) game;
+      Serve.Server.respond service req
 
 let query_run jobs target remote game stable_at entry figures export stats health shutdown csv =
   setup jobs;
@@ -1110,27 +1042,8 @@ let query_run jobs target remote game stable_at entry figures export stats healt
   | _ :: _ :: _ ->
     Printf.eprintf "error: pick exactly one operation\n";
     1
-  | [ req ] -> (
-    let run () =
-      if remote then query_remote ~addr:target ~csv req else query_local ~path:target ~csv req
-    in
-    match run () with
-    | code -> code
-    | exception Nf_store.Layout.Corrupt msg ->
-      Printf.eprintf "error: %s\n" msg;
-      1
-    | exception Invalid_argument msg ->
-      Printf.eprintf "error: %s\n" msg;
-      1
-    | exception Failure msg ->
-      Printf.eprintf "error: %s\n" msg;
-      1
-    | exception Sys_error msg ->
-      Printf.eprintf "error: %s\n" msg;
-      1
-    | exception Unix.Unix_error (e, fn, arg) ->
-      Printf.eprintf "error: %s: %s %s\n" (Unix.error_message e) fn arg;
-      1)
+  | [ req ] ->
+    checked (fun () -> query_response ~remote ~target ~game req) (render_response ~op:req ~csv)
 
 let query_cmd =
   let target =

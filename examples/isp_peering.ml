@@ -79,7 +79,7 @@ let () =
   List.iter
     (fun (num, den) ->
       let alpha = Rat.make num den in
-      let stable = Nf_analysis.Equilibria.bcg_stable_graphs ~n:6 ~alpha in
+      let stable = Nf_analysis.Source.(stable (of_game "bcg" 6)) ~game:"bcg" ~alpha in
       let summary = Poa.summarize Cost.Bcg ~alpha:(Rat.to_float alpha) stable in
       Printf.printf "  alpha=%-4s equilibria=%-3d worst PoA=%.4f avg PoA=%.4f\n"
         (Rat.to_string alpha) summary.Poa.count summary.Poa.worst summary.Poa.average)

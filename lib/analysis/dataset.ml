@@ -1,24 +1,13 @@
 module Graph = Nf_graph.Graph
 module Interval = Nf_util.Interval
 module Rat = Nf_util.Rat
+module Layout = Nf_store.Layout
 
 type entry = {
   graph : Graph.t;
   bcg_stable : Interval.t;
   ucg_nash : Interval.Union.t option;
 }
-
-let build ?with_ucg n =
-  let with_ucg = Option.value ~default:(n <= 7) with_ucg in
-  let bcg = Equilibria.bcg_annotated n in
-  if with_ucg then
-    (* both annotations enumerate the same class list in the same order *)
-    List.map2
-      (fun (g, stable) (g', nash) ->
-        assert (Graph.equal g g');
-        { graph = g; bcg_stable = stable; ucg_nash = Some nash })
-      bcg (Equilibria.ucg_annotated n)
-  else List.map (fun (g, stable) -> { graph = g; bcg_stable = stable; ucg_nash = None }) bcg
 
 (* --- interval syntax ---------------------------------------------------- *)
 
@@ -97,21 +86,30 @@ let union_of_string s =
 
 let header = "graph6,n,m,bcg_stable,ucg_nash"
 
-let to_csv entries =
+(* the header and region cells are a function of what the atlas
+   carries: the classic pair of columns (UCG "-" when absent), or one
+   column named after the game *)
+let layout content =
+  match content with
+  | Layout.Classic _ ->
+    ( header,
+      fun (r : Layout.record) ->
+        interval_to_string r.Layout.bcg
+        ^ "," ^ match r.Layout.ucg with Some u -> union_to_string u | None -> "-" )
+  | Layout.Game { union; _ } ->
+    ( Printf.sprintf "graph6,n,m,%s_stable" (Nf_store.Build.game_of_content content),
+      fun r ->
+        if union then union_to_string (Option.value ~default:Interval.Union.empty r.Layout.ucg)
+        else interval_to_string r.Layout.bcg )
+
+let to_csv source =
+  let header, regions = layout (Source.content source) in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf header;
   Buffer.add_char buf '\n';
-  List.iter
-    (fun e ->
+  Source.iter source (fun g r ->
       Buffer.add_string buf
-        (Printf.sprintf "%s,%d,%d,%s,%s\n"
-           (Nf_graph.Graph6.encode e.graph)
-           (Graph.order e.graph) (Graph.size e.graph)
-           (interval_to_string e.bcg_stable)
-           (match e.ucg_nash with
-           | Some u -> union_to_string u
-           | None -> "-")))
-    entries;
+        (Printf.sprintf "%s,%d,%d,%s\n" r.Layout.graph6 (Graph.order g) (Graph.size g) (regions r)));
   Buffer.contents buf
 
 let of_csv text =
@@ -134,11 +132,11 @@ let of_csv text =
                (List.length fields) row))
       (List.filter (fun r -> String.trim r <> "") rows)
 
-let save ~path entries =
+let save ~path source =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_csv entries))
+    (fun () -> output_string oc (to_csv source))
 
 let load ~path =
   let ic = open_in path in

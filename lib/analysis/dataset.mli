@@ -1,12 +1,9 @@
-(** Persistence for annotated equilibrium datasets.
+(** The atlas CSV: every annotated class of a {!Source} as one line of
+    graph6 and exact regions, so downstream users can consume the
+    equilibrium atlas without OCaml.  A fresh source and a store of the
+    same content render to the same bytes. *)
 
-    The expensive artifact of the empirical study is the per-class
-    annotation — every connected isomorphism class with its exact BCG
-    stable interval and UCG Nash α-set.  This module serializes that
-    dataset to a line-oriented CSV (graph6 for the graph, interval syntax
-    for the regions) so downstream users can consume the equilibrium
-    atlas without OCaml, and reloads it for round-tripping. *)
-
+(** One row of a classic atlas CSV, as {!of_csv} parses it. *)
 type entry = {
   graph : Nf_graph.Graph.t;
   bcg_stable : Nf_util.Interval.t;
@@ -14,18 +11,19 @@ type entry = {
       (** [None] when the UCG annotation was skipped (large [n]) *)
 }
 
-val build : ?with_ucg:bool -> int -> entry list
-(** Annotate all connected classes on [n] vertices ([with_ucg] defaults to
-    [n <= 7]). *)
-
-val to_csv : entry list -> string
-(** Header + one line per class:
-    [graph6,n,m,bcg_stable,ucg_nash] with regions in interval syntax. *)
+val to_csv : Source.t -> string
+(** Header + one line per class, in the source's order.  The header and
+    region syntax follow {!Source.content}: a classic atlas writes
+    [graph6,n,m,bcg_stable,ucg_nash] (UCG [-] when not carried), a
+    single-game atlas [graph6,n,m,G_stable] with [G] its registry name.
+    Regions are in {!interval_to_string} syntax, a union's pieces
+    joined by [|]. *)
 
 val of_csv : string -> entry list
-(** Inverse of {!to_csv}.  @raise Invalid_argument on malformed input. *)
+(** Inverse of {!to_csv} on a classic atlas.
+    @raise Invalid_argument on malformed input or another header. *)
 
-val save : path:string -> entry list -> unit
+val save : path:string -> Source.t -> unit
 val load : path:string -> entry list
 
 val interval_to_string : Nf_util.Interval.t -> string

@@ -1,77 +1,13 @@
-(** Exhaustive equilibrium sets over all connected topologies on [n]
-    vertices — the paper's §5 workload, for every registered game.
-
-    One generic driver: {!annotated} takes any {!Netform.Game} instance
-    and annotates each isomorphism class with that game's exact stable
-    α-region; per-α queries are then region-membership lookups.
-    Annotations are memoized per (game, [n]) in a single registry-wide
-    cache.  The historical per-game entry points ([bcg_annotated], …)
-    remain as thin wrappers over the registry's built-in instances and
-    return bit-identical results.
-
-    The enumeration streams out of
-    {!Nf_enum.Unlabeled.iter_connected_chunked} and each chunk's per-graph
-    annotation is fanned out across the default {!Nf_util.Pool}
-    ([NETFORM_JOBS] controls the width, [NETFORM_JOBS=1] forces the
-    sequential path); results are assembled in enumeration order, so the
-    returned lists are identical whatever the pool width or chunking — and
-    byte-identical to annotating the materialized graph list.  At [n >= 9]
-    the graph level is never held in memory: the annotated list is built
-    directly off the canonical-augmentation stream.
-
-    {b Thread safety:} the cache is mutex-guarded, so every function here
-    may be called from any domain.  Two domains racing on an uncached
-    (game, [n]) may both compute the annotation (the deterministic result
-    of the first insertion wins); the annotated lists handed out are
-    immutable and safe to share. *)
-
-val annotated : 'r Netform.Game.t -> int -> (Nf_graph.Graph.t * 'r) list
-(** All connected isomorphism classes with the game's exact stable
-    α-regions, memoized.  The cache is keyed by the game's [name]: two
-    distinct games must not share one (the registry enforces this for
-    registered games; ad-hoc {!Netform.Weighted_bcg.make} instances
-    should pick fresh names). *)
-
-val stable_graphs :
-  'r Netform.Game.t -> n:int -> alpha:Nf_util.Rat.t -> Nf_graph.Graph.t list
-(** The classes whose region contains [alpha], in enumeration order. *)
-
-val stable_graphs_packed :
-  Netform.Game.packed -> n:int -> alpha:Nf_util.Rat.t -> Nf_graph.Graph.t list
-(** {!stable_graphs} for name-driven callers (CLI, scripts). *)
-
-val annotated_regions :
-  Netform.Game.packed -> int -> (Nf_graph.Graph.t * string) list
-(** {!annotated} with regions rendered to strings (CSV export paths). *)
+(** The classic per-game annotation lists, read off fresh {!Source}s:
+    the entry points the benchmark workers time. *)
 
 val bcg_annotated : int -> (Nf_graph.Graph.t * Nf_util.Interval.t) list
-(** All connected isomorphism classes with their pairwise-stable α-sets.
-    Practical for [n ≤ 8] interactively; [n = 9] (261 080 classes)
-    completes in minutes off the streaming enumerator. *)
+(** Every connected class on [n] vertices with its pairwise-stable
+    α-set, in enumeration order (a fresh classic source without UCG). *)
 
 val ucg_annotated : int -> (Nf_graph.Graph.t * Nf_util.Interval.Union.t) list
-(** All connected isomorphism classes with their Nash α-sets.  The
-    orientation search grows with density; practical for [n ≤ 7]. *)
-
-val bcg_stable_graphs : n:int -> alpha:Nf_util.Rat.t -> Nf_graph.Graph.t list
-val ucg_nash_graphs : n:int -> alpha:Nf_util.Rat.t -> Nf_graph.Graph.t list
-
-val bcg_ever_stable : int -> (Nf_graph.Graph.t * Nf_util.Interval.t) list
-(** The classes whose stable set is nonempty, with the set. *)
-
-val transfers_annotated : int -> (Nf_graph.Graph.t * Nf_util.Interval.t) list
-(** As {!bcg_annotated} for pairwise stability with transfers
-    ({!Netform.Transfers}). *)
-
-val transfers_stable_graphs : n:int -> alpha:Nf_util.Rat.t -> Nf_graph.Graph.t list
+(** Every connected class with its Nash α-set (the fresh classic
+    BCG+UCG source, shared with {!Figures.sweep}). *)
 
 val clear_cache : unit -> unit
-(** Drop every cached annotation {e and} the per-(n, index) symmetry
-    memo backing the orbit quotient — the caches are registry-wide, so
-    this covers all games, including ones registered after this module
-    was built, and leaves no stale orbit data behind. *)
-
-val orbit_memo_size : unit -> int
-(** Number of memoized per-graph symmetry entries (the subgroups the
-    orbit-quotient sweeps share across games at one [n]).  Test hook:
-    {!clear_cache} must drop it to zero. *)
+(** {!Source.clear_cache}: the next fresh source recomputes. *)

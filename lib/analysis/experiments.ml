@@ -23,10 +23,23 @@ let render_all results = String.concat "\n" (List.map render results)
 
 type ctx = {
   n : int;
+  source : Source.t;
   points : Figures.point list Lazy.t;
 }
 
-let context n = { n; points = lazy (Figures.sweep ~n ()) }
+let context source =
+  if not (Source.carries source ~game:"bcg" && Source.carries source ~game:"ucg") then
+    invalid_arg
+      (Printf.sprintf "store carries %S annotations only; Figures 2/3 need a BCG+UCG store"
+         (Source.game source));
+  { n = Source.n source; source; points = lazy (Figures.sweep_source source) }
+
+(* [game]'s annotated classes on [n] vertices: the context's own source
+   when it is at that order and carries the game, else a fresh one *)
+let source_at ctx ~game n =
+  if n = ctx.n && Source.carries ctx.source ~game then ctx.source else Source.of_game game n
+
+let stable_at ctx ~game ~n ~alpha = Source.stable (source_at ctx ~game n) ~game ~alpha
 
 (* ---------------- E1/E2: Figures 2 and 3 ---------------- *)
 
@@ -122,9 +135,9 @@ let e3_figure1_gallery ~id _ =
 
 (* ---------------- E4/E5: Lemmas 4 and 5 ---------------- *)
 
-let e4_lemma4 ~id { n; _ } =
+let e4_lemma4 ~id ({ n; _ } as ctx) =
   let alpha = Rat.make 1 2 in
-  let stable = Equilibria.bcg_stable_graphs ~n ~alpha in
+  let stable = stable_at ctx ~game:"bcg" ~n ~alpha in
   let efficient =
     List.filter
       (Efficiency.is_efficient Cost.Bcg ~alpha:(Rat.to_float alpha))
@@ -151,9 +164,9 @@ let e4_lemma4 ~id { n; _ } =
     ok;
   }
 
-let e5_lemma5 ~id { n; _ } =
+let e5_lemma5 ~id ({ n; _ } as ctx) =
   let alpha = Rat.of_int 3 in
-  let stable = Equilibria.bcg_stable_graphs ~n ~alpha in
+  let stable = stable_at ctx ~game:"bcg" ~n ~alpha in
   let efficient =
     List.filter
       (Efficiency.is_efficient Cost.Bcg ~alpha:(Rat.to_float alpha))
@@ -314,14 +327,9 @@ let e8_prop4_upper_bound ~id ctx =
       [ "alpha"; "#stable"; "worst PoA"; "min(sqrt a, n/sqrt a)"; "max diam"; "2 sqrt a + 1" ]
   in
   let ok = ref true in
-  let annotated = Equilibria.bcg_annotated n in
   List.iter
     (fun alpha ->
-      let stable =
-        List.filter_map
-          (fun (g, set) -> if Interval.mem alpha set then Some g else None)
-          annotated
-      in
+      let stable = stable_at ctx ~game:"bcg" ~n ~alpha in
       let alpha_f = Rat.to_float alpha in
       let summary = Poa.summarize Cost.Bcg ~alpha:alpha_f stable in
       let curve = Theory.poa_upper_bound ~alpha:alpha_f ~n in
@@ -399,8 +407,8 @@ let e9_prop5_trees ~id ctx =
     let conj_ok = ref true
     and conj_total = ref 0
     and conj_nash = ref 0 in
-    List.iter
-      (fun (g, nash) ->
+    Source.iter (source_at ctx ~game:"ucg" cn) (fun g r ->
+        let nash = Option.get r.Nf_store.Layout.ucg in
         incr conj_total;
         if not (Interval.Union.is_empty nash) then begin
           incr conj_nash;
@@ -416,8 +424,7 @@ let e9_prop5_trees ~id ctx =
                      (Interval.to_string stable))
               end)
             (Interval.Union.to_list nash)
-        end)
-      (Equilibria.ucg_annotated cn);
+        end);
     Buffer.add_string buf
       (Printf.sprintf
          "conjecture on all connected graphs n=%d: %d classes, %d UCG-Nash, contained: %b\n"
@@ -531,7 +538,7 @@ let e13_eq5_bound ~id { n; _ } =
 
 (* ---------------- E14: transfers ablation (paper's §6 outlook) -------- *)
 
-let e14_transfers ~id { n; _ } =
+let e14_transfers ~id ({ n; _ } as ctx) =
   let table =
     Table.create
       [ "alpha"; "#stable"; "avg PoA"; "worst PoA"; "#stable (transfers)";
@@ -541,10 +548,8 @@ let e14_transfers ~id { n; _ } =
   List.iter
     (fun alpha ->
       let alpha_f = Rat.to_float alpha in
-      let plain = Poa.summarize Cost.Bcg ~alpha:alpha_f (Equilibria.bcg_stable_graphs ~n ~alpha) in
-      let with_t =
-        Poa.summarize Cost.Bcg ~alpha:alpha_f (Equilibria.transfers_stable_graphs ~n ~alpha)
-      in
+      let summary game = Poa.summarize Cost.Bcg ~alpha:alpha_f (stable_at ctx ~game ~n ~alpha) in
+      let plain = summary "bcg" and with_t = summary "transfers" in
       (* transfers internalize the externality at the endpoints: the
          worst transfer-stable network should never be worse than the
          worst plain-stable network *)
@@ -631,7 +636,7 @@ let e15_dynamics_and_prop2 ~id _ =
 
 (* ---------------- E16: shape census (§5 discussion) ---------------- *)
 
-let e16_shape_census ~id { n; _ } =
+let e16_shape_census ~id ({ n; _ } as ctx) =
   let table = Table.create [ "alpha"; "BCG stable shapes"; "UCG Nash shapes" ] in
   let ok = ref true in
   let grid =
@@ -640,8 +645,8 @@ let e16_shape_census ~id { n; _ } =
   in
   List.iter
     (fun alpha ->
-      let bcg = Equilibria.bcg_stable_graphs ~n ~alpha in
-      let ucg = Equilibria.ucg_nash_graphs ~n ~alpha in
+      let bcg = stable_at ctx ~game:"bcg" ~n ~alpha in
+      let ucg = stable_at ctx ~game:"ucg" ~n ~alpha in
       (* the §5 parenthetical: all equilibrium networks are trees once
          alpha > n^2 *)
       if Rat.(alpha > of_int (n * n)) then begin
@@ -747,14 +752,14 @@ let e18_bcg_scaling ~id ctx =
   (* prewarm: annotation of each size fans out across the domain pool; the
      per-alpha rows below are then cheap filters over the cached lists and
      are themselves evaluated through the pool *)
-  List.iter (fun n -> ignore (Equilibria.bcg_annotated n)) sizes;
+  List.iter (fun n -> Source.iter (source_at ctx ~game:"bcg" n) (fun _ _ -> ())) sizes;
   let rows =
     Nf_util.Pool.parallel_map
       (fun alpha ->
         let cells =
           List.concat_map
             (fun n ->
-              let stable = Equilibria.bcg_stable_graphs ~n ~alpha in
+              let stable = stable_at ctx ~game:"bcg" ~n ~alpha in
               let s = Poa.summarize Cost.Bcg ~alpha:(Rat.to_float alpha) stable in
               [
                 (if s.Poa.count = 0 then "-" else Printf.sprintf "%.4f" s.Poa.average);
@@ -772,7 +777,7 @@ let e18_bcg_scaling ~id ctx =
     (fun n ->
       List.iter
         (fun alpha ->
-          let stable = Equilibria.bcg_stable_graphs ~n ~alpha in
+          let stable = stable_at ctx ~game:"bcg" ~n ~alpha in
           let s = Poa.summarize Cost.Bcg ~alpha:(Rat.to_float alpha) stable in
           if s.Poa.count > 0 && s.Poa.best > 1.0 +. 1e-9 then ok := false)
         crossover_costs)
@@ -994,7 +999,7 @@ let e23_parameterized_regimes ~id _ =
      adversary ratios are true PoA (>= 1) against the enumerated optimum
      — min(star, clique) is NOT the adversary optimum, which is why the
      closed forms reject that model. *)
-  let sweep name = Figures.sweep_game (Game_registry.find_exn name) ~n () in
+  let sweep name = Figures.sweep_game (Game_registry.find_exn name) (Source.of_game name n) in
   let bcg_pts = sweep "bcg"
   and ucg_pts = sweep "ucg"
   and adv_pts = sweep "adversary"
@@ -1092,8 +1097,8 @@ let find entries id =
 
 (* ---------------- per-game sweep (netform experiments --game) ---------------- *)
 
-let game_sweep ~game packed ~id { n; _ } =
-  let points = Figures.sweep_game packed ~n () in
+let game_sweep ~game packed ~id ({ n; _ } as ctx) =
+  let points = Figures.sweep_game packed (source_at ctx ~game n) in
   (* sanity, not paper claims: the sweep is nonempty and every PoA ratio
      is >= 1 wherever an equilibrium exists *)
   let ok =

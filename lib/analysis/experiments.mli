@@ -3,12 +3,14 @@
     (E14–E23), registered in one {!table}.  Each produces a
     self-contained text report.
 
-    An experiment runs against a {!ctx}: the player count for the
-    exhaustive studies and the Figure 2/3 sweep points, computed lazily
-    so that only the experiments that read them (E1, E2) pay for them,
-    and once however many do.  Defaults keep a full run to well under a
-    minute at n = 6; the exhaustive studies cost exponentially more as
-    [n] grows toward the paper's ten agents. *)
+    An experiment runs against a {!ctx}: the annotated classes of a
+    BCG+UCG atlas ({!Source.t}, fresh or stored) and its order [n] for
+    the exhaustive studies.  Every entry that reads BCG or UCG regions at
+    [n] reads them off that source; the Figure 2/3 sweep points are
+    derived from it lazily, so only the experiments that read them (E1,
+    E2) pay for them, and once however many do.  Defaults keep a full
+    run to well under a minute at n = 6; the exhaustive studies cost
+    exponentially more as [n] grows toward the paper's ten agents. *)
 
 type result = {
   id : string;  (** "E1" ... "E23" *)
@@ -19,15 +21,16 @@ type result = {
 
 type ctx = {
   n : int;
-      (** players for the exhaustive studies (E8 and E18 use at least 7,
-          E9's conjecture check at most 6) *)
-  points : Figures.point list Lazy.t;  (** the Figure 2/3 sweep at [n] *)
+      (** the source's order: players for the exhaustive studies (E8 and
+          E18 use at least 7, E9's conjecture check at most 6) *)
+  source : Source.t;  (** the BCG+UCG atlas at [n] *)
+  points : Figures.point list Lazy.t;  (** {!Figures.sweep_source} of [source] *)
 }
 
-val context : int -> ctx
-(** [context n]: the sweep points are [Figures.sweep ~n ()], run when
-    first forced.  A caller holding the points already (a store's
-    {!Figures.sweep_via}) builds the record itself. *)
+val context : Source.t -> ctx
+(** [context source]: nothing runs until an experiment reads it.
+    @raise Invalid_argument when the source does not carry both the BCG
+    and the UCG regions. *)
 
 type entry = {
   id : string;
@@ -45,7 +48,8 @@ val find : entry list -> string -> entry option
 val game_entry : string -> entry
 (** Single-game exhaustive sweep ([netform experiments --game]) for any
     registered game, id ["G:"] ^ game: the {!Figures.sweep_game} table
-    and plot at the context's [n], with a sanity check that every
+    and plot at the context's [n] (off the context's source when it
+    carries the game), with a sanity check that every
     observed PoA ratio is ≥ 1.
     @raise Invalid_argument on an unknown game name. *)
 

@@ -7,25 +7,20 @@ type point = {
   bcg : Poa.summary;
 }
 
-let sweep_via ~bcg ~ucg ?(grid = Sweep.paper_grid) () =
+let summarize model alpha graphs = Poa.summarize model ~alpha:(Rat.to_float alpha) graphs
+
+let sweep_source ?(grid = Sweep.paper_grid) source =
   List.map
     (fun c ->
-      let alpha_ucg = c
-      and alpha_bcg = Rat.div c (Rat.of_int 2) in
-      let ucg_graphs = ucg ~alpha:alpha_ucg in
-      let bcg_graphs = bcg ~alpha:alpha_bcg in
+      let alpha_bcg = Rat.div c (Rat.of_int 2) in
       {
         total_link_cost = c;
-        ucg = Poa.summarize Cost.Ucg ~alpha:(Rat.to_float alpha_ucg) ucg_graphs;
-        bcg = Poa.summarize Cost.Bcg ~alpha:(Rat.to_float alpha_bcg) bcg_graphs;
+        ucg = summarize Cost.Ucg c (Source.stable source ~game:"ucg" ~alpha:c);
+        bcg = summarize Cost.Bcg alpha_bcg (Source.stable source ~game:"bcg" ~alpha:alpha_bcg);
       })
     grid
 
-let sweep ~n ?grid () =
-  sweep_via
-    ~bcg:(fun ~alpha -> Equilibria.stable_graphs Game_registry.bcg ~n ~alpha)
-    ~ucg:(fun ~alpha -> Equilibria.stable_graphs Game_registry.ucg ~n ~alpha)
-    ?grid ()
+let sweep ~n ?grid () = sweep_source ?grid (Source.classic n)
 
 (* ---- single-game sweeps (any registered game) ------------------------- *)
 
@@ -36,23 +31,17 @@ type game_point = {
   summary : Poa.summary;
 }
 
-let sweep_game_via (Game.Any (module G)) ~stable ?(grid = Sweep.paper_grid) () =
+let sweep_game (Game.Any (module G)) ?(grid = Sweep.paper_grid) source =
   List.map
     (fun c ->
       let alpha = G.alpha_of_link_cost c in
-      let graphs = stable ~alpha in
       {
         game = G.name;
         link_cost = c;
         alpha;
-        summary = Poa.summarize G.cost_model ~alpha:(Rat.to_float alpha) graphs;
+        summary = summarize G.cost_model alpha (Source.stable source ~game:G.name ~alpha);
       })
     grid
-
-let sweep_game (Game.Any game as packed) ~n ?grid () =
-  sweep_game_via packed
-    ~stable:(fun ~alpha -> Equilibria.stable_graphs game ~n ~alpha)
-    ?grid ()
 
 let fmt_or_dash v = if Float.is_nan v then "-" else Printf.sprintf "%.4f" v
 
@@ -187,3 +176,22 @@ let to_csv points =
            p.bcg.Poa.count p.bcg.Poa.average p.bcg.Poa.worst p.bcg.Poa.average_links))
     points;
   Buffer.contents buf
+
+(* ---- the figure of a source ------------------------------------------- *)
+
+type figure = Pair of point list | Single of game_point list
+
+let figure ?game ?grid source =
+  match (game, Source.content source) with
+  | None, Nf_store.Layout.Classic { with_ucg = true } -> Pair (sweep_source ?grid source)
+  | _ ->
+    let name = Option.value game ~default:(Source.game source) in
+    Single (sweep_game (Game_registry.find_exn name) ?grid source)
+
+let render = function
+  | Pair points ->
+    String.concat "\n"
+      [ figure2_table points; figure2_plot points; figure3_table points; figure3_plot points ]
+  | Single points -> game_table points ^ "\n" ^ game_plot points
+
+let csv = function Pair points -> to_csv points | Single points -> game_csv points

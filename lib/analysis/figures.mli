@@ -12,22 +12,15 @@ type point = {
   bcg : Netform.Poa.summary;  (** over all BCG stable graphs at [α = c/2] *)
 }
 
-val sweep : n:int -> ?grid:Nf_util.Rat.t list -> unit -> point list
-(** Exhaustive equilibrium sweep on [n] players over the grid (default
-    {!Sweep.paper_grid}). *)
+val sweep_source : ?grid:Nf_util.Rat.t list -> Source.t -> point list
+(** The sweep over [grid] (default {!Sweep.paper_grid}) on a source
+    that carries both games: at grid value [c] the UCG stable set at
+    [α = c] and the BCG one at [α = c/2].
+    @raise Invalid_argument when the source lacks either game. *)
 
-val sweep_via :
-  bcg:(alpha:Nf_util.Rat.t -> Nf_graph.Graph.t list) ->
-  ucg:(alpha:Nf_util.Rat.t -> Nf_graph.Graph.t list) ->
-  ?grid:Nf_util.Rat.t list ->
-  unit ->
-  point list
-(** {!sweep} with the equilibrium sets supplied by the caller rather than
-    recomputed — the hook a persistent equilibrium atlas (the [nf_store]
-    query engine) uses to regenerate the figure curves without
-    re-annotating.  The α convention is applied here: at grid value [c]
-    the [ucg] provider is asked for [α = c] and the [bcg] provider for
-    [α = c/2]. *)
+val sweep : n:int -> ?grid:Nf_util.Rat.t list -> unit -> point list
+(** {!sweep_source} over the fresh {!Source.classic} atlas on [n]
+    players: after {!Source.clear_cache}, a cold computation. *)
 
 val figure2_table : point list -> string
 (** α, equilibrium counts, and average PoA per game, as an aligned
@@ -56,20 +49,30 @@ type game_point = {
 }
 
 val sweep_game :
-  Netform.Game.packed -> n:int -> ?grid:Nf_util.Rat.t list -> unit -> game_point list
-(** Exhaustive single-game sweep on [n] players (annotation via
-    {!Equilibria.annotated}, memoized). *)
-
-val sweep_game_via :
-  Netform.Game.packed ->
-  stable:(alpha:Nf_util.Rat.t -> Nf_graph.Graph.t list) ->
-  ?grid:Nf_util.Rat.t list ->
-  unit ->
-  game_point list
-(** {!sweep_game} with the equilibrium sets supplied by the caller (atlas
-    queries, tests). *)
+  Netform.Game.packed -> ?grid:Nf_util.Rat.t list -> Source.t -> game_point list
+(** One game's sweep over a source that carries it.
+    @raise Invalid_argument when it does not. *)
 
 val game_table : game_point list -> string
 val game_plot : game_point list -> string
 val game_csv : game_point list -> string
 (** Header [game,total_link_cost,alpha,count,avg_poa,worst_poa,best_poa,avg_links]. *)
+
+(** {2 The figure of a source} *)
+
+type figure =
+  | Pair of point list  (** the paper's Figure 2/3 pair *)
+  | Single of game_point list  (** one game's curves *)
+
+val figure : ?game:string -> ?grid:Nf_util.Rat.t list -> Source.t -> figure
+(** [game]'s curves over the source, or without [game] the source's own
+    figure: the {!Pair} for a classic BCG+UCG atlas, its one game's
+    curves otherwise.
+    @raise Invalid_argument on an unknown game or one the source does
+    not carry. *)
+
+val render : figure -> string
+(** The tables and plots, one blank line between each. *)
+
+val csv : figure -> string
+(** {!to_csv} or {!game_csv}. *)

@@ -19,6 +19,9 @@ open Pairwise.Frac
    member's ratio equals θ_S, and on [α ≤ θ_S] otherwise — so the stable
    set is a single interval (lo, hi] accumulated exactly like the BCG's
    lo/tied/hi scan, with pair benefits replaced by coalition ratios.
+   No member can free-ride here: a member paying for no new link is
+   already adjacent to every other member, so no new link shortens its
+   paths and Δ_v = 0 — the tie is decided by the paying members alone.
 
    A 2-coalition has a_i = a_j = 1 and no free rider, so θ = min(Δ_i, Δ_j),
    tied iff Δ_i = Δ_j: the BCG's pair rule.  The unilateral deletions are
@@ -58,14 +61,11 @@ let iter_coalitions ~n ~k consider =
    [Some (theta, tied)] per the blocking characterization above. *)
 let coalition_threshold ~members ~new_deg ~delta =
   let theta = ref (inf, 1) and first = ref true and all_eq = ref true in
-  let free = ref false in
   List.iter
     (fun v ->
-      let a = new_deg v and d = delta v in
-      if a = 0 then begin
-        if d <> 0 then free := true
-      end
-      else begin
+      let a = new_deg v in
+      if a > 0 then begin
+        let d = delta v in
         let f = if d = inf then (inf, 1) else (d, a) in
         if !first then begin
           theta := f;
@@ -77,7 +77,7 @@ let coalition_threshold ~members ~new_deg ~delta =
         end
       end)
     members;
-  ((!theta : int * int), (not !free) && !all_eq)
+  ((!theta : int * int), !all_eq)
 
 (* ---- workspace kernel --------------------------------------------------- *)
 

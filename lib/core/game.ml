@@ -10,15 +10,6 @@ module Region = struct
     | Interval : Interval.t kind
     | Union : Interval.Union.t kind
 
-  type ('a, 'b) eq = Equal : ('a, 'a) eq
-
-  let same_kind : type a b. a kind -> b kind -> (a, b) eq option =
-   fun a b ->
-    match (a, b) with
-    | Interval, Interval -> Some Equal
-    | Union, Union -> Some Equal
-    | Interval, Union | Union, Interval -> None
-
   let is_empty : type r. r kind -> r -> bool =
    fun kind r ->
     match kind with
@@ -37,13 +28,12 @@ module Region = struct
     | Interval -> Interval.equal a b
     | Union -> Interval.Union.equal a b
 
-  let to_string : type r. r kind -> r -> string =
-   fun kind r ->
-    match kind with
-    | Interval -> Interval.to_string r
-    | Union -> Interval.Union.to_string r
-
-  let pp kind fmt r = Format.pp_print_string fmt (to_string kind r)
+  let pp : type r. r kind -> Format.formatter -> r -> unit =
+   fun kind fmt r ->
+    Format.pp_print_string fmt
+      (match kind with
+      | Interval -> Interval.to_string r
+      | Union -> Interval.Union.to_string r)
 end
 
 (* An instance name is its family name plus the canonical parameter

@@ -5,7 +5,7 @@
     costs [alpha] at which the graph is in equilibrium (its {e stable
     region}), then sweep that annotation over a cost grid.  This module
     captures the contract a game must satisfy for the whole pipeline —
-    annotation ({!Equilibria}), figures ({!Figures}), the on-disk atlas
+    annotation ([Nf_analysis.Source]), figures, the on-disk atlas
     ({!Nf_store}), improving-path dynamics and the CLI — to work with it
     unchanged.  {!Bcg}, {!Ucg}, {!Transfers} and {!Weighted_bcg} are the
     built-in instances; {!Game_registry} indexes them by name.
@@ -28,23 +28,16 @@ module Interval = Nf_util.Interval
     [Delete (i, j)] and [Delete (j, i)] may be offered for one edge. *)
 type move = Add of int * int | Delete of int * int
 
-(** The two region shapes, as a GADT witness usable for typed cache
-    recovery and generic membership tests. *)
+(** The two region shapes, as a GADT witness for generic membership
+    tests. *)
 module Region : sig
   type 'r kind =
     | Interval : Interval.t kind
     | Union : Interval.Union.t kind
 
-  type ('a, 'b) eq = Equal : ('a, 'a) eq
-
-  val same_kind : 'a kind -> 'b kind -> ('a, 'b) eq option
-  (** [same_kind a b] is [Some Equal] when both witnesses are the same
-      constructor, recovering the type equality. *)
-
   val is_empty : 'r kind -> 'r -> bool
   val mem : 'r kind -> Rat.t -> 'r -> bool
   val equal : 'r kind -> 'r -> 'r -> bool
-  val to_string : 'r kind -> 'r -> string
   val pp : 'r kind -> Format.formatter -> 'r -> unit
 end
 

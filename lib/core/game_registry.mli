@@ -6,7 +6,7 @@
     [adversary] family (degenerate: one default member) and the
     [coalition] family — are registered when this module is initialized,
     which happens whenever any consumer of the registry is linked;
-    downstream layers ({!Nf_analysis.Equilibria} caches, {!Nf_store}
+    downstream layers ({!Nf_analysis.Source} annotations, {!Nf_store}
     schema dispatch, the dynamics and the CLI's [--game] flags) iterate
     or look up here rather than enumerating games by hand, so
     registering a new instance or family is the {e only} wiring a new

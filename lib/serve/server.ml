@@ -55,7 +55,7 @@ let eval service req =
         ])
   | Figure_points { grid } ->
     ok_response [ ("op", Json.Str "figure-points"); ("csv", Json.Str (Service.figure_csv service ?grid ())) ]
-  | Export -> ok_response [ ("op", Json.Str "export"); ("csv", Json.Str (Service.export_csv service)) ]
+  | Export -> ok_response [ ("op", Json.Str "export"); ("csv", Json.Str (Nf_analysis.Dataset.to_csv (Service.source service))) ]
   | Stats ->
     let s = Service.stats service in
     let per_game kvs = Json.Obj (List.map (fun (g, k) -> (g, Json.Int k)) kvs) in

@@ -18,24 +18,22 @@
    (game, n, α-grid); the sweep is deterministic, so a cached CSV is
    byte-identical to a recomputed one.
 
-   The contract is equality with a fresh annotation: a stable-at answer
-   names exactly the classes [Equilibria] finds stable at that α, the
-   figure points are what [Figures.sweep]/[sweep_game] compute with the
-   same default grid, and export is [Dataset.to_csv] of the annotated
-   atlas — bit for bit, since stored regions carry exact endpoints. *)
+   [source] hands the store to every consumer as a
+   [Nf_analysis.Source]: the figure and export ops render it with the
+   same [Figures] and [Dataset] code a fresh annotation goes through, so
+   the contract is equality with a fresh source of the same content. *)
 
 module Layout = Nf_store.Layout
 module Interval = Nf_util.Interval
 module Rat = Nf_util.Rat
 module Figures = Nf_analysis.Figures
-
-type column = Col_interval | Col_union
+module Source = Nf_analysis.Source
 
 (* everything the first pass fills, installed at once *)
 type columns = {
   width : int;  (* every record's graph6 length: one per order *)
   slab : Bytes.t;  (* record i's graph6 at bytes [i*width, (i+1)*width) *)
-  dicts : (column * Alpha_index.t) list;  (* one per column the store carries *)
+  dicts : (Source.column * Alpha_index.t) list;  (* one per column the store carries *)
   by_graph6 : int array;  (* ordinals in ascending graph6 order *)
 }
 
@@ -69,37 +67,14 @@ let locked t f =
 
 let tick_request t = locked t (fun () -> t.requests <- t.requests + 1)
 
-(* the (game, column) pairs the store carries, decided by its content
-   descriptor — the read-side mirror of [Build.annotator_of_content]:
-   classic stores carry "bcg" in the interval column and "ucg" in the
-   union column when built with it; a single-game store carries exactly
-   its own game *)
-let carried t =
-  match Mmap_reader.content t.store with
-  | Layout.Classic { with_ucg } ->
-    ("bcg", Col_interval) :: (if with_ucg then [ ("ucg", Col_union) ] else [])
-  | Layout.Game { union; _ } -> [ (game t, if union then Col_union else Col_interval) ]
-
-(* the game a bare query (no --game) means on this store: the interval
-   column of a classic store, the one game of a single-game store *)
-let default_game t = fst (List.hd (carried t))
-
-(* which carried column answers a requested game, looked up by its
-   canonical name, so any spelling of a store's own instance finds it *)
-let column t ~game:want =
-  let name =
-    match Nf_store.Build.(game_of_content (content_of_game want)) with
-    | name -> name
-    | exception Invalid_argument _ -> want
-  in
-  match List.assoc_opt name (carried t) with
-  | Some col -> col
-  | None -> invalid_arg (Printf.sprintf "store carries %S annotations, not %S" (game t) want)
+let content t = Mmap_reader.content t.store
+let carried t = Source.carried (content t)
+let default_game t = Source.default_game (content t)
 
 let pieces_of col (r : Layout.record) =
   match col with
-  | Col_interval -> [ r.Layout.bcg ]
-  | Col_union -> ( match r.Layout.ucg with Some u -> Interval.Union.to_list u | None -> [])
+  | Source.Col_interval -> [ r.Layout.bcg ]
+  | Source.Col_union -> ( match r.Layout.ucg with Some u -> Interval.Union.to_list u | None -> [])
 
 (* the slots 0 .. count-1 in slab-slice (graph6) order: an LSD radix
    sort, one stable counting pass per byte column, last column first *)
@@ -150,16 +125,16 @@ let columns t =
         if Option.is_none t.columns then t.columns <- Some built;
         Option.get t.columns)
 
-let dict t ~game =
-  let col = column t ~game in
-  List.assoc col (columns t).dicts
+let dict t ~game = List.assoc (Source.column (content t) ~game) (columns t).dicts
 
 let stable_ids t ~game ~alpha = Alpha_index.stable_at (dict t ~game) ~alpha
 
-let stable_slices t ~game ~alpha =
-  let count, iter = Alpha_index.stab (dict t ~game) ~alpha in
+let slices_of t dict ~alpha =
+  let count, iter = Alpha_index.stab dict ~alpha in
   let { slab; width; _ } = columns t in
   { Json.slab; width; count; iter }
+
+let stable_slices t ~game ~alpha = slices_of t (dict t ~game) ~alpha
 
 let find_entry t ~graph6 =
   let { width; slab; by_graph6 = order; _ } = columns t in
@@ -183,32 +158,21 @@ let region_strings t (r : Layout.record) =
     (fun (label, col) ->
       ( label,
         match col with
-        | Col_interval -> Interval.to_string r.Layout.bcg
-        | Col_union ->
+        | Source.Col_interval -> Interval.to_string r.Layout.bcg
+        | Source.Col_union ->
           Interval.Union.to_string (Option.value ~default:Interval.Union.empty r.Layout.ucg) ))
     (carried t)
 
-let stable_graphs t ~game ~alpha =
-  List.map Nf_graph.Graph6.decode (Json.slice_strings (stable_slices t ~game ~alpha))
-
-type figures = Classic of Figures.point list | Single of Figures.game_point list
-
-(* classic dual stores sweep the paper's Figure 2/3 pair; every other
-   store sweeps its own game's curves *)
-let figures t ?grid () =
-  match Mmap_reader.content t.store with
-  | Layout.Classic { with_ucg = true } ->
-    Classic
-      (Figures.sweep_via
-         ~bcg:(fun ~alpha -> stable_graphs t ~game:"bcg" ~alpha)
-         ~ucg:(fun ~alpha -> stable_graphs t ~game:"ucg" ~alpha)
-         ?grid ())
-  | Layout.Classic { with_ucg = false } | Layout.Game _ ->
-    let name = game t in
-    Single
-      (Figures.sweep_game_via (Netform.Game_registry.find_exn name)
-         ~stable:(fun ~alpha -> stable_graphs t ~game:name ~alpha)
-         ?grid ())
+(* the store as a source: the CRC-checked record walk, and stable sets
+   decoded off the graph6 slab by the column's region dictionary *)
+let source ?game t =
+  Option.iter (fun game -> ignore (Source.column (content t) ~game)) game;
+  Source.stored ~n:(n t) ~content:(content t)
+    ~iter:(fun f ->
+      Mmap_reader.iter t.store (fun _ r -> f (Nf_graph.Graph6.decode r.Layout.graph6) r))
+    ~stable:(fun col alpha ->
+      List.map Nf_graph.Graph6.decode
+        (Json.slice_strings (slices_of t (List.assoc col (columns t).dicts) ~alpha)))
 
 let figure_csv t ?grid () =
   let grid_list = match grid with Some g -> g | None -> Nf_analysis.Sweep.paper_grid in
@@ -225,27 +189,9 @@ let figure_csv t ?grid () =
   match hit with
   | Some csv -> csv
   | None ->
-    let csv =
-      match figures t ~grid:grid_list () with
-      | Classic points -> Figures.to_csv points
-      | Single points -> Figures.game_csv points
-    in
+    let csv = Figures.csv (Figures.figure ~grid:grid_list (source t)) in
     locked t (fun () -> Hashtbl.replace t.figure_cache key csv);
     csv
-
-(* the stored atlas as the [Dataset] entries a fresh annotation builds,
-   so [Dataset.to_csv] emits the same bytes as [annotate] *)
-let export_csv t =
-  let entries = ref [] in
-  Mmap_reader.iter t.store (fun _ r ->
-      entries :=
-        {
-          Nf_analysis.Dataset.graph = Nf_graph.Graph6.decode r.Layout.graph6;
-          bcg_stable = r.Layout.bcg;
-          ucg_nash = r.Layout.ucg;
-        }
-        :: !entries);
-  Nf_analysis.Dataset.to_csv (List.rev !entries)
 
 type stats = {
   records : int;

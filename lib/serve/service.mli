@@ -9,12 +9,12 @@
     and the ordinals sorted by graph6 for [entry] lookups ({!stats}
     reports their [resident_bytes]).  Next to them sits
     the deterministic figure-sweep response cache keyed by
-    [(game, n, α-grid)].  Equality with a fresh annotation is the
-    contract: stable-at names exactly the classes
-    {!Nf_analysis.Equilibria} finds stable, figures are the
-    {!Nf_analysis.Figures} sweep, export is [Dataset.to_csv] of the
-    annotated atlas.  All functions are safe to call concurrently from
-    pool domains. *)
+    [(game, n, α-grid)].  {!source} hands the store to the figure and
+    export code as an {!Nf_analysis.Source.t}, the value a fresh
+    annotation is too: the figure CSV is {!Nf_analysis.Figures.figure}
+    of it and the export {!Nf_analysis.Dataset.to_csv}, so both equal
+    what a fresh source of the same content renders.  All functions are
+    safe to call concurrently from pool domains. *)
 
 type t
 
@@ -42,8 +42,6 @@ val stable_slices : t -> game:string -> alpha:Nf_util.Rat.t -> Json.slices
 (** The graph6 strings of {!stable_ids} as slices of the graph6 slab:
     no chunk decode, no per-graph allocation. *)
 
-val stable_graphs : t -> game:string -> alpha:Nf_util.Rat.t -> Nf_graph.Graph.t list
-
 val find_entry : t -> graph6:string -> (int * Nf_store.Layout.record) option
 (** Exact-string lookup of a stored representative: a binary search
     over the ordinals sorted by their slab slice, then the record off
@@ -53,26 +51,19 @@ val region_strings : t -> Nf_store.Layout.record -> (string * string) list
 (** The [(label, exact region)] pairs a record renders as — one per
     column the store carries. *)
 
-type figures =
-  | Classic of Nf_analysis.Figures.point list
-      (** a classic BCG+UCG store: the paper's Figure 2/3 pair *)
-  | Single of Nf_analysis.Figures.game_point list
-      (** any other store: its own game's curves *)
-
-val figures : t -> ?grid:Nf_util.Rat.t list -> unit -> figures
-(** The figure-sweep points over [grid] (default
-    {!Nf_analysis.Sweep.paper_grid}), read from the stored regions via
-    [Figures.sweep_via]/[sweep_game_via] — equal to a fresh
-    [Figures.sweep]/[sweep_game].  Not cached. *)
+val source : ?game:string -> t -> Nf_analysis.Source.t
+(** The store as an annotated-class source: its fold is the
+    CRC-checked {!Mmap_reader.iter} pass (graph6 decoded per record),
+    its stable sets come off the region dictionaries and the graph6
+    slab.  With [~game], the column check runs first, so a caller can
+    refuse a game the store does not carry before printing anything.
+    @raise Invalid_argument as {!stable_ids}. *)
 
 val figure_csv : t -> ?grid:Nf_util.Rat.t list -> unit -> string
-(** {!figures} rendered by [Figures.to_csv] or [Figures.game_csv],
-    served from the response cache when the (game, n, grid) key was
-    already swept. *)
-
-val export_csv : t -> string
-(** The store as the annotate CSV atlas: byte-identical to
-    [Dataset.to_csv] over a fresh annotation of the same game. *)
+(** [Figures.csv (Figures.figure ?grid (source t))]: the store's own
+    figure, the Figure 2/3 pair on a classic BCG+UCG store and its one
+    game's curves otherwise.  Served from the response cache when the
+    (game, n, grid) key was already swept. *)
 
 val tick_request : t -> unit
 (** Count a protocol request (called by the server per line). *)

@@ -40,6 +40,15 @@ let game_of_content = function
     | Some g -> Game.name g
     | None -> Printf.sprintf "unknown(tag %d)" tag)
 
+(* What an atlas of [n] vertices carries: one registered game, or the
+   classic layout whose UCG column defaults to [n <= 7] *)
+let content ?game ?with_ucg n =
+  match game with
+  | None -> Layout.Classic { with_ucg = Option.value ~default:(n <= 7) with_ucg }
+  | Some name ->
+    if Option.is_some with_ucg then invalid_arg "pass either a game (--game) or with_ucg (--ucg), not both";
+    content_of_game name
+
 (* One workspace borrow covers the whole record: the worker domain's
    resident kernel scratch is reused for every record it processes, and
    one sweep-tier detection ([Game.sweep_symmetry]) covers every region
@@ -82,19 +91,37 @@ let annotator_of_content = function
         failwith
           (Printf.sprintf "store region shape contradicts game %S (tag %d)" G.name tag)))
 
-(* The sweep: stream connected classes in chunks off the enumeration
-   engine (never materializing the level), annotate each chunk across the
-   domain pool, and append it.  Chunk boundaries come from the header's
-   chunk size, so a resumed run regenerates exactly the chunks the
-   interrupted one would have written next — the enumeration order and
-   the annotation are deterministic, which makes resume byte-exact. *)
+(* The one chunked annotation pipeline: stream connected classes in
+   chunks off the enumeration engine (never materializing the level) and
+   annotate each chunk across the domain pool.  [f i graphs records]
+   receives chunk [i]; chunks below [skip] are enumerated but not
+   annotated.  Chunked fan-out of a pure per-graph function preserves
+   input order, so the records are the same whatever the pool width or
+   chunk size. *)
+let iter_annotated ?(skip = 0) ?shard ~chunk content n f =
+  let annotate_record = annotator_of_content content in
+  let iter_chunked =
+    match shard with
+    | None -> Nf_enum.Unlabeled.iter_connected_chunked ~chunk n
+    | Some shard -> Nf_enum.Unlabeled.iter_connected_sharded ~chunk ~shard n
+  in
+  let ci = ref 0 in
+  iter_chunked (fun graphs ->
+      let i = !ci in
+      incr ci;
+      if i >= skip then f i graphs (Pool.parallel_map_array annotate_record graphs))
+
+(* The build: append each annotated chunk.  Chunk boundaries come from
+   the header's chunk size, so a resumed run regenerates exactly the
+   chunks the interrupted one would have written next — the enumeration
+   order and the annotation are deterministic, which makes resume
+   byte-exact. *)
 let run ~writer ~skip_chunks ~report =
   let header = writer.Writer.header in
   let n = header.Layout.n
   and content = header.Layout.content
   and chunk = header.Layout.chunk_size
   and shard = header.Layout.shard in
-  let annotate_record = annotator_of_content content in
   let start = Unix.gettimeofday () in
   let resumed_records = writer.Writer.records in
   (* shard builds meter against the shard's own expected size (exact at
@@ -109,23 +136,12 @@ let run ~writer ~skip_chunks ~report =
       (Nf_enum.Unlabeled.shard_total ~shard n, Printf.sprintf "[%d/%d] " i k)
   in
   let meter = Stats.Progress.create ?total ~initial:resumed_records ~now:Unix.gettimeofday () in
-  let iter_chunked =
-    match shard with
-    | None -> Nf_enum.Unlabeled.iter_connected_chunked ~chunk n
-    | Some shard -> Nf_enum.Unlabeled.iter_connected_sharded ~chunk ~shard n
-  in
-  let ci = ref 0 in
-  iter_chunked (fun graphs ->
-      let i = !ci in
-      incr ci;
-      if i >= skip_chunks then begin
-        let records = Pool.parallel_map_array annotate_record graphs in
-        Writer.append_chunk writer records;
-        Stats.Progress.tick meter (Array.length graphs);
-        report
-          (Printf.sprintf "%schunk %d: %d classes annotated  %s" prefix i (Array.length graphs)
-             (Stats.Progress.line meter))
-      end);
+  iter_annotated ~skip:skip_chunks ?shard ~chunk content n (fun i graphs records ->
+      Writer.append_chunk writer records;
+      Stats.Progress.tick meter (Array.length graphs);
+      report
+        (Printf.sprintf "%schunk %d: %d classes annotated  %s" prefix i (Array.length graphs)
+           (Stats.Progress.line meter)));
   Writer.finalize writer;
   {
     path = writer.Writer.final_path;
@@ -152,14 +168,7 @@ let build ?game ?with_ucg ?shard ?(chunk = 512) ?(force = false) ?(report = igno
              Layout.max_shards);
       Some (i, k)
   in
-  let content =
-    match game with
-    | None -> Layout.Classic { with_ucg = Option.value ~default:(n <= 7) with_ucg }
-    | Some name ->
-      if Option.is_some with_ucg then
-        invalid_arg "Build.build: pass either ~game or ~with_ucg, not both";
-      content_of_game name
-  in
+  let content = content ?game ?with_ucg n in
   if Sys.file_exists path && not force then
     failwith (Printf.sprintf "%s already exists (pass force to rebuild)" path);
   let writer = Writer.create ~path ~header:{ Layout.n; content; chunk_size = chunk; shard } in

@@ -45,9 +45,9 @@ val build :
   unit ->
   outcome
 (** Build a fresh store at [path].  Without [~game], a classic store
-    whose [with_ucg] defaults to [n <= 7] (matching
-    {!Nf_analysis.Dataset.build}); with [~game], a store for that
-    registered game ([with_ucg] must then be omitted).  [chunk] is the
+    whose [with_ucg] defaults to [n <= 7]; with [~game], a store for
+    that registered game ([with_ucg] must then be omitted) — the
+    {!content} both select.  [chunk] is the
     records-per-chunk fan-out unit (default 512).  Any stale part file
     is discarded.
 
@@ -63,6 +63,31 @@ val build :
     [~game] is unknown, both [~game] and [~with_ucg] are given, or the
     shard is outside [1 <= i <= k <= 16].
     @raise Failure when [path] already exists and [force] is not set. *)
+
+val content : ?game:string -> ?with_ucg:bool -> int -> Layout.content
+(** What an atlas on [n] vertices carries: [~game]'s content
+    ({!content_of_game}), else the classic layout with the UCG column
+    when [with_ucg] (default [n <= 7]).
+    @raise Invalid_argument on an unknown game, or when both are given. *)
+
+val iter_annotated :
+  ?skip:int ->
+  ?shard:int * int ->
+  chunk:int ->
+  Layout.content ->
+  int ->
+  (int -> Nf_graph.Graph.t array -> Layout.record array -> unit) ->
+  unit
+(** [iter_annotated ~chunk content n f]: the one chunked annotation
+    pipeline, shared by store builds and fresh [Nf_analysis.Source]s.
+    Streams every connected class on [n] vertices (of shard [~shard]
+    only, when given) in chunks of [chunk], annotates each chunk across
+    the {!Nf_util.Pool} domains with the per-record annotator a store of
+    [content] writes with (one sweep-tier symmetry detection and one
+    kernel workspace borrow per graph, covering every region of the
+    record), and calls [f i graphs records] per chunk [i] in stream
+    order.  Chunks below [skip] (default 0) are enumerated but neither
+    annotated nor passed to [f]. *)
 
 val resume : ?report:(string -> unit) -> path:string -> unit -> outcome
 (** Continue an interrupted build from [path ^ ".part"].

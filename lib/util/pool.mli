@@ -58,7 +58,7 @@ val default_jobs : unit -> int
 val default : unit -> t
 (** The process-wide default pool, created on first use with
     {!default_jobs} width and shut down automatically at exit.  Library
-    entry points ({!Nf_enum.Unlabeled}, [Nf_analysis.Equilibria], the
+    entry points ({!Nf_enum.Unlabeled}, [Nf_analysis.Source], the
     experiment sweeps) all route through this pool, so [NETFORM_JOBS=1]
     forces the whole library onto the sequential path. *)
 

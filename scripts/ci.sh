@@ -192,8 +192,16 @@ echo "transfers n=7 store: quotient on and off byte-identical"
 # including an example member of each parameterized family — e.g.
 # coalition:k=2 — so families are smoke-tested end to end, parameter
 # bytes in the store header included, without touching this script).
-echo "== game registry smoke (annotate + store build/verify, every game, both pool widths) =="
+echo "== game registry smoke (annotate + store build/verify/export/sweep/query, every game, both pool widths) =="
 games=$(dune exec bin/netform_cli.exe -- games --names)
+# sweep_cmp STORED_ARGS FRESH_ARGS: `sweep --store $store` and a fresh
+# `sweep -n 5` write the same --csv
+sweep_cmp() {
+  dune exec bin/netform_cli.exe -- sweep --store "$store" $1 \
+    --csv "$store_dir/sweep_stored.csv" > /dev/null
+  dune exec bin/netform_cli.exe -- sweep -n 5 $2 --csv "$store_dir/sweep_fresh.csv" > /dev/null
+  cmp "$store_dir/sweep_stored.csv" "$store_dir/sweep_fresh.csv"
+}
 [ -n "$games" ] || { echo "game registry smoke: empty registry" >&2; exit 1; }
 for game in $games; do
   for jobs in 1 4; do
@@ -218,6 +226,23 @@ for game in $games; do
     cmp "$store_dir/${game}_j$jobs.nfs" "$store_dir/${game}_nq_j$jobs.nfs"
   done
   echo "game registry smoke ($game): quotient on/off byte-identical (both pool widths)"
+  # One source of annotated classes: the store read back through export,
+  # sweep and query gives what the fresh annotation gives.  Export is the
+  # annotate CSV; the stored sweep is the fresh one, with --game and
+  # without (a BCG+UCG store's own figure is the Figure 2/3 pair, which
+  # `sweep` without --game computes); query at three α needs no --game.
+  store="$store_dir/${game}_j1.nfs"
+  dune exec bin/netform_cli.exe -- store export "$store" -o "$store_dir/${game}_export.csv" \
+    > /dev/null
+  cmp "$store_dir/${game}_j1.csv" "$store_dir/${game}_export.csv"
+  own_figure="--game $game"
+  [ "$game" != ucg ] || own_figure=""
+  sweep_cmp "" "$own_figure"
+  sweep_cmp "--game $game" "--game $game"
+  for alpha in 1/2 2 8; do
+    dune exec bin/netform_cli.exe -- store query "$store" --alpha "$alpha" > /dev/null
+  done
+  echo "game registry smoke ($game): store export, sweep and query = fresh annotate and sweep"
 done
 
 # Sharded-build acceptance: for every registered game at n=6 and both

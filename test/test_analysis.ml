@@ -1,4 +1,4 @@
-(* Tests for nf_analysis: grids, equilibrium caches, figure sweeps, and
+(* Tests for nf_analysis: grids, annotated-class sources, figure sweeps, and
    the experiment table's self-checks. *)
 
 module Rat = Nf_util.Rat
@@ -21,36 +21,40 @@ let test_sweep_grid () =
       ignore (Sweep.dyadic 0.1));
   check_int "log grid size" 7 (List.length (Sweep.log_floats ~lo:0.5 ~hi:32.0 ~points:7))
 
+let bcg5 = Source.of_game "bcg" 5
+
 let test_equilibria_bcg_counts () =
-  (* at α = 1/2 only the complete graph is stable; at α = 1 every
-     diameter-<=2 connected graph with no redundant... just check known
-     endpoints *)
-  check_int "n=5 alpha=1/2" 1
-    (List.length (Equilibria.bcg_stable_graphs ~n:5 ~alpha:(Rat.make 1 2)));
-  check_bool "n=5 alpha=2 several" true
-    (List.length (Equilibria.bcg_stable_graphs ~n:5 ~alpha:(Rat.of_int 2)) > 1);
-  (* every reported graph is indeed stable *)
+  (* at α = 1/2 only the complete graph is stable; at α = 2 several are,
+     and every reported graph is indeed stable *)
+  let stable alpha = Source.stable bcg5 ~game:"bcg" ~alpha in
+  check_int "n=5 alpha=1/2" 1 (List.length (stable (Rat.make 1 2)));
+  check_bool "n=5 alpha=2 several" true (List.length (stable (Rat.of_int 2)) > 1);
   List.iter
     (fun g ->
       check_bool "reported stable" true
         (Netform.Bcg.is_pairwise_stable ~alpha:(Rat.of_int 2) g))
-    (Equilibria.bcg_stable_graphs ~n:5 ~alpha:(Rat.of_int 2))
+    (stable (Rat.of_int 2))
 
 let test_equilibria_ucg_counts () =
   check_int "n=4 alpha=1/2 only complete" 1
-    (List.length (Equilibria.ucg_nash_graphs ~n:4 ~alpha:(Rat.make 1 2)));
+    (List.length (Source.stable (Source.classic 4) ~game:"ucg" ~alpha:(Rat.make 1 2)));
   List.iter
     (fun g ->
       check_bool "reported nash" true (Netform.Ucg.is_nash_graph ~alpha:(Rat.of_int 2) g))
-    (Equilibria.ucg_nash_graphs ~n:5 ~alpha:(Rat.of_int 2))
+    (Source.stable (Source.classic 5) ~game:"ucg" ~alpha:(Rat.of_int 2))
 
 let test_ever_stable_subset () =
-  let all = Equilibria.bcg_annotated 5 in
-  let ever = Equilibria.bcg_ever_stable 5 in
-  check_bool "ever-stable is a subset" true (List.length ever <= List.length all);
+  let all = Source.fold bcg5 (fun k _ _ -> k + 1) 0 in
+  let ever =
+    Source.fold bcg5
+      (fun acc g r -> if Interval.is_empty r.Nf_store.Layout.bcg then acc else g :: acc)
+      []
+  in
+  check_int "21 classes" 21 all;
+  check_bool "ever-stable is a subset" true (List.length ever <= all);
   List.iter
-    (fun (_, set) -> check_bool "nonempty" true (not (Interval.is_empty set)))
-    ever
+    (fun g -> check_bool "stable at 2: ever stable" true (List.exists (Nf_graph.Graph.equal g) ever))
+    (Source.stable bcg5 ~game:"bcg" ~alpha:(Rat.of_int 2))
 
 let test_figures_sweep () =
   let points = Figures.sweep ~n:5 ~grid:[ Rat.make 1 2; Rat.of_int 2; Rat.of_int 8 ] () in
@@ -66,7 +70,8 @@ let test_figures_sweep () =
   check_int "csv lines" 4 (List.length (String.split_on_char '\n' (String.trim csv)))
 
 (* one entry of the experiment table, run at n = 5 *)
-let run_entry id = (Option.get (Experiments.find Experiments.table id)).run (Experiments.context 5)
+let run_entry id =
+  (Option.get (Experiments.find Experiments.table id)).run (Experiments.context (Source.classic 5))
 
 let test_experiment_checks_pass () =
   (* the cheap experiments self-validate *)
@@ -120,12 +125,11 @@ let test_transfers_equilibria () =
     (fun g ->
       check_bool "reported transfer-stable" true
         (Netform.Transfers.is_stable ~alpha:(Rat.of_int 2) g))
-    (Equilibria.transfers_stable_graphs ~n:5 ~alpha:(Rat.of_int 2))
+    (Source.stable (Source.of_game "transfers" 5) ~game:"transfers" ~alpha:(Rat.of_int 2))
 
 let test_transfers_stable_graphs_complete () =
-  (* transfers_stable_graphs is sound AND complete: it equals filtering
-     the full enumeration by the certifier, and agrees with the generic
-     registry route it is now a wrapper over *)
+  (* a transfers source's stable set is sound AND complete: it equals
+     filtering the full enumeration by the certifier *)
   let alphas = [ Rat.make 1 2; Rat.one; Rat.make 3 2; Rat.of_int 2; Rat.of_int 5 ] in
   List.iter
     (fun n ->
@@ -135,24 +139,14 @@ let test_transfers_stable_graphs_complete () =
           let label what =
             Printf.sprintf "n=%d alpha=%s %s" n (Rat.to_string alpha) what
           in
-          let reported = Equilibria.transfers_stable_graphs ~n ~alpha in
+          let reported = Source.stable (Source.of_game "transfers" n) ~game:"transfers" ~alpha in
           let expected = List.filter (Netform.Transfers.is_stable ~alpha) all in
           check_int (label "count") (List.length expected) (List.length reported);
           List.iter2
             (fun a b ->
               check_bool (label "same graphs, enumeration order") true
                 (Nf_graph.Graph.equal a b))
-            expected reported;
-          let generic =
-            Equilibria.stable_graphs_packed
-              (Netform.Game.Any Netform.Game_registry.transfers)
-              ~n ~alpha
-          in
-          check_int (label "registry route agrees") (List.length reported)
-            (List.length generic);
-          List.iter2
-            (fun a b -> check_bool (label "registry graphs") true (Nf_graph.Graph.equal a b))
-            reported generic)
+            expected reported)
         alphas)
     [ 4; 5 ]
 
@@ -171,7 +165,8 @@ let read_and_remove path =
 let test_cli_game_sweep_roundtrip () =
   (* `netform sweep --game transfers --csv` must emit exactly the CSV the
      library produces for the same sweep — the CLI is a thin shell over
-     Figures.sweep_game, not a second implementation. *)
+     Figures.sweep_game over a fresh source, not a second
+     implementation. *)
   check_bool "CLI binary built" true (Sys.file_exists cli);
   let csv_path = Filename.temp_file "netform_sweep" ".csv" in
   let log_path = Filename.temp_file "netform_sweep" ".log" in
@@ -185,7 +180,8 @@ let test_cli_game_sweep_roundtrip () =
   check_int ("sweep exit status; output:\n" ^ log) 0 status;
   let expected =
     Figures.game_csv
-      (Figures.sweep_game (Netform.Game_registry.find_exn "transfers") ~n:5 ())
+      (Figures.sweep_game (Netform.Game_registry.find_exn "transfers")
+         (Source.of_game "transfers" 5))
   in
   Alcotest.(check string) "CLI csv = library csv" expected from_cli
 
@@ -252,13 +248,27 @@ let test_cli_experiments_store () =
     "error: store carries \"bcg\" annotations only; Figures 2/3 need a BCG+UCG store\n" err
 
 let test_cli_store_errors () =
-  (* every command that reads a store refuses a missing one, and sweep's
-     Figure 2/3 path a store without the UCG column, before printing
-     anything: exit 2, empty stdout, one "error: ..." line *)
+  (* every command that reads a store refuses a missing or truncated one,
+     and a game the store does not carry or the registry does not know,
+     before printing anything: exit 2, empty stdout, one "error: ..."
+     line.  (store export reads the store's own game: it has no --game.) *)
   let missing = Filename.temp_file "netform_missing" ".nfs" in
   Sys.remove missing;
-  let bcg_only = build_store ~game:"bcg" 5 in
+  let transfers = build_store ~game:"transfers" 5 in
+  let truncated = Filename.temp_file "netform_truncated" ".nfs" in
+  (let whole = read_and_remove (build_store ~game:"bcg" 5) in
+   Out_channel.with_open_bin truncated (fun oc ->
+       output_string oc (String.sub whole 0 (String.length whole * 2 / 3))));
+  let q = Filename.quote in
   let no_file = Printf.sprintf "error: No such file or directory: open %s\n" missing in
+  let not_carried game =
+    Printf.sprintf "error: store carries \"transfers\" annotations, not %S\n" game
+  in
+  let cut =
+    Printf.sprintf
+      "error: %s: incomplete store (0 records in 0 complete chunks; resume the build)\n"
+      truncated
+  in
   List.iter
     (fun (args, message) ->
       let status, out, err = run_cli args in
@@ -266,38 +276,54 @@ let test_cli_store_errors () =
       Alcotest.(check string) (args ^ ": no stdout") "" out;
       Alcotest.(check string) (args ^ ": message") message err)
     [
-      ("sweep --store " ^ Filename.quote missing, no_file);
-      ("sweep --game bcg --store " ^ Filename.quote missing, no_file);
-      ("store query --alpha 1 " ^ Filename.quote missing, no_file);
-      ("store export " ^ Filename.quote missing, no_file);
-      ( "sweep --store " ^ Filename.quote bcg_only,
-        "error: store carries \"bcg\" annotations only; Figures 2/3 need a BCG+UCG store\n" );
+      ("sweep --store " ^ q missing, no_file);
+      ("sweep --game bcg --store " ^ q missing, no_file);
+      ("store query --alpha 1 " ^ q missing, no_file);
+      ("store export " ^ q missing, no_file);
+      ("query --export " ^ q missing, no_file);
+      ("sweep --game ucg --store " ^ q transfers, not_carried "ucg");
+      ("sweep --game nope --store " ^ q transfers, not_carried "nope");
+      ("sweep --store " ^ q truncated, cut);
+      ("store query --alpha 2 --game ucg " ^ q transfers, not_carried "ucg");
+      ("store query --alpha 2 --game nope " ^ q transfers, not_carried "nope");
+      ("store query --alpha 2 " ^ q truncated, cut);
+      ("store export " ^ q truncated, cut);
+      ("query --stable-at 2 --game ucg " ^ q transfers, not_carried "ucg");
+      ("query --stable-at 2 --game nope " ^ q transfers, not_carried "nope");
+      ("query --export " ^ q truncated, cut);
     ];
-  Sys.remove bcg_only
+  Sys.remove transfers;
+  Sys.remove truncated
 
 let test_dataset_roundtrip () =
   let module Dataset = Nf_analysis.Dataset in
-  let entries = Dataset.build 5 in
-  check_int "21 classes" 21 (List.length entries);
-  let text = Dataset.to_csv entries in
-  let reloaded = Dataset.of_csv text in
-  check_int "roundtrip length" (List.length entries) (List.length reloaded);
+  let source = Source.classic 5 in
+  let records = List.rev (Source.fold source (fun acc g r -> (g, r) :: acc) []) in
+  check_int "21 classes" 21 (List.length records);
+  let reloaded = Dataset.of_csv (Dataset.to_csv source) in
+  check_int "roundtrip length" (List.length records) (List.length reloaded);
   List.iter2
-    (fun a b ->
-      check_bool "graph roundtrip" true (Nf_graph.Graph.equal a.Dataset.graph b.Dataset.graph);
-      check_bool "stable roundtrip" true (Interval.equal a.Dataset.bcg_stable b.Dataset.bcg_stable);
+    (fun (g, (r : Nf_store.Layout.record)) b ->
+      check_bool "graph roundtrip" true (Nf_graph.Graph.equal g b.Dataset.graph);
+      check_bool "stable roundtrip" true (Interval.equal r.Nf_store.Layout.bcg b.Dataset.bcg_stable);
       check_bool "nash roundtrip" true
-        (match (a.Dataset.ucg_nash, b.Dataset.ucg_nash) with
+        (match (r.Nf_store.Layout.ucg, b.Dataset.ucg_nash) with
         | Some u1, Some u2 -> Interval.Union.equal u1 u2
         | None, None -> true
         | Some _, None | None, Some _ -> false))
-    entries reloaded;
+    records reloaded;
   (* file round trip *)
   let path = Filename.temp_file "netform" ".csv" in
-  Dataset.save ~path entries;
+  Dataset.save ~path source;
   let from_file = Dataset.load ~path in
   Sys.remove path;
-  check_int "file roundtrip" (List.length entries) (List.length from_file)
+  check_int "file roundtrip" (List.length records) (List.length from_file);
+  (* a single-game atlas: one column named after the game, same syntax *)
+  Alcotest.(check (list string))
+    "transfers header and first row"
+    [ "graph6,n,m,transfers_stable"; "Ds_,5,4,[1;inf)" ]
+    (List.filteri (fun i _ -> i < 2)
+       (String.split_on_char '\n' (Dataset.to_csv (Source.of_game "transfers" 5))))
 
 let test_dataset_interval_syntax () =
   let module Dataset = Nf_analysis.Dataset in

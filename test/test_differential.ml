@@ -6,7 +6,8 @@
    sharing nothing with the production paths) or, where one production
    path is pinned to another, that path: the unquotiented scan for the
    orbit rows, the BCG for the uniform-weight rows, the hand-written hot
-   scans for the shared Pairwise fold.
+   scans for the shared Pairwise fold, and a fresh source for the
+   stored one.
    A newly registered game gets its registry rows with no test changes,
    and fails them until its family has an oracle. *)
 
@@ -25,15 +26,17 @@ type row =
       group : string;
       name : string;
       speed : Alcotest.speed_level;
-      corpus : unit -> Graph.t list;
-      fast : Graph.t -> 'b;
-      reference : Graph.t -> 'b;
+      corpus : unit -> 'a list;
+      label : 'a -> string;
+      fast : 'a -> 'b;
+      reference : 'a -> 'b;
       equal : 'b Alcotest.testable;
     }
       -> row
 
+(* a row over graphs, each labeled by its graph6 *)
 let row ?(speed = `Quick) ~group ~name ~corpus ~fast ~reference equal =
-  Row { group; name; speed; corpus; fast; reference; equal }
+  Row { group; name; speed; corpus; label = Nf_graph.Graph6.encode; fast; reference; equal }
 
 (* a row whose corpus came out empty would pass without checking
    anything, so it fails instead *)
@@ -41,10 +44,7 @@ let case (Row r) =
   Alcotest.test_case r.name r.speed (fun () ->
       match r.corpus () with
       | [] -> Alcotest.failf "%s %s: empty corpus" r.group r.name
-      | gs ->
-        List.iter
-          (fun g -> Alcotest.check r.equal (Nf_graph.Graph6.encode g) (r.reference g) (r.fast g))
-          gs)
+      | xs -> List.iter (fun x -> Alcotest.check r.equal (r.label x) (r.reference x) (r.fast x)) xs)
 
 (* rows grouped in order of first appearance *)
 let suites rows =
@@ -333,7 +333,68 @@ let named_rows =
         @ [ Nf_graph.Graph6.decode "H}dl@dE" ]);
   ]
 
+(* ---- stored source = fresh source, every registered game ----------------- *)
+
+(* A game's n = 5 store read back through Service against a fresh source
+   of the same content: the fold, the stable set of every carried game at
+   every paper-grid α, the atlas CSV and the figure CSVs, byte for byte.
+   Each corpus item is one view of a source, rendered to a string. *)
+let source_row (Game.Any (module G)) =
+  let n = 5 in
+  let content = Nf_store.Build.content_of_game G.name in
+  let stored =
+    lazy
+      (let path = Filename.temp_file "netform_source" ".nfs" in
+       at_exit (fun () -> if Sys.file_exists path then Sys.remove path);
+       ignore (Nf_store.Build.build ~game:G.name ~force:true ~path ~n ());
+       Nf_serve.Service.source (Nf_serve.Service.create ~path ()))
+  in
+  let graph6s graphs = String.concat "," (List.map Nf_graph.Graph6.encode graphs) in
+  let fold source =
+    String.concat "\n"
+      (List.rev
+         (Nf_analysis.Source.fold source
+            (fun acc g (r : Nf_store.Layout.record) ->
+              Printf.sprintf "%s %s %s %s" (Nf_graph.Graph6.encode g) r.Nf_store.Layout.graph6
+                (Interval.to_string r.Nf_store.Layout.bcg)
+                (Option.fold ~none:"-" ~some:Interval.Union.to_string r.Nf_store.Layout.ucg)
+              :: acc)
+            []))
+  in
+  let figure ?game source = Nf_analysis.Figures.(csv (figure ?game source)) in
+  let views =
+    [
+      ("fold", fold);
+      ("atlas csv", Nf_analysis.Dataset.to_csv);
+      ("figure csv", fun source -> figure source);
+      (G.name ^ " figure csv", figure ~game:G.name);
+    ]
+    @ List.concat_map
+        (fun (game, _) ->
+          List.map
+            (fun alpha ->
+              ( Printf.sprintf "%s stable at %s" game (Rat.to_string alpha),
+                fun source -> graph6s (Nf_analysis.Source.stable source ~game ~alpha) ))
+            Nf_analysis.Sweep.paper_grid)
+        (Nf_analysis.Source.carried content)
+  in
+  Row
+    {
+      group = "source";
+      name = G.name ^ " stored = fresh";
+      speed = `Quick;
+      corpus = (fun () -> views);
+      label = fst;
+      fast = (fun (_, view) -> view (Lazy.force stored));
+      reference = (fun (_, view) -> view (Nf_analysis.Source.fresh content n));
+      equal = Alcotest.string;
+    }
+
 let () =
   let games = Game_registry.ci_instances () in
   Alcotest.run "nf_differential"
-    (suites (named_rows @ List.concat_map orbit_rows games @ List.concat_map game_rows games))
+    (suites
+       (named_rows
+       @ List.concat_map orbit_rows games
+       @ List.concat_map game_rows games
+       @ List.map source_row games))

@@ -1,31 +1,31 @@
-(* The orbit quotient's memo and flag (DESIGN.md §11): the per-chunk
-   symmetry memo's lifecycle, and the pooled annotation path list-identical
+(* The fresh-source memo and the orbit-quotient flag (DESIGN.md §11):
+   the memo's lifecycle, and the pooled annotation path list-identical
    with the quotient off and on.  Every registered annotator is held to
    the unquotiented scan in test_differential.ml. *)
 
 module Graph = Nf_graph.Graph
 module Sym = Nf_iso.Symmetry
 module E = Nf_analysis.Equilibria
+module Source = Nf_analysis.Source
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-(* ---- the per-chunk symmetry memo (satellite: clear_cache coverage) ---- *)
+(* ---- the fresh-source memo: one annotation per (content, n) ---- *)
+
+(* the first record a source folds over: a memo hit hands out the very
+   same record, a recomputation a fresh one *)
+let first_record source =
+  Option.get (Source.fold source (fun acc _ r -> if acc = None then Some r else acc) None)
 
 let test_memo_lifecycle () =
-  Sym.set_quotient_enabled false;
   E.clear_cache ();
-  ignore (E.bcg_annotated 5);
-  check_int "quotient off: no memo entries" 0 (E.orbit_memo_size ());
+  let r = first_record (Source.of_game "bcg" 5) in
+  check_bool "same content: the memoized annotation" true
+    (r == first_record (Source.of_game "bcg" 5));
+  check_bool "other content: its own annotation" false (r == first_record (Source.classic 5));
   E.clear_cache ();
-  Sym.set_quotient_enabled true;
-  ignore (E.bcg_annotated 5);
-  check_bool "quotient on: memo populated" true (E.orbit_memo_size () > 0);
-  let size = E.orbit_memo_size () in
-  ignore (E.transfers_annotated 5);
-  check_int "second game reuses the chunk memo" size (E.orbit_memo_size ());
-  E.clear_cache ();
-  check_int "clear_cache drops the memo" 0 (E.orbit_memo_size ())
+  check_bool "clear_cache drops the memo" false (r == first_record (Source.of_game "bcg" 5))
 
 let test_flag_parity () =
   (* the pooled annotate path itself, flag off vs on, must be

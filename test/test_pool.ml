@@ -127,7 +127,9 @@ let test_enumeration_parity () =
 let test_annotation_parity () =
   let run () =
     ( Nf_analysis.Equilibria.bcg_annotated 6,
-      Nf_analysis.Equilibria.transfers_annotated 5,
+      Nf_analysis.Source.fold (Nf_analysis.Source.of_game "transfers" 5)
+        (fun acc g r -> (g, r.Nf_store.Layout.bcg) :: acc)
+        [],
       Nf_analysis.Equilibria.ucg_annotated 4 )
   in
   let bcg_s, transfers_s, ucg_s = under_default_jobs 1 run in

@@ -363,16 +363,16 @@ let store_endpoints (entries : Layout.record array) =
 (* --- satellite 3: boundary differential, every registered game ---------- *)
 
 (* at every distinct region endpoint (exactly), between consecutive
-   endpoints, and outside the endpoint span, three independent answers
-   must agree: the α-interval index, a linear scan of the same store's
-   records, and a fresh Equilibria sweep *)
+   endpoints, and outside the endpoint span, the α-interval index and
+   the graph6 slab must agree with a linear scan of the same store's
+   records (test_differential.ml's per-game rows hold the store's
+   source to a fresh one) *)
 let test_boundary_differential () =
   List.iter
     (fun game_name ->
       with_store ~game:game_name ~chunk:8 5 (fun path ->
           let header, records = channel_records path in
           let service = Service.create ~path () in
-          let packed = Netform.Game_registry.find_exn game_name in
           let endpoints = store_endpoints records in
           check_bool (game_name ^ " has finite endpoints") true (Array.length endpoints > 0);
           List.iter
@@ -382,13 +382,9 @@ let test_boundary_differential () =
                 (Printf.sprintf "%s ids at %s" game_name (Rat.to_string alpha))
                 (scan_ids header records ~game:game_name ~alpha)
                 served;
-              let fresh =
-                List.map Graph6.encode
-                  (Nf_analysis.Equilibria.stable_graphs_packed packed ~n:5 ~alpha)
-              in
               check_strings
                 (Printf.sprintf "%s graphs at %s" game_name (Rat.to_string alpha))
-                fresh
+                (List.map (fun i -> records.(i).Layout.graph6) served)
                 (Json.slice_strings (Service.stable_slices service ~game:game_name ~alpha)))
             (probes_of_endpoints endpoints)))
     (List.map Netform.Game.name (Netform.Game_registry.ci_instances ()))
@@ -453,18 +449,14 @@ let test_service_query_parity () =
         (Json.to_string (Protocol.error_response rejected))
         (Json.to_string
            (Server.respond s (Protocol.Stable_at { game = Some "transfers"; alpha = Rat.one })));
-      (* figures and export against a fresh annotation, and the figure
-         cache *)
-      let fresh_figures = Nf_analysis.Figures.to_csv (Nf_analysis.Figures.sweep ~n:5 ()) in
-      check_string "figure csv" fresh_figures (Service.figure_csv s ());
+      (* the figure cache (test_differential.ml holds the figure and
+         export CSVs to a fresh source's) *)
+      let figures = Service.figure_csv s () in
       let stats0 = Service.stats s in
-      check_string "figure csv (cached)" fresh_figures (Service.figure_csv s ());
+      check_string "figure csv (cached)" figures (Service.figure_csv s ());
       let stats1 = Service.stats s in
       check_int "cache hit counted" (stats0.Service.figure_cache_hits + 1)
         stats1.Service.figure_cache_hits;
-      check_string "export csv"
-        (Nf_analysis.Dataset.to_csv (Nf_analysis.Dataset.build 5))
-        (Service.export_csv s);
       (* entry lookup round-trips every stored graph6 *)
       Array.iteri
         (fun i (r : Layout.record) ->
@@ -480,10 +472,10 @@ let test_service_game_store_figures () =
   with_store ~game:"transfers" ~chunk:8 5 (fun path ->
       let s = Service.create ~path () in
       check_string "default game" "transfers" (Service.default_game s);
-      check_string "game figure csv"
-        (Nf_analysis.Figures.game_csv
-           (Nf_analysis.Figures.sweep_game (Netform.Game_registry.find_exn "transfers") ~n:5 ()))
-        (Service.figure_csv s ()))
+      (* the store's own figure is its game's curves, not the pair *)
+      check_string "game figure csv header"
+        "game,total_link_cost,alpha,count,avg_poa,worst_poa,best_poa,avg_links"
+        (List.hd (String.split_on_char '\n' (Service.figure_csv s ()))))
 
 (* stable_slices reads the graph6 slab; it must name exactly the
    records a linear scan picks, at every distinct endpoint, just off
@@ -854,6 +846,8 @@ let test_daemon_end_to_end () =
         (fun () ->
           wait_for_socket sock;
           let _, entries = channel_records path in
+          (* the in-process answers the wire must reproduce *)
+          let local = Service.create ~path () in
           (* four concurrent connections, used interleaved *)
           let clients = List.init 4 (fun _ -> Client.connect sock) in
           let alphas = [ Rat.make 1 2; Rat.one; Rat.make 3 2; Rat.of_int 2 ] in
@@ -864,7 +858,7 @@ let test_daemon_end_to_end () =
               check_bool "ok" true (Protocol.response_ok resp);
               check_strings
                 (Printf.sprintf "stable at %s over the wire" (Rat.to_string alpha))
-                (List.map Graph6.encode (Nf_analysis.Equilibria.bcg_stable_graphs ~n:5 ~alpha))
+                (Json.slice_strings (Service.stable_slices local ~game:"bcg" ~alpha))
                 (expect_strings resp "graphs"))
             clients;
           (* the same connections again, out of the order they were opened *)
@@ -877,11 +871,11 @@ let test_daemon_end_to_end () =
           let c0 = List.hd clients in
           let fig = Client.request c0 (Protocol.Figure_points { grid = None }) in
           check_string "figures over the wire"
-            (Nf_analysis.Figures.to_csv (Nf_analysis.Figures.sweep ~n:5 ()))
+            (Service.figure_csv local ())
             (expect_str fig "csv");
           let exp = Client.request c0 Protocol.Export in
           check_string "export over the wire"
-            (Nf_analysis.Dataset.to_csv (Nf_analysis.Dataset.build 5))
+            (Nf_analysis.Dataset.to_csv (Service.source local))
             (expect_str exp "csv");
           let entry_g6 = entries.(3).Layout.graph6 in
           let ent = Client.request c0 (Protocol.Entry { graph6 = entry_g6 }) in
