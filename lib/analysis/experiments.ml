@@ -407,12 +407,14 @@ let e9_prop5_trees ~id ctx =
     let conj_ok = ref true
     and conj_total = ref 0
     and conj_nash = ref 0 in
+    (* a "ucg" source is the classic BCG+UCG content: the record holds
+       the BCG region next to the Nash set *)
     Source.iter (source_at ctx ~game:"ucg" cn) (fun g r ->
         let nash = Option.get r.Nf_store.Layout.ucg in
         incr conj_total;
         if not (Interval.Union.is_empty nash) then begin
           incr conj_nash;
-          let stable = Bcg.stable_alpha_set g in
+          let stable = r.Nf_store.Layout.bcg in
           List.iter
             (fun piece ->
               if not (Interval.subset piece stable) then begin

@@ -18,14 +18,15 @@ module Interval = Nf_util.Interval
    the BCG's integer thresholds replaced by exact fractions whose
    denominators are the edge counts before/after the toggle.
 
-   Threshold conventions mirror [Bcg.ibenefit]/[Bcg.iloss]: an addition
-   that connects a disconnected player has benefit +∞; when the player is
-   disconnected both before and after, the distance part is 0 and the
-   separation term still compares exactly; a deletion whose endpoint is
-   disconnected on either side has loss +∞ (never improving).  In a
-   connected graph every benefit and loss is ≥ 0 — adding an edge never
-   creates a bridge and grows m, deleting one never destroys a bridge —
-   so the region is an interval (lo, hi] ∩ (0, ∞] just as in the BCG.
+   Threshold conventions mirror [Pairwise.ibenefit]/[Pairwise.iloss]:
+   an addition that connects a disconnected player has benefit +∞; when
+   the player is disconnected both before and after, the distance part
+   is 0 and the separation term still compares exactly; a deletion whose
+   endpoint is disconnected on either side has loss +∞ (never
+   improving).  In a connected graph every benefit and loss is ≥ 0 —
+   adding an edge never creates a bridge and grows m, deleting one never
+   destroys a bridge — so the region is an interval (lo, hi] ∩ (0, ∞]
+   just as in the BCG.
 
    Exactness bound: threshold-vs-threshold comparisons cross-multiply
    numerators bounded by n³ with denominators up to m(m+1), which fits
@@ -74,25 +75,23 @@ let separation_sums_ws ws =
 
 (* ---- pricing ------------------------------------------------------------
    One all-sources sweep for the base distance sums, the edge count and
-   one lowpoint DFS for the base separation sums; per toggle two
-   single-source sweeps plus one lowpoint DFS for the toggled state's
-   separation sums (which serves both endpoints at once).  Distance sums,
-   m and separation sums are invariant under automorphisms, so the
+   one lowpoint DFS for the base separation sums; per priced endpoint one
+   single-source sweep, and per toggle one lowpoint DFS for the toggled
+   state's separation sums, run by i's call and kept for j's.  Distance
+   sums, m and separation sums are invariant under automorphisms, so the
    annotator prices one pair per orbit. *)
 let price ws =
   let base = Kernel.all_distance_sums ws in
   let m = edge_count_ws ws in
   let sep = separation_sums_ws ws in
-  fun i j ->
-    let sep' = separation_sums_ws ws in
+  let sep' = ref sep in
+  fun i j v ->
+    if v = i then sep' := separation_sums_ws ws;
     let threshold, m' =
       if Kernel.has_edge ws i j then (benefit_frac, m + 1) else (loss_frac, m - 1)
     in
-    let at v =
-      threshold ~base:base.(v) ~after:(Kernel.distance_sum_from ws v) ~sep:sep.(v)
-        ~sep':sep'.(v) ~m ~m'
-    in
-    (at i, at j)
+    threshold ~base:base.(v) ~after:(Kernel.distance_sum_from ws v) ~sep:sep.(v)
+      ~sep':!sep'.(v) ~m ~m'
 
 let stable_alpha_set_sym_ws ws sym g = Pairwise.stable_interval price ws sym g
 

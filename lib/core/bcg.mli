@@ -30,7 +30,8 @@ val stability_interval : Nf_graph.Graph.t -> Nf_util.Interval.t
 (** The paper's characterization [(α_min, α_max]] (Lemma 2:
     [α_min = max] over missing links of the less-interested endpoint's
     benefit, [α_max = min] over edge endpoints of {!severance_loss}),
-    intersected with [α > 0]. *)
+    intersected with [α > 0]: {!stable_alpha_set} with its lower end
+    opened. *)
 
 val stable_alpha_set : Nf_graph.Graph.t -> Nf_util.Interval.t
 (** The exact set of positive link costs at which the graph is pairwise
@@ -43,18 +44,19 @@ val stable_alpha_set_sym_ws :
   Nf_graph.Kernel.t -> Nf_iso.Symmetry.t -> Nf_graph.Graph.t -> Nf_util.Interval.t
 (** {!stable_alpha_set} against a caller-provided kernel workspace — the
     path used by chunked annotation, where one workspace per domain is
-    reused across every graph in a chunk — toggling one
-    representative pair per orbit of the given automorphism subgroup
-    ({!Nf_iso.Symmetry.iter_pair_reps}; the per-pair benefit/loss
-    multisets are orbit-invariant).  The result is the same for any
-    subgroup of [Aut(g)]; [Symmetry.trivial n] scans every pair.
+    reused across every graph in a chunk: {!Pairwise.stable_interval}
+    fed {!price}, which prices one representative pair per orbit of the
+    given automorphism subgroup (the per-pair benefit/loss multisets are
+    orbit-invariant).  The result is the same for any subgroup of
+    [Aut(g)]; [Symmetry.trivial n] scans every pair.
     {!stable_alpha_set} passes {!Game.sweep_symmetry}. *)
 
 val price : Pairwise.pricing
-(** The BCG's {!Pairwise.pricing}: each endpoint's distance-sum decrease
+(** The BCG's {!Pairwise.pricing}: the endpoint's distance-sum decrease
     (addition) or increase (deletion) at the toggled pair, over 1, with
-    the infinity conventions of {!addition_benefit} and
-    {!severance_loss}. *)
+    the infinity conventions of {!Pairwise.ibenefit} and
+    {!Pairwise.iloss} (those of {!addition_benefit} and
+    {!severance_loss}); one single-source sweep per priced endpoint. *)
 
 val is_pairwise_stable : alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> bool
 (** Literal Definition 3 at an exact link cost ({!Pairwise.is_stable}). *)

@@ -13,7 +13,7 @@ open Pairwise.Frac
      ∀ v∈S:  α·a_v ≤ Δ_v      and      ∃ v∈S:  α·a_v < Δ_v,
 
    where a_v counts v's new links and Δ_v is v's distance-cost decrease
-   (with the [Bcg.ibenefit] infinity conventions).  With θ_S the minimum
+   (with the [Pairwise.ibenefit] infinity conventions).  With θ_S the minimum
    of Δ_v/a_v over paying members, S blocks exactly on [α < θ_S] when no
    member free-rides (some a_v = 0 with Δ_v > 0) and every paying
    member's ratio equals θ_S, and on [α ≤ θ_S] otherwise — so the stable
@@ -40,8 +40,6 @@ open Pairwise.Frac
    study enumerates. *)
 
 let inf = Kernel.inf
-
-let ibenefit ~base after = if base = inf then (if after = inf then 0 else inf) else base - after
 
 (* Enumerate subsets of {0..n-1} of size 3..k (members
    accumulated in decreasing order) and hand each to [consider]. *)
@@ -88,7 +86,7 @@ let scan_coalition_ws ws base members pairs =
   let new_deg v =
     List.fold_left (fun c (u, w) -> if u = v || w = v then c + 1 else c) 0 pairs
   in
-  let delta v = ibenefit ~base:base.(v) (Kernel.distance_sum_from ws v) in
+  let delta v = Pairwise.ibenefit ~base:base.(v) (Kernel.distance_sum_from ws v) in
   let r = coalition_threshold ~members ~new_deg ~delta in
   List.iter (fun (u, w) -> Kernel.toggle ws u w) pairs;
   r

@@ -1,8 +1,6 @@
-module Graph = Nf_graph.Graph
 module Bfs = Nf_graph.Bfs
+module Kernel = Nf_graph.Kernel
 module Ext_int = Nf_util.Ext_int
-module Rat = Nf_util.Rat
-module Interval = Nf_util.Interval
 
 type profile = {
   name : string;
@@ -23,79 +21,30 @@ let distance_cost profile g i =
     dist;
   if !disconnected then Ext_int.Inf else Ext_int.Fin !total
 
-let addition_benefit profile g i j =
-  if Graph.has_edge g i j then invalid_arg "Distance_utility.addition_benefit: edge present";
-  let before = distance_cost profile g i
-  and after = distance_cost profile (Graph.add_edge g i j) i in
-  match before, after with
-  | Ext_int.Fin b, Ext_int.Fin a -> Ext_int.Fin (b - a)
-  | Ext_int.Inf, Ext_int.Fin _ -> Ext_int.Inf
-  | Ext_int.Inf, Ext_int.Inf -> Ext_int.Fin 0
-  | Ext_int.Fin _, Ext_int.Inf -> assert false
-
-let severance_loss profile g i j =
-  if not (Graph.has_edge g i j) then
-    invalid_arg "Distance_utility.severance_loss: not an edge";
-  let before = distance_cost profile g i
-  and after = distance_cost profile (Graph.remove_edge g i j) i in
-  match before, after with
-  | Ext_int.Fin b, Ext_int.Fin a -> Ext_int.Fin (a - b)
-  | Ext_int.Fin _, Ext_int.Inf -> Ext_int.Inf
-  | Ext_int.Inf, _ -> Ext_int.Inf
-
-let pair_benefit profile g i j =
-  Ext_int.min (addition_benefit profile g i j) (addition_benefit profile g j i)
-
-let endpoint_of_ext = function
-  | Ext_int.Fin k -> Interval.Finite (Rat.of_int k)
-  | Ext_int.Inf -> Interval.Pos_inf
-
-let positive = Interval.open_closed Rat.zero Interval.Pos_inf
+(* The BCG's pricing with Σ f(d) in place of the distance sum: a
+   player's cost is read off its kernel distance row, Kernel.inf when
+   some vertex is out of reach, and its benefit or loss follows the
+   Pairwise.ibenefit/iloss conventions, over 1.  Costs depend on the
+   distance multiset only, so the annotator prices one pair per orbit. *)
+let price profile ws =
+  let n = Kernel.order ws in
+  let cost v =
+    if Kernel.distances_from ws v = Kernel.inf then Kernel.inf
+    else begin
+      let rows = Kernel.distance_rows ws and total = ref 0 in
+      for w = 0 to n - 1 do
+        total := !total + profile.f (Bytes.get_uint16_ne rows (2 * ((v * n) + w)))
+      done;
+      !total
+    end
+  in
+  let base = Array.init n cost in
+  fun i j v ->
+    let after = cost v in
+    if Kernel.has_edge ws i j then (Pairwise.ibenefit ~base:base.(v) after, 1)
+    else (Pairwise.iloss ~base:base.(v) after, 1)
 
 let stable_alpha_set profile g =
-  let lo = ref (Ext_int.Fin 0) in
-  Graph.iter_non_edges g (fun i j -> lo := Ext_int.max !lo (pair_benefit profile g i j));
-  let hi = ref Ext_int.Inf in
-  Graph.iter_edges g (fun i j ->
-      hi := Ext_int.min !hi (severance_loss profile g i j);
-      hi := Ext_int.min !hi (severance_loss profile g j i));
-  let lo_closed =
-    match !lo with
-    | Ext_int.Inf -> false
-    | Ext_int.Fin _ ->
-      let closed = ref true in
-      Graph.iter_non_edges g (fun i j ->
-          if Ext_int.equal (pair_benefit profile g i j) !lo then
-            if
-              not
-                (Ext_int.equal (addition_benefit profile g i j)
-                   (addition_benefit profile g j i))
-            then closed := false);
-      !closed
-  in
-  Interval.inter positive
-    (Interval.make ~lo:(endpoint_of_ext !lo) ~lo_closed ~hi:(endpoint_of_ext !hi)
-       ~hi_closed:true)
+  Kernel.with_ws (fun ws -> Pairwise.stable_interval (price profile) ws (Game.sweep_symmetry g) g)
 
-let rat_lt alpha = function
-  | Ext_int.Inf -> true
-  | Ext_int.Fin k -> Rat.(alpha < of_int k)
-
-let rat_le alpha = function
-  | Ext_int.Inf -> true
-  | Ext_int.Fin k -> Rat.(alpha <= of_int k)
-
-let is_pairwise_stable profile ~alpha g =
-  let deletions_ok = ref true in
-  Graph.iter_edges g (fun i j ->
-      if not (rat_le alpha (severance_loss profile g i j)) then deletions_ok := false;
-      if not (rat_le alpha (severance_loss profile g j i)) then deletions_ok := false);
-  !deletions_ok
-  &&
-  let additions_ok = ref true in
-  Graph.iter_non_edges g (fun i j ->
-      let bi = addition_benefit profile g i j
-      and bj = addition_benefit profile g j i in
-      if (rat_lt alpha bi && rat_le alpha bj) || (rat_lt alpha bj && rat_le alpha bi)
-      then additions_ok := false);
-  !additions_ok
+let is_pairwise_stable profile ~alpha g = Pairwise.is_stable (price profile) ~alpha g

@@ -6,8 +6,10 @@
     module re-runs the bilateral stability analysis for any nondecreasing
     integer-valued [f]: player [i]'s cost is [α|s_i| + Σ_j f(d(i,j))].
 
-    All thresholds remain integers, so the exact-interval machinery of
-    {!Bcg} carries over verbatim. *)
+    All thresholds remain integers, and the game is pairwise like the
+    BCG: a profile is one {!Pairwise.pricing} over the kernel's distance
+    rows, and its region and certifier are {!Pairwise.stable_interval}
+    and {!Pairwise.is_stable}. *)
 
 type profile = {
   name : string;
@@ -33,12 +35,11 @@ val connectivity : profile
 val distance_cost : profile -> Nf_graph.Graph.t -> int -> Nf_util.Ext_int.t
 (** [Σ_j f(d(i,j))], infinite when some vertex is unreachable. *)
 
-val addition_benefit : profile -> Nf_graph.Graph.t -> int -> int -> Nf_util.Ext_int.t
-val severance_loss : profile -> Nf_graph.Graph.t -> int -> int -> Nf_util.Ext_int.t
-
 val stable_alpha_set : profile -> Nf_graph.Graph.t -> Nf_util.Interval.t
 (** Exact pairwise-stable region under [f], with the same tie handling as
     {!Bcg.stable_alpha_set}.  For [linear] this equals
     [Bcg.stable_alpha_set] (property-tested). *)
 
 val is_pairwise_stable : profile -> alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> bool
+(** Definition 3 at an exact link cost under [f]
+    ({!Pairwise.is_stable}). *)

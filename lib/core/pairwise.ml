@@ -27,26 +27,31 @@ module Frac = struct
   let positive = Interval.open_closed Rat.zero Interval.Pos_inf
 end
 
+let ibenefit ~base after = if base = inf then (if after = inf then 0 else inf) else base - after
+let iloss ~base after = if base = inf || after = inf then inf else after - base
+
 open Frac
 
-type pricing = Kernel.t -> int -> int -> Frac.t * Frac.t
+type pricing = Kernel.t -> int -> int -> int -> Frac.t
 
-(* The pricing function is a closure called once per pair, and the dev
-   profile compiles each module against the .cmi files of the others
-   only (no cross-module inlining), so every [at i j] below is a real
-   call.  That is noise next to the two distance sweeps each pair costs,
-   but it is why the two quotiented annotation scans, Bcg.scan_stability_ws
-   and Transfers.scan_ws, keep their own inline loops. *)
+(* The pricing function is a closure called once per priced endpoint,
+   and the dev profile compiles each module against the .cmi files of
+   the others only (no cross-module inlining), so every [at i j v] below
+   is a real call returning a fresh fraction.  Against an inline integer
+   loop that costs about a tenth of the BCG annotation time at n = 9;
+   the sweeps the fold skips, and its early stop, win it back. *)
 
 let addition_blocks alpha ti tj =
   (frac_lt_alpha alpha ti && frac_le_alpha alpha tj)
   || (frac_lt_alpha alpha tj && frac_le_alpha alpha ti)
 
+(* both endpoints, i first, with the pair toggled *)
 let price_toggled ws at i j =
   Kernel.toggle ws i j;
-  let t = at i j in
+  let ti = at i j i in
+  let tj = at i j j in
   Kernel.toggle ws i j;
-  t
+  (ti, tj)
 
 (* every pair i < j in lexicographic order — the trivial subgroup's
    case of the one pair traversal — with [present] read before the
@@ -83,33 +88,50 @@ let improving_moves price ~alpha g =
           else if addition_blocks alpha ti tj then adds := Game.Add (i, j) :: !adds);
       !dels @ !adds)
 
-(* α_min is the running max of min(b_i, b_j) over missing links, with a
+(* α_min is the running max of min(t_i, t_j) over missing links, with a
    flag recording whether every pair attaining it is a tie (a new strict
    maximum resets the flag, an equal one refines it); α_max is the
    running min of the endpoint losses.  Every update is
    order-independent, and an automorphism carrying {i,j} to {σi,σj}
    carries the threshold pair along with it, so one representative per
-   orbit contributes every value its orbit would.  The twin flag is not
-   used: [at] prices both endpoints anyway. *)
+   orbit contributes every value its orbit would.  j is priced only
+   when it can still move the fold:
+   - an addition with t_i < α_min has min(t_i, t_j) < α_min, so it can
+     neither raise the max nor tie it;
+   - a deletion once α_max ≤ 0 leaves the region empty whatever t_j is;
+   - a twin pair has the transposition (i j) in the subgroup, so
+     t_j = t_i exactly and the attaining pair ties.
+   α_min only grows and α_max only shrinks, so once α_max < α_min or
+   α_max ≤ 0 the region is empty whatever the remaining pairs price, and
+   the scan stops. *)
 let stable_interval price ws sym g =
   Kernel.load ws g;
   let at = price ws in
   let lo = ref (0, 1) and tied = ref true and hi = ref (inf, 1) in
-  Symmetry.iter_pair_reps sym (fun i j _twin ->
-      let present = Kernel.has_edge ws i j in
-      let ti, tj = price_toggled ws at i j in
-      if present then begin
-        if frac_lt ti !hi then hi := ti;
-        if frac_lt tj !hi then hi := tj
-      end
-      else begin
-        let m = frac_min ti tj in
-        if frac_lt !lo m then begin
-          lo := m;
-          tied := frac_eq ti tj
-        end
-        else if frac_eq m !lo && not (frac_eq ti tj) then tied := false
-      end);
+  (try
+     Symmetry.iter_pair_reps sym (fun i j twin ->
+         let present = Kernel.has_edge ws i j in
+         Kernel.toggle ws i j;
+         let ti = at i j i in
+         if present then begin
+           if frac_lt ti !hi then hi := ti;
+           if (not twin) && frac_lt (0, 1) !hi then begin
+             let tj = at i j j in
+             if frac_lt tj !hi then hi := tj
+           end
+         end
+         else if not (frac_lt ti !lo) then begin
+           let tj = if twin then ti else at i j j in
+           let m = frac_min ti tj in
+           if frac_lt !lo m then begin
+             lo := m;
+             tied := frac_eq ti tj
+           end
+           else if frac_eq m !lo && not (frac_eq ti tj) then tied := false
+         end;
+         Kernel.toggle ws i j;
+         if frac_lt !hi !lo || not (frac_lt (0, 1) !hi) then raise_notrace Exit)
+   with Exit -> ());
   (* Interval.make opens an infinite end, so an ∞ α_min needs no guard *)
   Interval.inter positive
     (Interval.make ~lo:(endpoint_of_frac !lo) ~lo_closed:!tied

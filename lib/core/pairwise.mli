@@ -1,14 +1,15 @@
 (** The pair-move core shared by the pairwise games (BCG, transfers,
-    weighted BCG, adversary).
+    weighted BCG, adversary, the distance-utility profiles).
 
     Definition 3 fixes one deviation rule for all of them: a missing link
     [(i, j)] is added when one endpoint strictly gains and the other
     weakly gains, and a link is cut when either endpoint strictly gains
     from cutting it.  A game differs from another only in how it
     {e prices} a toggled pair — each endpoint's exact threshold in [α] —
-    so a game supplies one {!pricing} function and this module writes the
-    consent rule, the point certifier, the improving-move list and the
-    stable-interval fold once for every game.
+    so a game supplies one endpoint-wise {!pricing} function and this
+    module writes the consent rule, the point certifier, the
+    improving-move list and the stable-interval fold once for every
+    game.
 
     Thresholds are exact fractions compared by integer
     cross-multiplication; see {!Frac}. *)
@@ -34,14 +35,34 @@ module Frac : sig
   (** [(0, +∞)]: link costs are positive. *)
 end
 
-type pricing = Nf_graph.Kernel.t -> int -> int -> Frac.t * Frac.t
+val ibenefit : base:int -> int -> int
+(** [ibenefit ~base after] is a player's integer saving from an added
+    link, its cost [base] before the addition and [after] it, with
+    {!Nf_graph.Kernel.inf} for [+∞]: [+∞] when the link connects the
+    player, [0] when it stays disconnected.  The integer thresholds of
+    every distance-sum game use this convention. *)
+
+val iloss : base:int -> int -> int
+(** [iloss ~base after] is a player's integer loss from a severed link:
+    [+∞] when the player is disconnected on either side (severing never
+    strictly helps it then). *)
+
+type pricing = Nf_graph.Kernel.t -> int -> int -> int -> Frac.t
 (** [price ws] prepares the per-graph state of the graph loaded in [ws]
     (base distance sums, and whatever else the cost model needs) and
-    returns [at].  [at i j] (with [i < j]) is called while the pair
-    [(i, j)] is toggled in [ws] and returns both endpoints' thresholds
-    [(t_i, t_j)]: each endpoint's benefit when the toggle added the edge
-    ([Kernel.has_edge ws i j] now holds), its loss when the toggle removed
-    it.  [at] must not leave the workspace changed. *)
+    returns [at].  [at i j v] (with [i < j] and [v] one of them) is
+    called while the pair [(i, j)] is toggled in [ws] and returns
+    endpoint [v]'s threshold: its benefit when the toggle added the edge
+    ([Kernel.has_edge ws i j] now holds), its loss when the toggle
+    removed it.  [at] must not leave the workspace changed.
+
+    Per toggle, [at i j i] is always called first and [at i j j] at most
+    once after it, before the pair is toggled back: {!is_stable} and
+    {!improving_moves} price both endpoints, and {!stable_interval}
+    skips [j]'s call whenever [j] cannot move the region.  So a pricing
+    may carry work from [i]'s call to [j]'s within one toggle (the
+    transfers joint sum, the adversary's toggled-state separation sums),
+    but no call may rely on an earlier call for [j]. *)
 
 val addition_blocks : Nf_util.Rat.t -> Frac.t -> Frac.t -> bool
 (** The bilateral consent predicate: a missing link with benefits
@@ -71,11 +92,14 @@ val stable_interval :
   Nf_graph.Graph.t ->
   Nf_util.Interval.t
 (** The exact stable region on a borrowed workspace (the graph is
-    loaded here): [α_min] is the max over missing links of [min(b_i, b_j)]
+    loaded here): [α_min] is the max over missing links of [min(t_i, t_j)]
     — the left end is closed exactly when every attaining pair ties,
-    [b_i = b_j] — and [α_max] the min over edge endpoints of the loss,
+    [t_i = t_j] — and [α_max] the min over edge endpoints of the loss,
     intersected with {!Frac.positive}.  One representative pair per orbit
     of the given automorphism subgroup is priced
     ({!Nf_iso.Symmetry.iter_pair_reps}), which is sound when the pricing
     is isomorphism-invariant; a pricing indexed by player identity must
-    be given [Symmetry.trivial n]. *)
+    be given [Symmetry.trivial n].  [j] is priced only when it can still
+    move the fold: not for an addition whose [t_i] is below the running
+    [α_min], not for a deletion once [α_max ≤ 0], and not for a twin pair
+    of the subgroup, whose [t_j] is [t_i]. *)

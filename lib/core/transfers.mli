@@ -17,12 +17,12 @@ val stable_alpha_set : Nf_graph.Graph.t -> Nf_util.Interval.t
 val stable_alpha_set_sym_ws :
   Nf_graph.Kernel.t -> Nf_iso.Symmetry.t -> Nf_graph.Graph.t -> Nf_util.Interval.t
 (** {!stable_alpha_set} against a caller-provided kernel workspace (the
-    chunked-annotation path), toggling one representative pair per orbit
-    of the given automorphism subgroup
-    ({!Nf_iso.Symmetry.iter_pair_reps}; joint benefits/losses are
-    orbit-invariant).  The result is the same for any subgroup of
-    [Aut(g)]; [Symmetry.trivial n] scans every pair.
-    {!stable_alpha_set} passes {!Game.sweep_symmetry}. *)
+    chunked-annotation path): {!Pairwise.stable_interval} fed {!price},
+    which prices one representative pair per orbit of the given
+    automorphism subgroup (joint benefits/losses are orbit-invariant).
+    The result is the same for any subgroup of [Aut(g)];
+    [Symmetry.trivial n] scans every pair.  {!stable_alpha_set} passes
+    {!Game.sweep_symmetry}. *)
 
 val price : Pairwise.pricing
 (** Transfers as a {!Pairwise.pricing}: an addition is priced at the
@@ -30,7 +30,8 @@ val price : Pairwise.pricing
     over 2 for [i] and [+∞] for [j].  Under the bilateral rule this is
     exactly the joint rule — add when the joint benefit exceeds [2α], cut
     when the joint loss falls below it, one [Delete (i, j)] ([i < j]) per
-    such edge. *)
+    such edge.  [i]'s call runs both endpoints' sweeps and carries the
+    joint sum to [j]'s call on the same toggle. *)
 
 val is_stable : alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> bool
 (** Direct definition at an exact link cost; agrees with membership in

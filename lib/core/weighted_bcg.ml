@@ -21,9 +21,7 @@ let weights_of ~weight n =
 let price ~weight ws =
   let w = weights_of ~weight (Kernel.order ws) in
   let at = Bcg.price ws in
-  fun i j ->
-    let (ki, _), (kj, _) = at i j in
-    ((ki, w.(i)), (kj, w.(j)))
+  fun i j v -> (fst (at i j v), w.(v))
 
 let stable_alpha_set_ws ~weight ws g =
   Pairwise.stable_interval (price ~weight) ws (Nf_iso.Symmetry.trivial (Graph.order g)) g

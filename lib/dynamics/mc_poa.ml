@@ -5,6 +5,7 @@ module Prng = Nf_util.Prng
 module Rat = Nf_util.Rat
 module Pool = Nf_util.Pool
 module Theory = Netform.Theory
+module Pairwise = Netform.Pairwise
 
 (* Large-n Monte-Carlo price-of-anarchy estimation for the bilateral
    connection game.
@@ -86,10 +87,6 @@ let baseline_cost ~cost_model ~alpha n =
 (* closed-form optimum (Lemma 4/5): min of star and clique social cost —
    2α(n−1) + 2(n−1)² vs αn(n−1) + n(n−1), i.e. the BCG baseline *)
 let optimum_cost ~alpha n = baseline_cost ~cost_model:Netform.Cost.Bcg ~alpha n
-
-(* same integer benefit/loss algebra as [Bcg] *)
-let ibenefit ~base after = if base = inf then (if after = inf then 0 else inf) else base - after
-let iloss ~base after = if base = inf || after = inf then inf else after - base
 
 (* splitmix-style spread of the base seed so per-trial streams are
    independent of each other and of how trials land on domains *)
@@ -266,10 +263,10 @@ let run_trial ~n ~alpha ~max_evals ~init_p ~seed index =
                already decide the move — lazily skipping roughly half
                the sweeps without changing the predicate. *)
             Kernel.toggle ws i j;
-            let li = iloss ~base:bi_base (Kernel.distance_sum_from ws i) in
+            let li = Pairwise.iloss ~base:bi_base (Kernel.distance_sum_from ws i) in
             let improving =
               (not (le li))
-              || not (le (iloss ~base:bj_base (Kernel.distance_sum_from ws j)))
+              || not (le (Pairwise.iloss ~base:bj_base (Kernel.distance_sum_from ws j)))
             in
             if improving then begin
               decr m;
@@ -287,11 +284,11 @@ let run_trial ~n ~alpha ~max_evals ~init_p ~seed index =
                [(lt bi && le bj) || (lt bj && le bi)], priced from the
                rows with no toggle.  When [le bi] fails both disjuncts
                are dead (lt ⊆ le), so [j]'s pass is skipped. *)
-            let bi = ibenefit ~base:bi_base (sum_through oi oj) in
+            let bi = Pairwise.ibenefit ~base:bi_base (sum_through oi oj) in
             let improving =
               le bi
               &&
-              let bj = ibenefit ~base:bj_base (sum_through oj oi) in
+              let bj = Pairwise.ibenefit ~base:bj_base (sum_through oj oi) in
               (lt bi && le bj) || (lt bj && le bi)
             in
             if improving then begin

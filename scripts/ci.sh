@@ -133,15 +133,20 @@ for id in E1 E2; do
 done
 echo "experiments --store: E1 and E2 from the n=7 store byte-identical to a fresh sweep"
 
-# UCG bytes at n=8 and the coalition-k layering at n=7, each with the
-# quotient on and off: the rigid classes (4,986 of the 11,117 at n=8) run
-# the orientation walk with no owner-swap prune, and coalition:k>=2 is
-# the BCG pair scan plus the coalitions of size 3..k, which nothing else
-# pins.
-echo "== UCG n=8 and coalition:k=2/3 n=7 stores (golden md5s, quotient on/off) =="
+# UCG bytes at n=8, the coalition-k layering at n=7 and the n=7 stores
+# of the pairwise games priced through Pairwise.stable_interval, each
+# with the quotient on and off: the rigid classes (4,986 of the 11,117
+# at n=8) run the orientation walk with no owner-swap prune,
+# coalition:k>=2 is the BCG pair scan plus the coalitions of size 3..k,
+# and the transfers, weighted_bcg and adversary pricings are pinned to
+# absolute bytes rather than only to each other.
+echo "== UCG n=8 and coalition:k=2/3, transfers, weighted_bcg, adversary n=7 stores (golden md5s, quotient on/off) =="
 for spec in "8 ucg 19e879e4039e8b700a09c6f0bc02a37b" \
             "7 coalition:k=2 41b2675b4e48338bc93e154954ce7965" \
-            "7 coalition:k=3 7e1c5267d2b04286db299e30995023d0"; do
+            "7 coalition:k=3 7e1c5267d2b04286db299e30995023d0" \
+            "7 transfers 474a4c0680ae91214500a1c8f5806c41" \
+            "7 weighted_bcg fde5ecf4e14d2ba920eada570b3e8c04" \
+            "7 adversary 30f804afd908aeb29f84bf6c04be54d5"; do
   set -- $spec
   for quotient in on off; do
     flag=""
@@ -172,18 +177,6 @@ cmp "$store_dir/bcg8_j1.nfs" "$store_dir/bcg8_nq.nfs"
 sum=$(md5sum "$store_dir/bcg8_j1.nfs" | cut -d' ' -f1)
 [ "$sum" = "$bcg8_md5" ] || { echo "BCG n=8 store: md5 $sum, expected $bcg8_md5" >&2; exit 1; }
 echo "BCG n=8 store: jobs=1, jobs=4 and quotient-off builds byte-identical, md5 $bcg8_md5"
-
-# Transfers bytes at n=7, quotient on vs off: the other interval game
-# whose scan runs over the orbit-representative pairs.
-echo "== transfers n=7 store (quotient on/off) =="
-for quotient in on off; do
-  flag=""
-  [ "$quotient" = on ] || flag="--no-orbit-quotient"
-  dune exec bin/netform_cli.exe -- store build -n 7 --game transfers $flag \
-    -o "$store_dir/transfers7_$quotient.nfs" --quiet
-done
-cmp "$store_dir/transfers7_on.nfs" "$store_dir/transfers7_off.nfs"
-echo "transfers n=7 store: quotient on and off byte-identical"
 
 # Registry exhaustiveness: every game the binary knows about must survive
 # the full annotate -> store build -> verify loop under both pool widths,

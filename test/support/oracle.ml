@@ -1,7 +1,8 @@
 (* Specification oracles for every registered game family, one per
-   family, written on persistent graphs straight from the paper's
-   definitions.  They share no code with the production annotators: no
-   kernel workspace, no Pairwise fold, no production threshold helper.
+   family, and for the distance-utility profiles, written on persistent
+   graphs straight from the paper's definitions.  They share no code
+   with the production annotators: no kernel workspace, no Pairwise
+   fold, no production threshold helper.
    Distances come from a fresh Bfs per graph, the adversary's separation
    counts from removing each edge in turn, and every threshold is an
    exact Rat (or +∞) folded with Interval.  test/test_differential.ml
@@ -93,6 +94,15 @@ let weighted_bcg ~weight : pricing =
  fun ~adding ~with_ ~without i j ->
   let si, sj = bcg ~adding ~with_ ~without i j in
   (div_t si (weight i), div_t sj (weight j))
+
+(* the generalized distance cost Σ_v f(d(i, v)) over finite hop counts,
+   ∞ when some player is out of reach (Distance_utility's profiles) *)
+let distance_utility f : pricing =
+  endpoint_savings (fun g v ->
+      let d = Bfs.distances g v in
+      ( (if Array.exists (fun d -> d < 0) d then Ext_int.Inf
+         else Ext_int.Fin (Array.fold_left (fun s d -> s + f d) 0 d)),
+        Rat.zero ))
 
 (* side payments decide on the joint surplus: an addition is priced at
    the joint benefit over 2 on both sides, a deletion at the joint loss

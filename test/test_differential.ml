@@ -5,9 +5,8 @@
    The references are the test/support oracles (one per game family,
    sharing nothing with the production paths) or, where one production
    path is pinned to another, that path: the unquotiented scan for the
-   orbit rows, the BCG for the uniform-weight rows, the hand-written hot
-   scans for the shared Pairwise fold, and a fresh source for the
-   stored one.
+   orbit rows, the BCG for the uniform-weight rows, and a fresh source
+   for the stored one.
    A newly registered game gets its registry rows with no test changes,
    and fails them until its family has an oracle. *)
 
@@ -239,27 +238,6 @@ let named_rows =
        ~fast:(fun g -> List.map (fun alpha -> Bcg.improving_moves ~alpha g) grid)
        ~reference:(fun g -> List.map (fun alpha -> Oracle.pairwise_moves Oracle.bcg ~alpha g) grid)
        (Alcotest.list moves));
-    (* the shared interval fold of Pairwise, fed the BCG's and the
-       transfers game's pricing, against the two quotiented hot scans it
-       does not replace, at the trivial subgroup and at the twin tier *)
-    (let both annotate g =
-       Kernel.with_ws (fun ws ->
-           List.concat_map
-             (fun sym -> annotate ws sym g)
-             [ trivial g; Sym.detect_twins g ])
-     in
-     row ~group:"annotation" ~name:"pairwise fold = hot scans"
-       ~corpus:(fun () -> annotation_corpus () @ connected [ 7 ] ())
-       ~fast:
-         (both (fun ws sym g ->
-              [
-                Pairwise.stable_interval Bcg.price ws sym g;
-                Pairwise.stable_interval Transfers.price ws sym g;
-              ]))
-       ~reference:
-         (both (fun ws sym g ->
-              [ Bcg.stable_alpha_set_sym_ws ws sym g; Transfers.stable_alpha_set_sym_ws ws sym g ]))
-       (Alcotest.list interval));
     (* uniform multipliers reduce weighted stability to the BCG's: w_i = 1
        gives the same intervals and certificates, w_i = 3 scales every
        finite endpoint by 1/3 *)
@@ -333,6 +311,29 @@ let named_rows =
         @ [ Nf_graph.Graph6.decode "H}dl@dE" ]);
   ]
 
+(* the distance-utility profiles, which no registered game carries:
+   region and certifier against the oracle over Σ f(d), each profile's f
+   written out again here *)
+let distance_utility_rows =
+  List.map
+    (fun (profile, f) ->
+      let price = Oracle.distance_utility f in
+      row ~group:"annotation"
+        ~name:(Printf.sprintf "distance_utility:%s = oracle" profile.Distance_utility.name)
+        ~corpus:annotation_corpus
+        ~fast:(fun g ->
+          ( Distance_utility.stable_alpha_set profile g,
+            List.map (fun alpha -> Distance_utility.is_pairwise_stable profile ~alpha g) alpha_grid ))
+        ~reference:(fun g ->
+          let r = Oracle.pairwise_region price g in
+          (r, List.map (fun alpha -> Interval.mem alpha r) alpha_grid))
+        Alcotest.(pair interval (list bool)))
+    [
+      (Distance_utility.quadratic, fun d -> d * d);
+      (Distance_utility.hop_capped 2, fun d -> min d 2);
+      (Distance_utility.connectivity, fun _ -> 0);
+    ]
+
 (* ---- stored source = fresh source, every registered game ----------------- *)
 
 (* A game's n = 5 store read back through Service against a fresh source
@@ -394,7 +395,7 @@ let () =
   let games = Game_registry.ci_instances () in
   Alcotest.run "nf_differential"
     (suites
-       (named_rows
+       (named_rows @ distance_utility_rows
        @ List.concat_map orbit_rows games
        @ List.concat_map game_rows games
        @ List.map source_row games))
