@@ -20,5 +20,3 @@ let log_floats ~lo ~hi ~points =
   and lhi = log hi in
   List.init points (fun k ->
       exp (llo +. ((lhi -. llo) *. float_of_int k /. float_of_int (points - 1))))
-
-let pp_alpha = Rat.to_string

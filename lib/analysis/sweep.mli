@@ -12,5 +12,3 @@ val paper_grid : Nf_util.Rat.t list
 
 val log_floats : lo:float -> hi:float -> points:int -> float list
 (** Log-spaced floats, for reference curves. *)
-
-val pp_alpha : Nf_util.Rat.t -> string

@@ -31,7 +31,7 @@ module Interval = Nf_util.Interval
    Exactness bound: threshold-vs-threshold comparisons cross-multiply
    numerators bounded by n³ with denominators up to m(m+1), which fits
    63-bit arithmetic for every enumerable order (n ≤ 62); threshold-vs-α
-   comparisons (is_stable, improving_moves) are far smaller and safe at
+   comparisons (improving_moves) are far smaller and safe at
    the sampled-dynamics orders too. *)
 
 let inf = Kernel.inf
@@ -98,7 +98,6 @@ let stable_alpha_set_sym_ws ws sym g = Pairwise.stable_interval price ws sym g
 let stable_alpha_set g =
   Kernel.with_ws (fun ws -> stable_alpha_set_sym_ws ws (Game.sweep_symmetry g) g)
 
-let is_stable ~alpha g = Pairwise.is_stable price ~alpha g
 let improving_moves ~alpha g = Pairwise.improving_moves price ~alpha g
 
 (* ---- the registered instance -------------------------------------------- *)
@@ -118,7 +117,6 @@ let game : Interval.t Game.t =
     let region_kind = Game.Region.Interval
     let schema_tag = 4
     let stable_region_ws = stable_alpha_set_sym_ws
-    let is_stable = is_stable
     let improving_moves = Some improving_moves
     let alpha_of_link_cost c = Rat.div c (Rat.of_int 2)
     let cost_model = Cost.Adversary

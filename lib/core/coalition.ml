@@ -125,14 +125,6 @@ let stable_alpha_set_ws ~k ws sym g =
   let pairs = Bcg.stable_alpha_set_sym_ws ws sym g in
   Interval.inter pairs (larger_coalitions_ws ~k ws)
 
-(* ---- point certifier ----------------------------------------------------- *)
-
-(* the fold's interval holds exactly the α ≥ 0 no coalition of size 3..k
-   blocks *)
-let is_stable ~k ~alpha g =
-  Bcg.is_pairwise_stable ~alpha g
-  && Interval.mem alpha (Kernel.with_loaded g (larger_coalitions_ws ~k))
-
 (* ---- instances ----------------------------------------------------------- *)
 
 let family_name = "coalition"
@@ -165,9 +157,6 @@ let make ~k : Interval.Union.t Game.t =
     let stable_region_ws ws sym g =
       if k = 1 then Ucg.nash_alpha_set_sym_ws ws sym g
       else Interval.Union.of_list [ stable_alpha_set_ws ~k ws sym g ]
-
-    let is_stable ~alpha g =
-      if k = 1 then Ucg.is_nash_graph ~alpha g else is_stable ~k ~alpha g
 
     (* Only k = 2 has graph-local single-link dynamics (the BCG's); k = 1
        best response depends on link ownership and k ≥ 3 deviations are

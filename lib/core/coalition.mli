@@ -17,7 +17,7 @@
     differential suites pin both parities:
     - [k = 1]: no consented additions exist, so stability is the UCG
       Nash region — the instance delegates to {!Ucg} wholesale
-      (annotators, certifier, cost model, [alpha_of_link_cost]).
+      (annotator, cost model, [alpha_of_link_cost]).
     - [k = 2]: coalitions are exactly the absent pairs and the region is
       {!Bcg.stable_alpha_set}; its dynamics are {!Bcg.improving_moves}.
 
@@ -34,10 +34,6 @@ val stable_alpha_set_ws :
     parity tests): {!Bcg.stable_alpha_set_sym_ws} under the given
     automorphism subgroup, intersected with the lo/tied fold over every
     coalition of size 3..k. *)
-
-val is_stable : k:int -> alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> bool
-(** Point certifier for k ≥ 2: {!Bcg.is_pairwise_stable} and no
-    coalition of size 3..k blocks. *)
 
 val make : k:int -> Nf_util.Interval.Union.t Game.t
 (** The instance for one coalition bound.  [k] must lie in 1..8;

@@ -22,9 +22,6 @@ let expected_separation_cost g =
 let player_cost ~alpha g i =
   (alpha *. float_of_int (Graph.degree g i)) +. Ext_int.to_float (distance_cost g i)
 
-let player_cost_owned ~alpha g i ~owned =
-  (alpha *. float_of_int owned) +. Ext_int.to_float (distance_cost g i)
-
 let social_cost game ~alpha g =
   let edge_multiplier =
     match game with

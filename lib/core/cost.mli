@@ -28,11 +28,6 @@ val player_cost : alpha:float -> Nf_graph.Graph.t -> int -> float
     exactly its incident edges, so the link term is [α · degree i].
     [infinity] when the graph is disconnected. *)
 
-val player_cost_owned :
-  alpha:float -> Nf_graph.Graph.t -> int -> owned:int -> float
-(** UCG player cost when player [i] owns (pays for) [owned] of its
-    incident edges. *)
-
 val expected_separation_cost : Nf_graph.Graph.t -> float
 (** Σ over bridges of [2·s·(C−s)], divided by the edge count (0 for an
     edgeless graph) — the social separation term of the adversary model. *)

@@ -46,5 +46,3 @@ let price profile ws =
 
 let stable_alpha_set profile g =
   Kernel.with_ws (fun ws -> Pairwise.stable_interval (price profile) ws (Game.sweep_symmetry g) g)
-
-let is_pairwise_stable profile ~alpha g = Pairwise.is_stable (price profile) ~alpha g

@@ -8,8 +8,7 @@
 
     All thresholds remain integers, and the game is pairwise like the
     BCG: a profile is one {!Pairwise.pricing} over the kernel's distance
-    rows, and its region and certifier are {!Pairwise.stable_interval}
-    and {!Pairwise.is_stable}. *)
+    rows, and its region is {!Pairwise.stable_interval}. *)
 
 type profile = {
   name : string;
@@ -40,6 +39,3 @@ val stable_alpha_set : profile -> Nf_graph.Graph.t -> Nf_util.Interval.t
     {!Bcg.stable_alpha_set}.  For [linear] this equals
     [Bcg.stable_alpha_set] (property-tested). *)
 
-val is_pairwise_stable : profile -> alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> bool
-(** Definition 3 at an exact link cost under [f]
-    ({!Pairwise.is_stable}). *)

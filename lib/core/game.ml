@@ -53,7 +53,6 @@ module type S = sig
   val region_kind : region Region.kind
   val schema_tag : int
   val stable_region_ws : Kernel.t -> Nf_iso.Symmetry.t -> Graph.t -> region
-  val is_stable : alpha:Rat.t -> Graph.t -> bool
   val improving_moves : (alpha:Rat.t -> Graph.t -> move list) option
   val alpha_of_link_cost : Rat.t -> Rat.t
   val cost_model : Cost.game

@@ -42,9 +42,9 @@ module Region : sig
 end
 
 (** What a connection game must provide: one exact annotator
-    ([stable_region_ws], the kernel-workspace, orbit-quotiented path), a
-    point certifier that agrees with membership in its region, and
-    optionally a move generator.  The differential table in
+    ([stable_region_ws], the kernel-workspace, orbit-quotiented path)
+    and optionally a move generator; stability at one [alpha] is
+    membership in the annotated region.  The differential table in
     [test/test_differential.ml] holds every registered game to a
     specification oracle of its family, kept in [test/support] and
     outside the library. *)
@@ -96,10 +96,6 @@ module type S = sig
       [test/test_differential.ml] holds every registered game to that, and
       byte-identical stores depend on it.  A game whose annotator is not
       isomorphism-invariant (per-player weights) ignores the subgroup. *)
-
-  val is_stable : alpha:Rat.t -> Graph.t -> bool
-  (** Point certifier; agrees with [Region.mem region_kind alpha
-      (stable_region_ws ws sym g)] for every graph and subgroup. *)
 
   val improving_moves : (alpha:Rat.t -> Graph.t -> move list) option
   (** Improving moves at [alpha] in a fixed order (so PRNG draws in the

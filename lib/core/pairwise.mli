@@ -7,7 +7,7 @@
     from cutting it.  A game differs from another only in how it
     {e prices} a toggled pair — each endpoint's exact threshold in [α] —
     so a game supplies one endpoint-wise {!pricing} function and this
-    module writes the consent rule, the point certifier, the
+    module writes the consent rule, the point certifier (the BCG's), the
     improving-move list and the stable-interval fold once for every
     game.
 

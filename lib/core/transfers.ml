@@ -37,4 +37,3 @@ let stable_alpha_set g =
   Kernel.with_ws (fun ws -> stable_alpha_set_sym_ws ws (Game.sweep_symmetry g) g)
 
 let improving_moves ~alpha g = Pairwise.improving_moves price ~alpha g
-let is_stable ~alpha g = Pairwise.is_stable price ~alpha g

@@ -33,10 +33,6 @@ val price : Pairwise.pricing
     such edge.  [i]'s call runs both endpoints' sweeps and carries the
     joint sum to [j]'s call on the same toggle. *)
 
-val is_stable : alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> bool
-(** Direct definition at an exact link cost; agrees with membership in
-    {!stable_alpha_set} (property-tested). *)
-
 val improving_moves : alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> Game.move list
 (** Joint improving moves at [alpha] in {!Pairwise.improving_moves}'s
     order contract: additions with joint benefit [> 2α] and one

@@ -27,35 +27,22 @@ let stable_alpha_set_ws ~weight ws g =
   Pairwise.stable_interval (price ~weight) ws (Nf_iso.Symmetry.trivial (Graph.order g)) g
 
 let stable_alpha_set ~weight g = Kernel.with_ws (fun ws -> stable_alpha_set_ws ~weight ws g)
-let is_stable ~weight ~alpha g = Pairwise.is_stable (price ~weight) ~alpha g
 let improving_moves ~weight ~alpha g = Pairwise.improving_moves (price ~weight) ~alpha g
 
-let make ?(name = "weighted_bcg")
-    ?(describe = "bilateral connection game with per-player link-cost multipliers")
-    ?(schema_tag = 3) ~weight () : Interval.t Game.t =
-  (* Split the given name into the registry's family/params form, so an
-     ad-hoc profile can be registered either as its own degenerate family
-     ("wbcg_uniform") or as a member of one ("weighted_bcg:w=ones"). *)
-  let family, params =
-    match String.index_opt name ':' with
-    | None -> (name, "")
-    | Some i ->
-      (String.sub name 0 i, String.sub name (i + 1) (String.length name - i - 1))
-  in
+let make ~weight : Interval.t Game.t =
   (module struct
     type region = Interval.t
 
-    let family = family
-    let params = params
-    let name = name
-    let describe = describe
+    let family = "weighted_bcg"
+    let params = ""
+    let name = Game.render_name ~family ~params
+    let describe = "bilateral connection game with per-player link-cost multipliers"
     let region_kind = Game.Region.Interval
-    let schema_tag = schema_tag
+    let schema_tag = 3
     (* No orbit quotient: w_i is not constant on automorphism orbits, so
        a representative toggle cannot stand for its orbit.  The subgroup
        is ignored and every pair is scanned. *)
     let stable_region_ws ws _sym g = stable_alpha_set_ws ~weight ws g
-    let is_stable ~alpha g = is_stable ~weight ~alpha g
     let improving_moves = Some (fun ~alpha g -> improving_moves ~weight ~alpha g)
     let alpha_of_link_cost c = Rat.div c (Rat.of_int 2)
     let cost_model = Cost.Bcg

@@ -36,24 +36,11 @@ val stable_alpha_set_ws :
     chunked-annotation path): {!Pairwise.stable_interval} at the trivial
     subgroup, since the weights are indexed by player. *)
 
-val is_stable :
-  weight:(int -> int) -> alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> bool
-(** Literal weighted Definition 3 at an exact link cost
-    ({!Pairwise.is_stable}); agrees with membership in
-    {!stable_alpha_set}. *)
-
 val improving_moves :
   weight:(int -> int) -> alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> Game.move list
 (** Improving moves in {!Pairwise.improving_moves}'s order contract. *)
 
-val make :
-  ?name:string ->
-  ?describe:string ->
-  ?schema_tag:int ->
-  weight:(int -> int) ->
-  unit ->
-  Nf_util.Interval.t Game.t
-(** A weight profile as a first-class game.  Defaults: name
-    ["weighted_bcg"], schema tag [3] — when registering a second profile
-    alongside the built-in one, pass a fresh name {e and} a fresh tag
-    (see the schema-tag contract in {!Game.S.schema_tag}). *)
+val make : weight:(int -> int) -> Nf_util.Interval.t Game.t
+(** A weight profile as a first-class game: family and name
+    ["weighted_bcg"], no parameters, schema tag [3].  The table in
+    {!Game_registry} holds the {!default_weight} instance. *)

@@ -45,18 +45,9 @@ type summary = {
   theory_bound : float;  (** [Theory.poa_upper_bound] at this α, n *)
 }
 
-val baseline_cost : cost_model:Netform.Cost.game -> alpha:Nf_util.Rat.t -> int -> Nf_util.Rat.t
-(** Exact-rational [min(star, clique)] social cost under a cost model —
-    edge spend [mult·αm] (2 for the bilateral models, 1 for the UCG),
-    plus the adversary model's expected-separation terms (star [2(n−1)],
-    clique [2] iff [n = 2]).  For the classic games this is the true
-    optimum (Lemma 4/5); for the adversary model it is a {e baseline}
-    only (C4 undercuts both candidates on n = 4 for 1 < α < 4), so
-    adversary ratios compare against the best classic skeleton. *)
-
 val optimum_cost : alpha:Nf_util.Rat.t -> int -> Nf_util.Rat.t
-(** Exact-rational [min(star, clique)] social cost (Lemma 4/5) —
-    [baseline_cost ~cost_model:Bcg]. *)
+(** Exact-rational [min(star, clique)] social cost (Lemma 4/5) under
+    the BCG's cost model. *)
 
 val default_init_p : int -> float
 (** The default G(n,p) density, [(ln n + 1) / n] — just above the
@@ -72,21 +63,6 @@ val run_trial :
   trial
 (** One seeded trial (the last argument is the trial index).  Exposed for
     tests; runs through the calling domain's kernel workspace. *)
-
-val run_game_trial :
-  game:Netform.Game.packed ->
-  n:int ->
-  alpha:Nf_util.Rat.t ->
-  max_steps:int ->
-  init_p:float option ->
-  seed:int ->
-  int ->
-  trial
-(** One seeded trial of the registry-generic walk: same connected G(n,p)
-    start, but the better-response path is [Game_dynamics.run] under the
-    game's own move generator.  [moves] and [evals] both count applied
-    steps, and [poa] divides by {!baseline_cost} under the game's cost
-    model.  Exposed for tests. *)
 
 val run :
   ?pool:Nf_util.Pool.t ->
@@ -107,9 +83,12 @@ val run :
     [?game] selects the registered game the walk follows.  Omitted or
     ["bcg"], trials run the specialized kernel walk above — byte-identical
     to the pre-parameter behaviour.  Any other registered name with a
-    move generator (e.g. ["coalition:k=2"], ["adversary"]) runs
-    {!run_game_trial}; the generic step is graph-level, so keep [n]
-    moderate there.
+    move generator (e.g. ["coalition:k=2"], ["adversary"]) runs the
+    registry-generic walk: the same connected G(n,p) start, then
+    [Game_dynamics.run] under the game's own move generator, with
+    [moves] and [evals] both counting applied steps and [poa] divided by
+    the game's baseline cost (below).  That step is graph-level, so keep
+    [n] moderate there.
     @raise Invalid_argument when [n < 2], [trials < 1], the name is
     unknown, or the game has no improving-move generator. *)
 
@@ -121,6 +100,9 @@ val to_csv : ?game:Netform.Game.packed -> n:int -> alpha:Nf_util.Rat.t -> trial 
 (** Deterministic CSV (header + one row per trial): fixed seed ⇒
     byte-identical across pool widths.  The [opt_cost] column is the
     ratio's denominator — the BCG closed form by default, the game's
-    {!baseline_cost} when [?game] is the instance the trials ran. *)
+    baseline cost when [?game] is the instance the trials ran: the
+    exact [min(star, clique)] social cost under its cost model, the true
+    optimum for the classic games (Lemma 4/5) and only a baseline for
+    the adversary model. *)
 
 val summary_to_string : summary -> string

@@ -18,6 +18,13 @@ type analysis = {
   in_closed_cycle : int;  (** graphs lying on a closed improving cycle *)
 }
 
+val build_digraph : alpha:Nf_util.Rat.t -> int -> int list array
+(** [build_digraph ~alpha n] has one slot per labeled graph on [n]
+    vertices, indexed by its {!Nf_enum.Labeled} edge mask, holding the
+    masks its improving moves lead to, in
+    [Netform.Bcg.improving_moves]'s order.  No order check: [n ≤ 6]
+    keeps it at 32 768 slots. *)
+
 val analyze : alpha:Nf_util.Rat.t -> n:int -> analysis
 (** Materialize the move digraph on all labeled graphs and classify.
     @raise Invalid_argument for [n < 2] or [n > 6]. *)

@@ -11,14 +11,6 @@ type verdict = {
 
 (* ---------------- the move-or-mutate digraph ---------------- *)
 
-let improving_successors ~alpha n =
-  let size = 1 lsl (n * (n - 1) / 2) in
-  Array.init size (fun mask ->
-      let g = Nf_enum.Labeled.graph_of_mask n mask in
-      List.map
-        (fun move -> Nf_enum.Labeled.mask_of_graph (Game_dynamics.apply g move))
-        (Netform.Bcg.improving_moves ~alpha g))
-
 (* 0/1-cost shortest distances from [source]: improving arcs cost 0,
    single-link mutations cost 1.  Bucket queue indexed by cost (costs are
    bounded by the number of link slots). *)
@@ -61,7 +53,7 @@ let resistance_from succ bits source =
 let resistances ~alpha ~n =
   if n < 2 || n > 5 then invalid_arg "Stochastic: order out of range (2..5)";
   let bits = n * (n - 1) / 2 in
-  let succ = improving_successors ~alpha n in
+  let succ = Meta.build_digraph ~alpha n in
   let stable_masks = ref [] in
   Array.iteri (fun mask targets -> if targets = [] then stable_masks := mask :: !stable_masks) succ;
   let stable_masks = Array.of_list (List.rev !stable_masks) in

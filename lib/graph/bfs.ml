@@ -27,11 +27,6 @@ let distances g src =
   done;
   dist
 
-let distances_ext g src =
-  Array.map
-    (fun d -> if d < 0 then Ext_int.Inf else Ext_int.Fin d)
-    (distances g src)
-
 let distance g src dst =
   let n = Graph.order g in
   if src < 0 || src >= n || dst < 0 || dst >= n then

@@ -7,9 +7,6 @@ val distances : Graph.t -> int -> int array
 (** [distances g src] gives hop counts from [src]; unreachable vertices get
     [-1]. *)
 
-val distances_ext : Graph.t -> int -> Nf_util.Ext_int.t array
-(** As {!distances} with unreachable vertices mapped to [Inf]. *)
-
 val distance : Graph.t -> int -> int -> Nf_util.Ext_int.t
 (** [distance g src dst] is the hop distance (it agrees with
     [(distances g src).(dst)]).

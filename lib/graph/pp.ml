@@ -10,17 +10,6 @@ let to_dot ?(name = "g") g =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-let adjacency_lists g =
-  let buf = Buffer.create 256 in
-  for v = 0 to Graph.order g - 1 do
-    Buffer.add_string buf (Printf.sprintf "%d:" v);
-    Nf_util.Bitset.iter
-      (fun w -> Buffer.add_string buf (Printf.sprintf " %d" w))
-      (Graph.neighbors g v);
-    Buffer.add_char buf '\n'
-  done;
-  Buffer.contents buf
-
 let summary g =
   let classification =
     match Props.strongly_regular_params g with

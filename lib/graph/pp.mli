@@ -1,10 +1,7 @@
-(** Export formats: adjacency listings and Graphviz DOT. *)
+(** Export formats: Graphviz DOT and a one-line summary. *)
 
 val to_dot : ?name:string -> Graph.t -> string
 (** Graphviz source for the graph, vertices labeled [0 .. n-1]. *)
-
-val adjacency_lists : Graph.t -> string
-(** One line per vertex: ["v: n1 n2 ..."]. *)
 
 val summary : Graph.t -> string
 (** One-line structural summary (order, size, degrees, diameter, girth,

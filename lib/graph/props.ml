@@ -23,7 +23,6 @@ let regularity g =
     let rec check v = v >= n || (Graph.degree g v = k && check (v + 1)) in
     if check 1 then Some k else None
 
-let is_regular g = regularity g <> None
 let is_tree g = Connectivity.is_connected g && Graph.size g = Graph.order g - 1
 let is_forest g = Girth.is_acyclic g
 

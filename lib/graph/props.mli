@@ -10,7 +10,6 @@ val max_degree : Graph.t -> int
 val regularity : Graph.t -> int option
 (** [Some k] when every vertex has degree [k]. *)
 
-val is_regular : Graph.t -> bool
 val is_tree : Graph.t -> bool
 (** Connected and acyclic. *)
 

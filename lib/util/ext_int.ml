@@ -10,10 +10,6 @@ let to_int = function
   | Fin k -> k
   | Inf -> invalid_arg "Ext_int.to_int: infinite"
 
-let to_int_opt = function
-  | Fin k -> Some k
-  | Inf -> None
-
 let is_finite = function
   | Fin _ -> true
   | Inf -> false

@@ -17,7 +17,6 @@ val to_int : t -> int
 (** [to_int v] is the finite payload of [v].
     @raise Invalid_argument on [Inf]. *)
 
-val to_int_opt : t -> int option
 val is_finite : t -> bool
 
 val add : t -> t -> t

@@ -182,8 +182,6 @@ let resolve = function
   | Some pool -> pool
   | None -> default ()
 
-let parallel_for ?pool total body = run (resolve pool) total body
-
 (* explicit left-to-right, so jobs = 1 is the exact sequential evaluation *)
 let map_seq f l = List.rev (List.rev_map f l)
 

@@ -76,7 +76,3 @@ val parallel_map_array : ?pool:t -> ('a -> 'b) -> 'a array -> 'b array
 (** [parallel_map_array f a] is [Array.map f a] evaluated across the
     pool, results in input order. *)
 
-val parallel_for : ?pool:t -> int -> (int -> unit) -> unit
-(** [parallel_for n body] runs [body i] for [0 <= i < n] across the pool.
-    The low-level primitive under both maps; [body] must be safe to call
-    concurrently for distinct indices. *)

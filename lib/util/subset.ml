@@ -9,11 +9,6 @@ let iter_subsets ground f =
   in
   go 0
 
-let fold_subsets ground f init =
-  let acc = ref init in
-  iter_subsets ground (fun s -> acc := f !acc s);
-  !acc
-
 exception Found
 
 let exists_subset ground pred =

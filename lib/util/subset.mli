@@ -8,8 +8,6 @@ val iter_subsets : Bitset.t -> (Bitset.t -> unit) -> unit
 (** [iter_subsets ground f] applies [f] to all [2^|ground|] subsets of
     [ground], including the empty set and [ground] itself. *)
 
-val fold_subsets : Bitset.t -> ('a -> Bitset.t -> 'a) -> 'a -> 'a
-
 val exists_subset : Bitset.t -> (Bitset.t -> bool) -> bool
 (** Short-circuiting existential over subsets. *)
 

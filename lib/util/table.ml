@@ -13,7 +13,6 @@ let fit width row =
   go width row
 
 let add_row t row = t.rows <- fit (List.length t.headers) row :: t.rows
-let add_rows t rows = List.iter (add_row t) rows
 
 let render t =
   let rows = List.rev t.rows in

@@ -8,7 +8,6 @@ val create : string list -> t
 val add_row : t -> string list -> unit
 (** Rows shorter than the header are padded; longer rows are truncated. *)
 
-val add_rows : t -> string list list -> unit
 val render : t -> string
 (** Monospace rendering with a header separator, columns padded to the
     widest cell. *)

@@ -180,6 +180,9 @@ let pairwise_moves price ~alpha g =
   in
   List.rev deletions @ List.rev additions
 
+(* Definition 3 at one α: no deviation improves *)
+let pairwise_stable price ~alpha g = pairwise_moves price ~alpha g = []
+
 (* ---- coalitions of at most k players -------------------------------------
    A coalition S of 2..k players deviates by forming every absent link
    inside it, member v paying for its a_v new links, when every member
@@ -350,3 +353,11 @@ let region (type r) ((module G) : r Game.t) : Graph.t -> r =
     let k = coalition_k G.params in
     if k = 1 then ucg_nash else fun g -> Interval.Union.of_list [ coalition ~k g ]
   | Game.Region.Union, _ -> invalid_arg (Printf.sprintf "Oracle.region: no oracle for %s" G.name)
+
+(* a point certifier per registered game: Definition 3 at α for the
+   pairwise families; for the Union games, whose deviations are not
+   single links, membership in the exhaustive region *)
+let is_stable (type r) ((module G) : r Game.t) ~alpha g =
+  match G.region_kind with
+  | Game.Region.Interval -> pairwise_stable (pricing ~family:G.family) ~alpha g
+  | Game.Region.Union -> Interval.Union.mem alpha (region (module G) g)

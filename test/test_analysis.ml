@@ -124,12 +124,12 @@ let test_transfers_equilibria () =
   List.iter
     (fun g ->
       check_bool "reported transfer-stable" true
-        (Netform.Transfers.is_stable ~alpha:(Rat.of_int 2) g))
+        (Nf_test_support.Oracle.(pairwise_stable transfers) ~alpha:(Rat.of_int 2) g))
     (Source.stable (Source.of_game "transfers" 5) ~game:"transfers" ~alpha:(Rat.of_int 2))
 
 let test_transfers_stable_graphs_complete () =
   (* a transfers source's stable set is sound AND complete: it equals
-     filtering the full enumeration by the certifier *)
+     filtering the full enumeration by the oracle's Definition 3 *)
   let alphas = [ Rat.make 1 2; Rat.one; Rat.make 3 2; Rat.of_int 2; Rat.of_int 5 ] in
   List.iter
     (fun n ->
@@ -140,7 +140,9 @@ let test_transfers_stable_graphs_complete () =
             Printf.sprintf "n=%d alpha=%s %s" n (Rat.to_string alpha) what
           in
           let reported = Source.stable (Source.of_game "transfers" n) ~game:"transfers" ~alpha in
-          let expected = List.filter (Netform.Transfers.is_stable ~alpha) all in
+          let expected =
+            List.filter (Nf_test_support.Oracle.(pairwise_stable transfers) ~alpha) all
+          in
           check_int (label "count") (List.length expected) (List.length reported);
           List.iter2
             (fun a b ->

@@ -1,14 +1,15 @@
 (* The differential table: every check that a production annotator,
-   certifier or move generator agrees with a specification over a corpus
-   is one row — a name, the fast path, the reference, the corpus and the
-   comparator — and one runner turns each row into its own Alcotest case.
+   region membership or move generator agrees with a specification over
+   a corpus is one row — a name, the fast path, the reference, the
+   corpus and the comparator — and one runner turns each row into its
+   own Alcotest case.
    The references are the test/support oracles (one per game family,
    sharing nothing with the production paths) or, where one production
    path is pinned to another, that path: the unquotiented scan for the
    orbit rows, the BCG for the uniform-weight rows, and a fresh source
    for the stored one.
-   A newly registered game gets its registry rows with no test changes,
-   and fails them until its family has an oracle. *)
+   A new row of the game table gets its registry rows with no test
+   changes, and fails them until its family has an oracle. *)
 
 open Netform
 module Graph = Nf_graph.Graph
@@ -136,17 +137,18 @@ let game_rows (Game.Any (module G)) =
   let kind = G.region_kind in
   let annotate g = Kernel.with_ws (fun ws -> G.stable_region_ws ws (trivial g) g) in
   let over_grid f g = List.map (fun alpha -> f ~alpha g) alpha_grid in
+  let members g =
+    let r = annotate g in
+    List.map (fun alpha -> Game.Region.mem kind alpha r) alpha_grid
+  in
   [
     row ~group ~name:"ws = reference" ~corpus:(corpus_for kind) ~fast:annotate
       ~reference:(Oracle.region (module G)) (region kind);
     row ~group ~name:"toggle walk"
       ~corpus:(toggle_walk (match kind with Game.Region.Interval -> 40 | Game.Region.Union -> 20))
       ~fast:annotate ~reference:(Oracle.region (module G)) (region kind);
-    row ~group ~name:"certifier = membership" ~corpus:(corpus_for kind)
-      ~fast:(over_grid G.is_stable)
-      ~reference:(fun g ->
-        let r = annotate g in
-        List.map (fun alpha -> Game.Region.mem kind alpha r) alpha_grid)
+    row ~group ~name:"certifier = membership" ~corpus:(corpus_for kind) ~fast:members
+      ~reference:(over_grid (Oracle.is_stable (module G)))
       Alcotest.(list bool);
   ]
   @
@@ -156,7 +158,7 @@ let game_rows (Game.Any (module G)) =
     [
       row ~group ~name:"moves fixpoint" ~corpus:(corpus_for kind)
         ~fast:(over_grid (fun ~alpha g -> generate ~alpha g = []))
-        ~reference:(over_grid G.is_stable) Alcotest.(list bool);
+        ~reference:members Alcotest.(list bool);
       row ~group ~name:"improving moves = oracle" ~corpus:annotation_corpus
         ~fast:(over_grid generate)
         ~reference:(over_grid (Oracle.pairwise_moves (Oracle.pricing ~family:G.family)))
@@ -193,9 +195,6 @@ let orbit_rows (Game.Any (module G)) =
 
 let bcg = Oracle.pairwise_region Oracle.bcg
 let transfers = Oracle.pairwise_region Oracle.transfers
-
-let weighted ~name ~weight =
-  Weighted_bcg.make ~name ~describe:(name ^ " test instance") ~schema_tag:1001 ~weight ()
 
 (* every finite endpoint over k *)
 let scale_interval k i =
@@ -241,16 +240,16 @@ let named_rows =
     (* uniform multipliers reduce weighted stability to the BCG's: w_i = 1
        gives the same intervals and certificates, w_i = 3 scales every
        finite endpoint by 1/3 *)
-    (let (module U) = weighted ~name:"wbcg_uniform_test" ~weight:(fun _ -> 1) in
-     let with_certificates annotate certify g =
-       ( Kernel.with_ws (fun ws -> annotate ws (trivial g) g),
-         List.map (fun alpha -> certify ~alpha g) alpha_grid )
-     in
+    (let (module U) = Weighted_bcg.make ~weight:(fun _ -> 1) in
      row ~group:"weighted bcg" ~name:"uniform = bcg" ~corpus:annotation_corpus
-       ~fast:(with_certificates U.stable_region_ws U.is_stable)
-       ~reference:(with_certificates Bcg.stable_alpha_set_sym_ws Bcg.is_pairwise_stable)
+       ~fast:(fun g ->
+         let r = Kernel.with_ws (fun ws -> U.stable_region_ws ws (trivial g) g) in
+         (r, List.map (fun alpha -> Interval.mem alpha r) alpha_grid))
+       ~reference:(fun g ->
+         ( Kernel.with_ws (fun ws -> Bcg.stable_alpha_set_sym_ws ws (trivial g) g),
+           List.map (fun alpha -> Bcg.is_pairwise_stable ~alpha g) alpha_grid ))
        Alcotest.(pair interval (list bool)));
-    (let (module U) = weighted ~name:"wbcg_scaled_test" ~weight:(fun _ -> 3) in
+    (let (module U) = Weighted_bcg.make ~weight:(fun _ -> 3) in
      row ~group:"weighted bcg" ~name:"w=3 = bcg/3" ~corpus:annotation_corpus
        ~fast:(fun g -> Kernel.with_ws (fun ws -> U.stable_region_ws ws (trivial g) g))
        ~reference:(fun g ->
@@ -312,8 +311,8 @@ let named_rows =
   ]
 
 (* the distance-utility profiles, which no registered game carries:
-   region and certifier against the oracle over Σ f(d), each profile's f
-   written out again here *)
+   region and its membership against the oracle's region and Definition 3
+   over Σ f(d), each profile's f written out again here *)
 let distance_utility_rows =
   List.map
     (fun (profile, f) ->
@@ -322,11 +321,11 @@ let distance_utility_rows =
         ~name:(Printf.sprintf "distance_utility:%s = oracle" profile.Distance_utility.name)
         ~corpus:annotation_corpus
         ~fast:(fun g ->
-          ( Distance_utility.stable_alpha_set profile g,
-            List.map (fun alpha -> Distance_utility.is_pairwise_stable profile ~alpha g) alpha_grid ))
-        ~reference:(fun g ->
-          let r = Oracle.pairwise_region price g in
+          let r = Distance_utility.stable_alpha_set profile g in
           (r, List.map (fun alpha -> Interval.mem alpha r) alpha_grid))
+        ~reference:(fun g ->
+          ( Oracle.pairwise_region price g,
+            List.map (fun alpha -> Oracle.pairwise_stable price ~alpha g) alpha_grid ))
         Alcotest.(pair interval (list bool)))
     [
       (Distance_utility.quadratic, fun d -> d * d);

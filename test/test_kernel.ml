@@ -208,44 +208,142 @@ let test_coalition_registry_route () =
   check_bool "k=1 has no move generator" false
     (Game.has_moves (Game_registry.find_exn "coalition:k=1"))
 
-(* ---- registry collision rejection (satellite) -------------------------- *)
+(* ---- the game table's observable surface ------------------------------- *)
 
-(* both collision axes are rejected before insertion, with the prior
-   registrant named; the probes below must therefore leave the registry
-   untouched (the count check pins that) *)
-let test_registry_collisions () =
-  let before = List.length (Game_registry.all ()) in
-  Alcotest.check_raises "instance name collision names the prior game"
+let head name = List.hd (String.split_on_char ':' name)
+let names_of = List.map Game.name
+let strings = Alcotest.(list string)
+
+let resolves_to g tag params =
+  match Game_registry.resolve_tag tag ~params with Some h -> h == g | None -> false
+
+(* every listing in table order, every lookup outcome and message, the
+   canonical-member identities, the store-tag round trip, and lookups
+   from several domains at once *)
+let test_registry_surface () =
+  check strings "names" [ "bcg"; "ucg"; "transfers"; "weighted_bcg"; "adversary" ]
+    (Game_registry.names ());
+  check strings "all = names" (Game_registry.names ()) (names_of (Game_registry.all ()));
+  check strings "ci instances"
+    [ "bcg"; "ucg"; "transfers"; "weighted_bcg"; "adversary"; "coalition:k=2" ]
+    (names_of (Game_registry.ci_instances ()));
+  check
+    Alcotest.(list (pair string int))
+    "instance tags"
+    [
+      ("bcg", 0);
+      ("ucg", 1);
+      ("transfers", 2);
+      ("weighted_bcg", 3);
+      ("adversary", 4);
+      ("coalition:k=2", 5);
+    ]
+    (List.map (fun g -> (Game.name g, Game.schema_tag g)) (Game_registry.ci_instances ()));
+  check
+    Alcotest.(list (list string))
+    "family cards"
+    [
+      [ "adversary"; "4"; "adversary[:bridge]"; "adversary" ];
+      [ "coalition"; "5"; "coalition:k=<1..8>"; "coalition:k=2" ];
+    ]
+    (List.map
+       (fun (f : Game_registry.family_info) ->
+         [ f.family; string_of_int f.schema_tag; f.grammar; f.example ])
+       (Game_registry.families ()));
+  (* every name and tag belongs to one row: instances that share a tag
+     are members of the family holding it *)
+  let cards = Game_registry.families () in
+  let instances = Game_registry.ci_instances () in
+  let distinct xs = List.length (List.sort_uniq compare xs) = List.length xs in
+  check_bool "instance names distinct" true (distinct (names_of instances));
+  check_bool "family names distinct" true
+    (distinct (List.map (fun (f : Game_registry.family_info) -> f.family) cards));
+  check_bool "family tags distinct" true
+    (distinct (List.map (fun (f : Game_registry.family_info) -> f.schema_tag) cards));
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          if a != b && Game.schema_tag a = Game.schema_tag b then
+            Alcotest.failf "%s and %s share tag %d" (Game.name a) (Game.name b)
+              (Game.schema_tag a))
+        instances;
+      List.iter
+        (fun (f : Game_registry.family_info) ->
+          if Game.schema_tag a = f.schema_tag && head (Game.name a) <> f.family then
+            Alcotest.failf "%s has family %s's tag %d" (Game.name a) f.family f.schema_tag)
+        cards)
+    instances;
+  (* lookups *)
+  List.iter
+    (fun g ->
+      check_bool (Game.name g ^ " finds itself") true (Game_registry.find_exn (Game.name g) == g);
+      check_bool
+        (Game.name g ^ " tag round trip")
+        true
+        (resolves_to g (Game.schema_tag g) (Game.params g)))
+    instances;
+  check_bool "unknown name" true (Game_registry.find "nope" = None);
+  check_bool "unknown head" true (Game_registry.find "bcg:x=1" = None);
+  check_bool "unknown tag" true (Game_registry.resolve_tag 99 ~params:"" = None);
+  check_bool "degenerate tag with params" true (Game_registry.resolve_tag 0 ~params:"x" = None);
+  Alcotest.check_raises "unknown name lists the table"
     (Invalid_argument
-       "Game_registry.register: cannot register family \"bcg\": name already taken by \
-        game \"bcg\"")
-    (fun () ->
-      Game_registry.register_family ~name:"bcg" ~schema_tag:97 ~grammar:"bcg:x=<n>"
-        ~describe:"collision probe" ~example:"bcg:x=1" (fun _ -> assert false));
-  Alcotest.check_raises "family name collision names the prior family"
-    (Invalid_argument
-       "Game_registry.register: cannot register family \"coalition\": name already \
-        taken by family \"coalition\"")
-    (fun () ->
-      Game_registry.register_family ~name:"coalition" ~schema_tag:98
-        ~grammar:"coalition:k=<n>" ~describe:"collision probe" ~example:"coalition:k=2"
-        (fun _ -> assert false));
-  Alcotest.check_raises "schema tag collision names the prior registrant"
-    (Invalid_argument
-       "Game_registry.register: cannot register family \"zz_probe\": schema tag 0 \
-        already taken by game \"bcg\"")
-    (fun () ->
-      Game_registry.register_family ~name:"zz_probe" ~schema_tag:0 ~grammar:"zz_probe:x=<n>"
-        ~describe:"collision probe" ~example:"zz_probe:x=1" (fun _ -> assert false));
-  Alcotest.check_raises "family tag collision names the prior family"
-    (Invalid_argument
-       "Game_registry.register: cannot register family \"zz_probe\": schema tag 5 \
-        already taken by family \"coalition\"")
-    (fun () ->
-      Game_registry.register_family ~name:"zz_probe" ~schema_tag:5 ~grammar:"zz_probe:x=<n>"
-        ~describe:"collision probe" ~example:"zz_probe:x=1" (fun _ -> assert false));
-  check_int "rejected probes left the registry untouched" before
-    (List.length (Game_registry.all ()))
+       "unknown game \"nope\" (registered: bcg, ucg, transfers, weighted_bcg, adversary; \
+        families: adversary[:bridge], coalition:k=<1..8>)")
+    (fun () -> ignore (Game_registry.find_exn "nope"));
+  List.iter
+    (fun (name, message) ->
+      Alcotest.check_raises name (Invalid_argument message) (fun () ->
+          ignore (Game_registry.find name)))
+    [
+      ("coalition", "game family \"coalition\" needs parameters: coalition:k=<1..8> (e.g. \"coalition:k=2\")");
+      ("coalition:k=9", "Coalition.make: k must be in 1..8 (got 9)");
+      ("coalition:k=0", "Coalition.make: k must be in 1..8 (got 0)");
+      ("coalition:k=x", "game family \"coalition\": k must be an integer (got \"x\")");
+      ("coalition:j=2", "game family \"coalition\": expected k=<1..8>, got \"j=2\"");
+      ("coalition:k=2,k=3", "game family \"coalition\": expected exactly k=<1..8>, got \"k=2,k=3\"");
+      ( "adversary:foo",
+        "game family \"adversary\" takes no parameters beyond the attack model \"bridge\" \
+         (got \"foo\")" );
+    ];
+  Alcotest.check_raises "coalition tag without params"
+    (Invalid_argument "game family \"coalition\": expected exactly k=<1..8>, got \"\"")
+    (fun () -> ignore (Game_registry.resolve_tag 5 ~params:""));
+  (* one instance per canonical member, whatever the spelling *)
+  let same a b = Game_registry.find_exn a == Game_registry.find_exn b in
+  check_bool "adversary:bridge == adversary" true (same "adversary:bridge" "adversary");
+  check_bool "coalition:k=02 == coalition:k=2" true (same "coalition:k=02" "coalition:k=2");
+  check_bool "tag 4 bridge == adversary" true
+    (resolves_to (Game_registry.find_exn "adversary") 4 "bridge");
+  List.iter
+    (fun k ->
+      let name = Printf.sprintf "coalition:k=%d" k in
+      let g = Game_registry.find_exn name in
+      check Alcotest.string "member name" name (Game.name g);
+      check_int "member tag" 5 (Game.schema_tag g);
+      check_bool (name ^ " tag round trip") true
+        (resolves_to g 5 (Game.params g)))
+    [ 1; 2; 3; 4; 5; 6; 7; 8 ];
+  (* four domains resolving at once get the calling domain's instances *)
+  let coalition3 = Game_registry.find_exn "coalition:k=3"
+  and adversary = Game_registry.find_exn "adversary" in
+  let pool = Nf_util.Pool.create ~jobs:4 in
+  let resolved =
+    Fun.protect
+      ~finally:(fun () -> Nf_util.Pool.shutdown pool)
+      (fun () ->
+        Nf_util.Pool.parallel_map ~pool
+          (fun i ->
+            ( Game_registry.find_exn (if i mod 2 = 0 then "coalition:k=3" else "coalition:k=03"),
+              Game_registry.find_exn (if i mod 3 = 0 then "adversary" else "adversary:bridge") ))
+          (List.init 64 Fun.id))
+  in
+  List.iter
+    (fun (c, a) ->
+      check_bool "concurrent coalition:k=3" true (c == coalition3);
+      check_bool "concurrent adversary" true (a == adversary))
+    resolved
 
 (* ---------------- workspace borrow discipline ---------------- *)
 
@@ -494,6 +592,6 @@ let () =
             test_coalition_instances_vs_classics;
           Alcotest.test_case "registry route" `Quick test_coalition_registry_route;
         ] );
-      ( "registry collisions",
-        [ Alcotest.test_case "both axes rejected" `Quick test_registry_collisions ] );
+      ( "registry game table",
+        [ Alcotest.test_case "observable surface" `Quick test_registry_surface ] );
     ]

@@ -7,6 +7,7 @@ module Rat = Nf_util.Rat
 module Interval = Nf_util.Interval
 module Prng = Nf_util.Prng
 module Families = Nf_named.Families
+module Oracle = Nf_test_support.Oracle
 
 let check = Alcotest.check
 let check_bool = Alcotest.(check bool)
@@ -53,7 +54,7 @@ let test_transfer_definition_matches_interval () =
       (fun alpha ->
         check_bool "definition = interval"
           (Interval.mem alpha set)
-          (Transfers.is_stable ~alpha g))
+          (Oracle.pairwise_stable Oracle.transfers ~alpha g))
       alphas
   done
 
@@ -90,7 +91,8 @@ let test_transfer_efficient_star_always_stable () =
      efficient graph remains in the stable set *)
   List.iter
     (fun alpha ->
-      check_bool "star transfer-stable" true (Transfers.is_stable ~alpha (Families.star 7)))
+      check_bool "star transfer-stable" true
+        (Interval.mem alpha (Transfers.stable_alpha_set (Families.star 7))))
     [ r 1; r 2; r 10; r 100 ]
 
 (* ---------------- Distance_utility ---------------- *)
@@ -107,19 +109,23 @@ let test_du_linear_matches_bcg () =
 let test_du_definition_matches_interval () =
   let rng = Prng.create 73 in
   let profiles =
-    [ Distance_utility.quadratic; Distance_utility.hop_capped 2; Distance_utility.connectivity ]
+    [
+      (Distance_utility.quadratic, fun d -> d * d);
+      (Distance_utility.hop_capped 2, fun d -> min d 2);
+      (Distance_utility.connectivity, fun _ -> 0);
+    ]
   in
   let alphas = List.map (fun (a, b) -> rq a b) [ (1, 2); (1, 1); (2, 1); (7, 2); (6, 1); (25, 1) ] in
   for _ = 1 to 80 do
     let g = Nf_graph.Random_graph.connected_gnp rng (3 + Prng.int rng 4) 0.5 in
     List.iter
-      (fun p ->
+      (fun (p, f) ->
         let set = Distance_utility.stable_alpha_set p g in
         List.iter
           (fun alpha ->
             check_bool "definition = interval"
               (Interval.mem alpha set)
-              (Distance_utility.is_pairwise_stable p ~alpha g))
+              (Oracle.pairwise_stable (Oracle.distance_utility f) ~alpha g))
           alphas)
       profiles
   done
