@@ -319,8 +319,8 @@ let dynamics jobs game_str n alpha seed steps =
         List.iter
           (fun move ->
             match move with
-            | Game.Add (i, j) -> Printf.printf "  + link %d-%d\n" i j
-            | Game.Delete (i, j) -> Printf.printf "  - link %d-%d (severed by %d)\n" i j i)
+            | Pairwise.Add (i, j) -> Printf.printf "  + link %d-%d\n" i j
+            | Pairwise.Delete (i, j) -> Printf.printf "  - link %d-%d (severed by %d)\n" i j i)
           outcome.Nf_dynamics.Game_dynamics.trace;
       Printf.printf "final (%s after %d moves): %s\n"
         (if outcome.Nf_dynamics.Game_dynamics.converged then "stable" else "step cap hit")
@@ -360,14 +360,6 @@ let mc_poa jobs game n alpha trials seed factor init_p csv =
       Printf.eprintf "mc-poa: %s\n" msg;
       1
     | results ->
-      (* the csv's opt_cost denominator follows the game the walk ran *)
-      let csv_game =
-        match game with
-        | None -> None
-        | Some name ->
-          let packed = Game_registry.find_exn name in
-          if Game.name packed = "bcg" then None else Some packed
-      in
       print_string
         (Nf_dynamics.Mc_poa.summary_to_string
            (Nf_dynamics.Mc_poa.summarize ~n ~alpha results));
@@ -375,7 +367,10 @@ let mc_poa jobs game n alpha trials seed factor init_p csv =
       | None -> ()
       | Some path ->
         let oc = open_out path in
-        output_string oc (Nf_dynamics.Mc_poa.to_csv ?game:csv_game ~n ~alpha results);
+        (* the csv's opt_cost denominator follows the game the walk ran *)
+        output_string oc
+          (Nf_dynamics.Mc_poa.to_csv ?game:(Option.map Game_registry.find_exn game) ~n ~alpha
+             results);
         close_out oc;
         Printf.printf "wrote %s\n" path);
       0
@@ -411,8 +406,10 @@ let mc_poa_cmd =
           social cost against the star/clique optimum, reported next to the paper's \
           O(min(sqrt(alpha), n/sqrt(alpha))) bound.  Fixed seed implies byte-identical \
           CSV output whatever $(b,--jobs) is.  With $(b,--game), trials walk any \
-          registered game exposing improving moves (e.g. coalition:k=2, adversary) and \
-          the ratio divides by that game's star/clique baseline.")
+          registered pairwise game (transfers, weighted_bcg, adversary, coalition:k=2) \
+          over the same pair slots, so evals counts evaluated pair slots for every game; \
+          social cost follows the game's cost model and the ratio divides by that \
+          game's star/clique baseline.")
     Term.(
       const mc_poa $ jobs_opt $ game_opt $ n_arg 128 $ alpha_opt $ trials $ seed $ factor
       $ init_p $ csv_opt)

@@ -57,8 +57,8 @@ let () =
     (* the move list reversed: additions, then deletions, each in
        lexicographic order *)
     let moves = List.rev (Bcg.improving_moves ~alpha g) in
-    let first_delete = function Game.Delete (i, j) -> Some (i, j) | Game.Add _ -> None
-    and first_add = function Game.Add (i, j) -> Some (i, j) | Game.Delete _ -> None in
+    let first_delete = function Pairwise.Delete (i, j) -> Some (i, j) | Pairwise.Add _ -> None
+    and first_add = function Pairwise.Add (i, j) -> Some (i, j) | Pairwise.Delete _ -> None in
     (match List.find_map first_delete moves with
     | Some (i, j) ->
       Printf.printf "  destabilizing move: player %d severs link %d-%d\n" i i j;

@@ -31,8 +31,8 @@ module Interval = Nf_util.Interval
    Exactness bound: threshold-vs-threshold comparisons cross-multiply
    numerators bounded by n³ with denominators up to m(m+1), which fits
    63-bit arithmetic for every enumerable order (n ≤ 62); threshold-vs-α
-   comparisons (improving_moves) are far smaller and safe at
-   the sampled-dynamics orders too. *)
+   comparisons (the move rule) are far smaller and safe at the
+   sampled-dynamics orders too. *)
 
 let inf = Kernel.inf
 
@@ -74,14 +74,13 @@ let separation_sums_ws ws =
     ~iter_neighbors:(Kernel.iter_neighbors ws)
 
 (* ---- pricing ------------------------------------------------------------
-   One all-sources sweep for the base distance sums, the edge count and
-   one lowpoint DFS for the base separation sums; per priced endpoint one
-   single-source sweep, and per toggle one lowpoint DFS for the toggled
-   state's separation sums, run by i's call and kept for j's.  Distance
-   sums, m and separation sums are invariant under automorphisms, so the
-   annotator prices one pair per orbit. *)
-let price ws =
-  let base = Kernel.all_distance_sums ws in
+   The edge count and one lowpoint DFS for the base separation sums per
+   graph, and per toggle one lowpoint DFS for the toggled state's
+   separation sums, run by i's call and kept for j's; the caller
+   supplies the distance sums.  Distance sums, m and separation sums are
+   invariant under automorphisms, so the annotator prices one pair per
+   orbit. *)
+let price ws { Pairwise.before; after } =
   let m = edge_count_ws ws in
   let sep = separation_sums_ws ws in
   let sep' = ref sep in
@@ -90,15 +89,12 @@ let price ws =
     let threshold, m' =
       if Kernel.has_edge ws i j then (benefit_frac, m + 1) else (loss_frac, m - 1)
     in
-    threshold ~base:base.(v) ~after:(Kernel.distance_sum_from ws v) ~sep:sep.(v)
-      ~sep':!sep'.(v) ~m ~m'
+    threshold ~base:(before v) ~after:(after v) ~sep:sep.(v) ~sep':!sep'.(v) ~m ~m'
 
 let stable_alpha_set_sym_ws ws sym g = Pairwise.stable_interval price ws sym g
 
 let stable_alpha_set g =
   Kernel.with_ws (fun ws -> stable_alpha_set_sym_ws ws (Game.sweep_symmetry g) g)
-
-let improving_moves ~alpha g = Pairwise.improving_moves price ~alpha g
 
 (* ---- the registered instance -------------------------------------------- *)
 
@@ -117,7 +113,7 @@ let game : Interval.t Game.t =
     let region_kind = Game.Region.Interval
     let schema_tag = 4
     let stable_region_ws = stable_alpha_set_sym_ws
-    let improving_moves = Some improving_moves
+    let pricing = Some price
     let alpha_of_link_cost c = Rat.div c (Rat.of_int 2)
     let cost_model = Cost.Adversary
   end)

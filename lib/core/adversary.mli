@@ -26,10 +26,6 @@ val stable_alpha_set : Nf_graph.Graph.t -> Nf_util.Interval.t
 (** {!stable_alpha_set_sym_ws} on a scratch workspace at
     {!Game.sweep_symmetry}. *)
 
-val improving_moves : alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> Game.move list
-(** All improving moves at [alpha], in {!Pairwise.improving_moves}'s
-    order contract. *)
-
 val game : Nf_util.Interval.t Game.t
 (** The registered instance: family ["adversary"], no parameters,
     schema tag 4, bilateral cost model with the separation term. *)

@@ -27,18 +27,18 @@ let severance_loss g i j =
        weak deletion inequality of Definition 3 always holds *)
     Ext_int.Inf
 
-(* ---- workspace kernel ---------------------------------------------------
-   Base distance sums from one bit-parallel all-sources sweep, then every
-   priced endpoint is one allocation-free single-source sweep on the
-   toggled workspace, its benefit or loss kept as a raw int (Kernel.inf
-   as ∞) over 1. *)
+(* ---- pricing -------------------------------------------------------------
+   The endpoint's distance-sum change as a raw int (Kernel.inf as ∞) over
+   1; the caller supplies both sums.  The [let] keeps [price ws sums] a
+   closure of arity 3: a pattern parameter followed by [fun] would merge
+   into one function of arity 5, and [at i j v] would go through a
+   partial application. *)
 
-let price ws =
-  let base = Kernel.all_distance_sums ws in
+let price ws (s : Pairwise.sums) =
+  let before = s.before and after = s.after in
   fun i j v ->
-    let after = Kernel.distance_sum_from ws v in
-    if Kernel.has_edge ws i j then (Pairwise.ibenefit ~base:base.(v) after, 1)
-    else (Pairwise.iloss ~base:base.(v) after, 1)
+    if Kernel.has_edge ws i j then (Pairwise.ibenefit ~base:(before v) (after v), 1)
+    else (Pairwise.iloss ~base:(before v) (after v), 1)
 
 (* The left end is attained exactly when every missing edge whose
    less-interested benefit equals α_min is a tie (both endpoints equally

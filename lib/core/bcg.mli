@@ -56,7 +56,7 @@ val price : Pairwise.pricing
     (addition) or increase (deletion) at the toggled pair, over 1, with
     the infinity conventions of {!Pairwise.ibenefit} and
     {!Pairwise.iloss} (those of {!addition_benefit} and
-    {!severance_loss}); one single-source sweep per priced endpoint. *)
+    {!severance_loss}); no per-graph state. *)
 
 val is_pairwise_stable : alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> bool
 (** Literal Definition 3 at an exact link cost ({!Pairwise.is_stable}). *)
@@ -67,7 +67,7 @@ val is_pairwise_nash : alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> bool
     per player) and {!is_pairwise_stable}.  By Proposition 1 this agrees
     with {!is_pairwise_stable}; the test suite asserts it. *)
 
-val improving_moves : alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> Game.move list
+val improving_moves : alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> Pairwise.move list
 (** All improving moves at [alpha], in {!Pairwise.improving_moves}'s
     order contract, so PRNG draws in the dynamics are reproducible.
     The BCG's improving-path dynamics ([Nf_dynamics.Game_dynamics.run])

@@ -161,7 +161,7 @@ let make ~k : Interval.Union.t Game.t =
     (* Only k = 2 has graph-local single-link dynamics (the BCG's); k = 1
        best response depends on link ownership and k ≥ 3 deviations are
        multi-link. *)
-    let improving_moves = if k = 2 then Some Bcg.improving_moves else None
+    let pricing = if k = 2 then Some Bcg.price else None
     let alpha_of_link_cost c = if k = 1 then c else Rat.div c (Rat.of_int 2)
     let cost_model = if k = 1 then Cost.Ucg else Cost.Bcg
   end)

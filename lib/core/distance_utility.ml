@@ -24,9 +24,10 @@ let distance_cost profile g i =
 (* The BCG's pricing with Σ f(d) in place of the distance sum: a
    player's cost is read off its kernel distance row, Kernel.inf when
    some vertex is out of reach, and its benefit or loss follows the
-   Pairwise.ibenefit/iloss conventions, over 1.  Costs depend on the
+   Pairwise.ibenefit/iloss conventions, over 1.  The caller's distance
+   sums go unread: Σ f(d) is not a function of Σ d.  Costs depend on the
    distance multiset only, so the annotator prices one pair per orbit. *)
-let price profile ws =
+let price profile ws (_ : Pairwise.sums) =
   let n = Kernel.order ws in
   let cost v =
     if Kernel.distances_from ws v = Kernel.inf then Kernel.inf

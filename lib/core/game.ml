@@ -3,8 +3,6 @@ module Kernel = Nf_graph.Kernel
 module Rat = Nf_util.Rat
 module Interval = Nf_util.Interval
 
-type move = Add of int * int | Delete of int * int
-
 module Region = struct
   type 'r kind =
     | Interval : Interval.t kind
@@ -53,7 +51,7 @@ module type S = sig
   val region_kind : region Region.kind
   val schema_tag : int
   val stable_region_ws : Kernel.t -> Nf_iso.Symmetry.t -> Graph.t -> region
-  val improving_moves : (alpha:Rat.t -> Graph.t -> move list) option
+  val pricing : Pairwise.pricing option
   val alpha_of_link_cost : Rat.t -> Rat.t
   val cost_model : Cost.game
 end
@@ -65,11 +63,11 @@ let name (Any (module G)) = G.name
 let params (Any (module G)) = G.params
 let describe (Any (module G)) = G.describe
 let schema_tag (Any (module G)) = G.schema_tag
-let has_moves (Any (module G)) = Option.is_some G.improving_moves
+let has_moves (Any (module G)) = Option.is_some G.pricing
 
 let improving_moves (Any (module G)) ~alpha g =
-  match G.improving_moves with
-  | Some f -> f ~alpha g
+  match G.pricing with
+  | Some price -> Pairwise.improving_moves price ~alpha g
   | None ->
     invalid_arg
       (Printf.sprintf "Game.improving_moves: game %s has no move generator"

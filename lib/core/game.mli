@@ -6,7 +6,7 @@
     region}), then sweep that annotation over a cost grid.  This module
     captures the contract a game must satisfy for the whole pipeline —
     annotation ([Nf_analysis.Source]), figures, the on-disk atlas
-    ({!Nf_store}), improving-path dynamics and the CLI — to work with it
+    ({!Nf_store}), improving-path and sampled dynamics and the CLI — to work with it
     unchanged.  {!Bcg}, {!Ucg}, {!Transfers} and {!Weighted_bcg} are the
     built-in instances; {!Game_registry} indexes them by name.
 
@@ -20,13 +20,6 @@ module Graph = Nf_graph.Graph
 module Kernel = Nf_graph.Kernel
 module Rat = Nf_util.Rat
 module Interval = Nf_util.Interval
-
-(** A single improving move in the pairwise dynamics.  [Add (i, j)]
-    creates the link i–j (bilateral consent, or a joint contract under
-    transfers); [Delete (i, j)] is player [i] unilaterally severing its
-    link to [j] — the initiator matters for traces, so both
-    [Delete (i, j)] and [Delete (j, i)] may be offered for one edge. *)
-type move = Add of int * int | Delete of int * int
 
 (** The two region shapes, as a GADT witness for generic membership
     tests. *)
@@ -43,7 +36,8 @@ end
 
 (** What a connection game must provide: one exact annotator
     ([stable_region_ws], the kernel-workspace, orbit-quotiented path)
-    and optionally a move generator; stability at one [alpha] is
+    and, for a pairwise game, its pricing, from which both dynamics
+    loops derive their moves; stability at one [alpha] is
     membership in the annotated region.  The differential table in
     [test/test_differential.ml] holds every registered game to a
     specification oracle of its family, kept in [test/support] and
@@ -97,12 +91,13 @@ module type S = sig
       byte-identical stores depend on it.  A game whose annotator is not
       isomorphism-invariant (per-player weights) ignores the subgroup. *)
 
-  val improving_moves : (alpha:Rat.t -> Graph.t -> move list) option
-  (** Improving moves at [alpha] in a fixed order (so PRNG draws in the
-      dynamics are reproducible) — for the pairwise games, the contract
-      stated once in {!Pairwise.improving_moves} — or [None] when the
-      game's dynamics are not graph-local (UCG best response depends on
-      link ownership, not just the graph). *)
+  val pricing : Pairwise.pricing option
+  (** The endpoint-wise pricing of a pairwise game, from which
+      {!Pairwise} derives its improving moves and the sampled walk
+      ([Nf_dynamics.Mc_poa]) its verdicts; [None] when the game's
+      dynamics are not single-link and graph-local (UCG best response
+      depends on link ownership, coalitions of three or more deviate on
+      several links at once). *)
 
   val alpha_of_link_cost : Rat.t -> Rat.t
   (** Per-player link cost [alpha] corresponding to a {e total} link
@@ -125,8 +120,12 @@ val params : packed -> string
 val describe : packed -> string
 val schema_tag : packed -> int
 val has_moves : packed -> bool
-val improving_moves : packed -> alpha:Rat.t -> Graph.t -> move list
-(** @raise Invalid_argument when the game has no move generator. *)
+(** The game has a {!S.pricing}. *)
+
+val improving_moves : packed -> alpha:Rat.t -> Graph.t -> Pairwise.move list
+(** {!Pairwise.improving_moves} under the game's {!S.pricing}, in that
+    function's order contract.
+    @raise Invalid_argument when the game has no pricing. *)
 
 val sweep_symmetry : Graph.t -> Nf_iso.Symmetry.t
 (** The sweep-tier symmetry policy shared by bulk consumers (pooled

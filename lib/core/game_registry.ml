@@ -25,7 +25,7 @@ module Bcg_game = struct
   let region_kind = Game.Region.Interval
   let schema_tag = 0
   let stable_region_ws = Bcg.stable_alpha_set_sym_ws
-  let improving_moves = Some Bcg.improving_moves
+  let pricing = Some Bcg.price
   let alpha_of_link_cost c = Rat.div c (Rat.of_int 2)
   let cost_model = Cost.Bcg
 end
@@ -40,7 +40,7 @@ module Ucg_game = struct
   let region_kind = Game.Region.Union
   let schema_tag = 1
   let stable_region_ws = Ucg.nash_alpha_set_sym_ws
-  let improving_moves = None
+  let pricing = None
   let alpha_of_link_cost c = c
   let cost_model = Cost.Ucg
 end
@@ -55,7 +55,7 @@ module Transfers_game = struct
   let region_kind = Game.Region.Interval
   let schema_tag = 2
   let stable_region_ws = Transfers.stable_alpha_set_sym_ws
-  let improving_moves = Some Transfers.improving_moves
+  let pricing = Some Transfers.price
   let alpha_of_link_cost c = Rat.div c (Rat.of_int 2)
   let cost_model = Cost.Bcg
 end
@@ -108,7 +108,10 @@ let parse_coalition = function
     match String.index_opt token '=' with
     | Some 1 when token.[0] = 'k' -> (
       let v = String.sub token 2 (String.length token - 2) in
-      match int_of_string_opt v with
+      (* ASCII decimal digits only: int_of_string would also take a sign,
+         "0x"/"0b" prefixes and "_" separators *)
+      let decimal = v <> "" && String.for_all (fun c -> c >= '0' && c <= '9') v in
+      match if decimal then int_of_string_opt v else None with
       | Some k when k >= 1 && k <= Array.length coalition_members ->
         coalition_members.(k - 1)
       (* out of range: Coalition.make raises with the family's bounds *)

@@ -32,7 +32,14 @@ let iloss ~base after = if base = inf || after = inf then inf else after - base
 
 open Frac
 
-type pricing = Kernel.t -> int -> int -> int -> Frac.t
+type move = Add of int * int | Delete of int * int
+
+type sums = {
+  before : int -> int;
+  after : int -> int;
+}
+
+type pricing = Kernel.t -> sums -> int -> int -> int -> Frac.t
 
 (* The pricing function is a closure called once per priced endpoint,
    and the dev profile compiles each module against the .cmi files of
@@ -44,6 +51,21 @@ type pricing = Kernel.t -> int -> int -> int -> Frac.t
 let addition_blocks alpha ti tj =
   (frac_lt_alpha alpha ti && frac_le_alpha alpha tj)
   || (frac_lt_alpha alpha tj && frac_le_alpha alpha ti)
+
+(* One toggled pair's verdict.  An addition with t_i < α fails both
+   disjuncts of the consent rule (lt ⊆ le), and a deletion with t_i < α
+   improves whatever t_j is: either way j is not priced. *)
+let improves alpha at ~added i j =
+  let ti = at i j i in
+  if added then frac_le_alpha alpha ti && addition_blocks alpha ti (at i j j)
+  else (not (frac_le_alpha alpha ti)) || not (frac_le_alpha alpha (at i j j))
+
+(* The sums of a graph loaded in [ws]: before from one all-sources
+   sweep, taken before any toggle; after from a single-source sweep on
+   the toggled workspace, run only when the pricing asks. *)
+let prepare price ws =
+  let base = Kernel.all_distance_sums ws in
+  price ws { before = (fun v -> base.(v)); after = Kernel.distance_sum_from ws }
 
 (* both endpoints, i first, with the pair toggled *)
 let price_toggled ws at i j =
@@ -63,29 +85,27 @@ let iter_pairs ws f =
 
 let is_stable price ~alpha g =
   Kernel.with_loaded g (fun ws ->
-      let at = price ws in
+      let at = prepare price ws in
       try
         iter_pairs ws (fun i j present ->
-            let ti, tj = price_toggled ws at i j in
-            let improving =
-              if present then not (frac_le_alpha alpha ti && frac_le_alpha alpha tj)
-              else addition_blocks alpha ti tj
-            in
+            Kernel.toggle ws i j;
+            let improving = improves alpha at ~added:(not present) i j in
+            Kernel.toggle ws i j;
             if improving then raise_notrace Exit);
         true
       with Exit -> false)
 
 let improving_moves price ~alpha g =
   Kernel.with_loaded g (fun ws ->
-      let at = price ws in
+      let at = prepare price ws in
       let adds = ref [] and dels = ref [] in
       iter_pairs ws (fun i j present ->
           let ti, tj = price_toggled ws at i j in
           if present then begin
-            if not (frac_le_alpha alpha ti) then dels := Game.Delete (i, j) :: !dels;
-            if not (frac_le_alpha alpha tj) then dels := Game.Delete (j, i) :: !dels
+            if not (frac_le_alpha alpha ti) then dels := Delete (i, j) :: !dels;
+            if not (frac_le_alpha alpha tj) then dels := Delete (j, i) :: !dels
           end
-          else if addition_blocks alpha ti tj then adds := Game.Add (i, j) :: !adds);
+          else if addition_blocks alpha ti tj then adds := Add (i, j) :: !adds);
       !dels @ !adds)
 
 (* α_min is the running max of min(t_i, t_j) over missing links, with a
@@ -106,7 +126,7 @@ let improving_moves price ~alpha g =
    the scan stops. *)
 let stable_interval price ws sym g =
   Kernel.load ws g;
-  let at = price ws in
+  let at = prepare price ws in
   let lo = ref (0, 1) and tied = ref true and hi = ref (inf, 1) in
   (try
      Symmetry.iter_pair_reps sym (fun i j twin ->

@@ -9,7 +9,9 @@
     so a game supplies one endpoint-wise {!pricing} function and this
     module writes the consent rule, the point certifier (the BCG's), the
     improving-move list and the stable-interval fold once for every
-    game.
+    game.  A pricing reads the endpoints' distance sums from its caller
+    ({!sums}): how a sum is obtained — a sweep here, a cached row in
+    the sampled walk — is the caller's decision, not the game's.
 
     Thresholds are exact fractions compared by integer
     cross-multiplication; see {!Frac}. *)
@@ -47,22 +49,46 @@ val iloss : base:int -> int -> int
     [+∞] when the player is disconnected on either side (severing never
     strictly helps it then). *)
 
-type pricing = Nf_graph.Kernel.t -> int -> int -> int -> Frac.t
-(** [price ws] prepares the per-graph state of the graph loaded in [ws]
-    (base distance sums, and whatever else the cost model needs) and
-    returns [at].  [at i j v] (with [i < j] and [v] one of them) is
-    called while the pair [(i, j)] is toggled in [ws] and returns
-    endpoint [v]'s threshold: its benefit when the toggle added the edge
-    ([Kernel.has_edge ws i j] now holds), its loss when the toggle
-    removed it.  [at] must not leave the workspace changed.
+(** A single improving move.  [Add (i, j)] creates the link i–j
+    (bilateral consent, or a joint contract under transfers);
+    [Delete (i, j)] is player [i] unilaterally severing its link to [j]
+    — the initiator matters for traces, so both [Delete (i, j)] and
+    [Delete (j, i)] may be offered for one edge. *)
+type move = Add of int * int | Delete of int * int
+
+type sums = {
+  before : int -> int;
+      (** [before v]: [v]'s distance sum on the graph with the pair
+          untoggled ({!Nf_graph.Kernel.inf} when [v] does not reach
+          everything). *)
+  after : int -> int;
+      (** [after v]: [v]'s distance sum with the pair toggled. *)
+}
+(** The distance sums a pricing reads, supplied by its caller.  Both may
+    be asked only for the endpoints [i] and [j] of the toggled pair, and
+    [after] only while the pair is toggled; neither allocates.  The
+    callers here read [before] off one all-sources sweep and run [after]
+    as a single-source sweep on the toggled workspace; the sampled walk
+    ([Nf_dynamics.Mc_poa]) answers both from its cached distance rows,
+    and [after] for an addition without a sweep. *)
+
+type pricing = Nf_graph.Kernel.t -> sums -> int -> int -> int -> Frac.t
+(** [price ws sums] prepares the game-specific state of the graph loaded
+    in [ws] (the weights, the adversary's edge count and separation
+    sums; never a distance sum) and returns [at].  [at i j v] (with
+    [i < j] and [v] one of them) is called while the pair [(i, j)] is
+    toggled in [ws] and returns endpoint [v]'s threshold: its benefit
+    when the toggle added the edge ([Kernel.has_edge ws i j] now holds),
+    its loss when the toggle removed it.  [at] must not leave the
+    workspace changed.
 
     Per toggle, [at i j i] is always called first and [at i j j] at most
-    once after it, before the pair is toggled back: {!is_stable} and
-    {!improving_moves} price both endpoints, and {!stable_interval}
-    skips [j]'s call whenever [j] cannot move the region.  So a pricing
-    may carry work from [i]'s call to [j]'s within one toggle (the
-    transfers joint sum, the adversary's toggled-state separation sums),
-    but no call may rely on an earlier call for [j]. *)
+    once after it, before the pair is toggled back: {!improving_moves}
+    prices both endpoints, and {!improves} and {!stable_interval} skip
+    [j]'s call whenever [j] cannot change the verdict.  So a pricing may
+    carry work from [i]'s call to [j]'s within one toggle (the transfers
+    joint sum, the adversary's toggled-state separation sums), but no
+    call may rely on an earlier call for [j]. *)
 
 val addition_blocks : Nf_util.Rat.t -> Frac.t -> Frac.t -> bool
 (** The bilateral consent predicate: a missing link with benefits
@@ -70,12 +96,20 @@ val addition_blocks : Nf_util.Rat.t -> Frac.t -> Frac.t -> bool
     gains and the other weakly gains —
     [(α < b_i ∧ α ≤ b_j) ∨ (α < b_j ∧ α ≤ b_i)]. *)
 
+val improves :
+  Nf_util.Rat.t -> (int -> int -> int -> Frac.t) -> added:bool -> int -> int -> bool
+(** [improves alpha at ~added i j], with the pair toggled and [added]
+    telling whether the toggle added the edge: whether the toggle is an
+    improving move at [alpha] — {!addition_blocks} for an addition, an
+    endpoint with loss [< α] for a deletion.  [j] is priced only when
+    [i]'s threshold leaves the verdict open. *)
+
 val is_stable : pricing -> alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> bool
-(** Definition 3 at an exact link cost: no improving addition and no
-    endpoint with loss [< α]; stops at the first improving move. *)
+(** Definition 3 at an exact link cost: {!improves} holds for no pair;
+    stops at the first improving move. *)
 
 val improving_moves :
-  pricing -> alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> Game.move list
+  pricing -> alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> move list
 (** Every improving move at [alpha], in the order contract of the
     pairwise games' dynamics (a PRNG draws from this list, so the order
     is part of every trace): first the deletions, in reverse

@@ -9,21 +9,19 @@ let iadd a b = if a = inf || b = inf then inf else a + b
    the stable region's left end is closed; a deletion at the joint loss
    over 2 for i and ∞ for j, so exactly one Delete (i, j) is offered per
    edge whose joint loss is below 2α — severance is a joint decision,
-   side payments make the initiator irrelevant.  i's call runs both
-   endpoints' sweeps and keeps the joint sum for j's call on the same
+   side payments make the initiator irrelevant.  i's call reads both
+   endpoints' sums and keeps the joint sum for j's call on the same
    toggle.  The joint value is a sum of distance-sum differences,
    preserved by any automorphism carrying one pair to another, so the
    annotator prices one pair per orbit. *)
-let price ws =
-  let base = Kernel.all_distance_sums ws in
+let price ws (s : Pairwise.sums) =
   let joint = ref (0, 2) in
   fun i j v ->
     let added = Kernel.has_edge ws i j in
     if v = i then begin
       let t u =
-        let after = Kernel.distance_sum_from ws u in
-        if added then Pairwise.ibenefit ~base:base.(u) after
-        else Pairwise.iloss ~base:base.(u) after
+        if added then Pairwise.ibenefit ~base:(s.before u) (s.after u)
+        else Pairwise.iloss ~base:(s.before u) (s.after u)
       in
       joint := (iadd (t i) (t j), 2);
       !joint
@@ -35,5 +33,3 @@ let stable_alpha_set_sym_ws ws sym g = Pairwise.stable_interval price ws sym g
 
 let stable_alpha_set g =
   Kernel.with_ws (fun ws -> stable_alpha_set_sym_ws ws (Game.sweep_symmetry g) g)
-
-let improving_moves ~alpha g = Pairwise.improving_moves price ~alpha g

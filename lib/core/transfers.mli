@@ -30,12 +30,6 @@ val price : Pairwise.pricing
     over 2 for [i] and [+∞] for [j].  Under the bilateral rule this is
     exactly the joint rule — add when the joint benefit exceeds [2α], cut
     when the joint loss falls below it, one [Delete (i, j)] ([i < j]) per
-    such edge.  [i]'s call runs both endpoints' sweeps and carries the
-    joint sum to [j]'s call on the same toggle. *)
-
-val improving_moves : alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> Game.move list
-(** Joint improving moves at [alpha] in {!Pairwise.improving_moves}'s
-    order contract: additions with joint benefit [> 2α] and one
-    [Delete (i, j)] ([i < j]) per edge whose joint loss is [< 2α] —
-    severance is a joint decision under transfers, so the initiator is
-    irrelevant. *)
+    such edge — severance is a joint decision under transfers, so the
+    initiator is irrelevant.  [i]'s call reads both endpoints' sums and
+    carries the joint sum to [j]'s call on the same toggle. *)

@@ -18,16 +18,15 @@ let weights_of ~weight n =
    The weights are indexed by player identity, so the pricing is not
    isomorphism-invariant: the annotator scans every pair. *)
 
-let price ~weight ws =
+let price ~weight ws sums =
   let w = weights_of ~weight (Kernel.order ws) in
-  let at = Bcg.price ws in
+  let at = Bcg.price ws sums in
   fun i j v -> (fst (at i j v), w.(v))
 
 let stable_alpha_set_ws ~weight ws g =
   Pairwise.stable_interval (price ~weight) ws (Nf_iso.Symmetry.trivial (Graph.order g)) g
 
 let stable_alpha_set ~weight g = Kernel.with_ws (fun ws -> stable_alpha_set_ws ~weight ws g)
-let improving_moves ~weight ~alpha g = Pairwise.improving_moves (price ~weight) ~alpha g
 
 let make ~weight : Interval.t Game.t =
   (module struct
@@ -43,7 +42,7 @@ let make ~weight : Interval.t Game.t =
        a representative toggle cannot stand for its orbit.  The subgroup
        is ignored and every pair is scanned. *)
     let stable_region_ws ws _sym g = stable_alpha_set_ws ~weight ws g
-    let improving_moves = Some (fun ~alpha g -> improving_moves ~weight ~alpha g)
+    let pricing = Some (price ~weight)
     let alpha_of_link_cost c = Rat.div c (Rat.of_int 2)
     let cost_model = Cost.Bcg
   end)

@@ -36,10 +36,6 @@ val stable_alpha_set_ws :
     chunked-annotation path): {!Pairwise.stable_interval} at the trivial
     subgroup, since the weights are indexed by player. *)
 
-val improving_moves :
-  weight:(int -> int) -> alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> Game.move list
-(** Improving moves in {!Pairwise.improving_moves}'s order contract. *)
-
 val make : weight:(int -> int) -> Nf_util.Interval.t Game.t
 (** A weight profile as a first-class game: family and name
     ["weighted_bcg"], no parameters, schema tag [3].  The table in

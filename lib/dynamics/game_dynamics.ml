@@ -7,7 +7,7 @@ type outcome = {
   final : Graph.t;
   steps : int;
   converged : bool;
-  trace : Game.move list;
+  trace : Pairwise.move list;
 }
 
 (* The one fixpoint driver every dynamics loop in this library runs on:
@@ -25,8 +25,8 @@ let iterate ~max_steps ~step init =
   go init 0
 
 let apply g = function
-  | Game.Add (i, j) -> Graph.add_edge g i j
-  | Game.Delete (i, j) -> Graph.remove_edge g i j
+  | Pairwise.Add (i, j) -> Graph.add_edge g i j
+  | Pairwise.Delete (i, j) -> Graph.remove_edge g i j
 
 let step game ~alpha ~rng g =
   match Game.improving_moves game ~alpha g with

@@ -1,10 +1,12 @@
-(** Improving-path dynamics for any registered game that exposes a move
-    generator ({!Netform.Game.S.improving_moves}).
+(** Improving-path dynamics for any registered game with a pricing
+    ({!Netform.Game.S.pricing}), behind [netform dynamics], experiment
+    E15 and the improving-move digraphs of {!Meta} and {!Stochastic}.
+    The large-n sampled walk is {!Mc_poa}'s pair-slot walk instead.
 
     A state is just a graph.  Each step draws one move uniformly from the
-    game's improving-move list; fixed points are exactly the game's
-    stable graphs.  For the BCG ([run (Game.Any Game_registry.bcg)]) a
-    move either severs a link whose severer strictly gains, or adds a
+    game's improving-move list ({!Netform.Game.improving_moves}); fixed
+    points are exactly the game's stable graphs.  For the BCG
+    ([run (Game.Any Game_registry.bcg)]) a move either severs a link whose severer strictly gains, or adds a
     link that strictly helps one endpoint and weakly helps the other
     (Jackson–Watts improving paths).  The UCG has no single-link
     improving moves (a best response rewires a whole wish set); its
@@ -15,7 +17,7 @@ type outcome = {
   final : Nf_graph.Graph.t;
   steps : int;
   converged : bool;  (** final graph is stable for the game *)
-  trace : Netform.Game.move list;  (** moves in execution order *)
+  trace : Netform.Pairwise.move list;  (** moves in execution order *)
 }
 
 val iterate : max_steps:int -> step:('a -> 'a option) -> 'a -> 'a * int * bool
@@ -24,7 +26,7 @@ val iterate : max_steps:int -> step:('a -> 'a option) -> 'a -> 'a * int * bool
     The shared fixpoint driver under {!run} and
     {!Ucg_dynamics.run}'s round loop. *)
 
-val apply : Nf_graph.Graph.t -> Netform.Game.move -> Nf_graph.Graph.t
+val apply : Nf_graph.Graph.t -> Netform.Pairwise.move -> Nf_graph.Graph.t
 (** The graph after one move: [Add (i, j)] adds the link,
     [Delete (i, j)] removes it. *)
 
@@ -33,7 +35,7 @@ val step :
   alpha:Nf_util.Rat.t ->
   rng:Nf_util.Prng.t ->
   Nf_graph.Graph.t ->
-  (Netform.Game.move * Nf_graph.Graph.t) option
+  (Netform.Pairwise.move * Nf_graph.Graph.t) option
 (** Apply one uniformly chosen improving move; [None] at a stable graph.
     @raise Invalid_argument when the game has no move generator. *)
 

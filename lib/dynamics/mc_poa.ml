@@ -7,8 +7,8 @@ module Pool = Nf_util.Pool
 module Theory = Netform.Theory
 module Pairwise = Netform.Pairwise
 
-(* Large-n Monte-Carlo price-of-anarchy estimation for the bilateral
-   connection game.
+(* Large-n Monte-Carlo price-of-anarchy estimation for the pairwise
+   games.
 
    Exhaustive annotation stops at the enumerable orders; this module
    samples instead: seeded random initial graphs, a randomized
@@ -19,11 +19,10 @@ module Pairwise = Netform.Pairwise
    exact-rational social cost of the resulting stable states against the
    closed-form optimum.
 
-   The improving-move semantics are copied predicate-for-predicate from
-   the shared pair-move core ([Pairwise.addition_blocks] / the deletion
-   test, with the same integer cross-multiplication at denominator 1), so
-   a converged trial is pairwise stable by [Bcg.is_pairwise_stable]'s own
-   definition — the differential tests pin exactly that. *)
+   Each slot is priced by the game's own pricing and judged by the
+   shared pair-move rule ([Pairwise.improves]), so a converged trial is
+   pairwise stable by [Pairwise.is_stable]'s own definition under that
+   pricing — the tests pin exactly that. *)
 
 let inf = Kernel.inf
 
@@ -36,8 +35,8 @@ type trial = {
   converged : bool;  (** reached a pairwise-stable state within the budget *)
   final_edges : int;
   diameter : int;  (** of the final graph; [-1] when disconnected *)
-  social_cost : Rat.t option;  (** exact [2αm + W]; [None] when disconnected *)
-  poa : Rat.t option;  (** social cost / closed-form optimum *)
+  social_cost : Rat.t option;  (** exact, under the game's cost model; [None] when disconnected *)
+  poa : Rat.t option;  (** social cost / the game's star/clique baseline *)
   final : Graph.t;
 }
 
@@ -53,6 +52,9 @@ type summary = {
   theory_bound : float;  (** [Theory.poa_upper_bound] at this α, n *)
 }
 
+(* how many endpoints pay for a link *)
+let link_payers = function Netform.Cost.Ucg -> 1 | Bcg | Adversary -> 2
+
 (* Closed-form min(star, clique) social cost per cost model, kept
    exact-rational.  Edge spend is [mult·αm] (both endpoints pay in the
    bilateral models); the adversary model adds the two topologies'
@@ -62,11 +64,7 @@ type summary = {
    clique on n = 4 for 1 < α < 4 — so adversary ratios are reported
    against the best classic skeleton, not a certified optimum. *)
 let baseline_cost ~cost_model ~alpha n =
-  let mult =
-    match cost_model with
-    | Netform.Cost.Ucg -> 1
-    | Netform.Cost.Bcg | Netform.Cost.Adversary -> 2
-  in
+  let mult = link_payers cost_model in
   let sep_star, sep_clique =
     match cost_model with
     | Netform.Cost.Adversary -> (2 * (n - 1), if n = 2 then 2 else 0)
@@ -102,8 +100,56 @@ let default_init_p n =
    rewritten before the shuffle, so the draws are unchanged. *)
 let scan_order_key = Domain.DLS.new_key (fun () -> [||])
 
-let run_trial ~n ~alpha ~max_evals ~init_p ~seed index =
+(* the game's pricing, or the refusal [run] has always given a game
+   without one *)
+let pricing_of ~caller name =
+  let (Netform.Game.Any (module G)) = Netform.Game_registry.find_exn name in
+  match G.pricing with
+  | Some price -> (price, G.cost_model)
+  | None ->
+    invalid_arg
+      (Printf.sprintf
+         "Mc_poa.%s: game %S has no improving-move generator (its dynamics are not graph-local)"
+         caller name)
+
+(* Exact social cost and diameter of the graph loaded in [ws], with [m]
+   edges, off one all-sources sweep: [mult·αm + W] under the cost model,
+   plus the adversary model's total expected separation [Σ_i S_i / m];
+   [(None, -1)] when disconnected. *)
+let final_cost ~cost_model ~alpha ws m =
+  let n = Kernel.order ws in
+  let sums = Kernel.all_distance_sums ws in
+  let ecc = Kernel.eccentricities ws in
+  let wiener = ref 0
+  and diameter = ref 0
+  and connected = ref true in
+  for v = 0 to n - 1 do
+    if sums.(v) = inf then connected := false
+    else begin
+      wiener := !wiener + sums.(v);
+      if ecc.(v) > !diameter then diameter := ecc.(v)
+    end
+  done;
+  if not !connected then (None, -1)
+  else begin
+    let cost =
+      Rat.add (Rat.mul (Rat.of_int (link_payers cost_model * m)) alpha) (Rat.of_int !wiener)
+    in
+    let cost =
+      match cost_model with
+      | Netform.Cost.Adversary ->
+        let s =
+          Nf_graph.Connectivity.separation_sums ~n ~iter_neighbors:(Kernel.iter_neighbors ws)
+        in
+        Rat.add cost (Rat.make (Array.fold_left ( + ) 0 s) m)
+      | Bcg | Ucg -> cost
+    in
+    (Some cost, !diameter)
+  end
+
+let run_trial ?(game = "bcg") ~n ~alpha ~max_evals ~init_p ~seed index =
   if n < 2 then invalid_arg "Mc_poa.run_trial: need n >= 2";
+  let price, cost_model = pricing_of ~caller:"run_trial" game in
   let tseed = trial_seed ~seed index in
   let rng = Prng.create tseed in
   let p = match init_p with Some p -> p | None -> default_init_p n in
@@ -130,28 +176,24 @@ let run_trial ~n ~alpha ~max_evals ~init_p ~seed index =
       incr t);
   Prng.shuffle rng pairs;
   Kernel.with_loaded g0 (fun ws ->
-      let num = Rat.num alpha
-      and den = Rat.den alpha in
-      let lt k = k = inf || num < k * den
-      and le k = k = inf || num <= k * den in
       (* Exact distance rows: while [fresh.(v)], row [v] of the
          workspace's 16-bit slab [d] (d(v,w) at byte [2·(v·n + w)])
          holds d(v, ·) on the current graph, and [sum.(v)] its total
          ({!Kernel.inf} when some vertex is unreachable).  A stale row
-         is rebuilt by one BFS the first time the walk reads it.  Additions are priced from two rows without
-         touching the graph, an applied addition patches every fresh row
-         in place, and an applied deletion invalidates only the rows
-         whose distances it can change. *)
+         is rebuilt by one BFS the first time the walk reads it.
+         Additions are priced from two rows without a sweep, an applied
+         addition patches every fresh row in place, and an applied
+         deletion invalidates only the rows whose distances it can
+         change. *)
       let d = Kernel.distance_rows ws
       and rinf = Kernel.row_inf in
       let sum = Array.make n 0
       and fresh = Array.make n false in
-      let row v =
+      let refresh v =
         if not fresh.(v) then begin
           sum.(v) <- Kernel.distances_from ws v;
           fresh.(v) <- true
-        end;
-        2 * v * n
+        end
       in
       (* Σ_w min(d(i,w), 1 + d(j,w)) over rows at byte offsets [oi],
          [oj]: the distance sum of [i] once edge ij exists.  Exact: a
@@ -219,6 +261,24 @@ let run_trial ~n ~alpha ~max_evals ~init_p ~seed index =
           then fresh.(v) <- false
         done
       in
+      (* The sums the pricing reads for the slot (pi, pj): before from
+         the two endpoints' rows, refreshed before the toggle; after,
+         for an addition, through the other endpoint's row, and for a
+         deletion from one sweep on the toggled workspace (the rows
+         still describe the untoggled graph). *)
+      let pi = ref 0
+      and pj = ref 0
+      and adding = ref false in
+      let sums =
+        {
+          Pairwise.before = (fun v -> sum.(v));
+          after =
+            (fun v ->
+              if !adding then sum_through (2 * v * n) (2 * (if v = !pi then !pj else !pi) * n)
+              else Kernel.distance_sum_from ws v);
+        }
+      in
+      let at = ref (price ws sums) in
       let m = ref init_edges
       and moves = ref 0
       and evals = ref 0
@@ -245,91 +305,38 @@ let run_trial ~n ~alpha ~max_evals ~init_p ~seed index =
             Prng.shuffle rng pairs
           end
         else begin
-        let code = pairs.(!idx) in
-        incr idx;
-        incr evals;
-        let i = code / n
-        and j = code mod n in
-        (* both endpoints' rows, refreshed before any toggle so they
-           describe the current graph *)
-        let oi = row i in
-        let oj = row j in
-        let bi_base = sum.(i)
-        and bj_base = sum.(j) in
-        let applied =
-          if Kernel.has_edge ws i j then begin
-            (* deletion slot: either endpoint severs unilaterally.  The
-               second endpoint's BFS runs only when the first did not
-               already decide the move — lazily skipping roughly half
-               the sweeps without changing the predicate. *)
-            Kernel.toggle ws i j;
-            let li = Pairwise.iloss ~base:bi_base (Kernel.distance_sum_from ws i) in
-            let improving =
-              (not (le li))
-              || not (le (Pairwise.iloss ~base:bj_base (Kernel.distance_sum_from ws j)))
-            in
-            if improving then begin
-              decr m;
-              invalidate_deletion i j;
-              true
+          let code = pairs.(!idx) in
+          incr idx;
+          incr evals;
+          let i = code / n
+          and j = code mod n in
+          refresh i;
+          refresh j;
+          pi := i;
+          pj := j;
+          adding := not (Kernel.has_edge ws i j);
+          Kernel.toggle ws i j;
+          (* the move rule is Pairwise's: bilateral consent for an
+             addition, either endpoint for a deletion, j priced only
+             when i leaves the verdict open *)
+          if Pairwise.improves alpha !at ~added:!adding i j then begin
+            if !adding then begin
+              incr m;
+              patch_addition i j
             end
             else begin
-              Kernel.toggle ws i j;
-              false
-            end
+              decr m;
+              invalidate_deletion i j
+            end;
+            at := price ws sums;
+            incr moves;
+            incr pass_moves
           end
-          else begin
-            (* addition slot: bilateral, both must consent — the exact
-               [Pairwise.addition_blocks] predicate
-               [(lt bi && le bj) || (lt bj && le bi)], priced from the
-               rows with no toggle.  When [le bi] fails both disjuncts
-               are dead (lt ⊆ le), so [j]'s pass is skipped. *)
-            let bi = Pairwise.ibenefit ~base:bi_base (sum_through oi oj) in
-            let improving =
-              le bi
-              &&
-              let bj = Pairwise.ibenefit ~base:bj_base (sum_through oj oi) in
-              (lt bi && le bj) || (lt bj && le bi)
-            in
-            if improving then begin
-              Kernel.toggle ws i j;
-              incr m;
-              patch_addition i j;
-              true
-            end
-            else false
-          end
-        in
-        if applied then begin
-          incr moves;
-          incr pass_moves
-        end
+          else Kernel.toggle ws i j
         end
       done;
       Domain.DLS.set scan_order_key pairs;
-      let converged = !stable in
-      (* final statistics off one full fresh sweep *)
-      let sums = Kernel.all_distance_sums ws in
-      let ecc = Kernel.eccentricities ws in
-      let wiener = ref 0
-      and diameter = ref 0
-      and connected = ref true in
-      for v = 0 to n - 1 do
-        if sums.(v) = inf then connected := false
-        else begin
-          wiener := !wiener + sums.(v);
-          if ecc.(v) > !diameter then diameter := ecc.(v)
-        end
-      done;
-      let social_cost, poa =
-        if not !connected then (None, None)
-        else begin
-          let cost =
-            Rat.add (Rat.mul (Rat.of_int (2 * !m)) alpha) (Rat.of_int !wiener)
-          in
-          (Some cost, Some (Rat.div cost (optimum_cost ~alpha n)))
-        end
-      in
+      let social_cost, diameter = final_cost ~cost_model ~alpha ws !m in
       let final =
         Graph.build n (fun add ->
             for v = 0 to n - 1 do
@@ -342,111 +349,23 @@ let run_trial ~n ~alpha ~max_evals ~init_p ~seed index =
         init_edges;
         moves = !moves;
         evals = !evals;
-        converged;
+        converged = !stable;
         final_edges = !m;
-        diameter = (if !connected then !diameter else -1);
+        diameter;
         social_cost;
-        poa;
+        poa = Option.map (fun c -> Rat.div c (baseline_cost ~cost_model ~alpha n)) social_cost;
         final;
       })
 
-(* ---------------- registry-generic trials ----------------
-
-   The walk above is the BCG fast path: predicates inlined against the
-   kernel workspace, cached exact distance rows, pair-slot passes.
-   Any OTHER registered game that exposes a move generator
-   ([Game.improving_moves]) gets the generic trial below instead: same
-   seeded connected start, but the better-response walk is
-   [Game_dynamics.run] (uniform random improving move per step, the
-   game's own predicates), so correctness is the game instance's — at
-   graph-level cost per step, which caps the practical order well below
-   the specialized path's.  Trial fields keep their meanings except
-   [evals], which counts applied steps (the generic walk has no
-   pair-slot measure). *)
-
-(* exact social cost of the final graph under the game's cost model:
-   [mult·αm + W], plus the adversary model's total expected separation
-   [Σ_i S_i / m]; [None] when disconnected *)
-let graph_social_cost ~cost_model ~alpha g =
-  let n = Graph.order g in
-  Kernel.with_loaded g (fun ws ->
-      let sums = Kernel.all_distance_sums ws in
-      if Array.exists (fun s -> s = inf) sums then None
-      else begin
-        let w = Array.fold_left ( + ) 0 sums in
-        let m = Graph.size g in
-        let mult =
-          match cost_model with
-          | Netform.Cost.Ucg -> 1
-          | Netform.Cost.Bcg | Netform.Cost.Adversary -> 2
-        in
-        let base = Rat.add (Rat.mul (Rat.of_int (mult * m)) alpha) (Rat.of_int w) in
-        match cost_model with
-        | Netform.Cost.Adversary when m > 0 ->
-          let s =
-            Nf_graph.Connectivity.separation_sums ~n
-              ~iter_neighbors:(Kernel.iter_neighbors ws)
-          in
-          Some (Rat.add base (Rat.make (Array.fold_left ( + ) 0 s) m))
-        | _ -> Some base
-      end)
-
-let run_game_trial ~game ~n ~alpha ~max_steps ~init_p ~seed index =
-  if n < 2 then invalid_arg "Mc_poa.run_game_trial: need n >= 2";
-  let (Netform.Game.Any (module G)) = game in
-  let tseed = trial_seed ~seed index in
-  let rng = Prng.create tseed in
-  let p = match init_p with Some p -> p | None -> default_init_p n in
-  let g0 = Random_graph.connected_gnp rng n p in
-  let outcome = Game_dynamics.run game ~alpha ~rng ~max_steps g0 in
-  let final = outcome.Game_dynamics.final in
-  let diameter =
-    Kernel.with_loaded final (fun ws ->
-        let ecc = Kernel.eccentricities ws in
-        Array.fold_left (fun acc e -> if e = inf then -1 else if acc < 0 then acc else max acc e) 0 ecc)
-  in
-  let social_cost = graph_social_cost ~cost_model:G.cost_model ~alpha final in
-  let poa =
-    Option.map (fun c -> Rat.div c (baseline_cost ~cost_model:G.cost_model ~alpha n)) social_cost
-  in
-  {
-    index;
-    seed = tseed;
-    init_edges = Graph.size g0;
-    moves = outcome.Game_dynamics.steps;
-    evals = outcome.Game_dynamics.steps;
-    converged = outcome.Game_dynamics.converged;
-    final_edges = Graph.size final;
-    diameter;
-    social_cost;
-    poa;
-    final;
-  }
-
-let run ?pool ?game ?init_p ?(max_evals_factor = 60) ~n ~alpha ~trials ~seed () =
+let run ?pool ?(game = "bcg") ?init_p ?(max_evals_factor = 60) ~n ~alpha ~trials ~seed () =
   if n < 2 then invalid_arg "Mc_poa.run: need n >= 2";
   if trials < 1 then invalid_arg "Mc_poa.run: need trials >= 1";
+  ignore (pricing_of ~caller:"run" game);
   let np = n * (n - 1) / 2 in
   let max_evals = max np (max_evals_factor * np) in
-  let bcg_path () =
-    Pool.parallel_map ?pool
-      (run_trial ~n ~alpha ~max_evals ~init_p ~seed)
-      (List.init trials Fun.id)
-  in
-  match game with
-  | None -> bcg_path ()
-  | Some name ->
-    let packed = Netform.Game_registry.find_exn name in
-    if Netform.Game.name packed = "bcg" then bcg_path () (* specialized walk, byte-identical *)
-    else if not (Netform.Game.has_moves packed) then
-      invalid_arg
-        (Printf.sprintf
-           "Mc_poa.run: game %S has no improving-move generator (its dynamics are not graph-local)"
-           name)
-    else
-      Pool.parallel_map ?pool
-        (run_game_trial ~game:packed ~n ~alpha ~max_steps:max_evals ~init_p ~seed)
-        (List.init trials Fun.id)
+  Pool.parallel_map ?pool
+    (run_trial ~game ~n ~alpha ~max_evals ~init_p ~seed)
+    (List.init trials Fun.id)
 
 let summarize ~n ~alpha results =
   let trials = List.length results in
@@ -496,13 +415,12 @@ let csv_header =
    optimum by default, the game's own cost-model baseline when ~game is
    passed (what [run ?game] divided by) *)
 let csv_row ?game ~n ~alpha t =
-  let opt =
+  let cost_model =
     match game with
-    | None -> optimum_cost ~alpha n
-    | Some packed ->
-      let (Netform.Game.Any (module G)) = packed in
-      baseline_cost ~cost_model:G.cost_model ~alpha n
+    | None -> Netform.Cost.Bcg
+    | Some (Netform.Game.Any (module G)) -> G.cost_model
   in
+  let opt = baseline_cost ~cost_model ~alpha n in
   Printf.sprintf "%d,%d,%d,%s,%d,%d,%d,%d,%d,%s,%s,%s,%s" t.index t.seed n
     (Rat.to_string alpha) t.init_edges t.moves t.evals
     (if t.converged then 1 else 0)

@@ -1,4 +1,5 @@
-(** Large-n Monte-Carlo price-of-anarchy estimation for the BCG.
+(** Large-n Monte-Carlo price-of-anarchy estimation for the pairwise
+    games.
 
     The exhaustive annotators stop where enumeration stops; this module
     samples the large-n regime the paper's asymptotic claims live in:
@@ -9,11 +10,12 @@
     against the star/clique closed-form optimum, reported alongside
     [Theory.poa_upper_bound].
 
-    Improving-move semantics are predicate-for-predicate those of [Bcg]
-    (bilateral addition consent, unilateral deletion, the same integer
-    cross-multiplication against α), so a converged trial satisfies
-    [Bcg.is_pairwise_stable] by construction — and the test suite pins
-    that differentially.
+    Every game with a {!Netform.Game.S.pricing} walks the same way: each
+    slot is priced by the game's pricing on cached distance rows and
+    judged by {!Netform.Pairwise.improves} (bilateral addition consent,
+    unilateral deletion), so a converged trial satisfies
+    {!Netform.Pairwise.is_stable} under that pricing by construction —
+    and the test suite pins that differentially.
 
     Determinism: one base seed derives an independent PRNG per trial and
     [Pool.parallel_map] preserves input order, so runs are byte-identical
@@ -24,12 +26,14 @@ type trial = {
   seed : int;  (** derived per-trial PRNG seed *)
   init_edges : int;
   moves : int;  (** improving moves applied *)
-  evals : int;  (** pair-slots evaluated (the convergence-time measure) *)
+  evals : int;  (** pair slots evaluated (the convergence-time measure) *)
   converged : bool;  (** reached a pairwise-stable state within the budget *)
   final_edges : int;
   diameter : int;  (** of the final graph; [-1] when disconnected *)
-  social_cost : Nf_util.Rat.t option;  (** exact [2αm + W]; [None] if disconnected *)
-  poa : Nf_util.Rat.t option;  (** social cost / closed-form optimum *)
+  social_cost : Nf_util.Rat.t option;
+      (** exact [2αm + W] under the game's cost model (plus the expected
+          separation for the adversary); [None] if disconnected *)
+  poa : Nf_util.Rat.t option;  (** social cost / the game's star/clique baseline *)
   final : Nf_graph.Graph.t;
 }
 
@@ -54,6 +58,7 @@ val default_init_p : int -> float
     connectivity threshold. *)
 
 val run_trial :
+  ?game:string ->
   n:int ->
   alpha:Nf_util.Rat.t ->
   max_evals:int ->
@@ -61,8 +66,11 @@ val run_trial :
   seed:int ->
   int ->
   trial
-(** One seeded trial (the last argument is the trial index).  Exposed for
-    tests; runs through the calling domain's kernel workspace. *)
+(** One seeded trial of the registered game [?game] (default ["bcg"]),
+    stopped after [max_evals] pair-slot evaluations; the last argument
+    is the trial index.  Exposed for tests; runs through the calling
+    domain's kernel workspace.
+    @raise Invalid_argument as {!run} does for the game. *)
 
 val run :
   ?pool:Nf_util.Pool.t ->
@@ -80,17 +88,15 @@ val run :
     factor 60 — enough for n ≤ 256 at the default density; larger orders
     may need more) is reported with [converged = false].
 
-    [?game] selects the registered game the walk follows.  Omitted or
-    ["bcg"], trials run the specialized kernel walk above — byte-identical
-    to the pre-parameter behaviour.  Any other registered name with a
-    move generator (e.g. ["coalition:k=2"], ["adversary"]) runs the
-    registry-generic walk: the same connected G(n,p) start, then
-    [Game_dynamics.run] under the game's own move generator, with
-    [moves] and [evals] both counting applied steps and [poa] divided by
-    the game's baseline cost (below).  That step is graph-level, so keep
-    [n] moderate there.
+    [?game] (default ["bcg"]) names the registered game the walk
+    follows: any game with a pricing, e.g. ["transfers"],
+    ["weighted_bcg"], ["adversary"] or ["coalition:k=2"] (the BCG, whose
+    trials equal ["bcg"]'s).  Every game runs the one pair-slot walk
+    above, so [evals] counts evaluated pair slots for all of them;
+    [social_cost] follows the game's cost model and [poa] divides it by
+    the game's baseline cost (see {!to_csv}).
     @raise Invalid_argument when [n < 2], [trials < 1], the name is
-    unknown, or the game has no improving-move generator. *)
+    unknown, or the game has no pricing (["ucg"], ["coalition:k=3"]). *)
 
 val summarize : n:int -> alpha:Nf_util.Rat.t -> trial list -> summary
 
@@ -99,10 +105,9 @@ val csv_header : string
 val to_csv : ?game:Netform.Game.packed -> n:int -> alpha:Nf_util.Rat.t -> trial list -> string
 (** Deterministic CSV (header + one row per trial): fixed seed ⇒
     byte-identical across pool widths.  The [opt_cost] column is the
-    ratio's denominator — the BCG closed form by default, the game's
-    baseline cost when [?game] is the instance the trials ran: the
-    exact [min(star, clique)] social cost under its cost model, the true
-    optimum for the classic games (Lemma 4/5) and only a baseline for
-    the adversary model. *)
+    ratio's denominator — pass as [?game] the instance the trials ran
+    (default: the BCG): the exact [min(star, clique)] social cost under
+    its cost model, the true optimum for the classic games (Lemma 4/5)
+    and only a baseline for the adversary model. *)
 
 val summary_to_string : summary -> string

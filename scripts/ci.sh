@@ -377,21 +377,27 @@ for spec in "40 3 7 2c20d03856ac9fea2916010f566889e9" \
 done
 echo "mc-poa golden CSVs: n=40, 64 and 128 match"
 
-# The goldens above run the BCG row-cache walk; every other game with
-# moves walks through Game_dynamics and its improving_moves list, so one
-# small seeded CSV per game pins each game's move order and PRNG draws.
+# Every game with a pricing runs the one pair-slot walk the goldens above
+# pin for the BCG; only the pricing (and the cost model of the final
+# ratio) differs.  One small seeded CSV per non-BCG pricing pins that
+# game's thresholds on the walk's rows, and coalition:k=2, whose pricing
+# is the BCG's, must write the BCG's CSV byte for byte.
 echo "== mc-poa generic-walk golden CSVs (n=24, one per game) =="
-for spec in "transfers de7da958e35209f67284d3ab2c75bc3a" \
-            "weighted_bcg 7906d20731b93006d9e7ff9fc3213023" \
-            "adversary 81e47b84a91368d9e3e126272c54fbe5" \
-            "coalition:k=2 fea0651386e0c9c9e028e656226ff3ba"; do
+for spec in "transfers c077cb7f32bb821db93decf8fd4e1c91" \
+            "weighted_bcg 44670d12bdca200b0192edb51ae324f8" \
+            "adversary 70addff2e63ae95f30b83ef1786d69b2"; do
   set -- $spec
   out="$store_dir/mc_poa_generic.csv"
   "$CLI" mc-poa -n 24 --alpha 2 --trials 2 --seed 5 --game "$1" --csv "$out" > /dev/null
   sum=$(md5sum "$out" | cut -d' ' -f1)
   [ "$sum" = "$2" ] || { echo "mc-poa --game $1 CSV: md5 $sum, expected $2" >&2; exit 1; }
 done
-echo "mc-poa generic-walk golden CSVs: transfers, weighted_bcg, adversary and coalition:k=2 match"
+"$CLI" mc-poa -n 24 --alpha 2 --trials 2 --seed 5 --game bcg \
+  --csv "$store_dir/mc_poa_bcg.csv" > /dev/null
+"$CLI" mc-poa -n 24 --alpha 2 --trials 2 --seed 5 --game coalition:k=2 \
+  --csv "$store_dir/mc_poa_coalition2.csv" > /dev/null
+cmp "$store_dir/mc_poa_bcg.csv" "$store_dir/mc_poa_coalition2.csv"
+echo "mc-poa generic-walk golden CSVs: transfers, weighted_bcg and adversary match; coalition:k=2 = bcg"
 
 # Full leg (opt-in, minutes of CPU): stream all of n=10 through a sharded
 # split and check the connected-class count against OEIS A001349.

@@ -165,8 +165,8 @@ let pairwise_moves price ~alpha g =
       (fun (i, j, present, (ti, tj)) ->
         if not present then []
         else
-          (if at_most alpha ti then [] else [ Game.Delete (i, j) ])
-          @ if at_most alpha tj then [] else [ Game.Delete (j, i) ])
+          (if at_most alpha ti then [] else [ Pairwise.Delete (i, j) ])
+          @ if at_most alpha tj then [] else [ Pairwise.Delete (j, i) ])
       priced
   and additions =
     List.filter_map
@@ -174,7 +174,7 @@ let pairwise_moves price ~alpha g =
         if
           (not present)
           && ((below alpha ti && at_most alpha tj) || (below alpha tj && at_most alpha ti))
-        then Some (Game.Add (i, j))
+        then Some (Pairwise.Add (i, j))
         else None)
       priced
   in

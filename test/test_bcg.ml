@@ -247,7 +247,7 @@ let test_prop2_witness () =
 
 (* ---------------- improving moves ---------------- *)
 
-let is_add = function Game.Add _ -> true | Game.Delete _ -> false
+let is_add = function Pairwise.Add _ -> true | Pairwise.Delete _ -> false
 let is_delete m = not (is_add m)
 
 let test_improving_moves () =
@@ -265,8 +265,8 @@ let test_improving_moves () =
   check_bool "stable star has no moves" true (Bcg.improving_moves ~alpha:(r 2) (Families.star 5) = [])
 
 let move_to_string = function
-  | Game.Add (i, j) -> Printf.sprintf "Add(%d,%d)" i j
-  | Game.Delete (i, j) -> Printf.sprintf "Delete(%d,%d)" i j
+  | Pairwise.Add (i, j) -> Printf.sprintf "Add(%d,%d)" i j
+  | Pairwise.Delete (i, j) -> Printf.sprintf "Delete(%d,%d)" i j
 
 (* the documented order contract (Pairwise.improving_moves): deletions
    first, reverse lexicographic, Delete (j, i) before Delete (i, j);

@@ -69,8 +69,8 @@ let moves =
   Alcotest.list
     (Alcotest.testable
        (fun fmt -> function
-         | Game.Add (i, j) -> Format.fprintf fmt "Add(%d,%d)" i j
-         | Game.Delete (i, j) -> Format.fprintf fmt "Delete(%d,%d)" i j)
+         | Pairwise.Add (i, j) -> Format.fprintf fmt "Add(%d,%d)" i j
+         | Pairwise.Delete (i, j) -> Format.fprintf fmt "Delete(%d,%d)" i j)
        ( = ))
 
 let trivial g = Sym.trivial (Graph.order g)
@@ -152,9 +152,10 @@ let game_rows (Game.Any (module G)) =
       Alcotest.(list bool);
   ]
   @
-  match G.improving_moves with
+  match G.pricing with
   | None -> []
-  | Some generate ->
+  | Some price ->
+    let generate ~alpha g = Pairwise.improving_moves price ~alpha g in
     [
       row ~group ~name:"moves fixpoint" ~corpus:(corpus_for kind)
         ~fast:(over_grid (fun ~alpha g -> generate ~alpha g = []))

@@ -47,8 +47,8 @@ let test_bcg_small_alpha_completes () =
   check_bool "trace is all additions" true
     (List.for_all
        (function
-         | Game.Add _ -> true
-         | Game.Delete _ -> false)
+         | Pairwise.Add _ -> true
+         | Pairwise.Delete _ -> false)
        outcome.Game_dynamics.trace)
 
 let test_bcg_trace_replays () =
@@ -59,8 +59,8 @@ let test_bcg_trace_replays () =
     List.fold_left
       (fun g move ->
         match move with
-        | Game.Add (i, j) -> Graph.add_edge g i j
-        | Game.Delete (i, j) -> Graph.remove_edge g i j)
+        | Pairwise.Add (i, j) -> Graph.add_edge g i j
+        | Pairwise.Delete (i, j) -> Graph.remove_edge g i j)
       seed outcome.Game_dynamics.trace
   in
   check (Alcotest.testable Graph.pp Graph.equal) "trace replays to final"
@@ -341,6 +341,69 @@ let test_mc_poa_summary_csv_and_guards () =
     (Invalid_argument "Mc_poa.run: need trials >= 1") (fun () ->
       ignore (Mc_poa.run ~n:8 ~alpha ~trials:0 ~seed:1 ()))
 
+(* ---------------- the pair-slot walk, every game with a pricing ---------------- *)
+
+(* every registered game whose dynamics are pairwise, by its CLI name *)
+let walk_games = [ "bcg"; "transfers"; "weighted_bcg"; "adversary"; "coalition:k=2" ]
+let walk_alphas = [ rq 1 2; r 1; r 2; r 7; r 30 ]
+let walk name ~n ~alpha ~max_evals ~seed =
+  Mc_poa.run_trial ~game:name ~n ~alpha ~max_evals ~init_p:None ~seed 0
+
+(* The walk one evaluation at a time: the trial with budget k + 1 either
+   ends on the budget-k final or applies exactly one more move, and that
+   move is one of the game's improving moves at the budget-k final.
+   Every trial converges within run's default budget, and its final has
+   no improving move left. *)
+let walk_single_steps name () =
+  let game = Game_registry.find_exn name in
+  let moves_at alpha (t : Mc_poa.trial) = Game.improving_moves game ~alpha t.final in
+  List.iter
+    (fun n ->
+      let cap = 60 * n * (n - 1) / 2 in
+      List.iter
+        (fun alpha ->
+          List.iter
+            (fun seed ->
+              let what =
+                Printf.sprintf "%s n=%d alpha=%s seed=%d" name n (Rat.to_string alpha) seed
+              in
+              let trial k = walk name ~n ~alpha ~max_evals:k ~seed in
+              let rec go k (prev : Mc_poa.trial) =
+                if prev.converged then
+                  check_bool (what ^ ": converged final has no improving move") true
+                    (moves_at alpha prev = [])
+                else begin
+                  check_bool (what ^ ": converged within budget") true (k < cap);
+                  let next = trial (k + 1) in
+                  if next.moves = prev.moves then
+                    check_bool (what ^ ": no move, same final") true
+                      (Graph.equal prev.final next.final)
+                  else begin
+                    check Alcotest.int (what ^ ": one move per evaluation") (prev.moves + 1)
+                      next.moves;
+                    check_bool (what ^ ": the move is improving") true
+                      (List.exists
+                         (fun mv -> Graph.equal (Game_dynamics.apply prev.final mv) next.final)
+                         (moves_at alpha prev))
+                  end;
+                  go (k + 1) next
+                end
+              in
+              go 1 (trial 1))
+            [ 1; 29 ])
+        walk_alphas)
+    [ 3; 9; 12 ]
+
+(* past the one-word kernel: the n = 70 trial converges, and its final
+   is pairwise stable under the game's own pricing *)
+let walk_multiword name () =
+  let alpha = r 2 in
+  let t = walk name ~n:70 ~alpha ~max_evals:(60 * 2415) ~seed:4242 in
+  let (Game.Any (module G)) = Game_registry.find_exn name in
+  check_bool (name ^ ": n = 70 trial converged") true t.converged;
+  check_bool (name ^ ": n = 70 final is pairwise stable") true
+    (Pairwise.is_stable (Option.get G.pricing) ~alpha t.final)
+
 (* ---------------- Meta (Jackson-Watts digraph) ---------------- *)
 
 let test_meta_counts_match_equilibria () =
@@ -445,6 +508,14 @@ let () =
           Alcotest.test_case "converged finals stable" `Quick test_mc_poa_converged_is_stable;
           Alcotest.test_case "summary, csv, guards" `Quick test_mc_poa_summary_csv_and_guards;
         ] );
+      ( "mc_poa walk",
+        List.concat_map
+          (fun name ->
+            [
+              Alcotest.test_case (name ^ " single steps") `Quick (walk_single_steps name);
+              Alcotest.test_case (name ^ " multi-word final") `Slow (walk_multiword name);
+            ])
+          walk_games );
       ( "meta",
         [
           Alcotest.test_case "counts" `Quick test_meta_counts_match_equilibria;

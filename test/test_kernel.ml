@@ -301,6 +301,10 @@ let test_registry_surface () =
       ("coalition:k=9", "Coalition.make: k must be in 1..8 (got 9)");
       ("coalition:k=0", "Coalition.make: k must be in 1..8 (got 0)");
       ("coalition:k=x", "game family \"coalition\": k must be an integer (got \"x\")");
+      ( "coalition:k=+0b1_0",
+        "game family \"coalition\": k must be an integer (got \"+0b1_0\")" );
+      ("coalition:k=0x2", "game family \"coalition\": k must be an integer (got \"0x2\")");
+      ("coalition:k=2_", "game family \"coalition\": k must be an integer (got \"2_\")");
       ("coalition:j=2", "game family \"coalition\": expected k=<1..8>, got \"j=2\"");
       ("coalition:k=2,k=3", "game family \"coalition\": expected exactly k=<1..8>, got \"k=2,k=3\"");
       ( "adversary:foo",
