@@ -356,7 +356,7 @@ let store_rows () =
             let m = Nf_serve.Mmap_reader.open_store ~path:path8 () in
             let b = Nf_serve.Alpha_index.builder () in
             Nf_serve.Mmap_reader.iter m (fun _ r ->
-                Nf_serve.Alpha_index.add b [ r.Nf_store.Layout.bcg ]);
+                ignore (Nf_serve.Alpha_index.add b [ r.Nf_store.Layout.bcg ]));
             let idx = Nf_serve.Alpha_index.freeze b in
             let eps = Nf_serve.Alpha_index.endpoints idx in
             assert (Array.length eps > 0);

@@ -873,7 +873,7 @@ let store_cmd =
 
 (* ---------------- serve / query ---------------- *)
 
-let serve_run jobs path socket port cache_chunks quiet =
+let serve_run jobs path socket port quiet =
   setup jobs;
   match (socket, port) with
   | Some _, Some _ ->
@@ -887,7 +887,7 @@ let serve_run jobs path socket port cache_chunks quiet =
       | None, None -> Serve.Server.Unix_socket (path ^ ".sock")
     in
     let report = if quiet then ignore else report_line in
-    match Serve.Server.serve ?cache_chunks ~report ~addr ~path () with
+    match Serve.Server.serve ~report ~addr ~path () with
     | () -> 0
     | exception Nf_store.Layout.Corrupt msg ->
       Printf.eprintf "error: %s\n" msg;
@@ -919,21 +919,16 @@ let serve_cmd =
       & opt (some int) None
       & info [ "port" ] ~docv:"P" ~doc:"TCP port to listen on (binds 127.0.0.1 only).")
   in
-  let cache_chunks =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "cache-chunks" ] ~docv:"K"
-          ~doc:"Decoded-chunk cache bound of the mmap read path (default 64; 0 disables).")
-  in
   let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"No start/shutdown lines.") in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Long-running atlas query daemon: mmap-backed reads, per-game alpha-interval \
-          indexes, line-delimited JSON protocol (stable-at | entry | figure-points | export \
-          | stats | health | shutdown); clean SIGINT/SIGTERM shutdown")
-    Term.(const serve_run $ jobs_opt $ store $ socket $ port $ cache_chunks $ quiet)
+         "Long-running atlas query daemon: one CRC-checked pass over the mapped store fills \
+          resident columns (graph6 slab, per-game alpha-interval indexes, region codes) that \
+          answer stable-at and entry with no chunk decode; line-delimited JSON protocol \
+          (stable-at | entry | figure-points | export | stats | health | shutdown); clean \
+          SIGINT/SIGTERM shutdown")
+    Term.(const serve_run $ jobs_opt $ store $ socket $ port $ quiet)
 
 let emit_csv ~csv text =
   match csv with

@@ -15,7 +15,7 @@ type t = {
   ids : int array array;  (* ascending ordinals per region *)
 }
 
-type entry = { live : bool; mutable buf : int array; mutable len : int }
+type entry = { code : int; live : bool; mutable buf : int array; mutable len : int }
 
 type builder = {
   table : (Interval.t list, entry) Hashtbl.t;
@@ -31,7 +31,7 @@ let add b pieces =
     | Some e -> e
     | None ->
       let live = List.exists (fun p -> not (Interval.is_empty p)) pieces in
-      let e = { live; buf = [||]; len = 0 } in
+      let e = { code = Hashtbl.length b.table; live; buf = [||]; len = 0 } in
       Hashtbl.add b.table pieces e;
       b.seen <- (pieces, e) :: b.seen;
       e
@@ -41,13 +41,15 @@ let add b pieces =
     e.buf.(e.len) <- b.next;
     e.len <- e.len + 1
   end;
-  b.next <- b.next + 1
+  b.next <- b.next + 1;
+  e.code
 
 let freeze b =
   let seen = Array.of_list (List.rev b.seen) in
   { regions = Array.map fst seen; ids = Array.map (fun (_, e) -> Array.sub e.buf 0 e.len) seen }
 
 let regions t = Array.length t.regions
+let region t code = t.regions.(code)
 let ids t = Array.fold_left (fun acc a -> acc + Array.length a) 0 t.ids
 
 let endpoints t =

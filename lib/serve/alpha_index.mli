@@ -12,11 +12,12 @@ type builder
 
 val builder : unit -> builder
 
-val add : builder -> Nf_util.Interval.t list -> unit
+val add : builder -> Nf_util.Interval.t list -> int
 (** [add b pieces] gives the next record id (0, 1, …) the region
     [pieces]: a singleton for an interval region, [Union.to_list] for a
     union region.  Empty pieces never match; overlapping pieces are
-    tolerated. *)
+    tolerated.  Returns the region's code: its number among the
+    distinct regions in first-seen order, which {!region} reads back. *)
 
 val freeze : builder -> t
 
@@ -32,6 +33,10 @@ val endpoints : t -> Nf_util.Rat.t array
 
 val regions : t -> int
 (** Distinct regions. *)
+
+val region : t -> int -> Nf_util.Interval.t list
+(** [region t code]: the pieces of the region {!add} returned [code]
+    for. *)
 
 val ids : t -> int
 (** Ids held: those of regions containing some point. *)

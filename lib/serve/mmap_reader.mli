@@ -6,8 +6,9 @@
     read-only ([Unix.map_file]).  Any record is then two binary
     searches plus one lazy, CRC-checked chunk decode; the only store
     bytes this module keeps on the heap are the decoded chunks in a
-    small bounded FIFO cache ([Service] adds a graph6 slab and region
-    dictionaries, filled by one {!iter} pass).  A directory of shard
+    small bounded FIFO cache ([Service] adds a graph6 slab, region
+    dictionaries and region codes, filled by one {!iter} pass, and
+    never reads through the cache).  A directory of shard
     volumes is served transparently: each
     volume gets its own mapping and record ordinals run across volumes
     in shard order, so the directory reads as the store its merge would

@@ -124,8 +124,8 @@ let take_lines c =
     Buffer.add_substring c.inbuf s (last + 1) (String.length s - last - 1);
     String.split_on_char '\n' (String.sub s 0 last)
 
-let serve ?cache_chunks ?(report = ignore) ~addr ~path () =
-  let service = Service.create ?cache_chunks ~path () in
+let serve ?(report = ignore) ~addr ~path () =
+  let service = Service.create ~path () in
   let listen_fd, cleanup_addr =
     match addr with
     | Unix_socket sp ->

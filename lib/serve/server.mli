@@ -22,8 +22,7 @@ val handle_line : Service.t -> string -> string * [ `Continue | `Shutdown ]
 (** Parse one wire line and {!respond} to it: one response line
     (newline included), counted in the service's request total. *)
 
-val serve :
-  ?cache_chunks:int -> ?report:(string -> unit) -> addr:addr -> path:string -> unit -> unit
+val serve : ?report:(string -> unit) -> addr:addr -> path:string -> unit -> unit
 (** Open the store at [path] (file or shard directory), bind [addr], and
     serve until a shutdown request or signal; returns after a clean
     drain.  [report] receives a start line and a shutdown line.

@@ -2,19 +2,24 @@
    read path every in-process store query takes.
 
    One [Service.t] wraps a mapped store plus columnar read structures,
-   guarded for concurrent use from the pool domains the server
-   dispatches requests on.  The first use of the service fills them all
-   in one pass through the CRC-checked [Mmap_reader.iter], so they never
-   hold bytes of a damaged chunk (a pass that raises [Layout.Corrupt]
-   installs nothing):
+   safe for concurrent use from the pool domains the server dispatches
+   requests on: the columns and the request count are atomics, and only
+   the figure cache takes the mutex.  The first use of the service
+   fills the columns in one pass through the CRC-checked
+   [Mmap_reader.iter], so they never hold bytes of a damaged chunk (a
+   pass that raises [Layout.Corrupt] installs nothing):
    - the graph6 slab, one [Bytes] of count × width (a connected class's
      graph6 has one length per order: 7 bytes at n = 9, 9 at n = 10),
      which stable-at answers render from with no chunk decode;
-   - one region dictionary ([Alpha_index]) per column the store carries;
+   - one region dictionary ([Alpha_index]) per column the store carries,
+     and next to it the column's region codes: record i's region number
+     in the dictionary, 4 bytes per record;
    - the entry order: the ordinals sorted by their slab slice.
-   At n = 9 that is 1.8 MB of slab, 0.7 MB of BCG ids (pointless
-   regions keep none) and 2.1 MB of entry order; at n = 10, ~105 MB,
-   ~33 MB and ~94 MB.  The figure-sweep response cache is keyed by
+   [entry] reads the entry order, the slab and the region codes, so
+   neither it nor stable-at decodes a chunk.  At n = 9 that is 1.8 MB
+   of slab, 0.7 MB of BCG ids (pointless regions keep none), 1.0 MB of
+   BCG codes and 2.1 MB of entry order; at n = 10, ~105 MB, ~33 MB,
+   ~47 MB and ~94 MB.  The figure-sweep response cache is keyed by
    (game, n, α-grid); the sweep is deterministic, so a cached CSV is
    byte-identical to a recomputed one.
 
@@ -29,31 +34,35 @@ module Rat = Nf_util.Rat
 module Figures = Nf_analysis.Figures
 module Source = Nf_analysis.Source
 
+(* one carried column: its region dictionary, and record i's region
+   code in it as an int32 at bytes [4i, 4i+4) *)
+type column = { dict : Alpha_index.t; codes : Bytes.t }
+
 (* everything the first pass fills, installed at once *)
 type columns = {
   width : int;  (* every record's graph6 length: one per order *)
   slab : Bytes.t;  (* record i's graph6 at bytes [i*width, (i+1)*width) *)
-  dicts : (Source.column * Alpha_index.t) list;  (* one per column the store carries *)
+  cols : (Source.column * column) list;  (* one per column the store carries *)
   by_graph6 : int array;  (* ordinals in ascending graph6 order *)
 }
 
 type t = {
   store : Mmap_reader.t;
-  lock : Mutex.t;
-  mutable columns : columns option;
+  columns : columns option Atomic.t;
+  requests : int Atomic.t;
+  lock : Mutex.t;  (* guards the figure cache and its hit count *)
   figure_cache : (string, string) Hashtbl.t;
   mutable figure_hits : int;
-  mutable requests : int;
 }
 
-let create ?cache_chunks ~path () =
+let create ~path () =
   {
-    store = Mmap_reader.open_store ?cache_chunks ~path ();
+    store = Mmap_reader.open_store ~path ();
+    columns = Atomic.make None;
+    requests = Atomic.make 0;
     lock = Mutex.create ();
-    columns = None;
     figure_cache = Hashtbl.create 8;
     figure_hits = 0;
-    requests = 0;
   }
 
 let store t = t.store
@@ -65,7 +74,7 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let tick_request t = locked t (fun () -> t.requests <- t.requests + 1)
+let tick_request t = Atomic.incr t.requests
 
 let content t = Mmap_reader.content t.store
 let carried t = Source.carried (content t)
@@ -99,16 +108,18 @@ let sort_slots slab width count =
   pass (width - 1) (Array.init count Fun.id) (Array.make count 0)
 
 (* The one CRC-checked pass that fills the slab and every carried
-   column's region dictionary.  It runs outside the lock and installs
-   first-insert-wins: a concurrent duplicate build yields identical
-   columns, which are dropped; a pass that raises installs nothing. *)
+   column's region dictionary and codes.  It installs first-insert-wins:
+   a concurrent duplicate build yields identical columns, which are
+   dropped; a pass that raises installs nothing. *)
 let columns t =
-  match locked t (fun () -> t.columns) with
+  match Atomic.get t.columns with
   | Some c -> c
   | None ->
     let count = length t and width = Nf_graph.Graph6.encoded_length (n t) in
     let slab = Bytes.create (count * width) in
-    let builders = List.map (fun (_, col) -> (col, Alpha_index.builder ())) (carried t) in
+    let builders =
+      List.map (fun (_, col) -> (col, Alpha_index.builder (), Bytes.create (4 * count))) (carried t)
+    in
     Mmap_reader.iter t.store (fun i r ->
         let g = r.Layout.graph6 in
         if String.length g <> width then
@@ -117,15 +128,20 @@ let columns t =
                (Printf.sprintf "%s: record %d: graph6 %S is not %d bytes" (Mmap_reader.path t.store)
                   i g width));
         Bytes.blit_string g 0 slab (i * width) width;
-        List.iter (fun (col, b) -> Alpha_index.add b (pieces_of col r)) builders);
+        List.iter
+          (fun (col, b, codes) ->
+            Bytes.set_int32_le codes (4 * i) (Int32.of_int (Alpha_index.add b (pieces_of col r))))
+          builders);
     let by_graph6 = sort_slots slab width count in
-    let dicts = List.map (fun (col, b) -> (col, Alpha_index.freeze b)) builders in
-    let built = { width; slab; dicts; by_graph6 } in
-    locked t (fun () ->
-        if Option.is_none t.columns then t.columns <- Some built;
-        Option.get t.columns)
+    let cols =
+      List.map (fun (col, b, codes) -> (col, { dict = Alpha_index.freeze b; codes })) builders
+    in
+    let built = Some { width; slab; cols; by_graph6 } in
+    if Atomic.compare_and_set t.columns None built then Option.get built
+    else Option.get (Atomic.get t.columns)
 
-let dict t ~game = List.assoc (Source.column (content t) ~game) (columns t).dicts
+let dict_of columns col = (List.assoc col columns.cols).dict
+let dict t ~game = dict_of (columns t) (Source.column (content t) ~game)
 
 let stable_ids t ~game ~alpha = Alpha_index.stable_at (dict t ~game) ~alpha
 
@@ -137,7 +153,7 @@ let slices_of t dict ~alpha =
 let stable_slices t ~game ~alpha = slices_of t (dict t ~game) ~alpha
 
 let find_entry t ~graph6 =
-  let { width; slab; by_graph6 = order; _ } = columns t in
+  let { width; slab; cols; by_graph6 = order } = columns t in
   let at slot = Bytes.sub_string slab (slot * width) width in
   (* leftmost slot whose graph6 is >= the probe; a store's graph6
      strings are distinct (one canonical representative per class) *)
@@ -148,7 +164,19 @@ let find_entry t ~graph6 =
   done;
   if !lo < Array.length order && String.equal (at order.(!lo)) graph6 then
     let i = order.(!lo) in
-    Some (i, Mmap_reader.record t.store i)
+    let region col =
+      Option.map
+        (fun { dict; codes } ->
+          Alpha_index.region dict (Int32.to_int (Bytes.get_int32_le codes (4 * i))))
+        (List.assoc_opt col cols)
+    in
+    Some
+      ( i,
+        {
+          Layout.graph6;
+          bcg = Option.fold ~none:Interval.empty ~some:List.hd (region Source.Col_interval);
+          ucg = Option.map Interval.Union.of_list (region Source.Col_union);
+        } )
   else None
 
 (* the (label, exact region) lines an entry renders as — one pair per
@@ -172,7 +200,7 @@ let source ?game t =
       Mmap_reader.iter t.store (fun _ r -> f (Nf_graph.Graph6.decode r.Layout.graph6) r))
     ~stable:(fun col alpha ->
       List.map Nf_graph.Graph6.decode
-        (Json.slice_strings (slices_of t (List.assoc col (columns t).dicts) ~alpha)))
+        (Json.slice_strings (slices_of t (dict_of (columns t) col) ~alpha)))
 
 let figure_csv t ?grid () =
   let grid_list = match grid with Some g -> g | None -> Nf_analysis.Sweep.paper_grid in
@@ -207,21 +235,24 @@ type stats = {
 }
 
 let stats t =
-  let built, figure_cache_entries, figure_cache_hits, requests =
-    locked t (fun () -> (t.columns, Hashtbl.length t.figure_cache, t.figure_hits, t.requests))
+  let figure_cache_entries, figure_cache_hits =
+    locked t (fun () -> (Hashtbl.length t.figure_cache, t.figure_hits))
   in
+  let built = Atomic.get t.columns in
   let per_game f =
     match built with
     | None -> []
-    | Some c ->
-      List.sort compare (List.map (fun (g, col) -> (g, f (List.assoc col c.dicts))) (carried t))
+    | Some c -> List.sort compare (List.map (fun (g, col) -> (g, f (dict_of c col))) (carried t))
   in
   let resident_bytes =
     match built with
     | None -> 0
     | Some c ->
-      let ids = List.fold_left (fun acc (_, d) -> acc + Alpha_index.ids d) 0 c.dicts in
-      Bytes.length c.slab + (Sys.word_size / 8 * (ids + Array.length c.by_graph6))
+      let word = Sys.word_size / 8 in
+      List.fold_left
+        (fun acc (_, { dict; codes }) -> acc + Bytes.length codes + (word * Alpha_index.ids dict))
+        (Bytes.length c.slab + (word * Array.length c.by_graph6))
+        c.cols
   in
   {
     records = Mmap_reader.length t.store;
@@ -233,5 +264,5 @@ let stats t =
     resident_bytes;
     figure_cache_entries;
     figure_cache_hits;
-    requests;
+    requests = Atomic.get t.requests;
   }

@@ -5,9 +5,11 @@
     Wraps a mapped store ({!Mmap_reader}) with columnar read structures,
     all filled by the first CRC-checked {!Mmap_reader.iter} pass the
     service makes: a fixed-width graph6 slab by record ordinal, one
-    region dictionary ({!Alpha_index}) per column the store carries,
-    and the ordinals sorted by graph6 for [entry] lookups ({!stats}
-    reports their [resident_bytes]).  Next to them sits
+    region dictionary ({!Alpha_index}) per column the store carries
+    with each record's 4-byte region code in it, and the ordinals
+    sorted by graph6 for [entry] lookups ({!stats} reports their
+    [resident_bytes]), so neither [stable-at] nor [entry] decodes a
+    chunk.  Next to them sits
     the deterministic figure-sweep response cache keyed by
     [(game, n, α-grid)].  {!source} hands the store to the figure and
     export code as an {!Nf_analysis.Source.t}, the value a fresh
@@ -18,8 +20,10 @@
 
 type t
 
-val create : ?cache_chunks:int -> path:string -> unit -> t
-(** Open a store file or shard directory for serving.
+val create : path:string -> unit -> t
+(** Open a store file or shard directory for serving.  The service
+    never reads a record through the mapping's chunk cache, so the
+    store's [cached_chunks] stays 0.
     @raise Nf_store.Layout.Corrupt / [Failure] as {!Mmap_reader.open_store}. *)
 
 val store : t -> Mmap_reader.t
@@ -44,8 +48,11 @@ val stable_slices : t -> game:string -> alpha:Nf_util.Rat.t -> Json.slices
 
 val find_entry : t -> graph6:string -> (int * Nf_store.Layout.record) option
 (** Exact-string lookup of a stored representative: a binary search
-    over the ordinals sorted by their slab slice, then the record off
-    the chunk cache. *)
+    over the ordinals sorted by their slab slice, then the record
+    rebuilt from the columns — [bcg] is the interval column's region
+    ([Interval.empty] when the store carries none), [ucg] is [Some] of
+    the union column's region iff the store carries one.  It equals
+    {!Mmap_reader.record} of the ordinal; no chunk is decoded. *)
 
 val region_strings : t -> Nf_store.Layout.record -> (string * string) list
 (** The [(label, exact region)] pairs a record renders as — one per
@@ -72,10 +79,12 @@ type stats = {
   records : int;
   chunks : int;
   volumes : int;
-  cached_chunks : int;
+  cached_chunks : int;  (** the mapping's chunk cache: 0, as no request fills it *)
   indexed_games : (string * int) list;  (** (game, distinct finite endpoints) *)
   regions : (string * int) list;  (** (game, distinct regions) *)
-  resident_bytes : int;  (** slab + id arrays + entry order; 0 before first use *)
+  resident_bytes : int;
+      (** slab + id arrays + region codes (4 bytes per record per carried
+          column) + entry order; 0 before first use *)
   figure_cache_entries : int;
   figure_cache_hits : int;
   requests : int;

@@ -278,7 +278,9 @@ done
 # same Service, so these legs check the transport) — `query --remote --stable-at`
 # against `query --stable-at` from below the first region endpoint to
 # beyond the last (α = 1/2, 1, 3/2, 2, 5, 1000), figure CSV against
-# `store query --figures --csv`, export against `store export`.  The
+# `store query --figures --csv`, export against `store export`, and
+# `query --remote --entry` against `query --entry` for the first, middle
+# and last class of that export (an error exits non-zero).  The
 # daemon must then acknowledge the shutdown op, exit 0, and remove its
 # socket.  The daemon is the built binary run directly (not through
 # `dune exec`) so the backgrounded process never contends for dune's
@@ -324,6 +326,13 @@ for game in $games; do
     "$CLI" query "$sock" --remote --export > "$store_dir/serve_export_remote.csv"
     "$CLI" store export "$store" -o "$store_dir/serve_export_local.csv" > /dev/null
     cmp "$store_dir/serve_export_remote.csv" "$store_dir/serve_export_local.csv"
+    records=$(($(wc -l < "$store_dir/serve_export_local.csv") - 1))
+    for row in 1 $(((records + 1) / 2)) "$records"; do
+      g6=$(sed -n "$((row + 1))p" "$store_dir/serve_export_local.csv" | cut -d, -f1)
+      "$CLI" query "$sock" --remote --entry "$g6" > "$store_dir/serve_entry_remote.txt"
+      "$CLI" query "$store" --entry "$g6" > "$store_dir/serve_entry_local.txt"
+      cmp "$store_dir/serve_entry_remote.txt" "$store_dir/serve_entry_local.txt"
+    done
     "$CLI" query "$sock" --remote --health > /dev/null
     "$CLI" query "$sock" --remote --stats > /dev/null
     "$CLI" query "$sock" --remote --shutdown > /dev/null

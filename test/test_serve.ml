@@ -237,11 +237,16 @@ let unit_pieces =
     [ Interval.full ];
   |]
 
-(* the dictionary over record i's region [pieces.(i)] *)
+(* the dictionary over record i's region [pieces.(i)]; each record's
+   region code reads its pieces back *)
 let index_of pieces =
   let b = Alpha_index.builder () in
-  Array.iter (Alpha_index.add b) pieces;
-  Alpha_index.freeze b
+  let codes = Array.map (Alpha_index.add b) pieces in
+  let idx = Alpha_index.freeze b in
+  Array.iteri
+    (fun i code -> check_bool "region code reads back" true (Alpha_index.region idx code = pieces.(i)))
+    codes;
+  idx
 
 let naive_stable_at pieces ~alpha =
   let hit ps = List.exists (fun p -> Interval.mem alpha p) ps in
@@ -423,6 +428,9 @@ let test_store_differential () =
 
 (* --- service ------------------------------------------------------------ *)
 
+let stable_at_line alpha = Printf.sprintf {|{"op":"stable-at","alpha":%S}|} alpha
+let entry_line graph6 = Printf.sprintf {|{"op":"entry","graph6":%S}|} graph6
+
 let test_service_query_parity () =
   with_store ~chunk:4 5 (fun path ->
       let header, records = channel_records path in
@@ -456,17 +464,48 @@ let test_service_query_parity () =
       check_string "figure csv (cached)" figures (Service.figure_csv s ());
       let stats1 = Service.stats s in
       check_int "cache hit counted" (stats0.Service.figure_cache_hits + 1)
-        stats1.Service.figure_cache_hits;
-      (* entry lookup round-trips every stored graph6 *)
-      Array.iteri
-        (fun i (r : Layout.record) ->
-          match Service.find_entry s ~graph6:r.Layout.graph6 with
+        stats1.Service.figure_cache_hits)
+
+(* entry answers from the resident columns: over each content shape,
+   in several chunks, every ordinal's [find_entry] and its [entry] line
+   equal what the record off the mapping gives, and no chunk is ever
+   decoded into the service's cache *)
+let test_service_entry_columns () =
+  let check ~label ?game ?with_ucg () =
+    with_store ?game ?with_ucg ~chunk:8 6 (fun path ->
+        let s = Service.create ~path () in
+        let oracle = Mmap_reader.open_store ~path () in
+        check_bool (label ^ ": several chunks") true (Mmap_reader.chunks oracle > 4);
+        for i = 0 to Mmap_reader.length oracle - 1 do
+          let r = Mmap_reader.record oracle i in
+          let graph6 = r.Layout.graph6 in
+          (match Service.find_entry s ~graph6 with
           | Some (j, r') ->
-            check_int "entry ordinal" i j;
-            check_bool "entry record" true (record_equal r r')
-          | None -> Alcotest.fail "entry not found")
-        records;
-      check_bool "missing entry" true (Service.find_entry s ~graph6:"~~~~" = None))
+            check_int (Printf.sprintf "%s: ordinal of %S" label graph6) i j;
+            check_bool (Printf.sprintf "%s: record of %S" label graph6) true (record_equal r r')
+          | None -> Alcotest.failf "%s: %S not found" label graph6);
+          let rendered =
+            Protocol.ok_response
+              [
+                ("op", Json.Str "entry");
+                ("id", Json.Int i);
+                ("graph6", Json.Str graph6);
+                ( "regions",
+                  Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) (Service.region_strings s r)) );
+              ]
+          in
+          check_string
+            (Printf.sprintf "%s: entry line of %S" label graph6)
+            (Json.to_line rendered)
+            (fst (Server.handle_line s (entry_line graph6)))
+        done;
+        check_bool (label ^ ": missing entry") true (Service.find_entry s ~graph6:"~~~~" = None);
+        check_int (label ^ ": no chunk decoded") 0 (Mmap_reader.cached_chunks (Service.store s)))
+  in
+  check ~label:"classic bcg" ~with_ucg:false ();
+  check ~label:"classic bcg+ucg" ~game:"ucg" ();
+  check ~label:"interval game" ~game:"transfers" ();
+  check ~label:"union game" ~game:"coalition:k=2" ()
 
 let test_service_game_store_figures () =
   with_store ~game:"transfers" ~chunk:8 5 (fun path ->
@@ -517,9 +556,6 @@ let test_service_graph6_parity () =
         [ 1; 2; 3 ];
       check_graph6_parity ~label:"shards" ~games:[ "bcg"; "ucg" ] dir)
 
-let stable_at_line alpha = Printf.sprintf {|{"op":"stable-at","alpha":%S}|} alpha
-let entry_line graph6 = Printf.sprintf {|{"op":"entry","graph6":%S}|} graph6
-
 (* a stable-at rendered from the slab is byte for byte the response the
    list-of-strings renderer gives, escapes included: at n = 6 the class
    "Es\o" (BCG region [1, 2]) is stable at 3/2 *)
@@ -550,7 +586,8 @@ let test_service_slab_escapes () =
 
 (* stats report the columnar structures once the first pass has run —
    distinct regions and finite endpoints per carried game, and the
-   payload bytes of slab, id arrays and entry order — and none before *)
+   payload bytes of slab, id arrays, region codes (4 bytes per record
+   per carried column) and entry order — and none before *)
 let test_service_resident_stats () =
   with_store ~with_ucg:true ~chunk:4 6 (fun path ->
       let _, records = channel_records path in
@@ -592,7 +629,9 @@ let test_service_resident_stats () =
       in
       let count = Array.length records in
       let resident =
-        (count * Graph6.encoded_length 6) + (Sys.word_size / 8 * (count + live "bcg" + live "ucg"))
+        (count * Graph6.encoded_length 6)
+        + (4 * count * 2)
+        + (Sys.word_size / 8 * (count + live "bcg" + live "ucg"))
       in
       check_int "resident bytes" resident after.Service.resident_bytes;
       let reported = Json.of_string (fst (Server.handle_line s {|{"op":"stats"}|})) in
@@ -709,8 +748,8 @@ let test_service_forged_count () =
 
 (* the first stable-at and the first entry on a fresh service, raced
    from two domains (and, separately, two first stable-ats): each builds
-   outside the lock and the first insert wins, so both answer as a
-   sequential service does and the stats come out the same *)
+   its own columns and the first compare-and-set install wins, so both
+   answer as a sequential service does and the stats come out the same *)
 let test_service_first_use_race () =
   with_store ~chunk:4 6 (fun path ->
       let _, entries = channel_records path in
@@ -990,6 +1029,7 @@ let () =
       ( "service",
         [
           Alcotest.test_case "query parity" `Quick test_service_query_parity;
+          Alcotest.test_case "entry from columns" `Quick test_service_entry_columns;
           Alcotest.test_case "game store figures" `Quick test_service_game_store_figures;
           Alcotest.test_case "graph6 parity" `Quick test_service_graph6_parity;
           Alcotest.test_case "slab escapes" `Quick test_service_slab_escapes;
