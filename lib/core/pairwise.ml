@@ -60,19 +60,37 @@ let improves alpha at ~added i j =
   if added then frac_le_alpha alpha ti && addition_blocks alpha ti (at i j j)
   else (not (frac_le_alpha alpha ti)) || not (frac_le_alpha alpha (at i j j))
 
-(* The sums of a graph loaded in [ws]: before from one all-sources
-   sweep, taken before any toggle; after from a single-source sweep on
-   the toggled workspace, run only when the pricing asks. *)
+(* The sums of a graph loaded in [ws], and the pair toggle its callers
+   use.  before comes from one all-sources sweep of the untoggled graph,
+   taken at the first read, so a pricing that never reads it
+   (Distance_utility's) costs no sweep; reads happen only while a pair
+   is toggled, so the sweep flips the pair last toggled back for its
+   duration.  after is a single-source sweep on the toggled workspace,
+   run only when the pricing asks. *)
 let prepare price ws =
-  let base = Kernel.all_distance_sums ws in
-  price ws { before = (fun v -> base.(v)); after = Kernel.distance_sum_from ws }
+  let ti = ref 0 and tj = ref 0 and swept = ref false and base = ref [||] in
+  let before v =
+    if not !swept then begin
+      Kernel.toggle ws !ti !tj;
+      base := Kernel.all_distance_sums ws;
+      Kernel.toggle ws !ti !tj;
+      swept := true
+    end;
+    !base.(v)
+  in
+  let toggle i j =
+    ti := i;
+    tj := j;
+    Kernel.toggle ws i j
+  in
+  (price ws { before; after = Kernel.distance_sum_from ws }, toggle)
 
 (* both endpoints, i first, with the pair toggled *)
-let price_toggled ws at i j =
-  Kernel.toggle ws i j;
+let price_toggled toggle at i j =
+  toggle i j;
   let ti = at i j i in
   let tj = at i j j in
-  Kernel.toggle ws i j;
+  toggle i j;
   (ti, tj)
 
 (* every pair i < j in lexicographic order — the trivial subgroup's
@@ -85,22 +103,22 @@ let iter_pairs ws f =
 
 let is_stable price ~alpha g =
   Kernel.with_loaded g (fun ws ->
-      let at = prepare price ws in
+      let at, toggle = prepare price ws in
       try
         iter_pairs ws (fun i j present ->
-            Kernel.toggle ws i j;
+            toggle i j;
             let improving = improves alpha at ~added:(not present) i j in
-            Kernel.toggle ws i j;
+            toggle i j;
             if improving then raise_notrace Exit);
         true
       with Exit -> false)
 
 let improving_moves price ~alpha g =
   Kernel.with_loaded g (fun ws ->
-      let at = prepare price ws in
+      let at, toggle = prepare price ws in
       let adds = ref [] and dels = ref [] in
       iter_pairs ws (fun i j present ->
-          let ti, tj = price_toggled ws at i j in
+          let ti, tj = price_toggled toggle at i j in
           if present then begin
             if not (frac_le_alpha alpha ti) then dels := Delete (i, j) :: !dels;
             if not (frac_le_alpha alpha tj) then dels := Delete (j, i) :: !dels
@@ -126,12 +144,12 @@ let improving_moves price ~alpha g =
    the scan stops. *)
 let stable_interval price ws sym g =
   Kernel.load ws g;
-  let at = prepare price ws in
+  let at, toggle = prepare price ws in
   let lo = ref (0, 1) and tied = ref true and hi = ref (inf, 1) in
   (try
      Symmetry.iter_pair_reps sym (fun i j twin ->
          let present = Kernel.has_edge ws i j in
-         Kernel.toggle ws i j;
+         toggle i j;
          let ti = at i j i in
          if present then begin
            if frac_lt ti !hi then hi := ti;
@@ -149,7 +167,7 @@ let stable_interval price ws sym g =
            end
            else if frac_eq m !lo && not (frac_eq ti tj) then tied := false
          end;
-         Kernel.toggle ws i j;
+         toggle i j;
          if frac_lt !hi !lo || not (frac_lt (0, 1) !hi) then raise_notrace Exit)
    with Exit -> ());
   (* Interval.make opens an infinite end, so an ∞ α_min needs no guard *)

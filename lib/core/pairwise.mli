@@ -66,11 +66,13 @@ type sums = {
 }
 (** The distance sums a pricing reads, supplied by its caller.  Both may
     be asked only for the endpoints [i] and [j] of the toggled pair, and
-    [after] only while the pair is toggled; neither allocates.  The
-    callers here read [before] off one all-sources sweep and run [after]
-    as a single-source sweep on the toggled workspace; the sampled walk
+    only while the pair is toggled; neither allocates.  The callers here
+    read [before] off one all-sources sweep, taken at the first read (a
+    pricing that never reads it costs no sweep), and run [after] as a
+    single-source sweep on the toggled workspace; the sampled walk
     ([Nf_dynamics.Mc_poa]) answers both from its cached distance rows,
-    and [after] for an addition without a sweep. *)
+    [after] for an addition without a sweep, and first prices a deletion
+    on a lower bound of [after] (see {!pricing}). *)
 
 type pricing = Nf_graph.Kernel.t -> sums -> int -> int -> int -> Frac.t
 (** [price ws sums] prepares the game-specific state of the graph loaded
@@ -82,13 +84,26 @@ type pricing = Nf_graph.Kernel.t -> sums -> int -> int -> int -> Frac.t
     its loss when the toggle removed it.  [at] must not leave the
     workspace changed.
 
-    Per toggle, [at i j i] is always called first and [at i j j] at most
-    once after it, before the pair is toggled back: {!improving_moves}
-    prices both endpoints, and {!improves} and {!stable_interval} skip
-    [j]'s call whenever [j] cannot change the verdict.  So a pricing may
-    carry work from [i]'s call to [j]'s within one toggle (the transfers
-    joint sum, the adversary's toggled-state separation sums), but no
-    call may rely on an earlier call for [j]. *)
+    Calls come in passes: in each, [at i j i] is called first and
+    [at i j j] at most once after it, before the pair is toggled back.
+    {!improving_moves} prices both endpoints, and {!improves} and
+    {!stable_interval} skip [j]'s call whenever [j] cannot change the
+    verdict.  A caller may run more than one pass per toggle, each on
+    its own sums (the sampled walk's floor pass, then its exact pass).
+    So a pricing may carry work from [i]'s call to [j]'s within one pass
+    (the transfers joint sum, the adversary's toggled-state separation
+    sums), but no call may rely on an earlier call for [j] or on an
+    earlier pass.
+
+    A deletion threshold never decreases as [after] grows: with [before]
+    and the other endpoint's sums fixed, raising [after v] for either
+    endpoint never lowers [at i j i] or [at i j j] on a deletion.  So a
+    pass on a lower bound of [after] gives a lower bound on each
+    threshold, and a deletion that improves for no endpoint there
+    improves for none on the exact sums.  Every registered pricing meets
+    this: the BCG's loss [after − before] (also [coalition:k=2]'s), the
+    weighted BCG's over [w_v], the transfers joint loss, and the
+    adversary's loss, whose separation term does not read [after]. *)
 
 val addition_blocks : Nf_util.Rat.t -> Frac.t -> Frac.t -> bool
 (** The bilateral consent predicate: a missing link with benefits

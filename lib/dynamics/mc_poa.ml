@@ -1,5 +1,6 @@
 module Graph = Nf_graph.Graph
 module Kernel = Nf_graph.Kernel
+module Bitset_w = Nf_util.Bitset_w
 module Random_graph = Nf_graph.Random_graph
 module Prng = Nf_util.Prng
 module Rat = Nf_util.Rat
@@ -14,7 +15,8 @@ module Pairwise = Netform.Pairwise
    samples instead: seeded random initial graphs, a randomized
    first-improvement better-response walk run entirely inside a kernel
    workspace (exact distance rows priced and patched in place, edge
-   toggles and allocation-free BFS only where a row cannot be patched, so
+   toggles and allocation-free BFS only where a row can be neither
+   patched nor kept and where a deletion's floor cannot rule it out, so
    n in the hundreds is a per-trial cost of seconds, not hours), and the
    exact-rational social cost of the resulting stable states against the
    closed-form optimum.
@@ -147,6 +149,77 @@ let final_cost ~cost_model ~alpha ws m =
     (Some cost, !diameter)
   end
 
+(* ---- exact pruning rules ----
+   Both read the workspace with the deleted pair already toggled out,
+   and distance rows exact on the graph G before the deletion. *)
+
+(* Row retention after a deletion ab, row [v] exact on G, [ws] holding
+   G − ab.  With d(v,a) = d(v,b) no shortest path from v crosses ab.
+   Otherwise the two differ by one (ab was an edge); call the farther
+   endpoint f.  When f keeps a neighbour u in G − ab with
+   d(v,u) = d(v,f) − 1, no distance from v changes: a shortest v–u path
+   in G avoids f (d(v,f) > d(v,u)), hence ab, and a shortest v–w path
+   crossing ab crosses it once, into f, so replacing its prefix up to f
+   by that v–u path and the edge uf keeps its length and avoids ab.
+   Rows a and b are never kept: the one vertex one step nearer than f
+   is the row's own vertex, no longer f's neighbour. *)
+let deletion_keeps_row ws v a b =
+  let n = Kernel.order ws
+  and d = Kernel.distance_rows ws in
+  let ov = 2 * v * n in
+  let da = Bytes.get_uint16_ne d (ov + (2 * a))
+  and db = Bytes.get_uint16_ne d (ov + (2 * b)) in
+  if da = db then true
+  else begin
+    let f, near = if da < db then (b, da) else (a, db) in
+    let words = Kernel.words ws
+    and found = ref false
+    and k = ref 0 in
+    while (not !found) && !k < words do
+      let c = ref (Kernel.row_word ws f !k) in
+      while (not !found) && !c <> 0 do
+        let bit = !c land - !c in
+        let u = (!k * Bitset_w.bits_per_word) + Bitset_w.bit_index bit in
+        if Bytes.get_uint16_ne d (ov + (2 * u)) = near then found := true;
+        c := !c lxor bit
+      done;
+      incr k
+    done;
+    !found
+  end
+
+(* Deletion floor: with [ws] holding G − ij, a lower bound on
+   D_i(G − ij) − D_i(G) from adjacency words alone.  No distance shrinks
+   when an edge goes, so every vertex whose distance from i provably
+   grows adds at least its growth:
+   - j: d(i,j) goes from 1 to at least 2, and to at least 3 when i and j
+     share no neighbour;
+   - each w ∈ N(j) ∖ N[i]: d(i,w) = 2 in G (through j), and stays 2 in
+     G − ij only through a neighbour shared with i there; with none it
+     grows to at least 3.
+   A bridge makes the exact difference ∞, above any floor. *)
+let deletion_floor ws i j =
+  let words = Kernel.words ws in
+  let floor = ref 2 in
+  for k = 0 to words - 1 do
+    if Kernel.row_word ws i k land Kernel.row_word ws j k <> 0 then floor := 1
+  done;
+  for k = 0 to words - 1 do
+    (* the toggle took i out of N(j) and j out of N(i) *)
+    let c = ref (Kernel.row_word ws j k land lnot (Kernel.row_word ws i k)) in
+    while !c <> 0 do
+      let bit = !c land - !c in
+      let w = (k * Bitset_w.bits_per_word) + Bitset_w.bit_index bit in
+      let shared = ref false in
+      for t = 0 to words - 1 do
+        if Kernel.row_word ws w t land Kernel.row_word ws i t <> 0 then shared := true
+      done;
+      if not !shared then incr floor;
+      c := !c lxor bit
+    done
+  done;
+  !floor
+
 let run_trial ?(game = "bcg") ~n ~alpha ~max_evals ~init_p ~seed index =
   if n < 2 then invalid_arg "Mc_poa.run_trial: need n >= 2";
   let price, cost_model = pricing_of ~caller:"run_trial" game in
@@ -183,8 +256,8 @@ let run_trial ?(game = "bcg") ~n ~alpha ~max_evals ~init_p ~seed index =
          is rebuilt by one BFS the first time the walk reads it.
          Additions are priced from two rows without a sweep, an applied
          addition patches every fresh row in place, and an applied
-         deletion invalidates only the rows whose distances it can
-         change. *)
+         deletion invalidates only the rows the retention rule cannot
+         keep. *)
       let d = Kernel.distance_rows ws
       and rinf = Kernel.row_inf in
       let sum = Array.make n 0
@@ -248,37 +321,49 @@ let run_trial ?(game = "bcg") ~n ~alpha ~max_evals ~init_p ~seed index =
           end
         done
       in
-      (* applied deletion ab: the edge lies on a shortest path from [v]
-         only if it is crossed from the nearer endpoint to the farther,
-         i.e. only if d(v,a) ≠ d(v,b).  Every other fresh row stays
-         exact. *)
+      (* applied deletion ab, already toggled out: every fresh row the
+         retention rule cannot keep goes stale; the rule only reads
+         rows, so the order of the checks does not matter *)
       let invalidate_deletion a b =
         for v = 0 to n - 1 do
-          let ov = 2 * v * n in
-          if
-            fresh.(v)
-            && Bytes.get_uint16_ne d (ov + (2 * a)) <> Bytes.get_uint16_ne d (ov + (2 * b))
-          then fresh.(v) <- false
+          if fresh.(v) && not (deletion_keeps_row ws v a b) then fresh.(v) <- false
         done
       in
       (* The sums the pricing reads for the slot (pi, pj): before from
          the two endpoints' rows, refreshed before the toggle; after,
          for an addition, through the other endpoint's row, and for a
          deletion from one sweep on the toggled workspace (the rows
-         still describe the untoggled graph). *)
+         still describe the untoggled graph) — or, in the floor pass,
+         before plus the deletion floor. *)
       let pi = ref 0
       and pj = ref 0
-      and adding = ref false in
+      and adding = ref false
+      and flooring = ref false in
+      let other v = if v = !pi then !pj else !pi in
       let sums =
         {
           Pairwise.before = (fun v -> sum.(v));
           after =
             (fun v ->
-              if !adding then sum_through (2 * v * n) (2 * (if v = !pi then !pj else !pi) * n)
+              if !adding then sum_through (2 * v * n) (2 * other v * n)
+              else if !flooring then
+                if sum.(v) = inf then inf else sum.(v) + deletion_floor ws v (other v)
               else Kernel.distance_sum_from ws v);
         }
       in
       let at = ref (price ws sums) in
+      (* The floor pass: a deletion's thresholds on the floor sums.  A
+         deletion threshold never decreases as [after] grows
+         ([Pairwise.pricing]'s contract) and the floor's [after] is at
+         most the exact one, so when no endpoint improves on the floor
+         sums none improves on the exact ones, and the exact pass and
+         its two sweeps are skipped. *)
+      let floor_admits i j =
+        flooring := true;
+        let open_ = Pairwise.improves alpha !at ~added:false i j in
+        flooring := false;
+        open_
+      in
       let m = ref init_edges
       and moves = ref 0
       and evals = ref 0
@@ -318,8 +403,11 @@ let run_trial ?(game = "bcg") ~n ~alpha ~max_evals ~init_p ~seed index =
           Kernel.toggle ws i j;
           (* the move rule is Pairwise's: bilateral consent for an
              addition, either endpoint for a deletion, j priced only
-             when i leaves the verdict open *)
-          if Pairwise.improves alpha !at ~added:!adding i j then begin
+             when i leaves the verdict open; a deletion goes to the
+             exact pass only when the floor pass leaves it open *)
+          if
+            (!adding || floor_admits i j) && Pairwise.improves alpha !at ~added:!adding i j
+          then begin
             if !adding then begin
               incr m;
               patch_addition i j

@@ -72,6 +72,25 @@ val run_trial :
     domain's kernel workspace.
     @raise Invalid_argument as {!run} does for the game. *)
 
+(** {2 The walk's exact pruning rules}
+
+    Both take the workspace with the deleted edge already toggled out
+    and distance rows ({!Nf_graph.Kernel.distance_rows}) exact on the
+    graph [G] before the deletion; exposed for tests. *)
+
+val deletion_keeps_row : Nf_graph.Kernel.t -> int -> int -> int -> bool
+(** [deletion_keeps_row ws v a b], row [v] exact on [G] and [ws]
+    holding [G − ab]: [true] when row [v] is provably still exact, that
+    is when [d(v,a) = d(v,b)], or when the farther endpoint [f] keeps a
+    neighbour [u] in [G − ab] with [d(v,u) = d(v,f) − 1].  Reads row [v]
+    and [f]'s adjacency words only. *)
+
+val deletion_floor : Nf_graph.Kernel.t -> int -> int -> int
+(** [deletion_floor ws i j], [ws] holding [G − ij]: a lower bound, at
+    least 1, on [D_i(G − ij) − D_i(G)] from adjacency words alone — 2
+    when [i] and [j] share no neighbour, else 1, plus one for each
+    [w ∈ N(j) ∖ N[i]] with no neighbour shared with [i] in [G − ij]. *)
+
 val run :
   ?pool:Nf_util.Pool.t ->
   ?game:string ->

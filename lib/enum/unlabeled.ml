@@ -128,9 +128,10 @@ let accepts child =
     in
     f.Canon.orbits.(v) = f.Canon.orbits.(w)
 
-(* Orbit representatives (smallest mask per orbit, in ascending mask order)
-   of the parent's automorphism group acting on neighbor subsets.  [None]
-   for the common rigid case: every subset is its own orbit. *)
+(* Orbit representatives of the parent's automorphism group acting on
+   neighbor subsets: the largest mask per orbit (the downward scan meets
+   each orbit there first), in ascending mask order.  [None] for the
+   common rigid case: every subset is its own orbit. *)
 let subset_orbit_reps k generators =
   if generators = [] then None
   else begin

@@ -5,8 +5,8 @@ module Bw = Nf_util.Bitset_w
    [words] ints per vertex (62 bits per word, [Bitset_w] layout).  For
    n <= 62, words = 1 and a row is one int at offset [v] — exactly the
    historical single-word workspace — and every routine below dispatches
-   to a verbatim copy of the one-word code, so the n <= 8 annotation hot
-   paths (PR 4/6 bench rows, golden store bytes) are untouched by the
+   to a copy of the one-word code, so the n <= 8 annotation hot paths
+   (their bench rows, golden store bytes) are untouched by the
    multi-word generalization. *)
 type t = {
   mutable n : int;
@@ -93,6 +93,7 @@ let has_edge ws i j =
   if ws.words = 1 then ws.adj.(i) land (1 lsl j) <> 0
   else ws.adj.((i * ws.words) + Bw.word_of j) land Bw.bit_of j <> 0
 
+let row_word ws v k = ws.adj.((v * ws.words) + k)
 let iter_neighbors ws v f = Bw.iter f ws.adj (v * ws.words) ws.words
 let degree ws v = Bw.cardinal ws.adj (v * ws.words) ws.words
 
@@ -153,9 +154,8 @@ let toggle ws i j =
   end
 
 (* ---------------- one-word fast path (n <= 62) ----------------
-   Verbatim the pre-multi-word kernel: every value is an immediate int,
-   a full BFS allocates nothing, and the instruction stream is identical
-   to what the PR 4 bench rows were recorded against. *)
+   The pre-multi-word kernel's loops: every value is an immediate int
+   and a full BFS allocates nothing. *)
 
 (* Index of an isolated bit [b] (a power of two), branch cascade instead of
    Bitset.min_elt's linear probe — this sits inside every frontier
@@ -181,28 +181,29 @@ let rec expand_rows adj f acc =
     let b = f land -f in
     expand_rows adj (f lxor b) (acc lor adj.(bit_index b))
 
+(* The single-source rounds are top-level recursions taking the rows as
+   arguments: a local [go] capturing [adj] would allocate its closure on
+   every call. *)
+let rec sum_rounds_1 adj all seen front level sum =
+  if front = 0 then if seen = all then sum else inf
+  else
+    let fresh = expand_rows adj front 0 land lnot seen in
+    sum_rounds_1 adj all (seen lor fresh) fresh (level + 1)
+      (sum + (level * Bitset.cardinal fresh))
+
 let distance_sum_from_1 ws src =
-  let adj = ws.adj
-  and all = ws.all in
-  let rec go seen front level sum =
-    if front = 0 then if seen = all then sum else inf
-    else
-      let fresh = expand_rows adj front 0 land lnot seen in
-      go (seen lor fresh) fresh (level + 1) (sum + (level * Bitset.cardinal fresh))
-  in
   let s = Bitset.singleton src in
-  go s s 1 0
+  sum_rounds_1 ws.adj ws.all s s 1 0
+
+let rec reach_rounds_1 adj seen front level sum =
+  if front = 0 then (sum, Bitset.cardinal seen)
+  else
+    let fresh = expand_rows adj front 0 land lnot seen in
+    reach_rounds_1 adj (seen lor fresh) fresh (level + 1) (sum + (level * Bitset.cardinal fresh))
 
 let reach_stats_1 ws src =
-  let adj = ws.adj in
-  let rec go seen front level sum =
-    if front = 0 then (sum, Bitset.cardinal seen)
-    else
-      let fresh = expand_rows adj front 0 land lnot seen in
-      go (seen lor fresh) fresh (level + 1) (sum + (level * Bitset.cardinal fresh))
-  in
   let s = Bitset.singleton src in
-  go s s 1 0
+  reach_rounds_1 ws.adj s s 1 0
 
 (* Bit-parallel all-sources BFS: one reach bitset and one frontier bitset
    per vertex, every frontier expanded simultaneously each round, so the
@@ -300,22 +301,24 @@ let start_single_source ws src =
   Bw.set ws.seen1 0 src;
   Bw.set ws.front1 0 src
 
+(* top-level recursions, as in the one-word path: no closure per call *)
+let rec sum_rounds_w ws level sum count =
+  let fresh = sweep_round_w ws in
+  if fresh = 0 then if count = ws.n then sum else inf
+  else sum_rounds_w ws (level + 1) (sum + (level * fresh)) (count + fresh)
+
 let distance_sum_from_w ws src =
   start_single_source ws src;
-  let rec go level sum count =
-    let fresh = sweep_round_w ws in
-    if fresh = 0 then if count = ws.n then sum else inf
-    else go (level + 1) (sum + (level * fresh)) (count + fresh)
-  in
-  go 1 0 1
+  sum_rounds_w ws 1 0 1
+
+let rec reach_rounds_w ws level sum count =
+  let fresh = sweep_round_w ws in
+  if fresh = 0 then (sum, count)
+  else reach_rounds_w ws (level + 1) (sum + (level * fresh)) (count + fresh)
 
 let reach_stats_w ws src =
   start_single_source ws src;
-  let rec go level sum count =
-    let fresh = sweep_round_w ws in
-    if fresh = 0 then (sum, count) else go (level + 1) (sum + (level * fresh)) (count + fresh)
-  in
-  go 1 0 1
+  reach_rounds_w ws 1 0 1
 
 let all_distance_sums_w ws =
   let n = ws.n

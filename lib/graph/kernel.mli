@@ -11,9 +11,9 @@
     ([max_int]) instead of boxed [Ext_int.t].
 
     For n ≤ 62 the slab is one word per vertex and every sum routine runs
-    a verbatim copy of the historical single-word code (same instruction
-    stream as the PR 4 bench rows); beyond 62 the same frontier algebra
-    runs as loops over [words] ints per row, still allocation-free.
+    a copy of the historical single-word loops; beyond 62 the same
+    frontier algebra runs as loops over [words] ints per row, still
+    allocation-free.
     {!distances_from} has only the generic loop, at every order.
 
     {b Ownership rules}: a workspace is single-owner mutable state. Obtain
@@ -61,6 +61,10 @@ val words : t -> int
 val neighbors : t -> int -> Bitset.t
 (** One-word neighbor row.
     @raise Invalid_argument when [words ws > 1] (order above 62). *)
+
+val row_word : t -> int -> int -> int
+(** [row_word ws v k] is word [k] of [v]'s adjacency row, [0 ≤ k <]
+    {!words}[ ws] ([Bitset_w] layout: vertex [62k + b] is bit [b]). *)
 
 val iter_neighbors : t -> int -> (int -> unit) -> unit
 (** Apply to each neighbor in ascending order; any order. *)

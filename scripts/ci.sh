@@ -391,22 +391,27 @@ echo "mc-poa golden CSVs: n=40, 64 and 128 match"
 # ratio) differs.  One small seeded CSV per non-BCG pricing pins that
 # game's thresholds on the walk's rows, and coalition:k=2, whose pricing
 # is the BCG's, must write the BCG's CSV byte for byte.
-echo "== mc-poa generic-walk golden CSVs (n=24, one per game) =="
-for spec in "transfers c077cb7f32bb821db93decf8fd4e1c91" \
-            "weighted_bcg 44670d12bdca200b0192edb51ae324f8" \
-            "adversary 70addff2e63ae95f30b83ef1786d69b2"; do
+# The n=70 row repeats each game on two-word rows, where the walk's row
+# retention and deletion floor loop over more than one adjacency word.
+echo "== mc-poa generic-walk golden CSVs (n=24 and n=70, one per game) =="
+for spec in "24 transfers c077cb7f32bb821db93decf8fd4e1c91" \
+            "24 weighted_bcg 44670d12bdca200b0192edb51ae324f8" \
+            "24 adversary 70addff2e63ae95f30b83ef1786d69b2" \
+            "70 transfers 2f7120a72831b87133ac94bfb6b589bb" \
+            "70 weighted_bcg 896d9705a00cacea24ea5962a0bc73d9" \
+            "70 adversary c920e89681bb25da89b66e87800933e2"; do
   set -- $spec
   out="$store_dir/mc_poa_generic.csv"
-  "$CLI" mc-poa -n 24 --alpha 2 --trials 2 --seed 5 --game "$1" --csv "$out" > /dev/null
+  "$CLI" mc-poa -n "$1" --alpha 2 --trials 2 --seed 5 --game "$2" --csv "$out" > /dev/null
   sum=$(md5sum "$out" | cut -d' ' -f1)
-  [ "$sum" = "$2" ] || { echo "mc-poa --game $1 CSV: md5 $sum, expected $2" >&2; exit 1; }
+  [ "$sum" = "$3" ] || { echo "mc-poa -n $1 --game $2 CSV: md5 $sum, expected $3" >&2; exit 1; }
 done
 "$CLI" mc-poa -n 24 --alpha 2 --trials 2 --seed 5 --game bcg \
   --csv "$store_dir/mc_poa_bcg.csv" > /dev/null
 "$CLI" mc-poa -n 24 --alpha 2 --trials 2 --seed 5 --game coalition:k=2 \
   --csv "$store_dir/mc_poa_coalition2.csv" > /dev/null
 cmp "$store_dir/mc_poa_bcg.csv" "$store_dir/mc_poa_coalition2.csv"
-echo "mc-poa generic-walk golden CSVs: transfers, weighted_bcg and adversary match; coalition:k=2 = bcg"
+echo "mc-poa generic-walk golden CSVs: transfers, weighted_bcg and adversary match at n=24 and n=70; coalition:k=2 = bcg"
 
 # Full leg (opt-in, minutes of CPU): stream all of n=10 through a sharded
 # split and check the connected-class count against OEIS A001349.

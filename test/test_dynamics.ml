@@ -404,6 +404,113 @@ let walk_multiword name () =
   check_bool (name ^ ": n = 70 final is pairwise stable") true
     (Pairwise.is_stable (Option.get G.pricing) ~alpha t.final)
 
+(* ---------------- the walk's exact pruning rules ---------------- *)
+
+module Kernel = Nf_graph.Kernel
+
+(* A random connected graph with one, two or three row words (by the
+   seed mod 3), at one to four times the walk's start density, and a
+   random edge (a, b) of it, a < b, loaded in a kernel workspace. *)
+let pruning_case = QCheck.int_bound 1_000_000
+
+let with_case seed f =
+  let rng = Prng.create seed in
+  let n = (62 * (seed mod 3)) + 2 + Prng.int rng 61 in
+  let p = Mc_poa.default_init_p n *. float_of_int (1 + Prng.int rng 4) in
+  let g = Nf_graph.Random_graph.connected_gnp rng n p in
+  let a, b = Prng.pick rng (Graph.edges g) in
+  Kernel.with_loaded g (fun ws -> f rng ws n (min a b) (max a b))
+
+(* every row the retention rule keeps after deleting ab equals its BFS
+   row on G − ab *)
+let prop_retention_exact =
+  QCheck.Test.make ~name:"rows kept by the retention rule are exact on G - ab" ~count:60
+    pruning_case (fun case ->
+      with_case case (fun _ ws n a b ->
+          let rows = Kernel.distance_rows ws in
+          for v = 0 to n - 1 do
+            ignore (Kernel.distances_from ws v)
+          done;
+          let on_g = Bytes.copy rows in
+          Kernel.toggle ws a b;
+          let kept = Array.init n (fun v -> Mc_poa.deletion_keeps_row ws v a b) in
+          let ok = ref true in
+          for v = 0 to n - 1 do
+            if kept.(v) then begin
+              ignore (Kernel.distances_from ws v);
+              if Bytes.sub rows (2 * v * n) (2 * n) <> Bytes.sub on_g (2 * v * n) (2 * n) then
+                ok := false
+            end
+          done;
+          !ok))
+
+(* the floor is at least 1 and never above D_v(G − ab) − D_v(G), which
+   is ∞ on a bridge *)
+let prop_floor_below_exact =
+  QCheck.Test.make ~name:"deletion floor <= exact loss, for both endpoints" ~count:60
+    pruning_case (fun case ->
+      with_case case (fun _ ws _ a b ->
+          let da = Kernel.distance_sum_from ws a
+          and db = Kernel.distance_sum_from ws b in
+          Kernel.toggle ws a b;
+          let below v u d0 =
+            let floor = Mc_poa.deletion_floor ws v u
+            and d1 = Kernel.distance_sum_from ws v in
+            floor >= 1 && (d1 = Kernel.inf || floor <= d1 - d0)
+          in
+          below a b da && below b a db))
+
+(* Pairwise.pricing's contract, for every pricing the walk runs: on a
+   deletion, a pass at larger [after] sums gives each endpoint a
+   threshold no smaller than a pass at smaller ones (5 stands for ∞) *)
+let prop_deletion_threshold_monotone =
+  QCheck.Test.make ~name:"deletion thresholds never decrease as after grows" ~count:60
+    pruning_case (fun case ->
+      with_case case (fun rng ws n i j ->
+          let before = Array.copy (Kernel.all_distance_sums ws)
+          and after = Array.make n 0 in
+          let sums = { Pairwise.before = (fun v -> before.(v)); after = (fun v -> after.(v)) } in
+          let grow x =
+            match Prng.int rng 6 with
+            | _ when x = Kernel.inf -> x
+            | 5 -> Kernel.inf
+            | k -> x + k
+          in
+          List.for_all
+            (fun name ->
+              let (Game.Any (module G)) = Game_registry.find_exn name in
+              let at = Option.get G.pricing ws sums in
+              let pass ai aj =
+                after.(i) <- ai;
+                after.(j) <- aj;
+                (* i before j: a pair's components evaluate right to left *)
+                let ti = at i j i in
+                (ti, at i j j)
+              in
+              let ai = grow before.(i) and aj = grow before.(j) in
+              Kernel.toggle ws i j;
+              let ti, tj = pass ai aj in
+              let ti', tj' = pass (grow ai) (grow aj) in
+              Kernel.toggle ws i j;
+              (not (Pairwise.Frac.frac_lt ti' ti)) && not (Pairwise.Frac.frac_lt tj' tj))
+            walk_games))
+
+(* the 4-cycle 0-1-2-3 without 01: rows 2 and 3 keep their distances
+   (each row's farther endpoint keeps a neighbour one step nearer: 3
+   for row 2, 2 for row 3), rows 0 and 1 do not; the floor, 2 for both
+   endpoints, is the exact loss (D_0 goes from 4 to 6) *)
+let test_pruning_cycle4 () =
+  Kernel.with_loaded (Families.cycle 4) (fun ws ->
+      for v = 0 to 3 do
+        ignore (Kernel.distances_from ws v)
+      done;
+      Kernel.toggle ws 0 1;
+      check (Alcotest.list Alcotest.bool) "rows kept" [ false; false; true; true ]
+        (List.init 4 (fun v -> Mc_poa.deletion_keeps_row ws v 0 1));
+      check Alcotest.int "floor of 0" 2 (Mc_poa.deletion_floor ws 0 1);
+      check Alcotest.int "floor of 1" 2 (Mc_poa.deletion_floor ws 1 0);
+      check Alcotest.int "exact loss of 0" 2 (Kernel.distance_sum_from ws 0 - 4))
+
 (* ---------------- Meta (Jackson-Watts digraph) ---------------- *)
 
 let test_meta_counts_match_equilibria () =
@@ -516,6 +623,13 @@ let () =
               Alcotest.test_case (name ^ " multi-word final") `Slow (walk_multiword name);
             ])
           walk_games );
+      ( "mc_poa pruning",
+        [
+          Alcotest.test_case "4-cycle" `Quick test_pruning_cycle4;
+          QCheck_alcotest.to_alcotest prop_retention_exact;
+          QCheck_alcotest.to_alcotest prop_floor_below_exact;
+          QCheck_alcotest.to_alcotest prop_deletion_threshold_monotone;
+        ] );
       ( "meta",
         [
           Alcotest.test_case "counts" `Quick test_meta_counts_match_equilibria;
