@@ -130,11 +130,7 @@ let cold_count_all n =
 
 (* substrate kernels *)
 let kernel_tests =
-  let rng = Nf_util.Prng.create 99 in
-  let random_graph = Nf_graph.Random_graph.connected_gnp rng 40 0.1 in
   [
-    Test.make ~name:"bfs_distance_sum_n40" (Staged.stage (fun () ->
-        Nf_graph.Bfs.distance_sum random_graph 0));
     Test.make ~name:"apsp_wiener_hoffman_singleton" (Staged.stage (fun () ->
         Nf_graph.Apsp.wiener Gallery.hoffman_singleton));
     Test.make ~name:"girth_mcgee" (Staged.stage (fun () -> Nf_graph.Girth.girth Gallery.mcgee));

@@ -83,9 +83,35 @@ let graph_conv =
   let print ppf g = Format.pp_print_string ppf (Nf_graph.Graph6.encode g) in
   Arg.conv (parse, print)
 
+(* An α that does not parse reaches the command as its message: the
+   command refuses it through [checked] (exit 2), like any other bad
+   argument, before anything is printed. *)
 let alpha_conv =
-  let parse s = Result.map_error (fun m -> `Msg m) (Nf_analysis.Parse.alpha_of_string s) in
-  Arg.conv (parse, fun ppf a -> Format.pp_print_string ppf (Rat.to_string a))
+  let parse s = Ok (Nf_analysis.Parse.alpha_of_string s) in
+  let print ppf = function
+    | Ok a -> Format.pp_print_string ppf (Rat.to_string a)
+    | Error msg -> Format.pp_print_string ppf msg
+  in
+  Arg.conv (parse, print)
+
+let alpha_of = function
+  | Ok alpha -> alpha
+  | Error msg -> invalid_arg msg
+
+(* A bad argument or an unusable store (missing, corrupt, of the wrong
+   kind) is found by [setup] before anything is printed: [checked setup
+   run] reports it as "error: …" on stderr with exit 2, and otherwise
+   hands [setup]'s result to [run]. *)
+let checked setup run =
+  match setup () with
+  | exception (Invalid_argument msg | Failure msg | Sys_error msg | Nf_store.Layout.Corrupt msg)
+    ->
+    Printf.eprintf "error: %s\n" msg;
+    2
+  | exception Unix.Unix_error (e, fn, arg) ->
+    Printf.eprintf "error: %s: %s %s\n" (Unix.error_message e) fn arg;
+    2
+  | x -> run x
 
 let graph_arg =
   Arg.(
@@ -183,6 +209,7 @@ let game_opt =
 
 let enumerate jobs n alpha =
   setup jobs;
+  checked (fun () -> alpha_of alpha) @@ fun alpha ->
   let source = Nf_analysis.Source.fresh (Nf_store.Layout.classic ~with_ucg:(n <= 7)) n in
   let bcg = Nf_analysis.Source.stable source ~game:"bcg" ~alpha in
   Printf.printf "connected isomorphism classes on %d vertices: %d\n" n
@@ -203,28 +230,13 @@ let enumerate jobs n alpha =
 let alpha_opt =
   Arg.(
     value
-    & opt alpha_conv (Rat.of_int 2)
+    & opt alpha_conv (Ok (Rat.of_int 2))
     & info [ "a"; "alpha" ] ~docv:"ALPHA" ~doc:"Link cost (integer, dyadic or p/q).")
 
 let enumerate_cmd =
   Cmd.v
     (Cmd.info "enumerate" ~doc:"Count equilibrium topologies exhaustively")
     Term.(const enumerate $ jobs_opt $ n_arg 6 $ alpha_opt)
-
-(* A bad argument or an unusable store (missing, corrupt, of the wrong
-   kind) is found by [setup] before anything is printed: [checked setup
-   run] reports it as "error: …" on stderr with exit 2, and otherwise
-   hands [setup]'s result to [run]. *)
-let checked setup run =
-  match setup () with
-  | exception (Invalid_argument msg | Failure msg | Sys_error msg | Nf_store.Layout.Corrupt msg)
-    ->
-    Printf.eprintf "error: %s\n" msg;
-    2
-  | exception Unix.Unix_error (e, fn, arg) ->
-    Printf.eprintf "error: %s: %s %s\n" (Unix.error_message e) fn arg;
-    2
-  | x -> run x
 
 (* ---------------- sweep ---------------- *)
 
@@ -281,6 +293,7 @@ let sweep_cmd =
 
 let dynamics jobs game_str n alpha seed steps =
   setup jobs;
+  checked (fun () -> alpha_of alpha) @@ fun alpha ->
   let rng = Nf_util.Prng.create seed in
   match String.lowercase_ascii game_str with
   | "ucg" ->
@@ -347,6 +360,7 @@ let dynamics_cmd =
 
 let mc_poa jobs game n alpha trials seed factor init_p csv =
   setup jobs;
+  checked (fun () -> alpha_of alpha) @@ fun alpha ->
   if n < 2 then begin
     Printf.eprintf "mc-poa: need -n >= 2\n";
     1
@@ -672,8 +686,8 @@ let store_query jobs path alpha game figures csv list_graphs =
         | None -> Serve.Service.default_game service
       in
       let source = Serve.Service.source ~game service in
-      (service, source, Game_registry.find_exn game))
-  @@ fun (service, source, (Game.Any (module G))) ->
+      (service, source, Game_registry.find_exn game, Option.map alpha_of alpha))
+  @@ fun (service, source, (Game.Any (module G)), alpha) ->
   Printf.printf "%s: n=%d, %d annotated classes, game=%s\n" path (Serve.Service.n service)
     (Serve.Service.length service) (Serve.Service.game service);
   (match alpha with
@@ -1013,6 +1027,7 @@ let query_response ~remote ~target ~game req =
 
 let query_run jobs target remote game stable_at entry figures export stats health shutdown csv =
   setup jobs;
+  checked (fun () -> Option.map alpha_of stable_at) @@ fun stable_at ->
   let ops =
     List.concat
       [

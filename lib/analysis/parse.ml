@@ -20,14 +20,23 @@ let named_graphs =
     ]
 
 (* Exact forms ("2", "7/2") go through Rat.of_string and never touch a
-   float; only decimal literals ("0.5") take the dyadic float route. *)
+   float: a string written in their alphabet gets Rat's verdict, its
+   refusal of a component of magnitude 2^31 or more included.  Only
+   decimal literals ("0.5") take the dyadic float route, whose numerator
+   over 4096 stays under the same bound. *)
+let bad s = Printf.sprintf "bad link cost %S (use e.g. 2, 0.5 or 7/2)" s
+
 let alpha_of_string s =
   let s = String.trim s in
-  match Rat.of_string_opt s with
-  | Some r -> Ok r
-  | None -> (
-    try Ok (Sweep.dyadic (float_of_string s))
-    with _ -> Error (Printf.sprintf "bad link cost %S (use e.g. 2, 0.5 or 7/2)" s))
+  let exact c = c = '-' || c = '/' || (c >= '0' && c <= '9') in
+  match Rat.of_string s with
+  | r -> Ok r
+  | exception Invalid_argument msg when String.for_all exact s -> Error msg
+  | exception Invalid_argument _ -> (
+    match float_of_string_opt s with
+    | Some x when Float.abs (x *. 4096.) < float_of_int Rat.component_limit -> (
+      try Ok (Sweep.dyadic x) with Invalid_argument _ -> Error (bad s))
+    | Some _ | None -> Error (bad s))
 
 let graph_of_spec spec =
   match List.assoc_opt (String.lowercase_ascii spec) named_graphs with

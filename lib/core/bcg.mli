@@ -61,12 +61,6 @@ val price : Pairwise.pricing
 val is_pairwise_stable : alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> bool
 (** Literal Definition 3 at an exact link cost ({!Pairwise.is_stable}). *)
 
-val is_pairwise_nash : alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> bool
-(** Definition 2 computed structurally: no improving multi-link severance
-    (checked over all subsets of each player's incident edges — [2^deg]
-    per player) and {!is_pairwise_stable}.  By Proposition 1 this agrees
-    with {!is_pairwise_stable}; the test suite asserts it. *)
-
 val improving_moves : alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> Pairwise.move list
 (** All improving moves at [alpha], in {!Pairwise.improving_moves}'s
     order contract, so PRNG draws in the dynamics are reproducible.

@@ -1,16 +1,17 @@
 module Graph = Nf_graph.Graph
-module Bfs = Nf_graph.Bfs
+module Kernel = Nf_graph.Kernel
 module Bitset = Nf_util.Bitset
 module Ext_int = Nf_util.Ext_int
 
 let deletion_distance_increase g i nbrs =
   if not (Bitset.subset nbrs (Graph.neighbors g i)) then
     invalid_arg "Convexity.deletion_distance_increase: not a neighbor subset";
-  let without = Bitset.fold (fun j acc -> Graph.remove_edge acc i j) nbrs g in
-  match Bfs.distance_sum g i, Bfs.distance_sum without i with
-  | Ext_int.Fin before, Ext_int.Fin after -> Ext_int.Fin (after - before)
-  | Ext_int.Fin _, Ext_int.Inf -> Ext_int.Inf
-  | Ext_int.Inf, _ -> Ext_int.Fin 0
+  Kernel.with_loaded g (fun ws ->
+      let base = Kernel.distance_sum_from ws i in
+      Bitset.iter (fun j -> Kernel.toggle ws i j) nbrs;
+      (* an infinite cost stays infinite: no increase *)
+      if base = Kernel.inf then Ext_int.Fin 0
+      else Kernel.to_ext (Pairwise.iloss ~base (Kernel.distance_sum_from ws i)))
 
 let is_cost_convex_at g i =
   let nbrs = Graph.neighbors g i in

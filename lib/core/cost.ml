@@ -1,6 +1,6 @@
 module Graph = Nf_graph.Graph
-module Bfs = Nf_graph.Bfs
 module Apsp = Nf_graph.Apsp
+module Kernel = Nf_graph.Kernel
 module Ext_int = Nf_util.Ext_int
 
 type game =
@@ -8,7 +8,8 @@ type game =
   | Ucg
   | Adversary
 
-let distance_cost g i = Bfs.distance_sum g i
+let distance_cost g i =
+  Kernel.with_loaded g (fun ws -> Kernel.to_ext (Kernel.distance_sum_from ws i))
 let total_distance_cost g = Apsp.wiener g
 
 (* Expected number of (player, separated-player) pairs under a uniformly

@@ -1,6 +1,4 @@
-module Bfs = Nf_graph.Bfs
 module Kernel = Nf_graph.Kernel
-module Ext_int = Nf_util.Ext_int
 
 type profile = {
   name : string;
@@ -11,15 +9,6 @@ let linear = { name = "linear"; f = Fun.id }
 let quadratic = { name = "quadratic"; f = (fun d -> d * d) }
 let hop_capped h = { name = Printf.sprintf "hop-capped(%d)" h; f = (fun d -> min d h) }
 let connectivity = { name = "connectivity"; f = (fun _ -> 0) }
-
-let distance_cost profile g i =
-  let dist = Bfs.distances g i in
-  let total = ref 0
-  and disconnected = ref false in
-  Array.iter
-    (fun d -> if d < 0 then disconnected := true else total := !total + profile.f d)
-    dist;
-  if !disconnected then Ext_int.Inf else Ext_int.Fin !total
 
 (* The BCG's pricing with Σ f(d) in place of the distance sum: a
    player's cost is read off its kernel distance row, Kernel.inf when

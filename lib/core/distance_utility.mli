@@ -31,9 +31,6 @@ val connectivity : profile
 (** [f(d) = 0] for every finite [d]: players only care about being
     connected at all. *)
 
-val distance_cost : profile -> Nf_graph.Graph.t -> int -> Nf_util.Ext_int.t
-(** [Σ_j f(d(i,j))], infinite when some vertex is unreachable. *)
-
 val stable_alpha_set : profile -> Nf_graph.Graph.t -> Nf_util.Interval.t
 (** Exact pairwise-stable region under [f], with the same tie handling as
     {!Bcg.stable_alpha_set}.  For [linear] this equals

@@ -1,52 +1,11 @@
 module Graph = Nf_graph.Graph
-module Bfs = Nf_graph.Bfs
 module Kernel = Nf_graph.Kernel
 module Symmetry = Nf_iso.Symmetry
 module Bitset = Nf_util.Bitset
-module Ext_int = Nf_util.Ext_int
 module Rat = Nf_util.Rat
 module Interval = Nf_util.Interval
 
 type owned = Bitset.t
-
-(* ---- persistent path -------------------------------------------------------
-   Straight off the definitions, over persistent graphs: the public
-   one-off point check [accepts]. *)
-
-(* The graph player i faces after discarding its own purchases: edges
-   bought by others survive. *)
-let base_graph g i ~owned = Bitset.fold (fun j acc -> Graph.remove_edge acc i j) owned g
-
-(* Buying an edge that already exists is strictly dominated, so deviation
-   targets range over the non-neighbors of the base graph. *)
-let candidates base i =
-  Bitset.diff (Bitset.remove i (Bitset.full (Graph.order base))) (Graph.neighbors base i)
-
-let with_targets base i targets = Bitset.fold (fun j acc -> Graph.add_edge acc i j) targets base
-
-(* cost(k0, D0) <= cost(k1, D1) at link cost α, with infinite distance
-   sums compared as infinite costs *)
-let cost_le alpha (k0, d0) (k1, d1) =
-  match d0, d1 with
-  | Ext_int.Fin d0, Ext_int.Fin d1 ->
-    (* α(k0 - k1) <= d1 - d0 *)
-    Rat.(mul alpha (of_int (k0 - k1)) <= of_int (d1 - d0))
-  | Ext_int.Fin _, Ext_int.Inf -> true
-  | Ext_int.Inf, Ext_int.Fin _ -> false
-  | Ext_int.Inf, Ext_int.Inf -> true
-
-let accepts ~alpha g i ~owned =
-  let base = base_graph g i ~owned in
-  let current = (Bitset.cardinal owned, Bfs.distance_sum g i) in
-  let ok = ref true in
-  Nf_util.Subset.iter_subsets (candidates base i) (fun targets ->
-      if !ok then begin
-        let deviation =
-          (Bitset.cardinal targets, Bfs.distance_sum (with_targets base i targets) i)
-        in
-        if not (cost_le alpha current deviation) then ok := false
-      end);
-  !ok
 
 (* ---- workspace kernel ----------------------------------------------------
    Acceptance against a loaded Kernel workspace: the base graph is two
@@ -164,6 +123,22 @@ let best_response ~alpha g i ~owned =
          the minimum is always finite *)
       assert (d <> inf);
       (!best, Rat.add (Rat.mul alpha (Rat.of_int k)) (Rat.of_int d)))
+
+(* The bounds lie inside (0, +inf]; a player that cannot reach everyone
+   never accepts, since buying every missing link connects it. *)
+let accepts ~alpha g i ~owned =
+  Kernel.with_loaded g (fun ws ->
+      let out = Array.make 6 0 in
+      Kernel.distance_sum_from ws i <> inf
+      && acceptance_bounds_ws ws i ~owned ~out
+      && Interval.mem alpha
+           (Interval.make
+              ~lo:(Interval.Finite (Rat.make out.(0) out.(1)))
+              ~lo_closed:(out.(2) = 1)
+              ~hi:
+                (if out.(4) = 0 then Interval.Pos_inf
+                 else Interval.Finite (Rat.make out.(3) out.(4)))
+              ~hi_closed:(out.(5) = 1)))
 
 let is_nash_orientation ~alpha g ~owner =
   let n = Graph.order g in
@@ -453,7 +428,7 @@ let orientation_walk ws sym g =
 
 let nash_alpha_set_sym_ws ws sym g =
   Kernel.load ws g;
-  if not (Nf_graph.Connectivity.is_connected g) || Graph.order g = 0 then
+  if Graph.order g = 0 || Kernel.distance_sum_from ws 0 = inf then
     Interval.Union.empty
   else orientation_walk ws sym g
 

@@ -43,7 +43,10 @@ val best_response :
 
 val accepts : alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> int -> owned:owned -> bool
 (** Player [i] has no strictly improving unilateral deviation when it owns
-    [owned] in [g]. *)
+    [owned] in [g], at a link cost [α > 0]: [α] lies in the player's
+    acceptance interval, whose bounds lie in [(0, +∞]], so no [α ≤ 0] is
+    accepted.  A player that does not reach every vertex never accepts
+    (buying every missing link connects it). *)
 
 val is_nash_orientation :
   alpha:Nf_util.Rat.t -> Nf_graph.Graph.t -> owner:(int -> int -> int) -> bool

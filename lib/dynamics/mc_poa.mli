@@ -104,8 +104,12 @@ val run :
   trial list
 (** Pool-dispatched trials, results in trial order.  A trial that has not
     converged after [max_evals_factor × C(n,2)] pair evaluations (default
-    factor 60 — enough for n ≤ 256 at the default density; larger orders
-    may need more) is reported with [converged = false].
+    factor 60) is reported with [converged = false].  What the default
+    covers is measured, not guaranteed: at n = 128, α = 2 and the
+    default density, the benchmark's 20 seeded trials all converge
+    inside it, while both trials of [mc-poa -n 256 --alpha 8 --trials 2]
+    exhaust it (1,958,400 evaluations, after 22,728 and 26,456 moves);
+    larger orders and link costs may need a larger factor.
 
     [?game] (default ["bcg"]) names the registered game the walk
     follows: any game with a pricing, e.g. ["transfers"],

@@ -42,11 +42,11 @@ let rebuild state i targets =
   owned.(i) <- targets;
   { graph; owned }
 
+(* the best response keeps the current set unless some deviation is
+   strictly better, so an unchanged set is acceptance at any α *)
 let best_response_step ~alpha state i =
-  if Ucg.accepts ~alpha state.graph i ~owned:state.owned.(i) then None
-  else
-    let targets, _cost = Ucg.best_response ~alpha state.graph i ~owned:state.owned.(i) in
-    Some (rebuild state i targets)
+  let targets, _cost = Ucg.best_response ~alpha state.graph i ~owned:state.owned.(i) in
+  if targets = state.owned.(i) then None else Some (rebuild state i targets)
 
 (* one round = one pass over a freshly drawn player order; the round
    loop itself is the shared {!Game_dynamics.iterate} fixpoint driver *)

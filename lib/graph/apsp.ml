@@ -1,17 +1,10 @@
 module Ext_int = Nf_util.Ext_int
 
-let all_distances g =
-  Array.init (Graph.order g) (fun v -> Bfs.distances g v)
-
-let ext_of_int k = if k = Kernel.inf then Ext_int.Inf else Ext_int.Fin k
-
-(* One bit-parallel all-sources sweep instead of n independent BFS runs;
-   the per-source [Bfs.distance_sum] stays as the reference the kernel is
-   differential-tested against. *)
+(* One bit-parallel all-sources sweep instead of n independent BFS runs. *)
 let distance_sums g =
   Kernel.with_loaded g (fun ws ->
       let sums = Kernel.all_distance_sums ws in
-      Array.init (Graph.order g) (fun v -> ext_of_int sums.(v)))
+      Array.init (Graph.order g) (fun v -> Kernel.to_ext sums.(v)))
 
 (* diameter = max eccentricity, radius = min eccentricity, wiener = sum of
    distance sums — all read off the same kernel sweep.  A source that does
@@ -27,7 +20,7 @@ let diameter g =
         for v = 0 to Graph.order g - 1 do
           if ecc.(v) > !worst then worst := ecc.(v)
         done;
-        ext_of_int !worst)
+        Kernel.to_ext !worst)
 
 let radius g =
   if Graph.order g = 0 then Ext_int.zero
@@ -39,14 +32,14 @@ let radius g =
         for v = 0 to Graph.order g - 1 do
           if ecc.(v) < !best then best := ecc.(v)
         done;
-        ext_of_int !best)
+        Kernel.to_ext !best)
 
 let wiener g =
   Kernel.with_loaded g (fun ws ->
       let sums = Kernel.all_distance_sums ws in
       let total = ref Ext_int.zero in
       for v = 0 to Graph.order g - 1 do
-        total := Ext_int.add !total (ext_of_int sums.(v))
+        total := Ext_int.add !total (Kernel.to_ext sums.(v))
       done;
       !total)
 

@@ -1,13 +1,10 @@
-(** All-pairs shortest paths and the derived global metrics. *)
-
-val all_distances : Graph.t -> int array array
-(** [all_distances g] is the matrix of hop distances, [-1] when
-    unreachable. *)
+(** All-pairs distance metrics, each read off one kernel sweep. *)
 
 val distance_sums : Graph.t -> Nf_util.Ext_int.t array
-(** [distance_sums g] is [Bfs.distance_sum g v] for every vertex, computed
-    by one bit-parallel all-sources kernel sweep ({!Kernel.all_distance_sums})
-    instead of [n] independent BFS runs.  The stability kernels compute
+(** [distance_sums g] is [Σ_j d(v,j)] for every vertex [v] ([Inf] when
+    [v] does not reach every vertex), computed by one bit-parallel
+    all-sources kernel sweep ({!Kernel.all_distance_sums}) instead of [n]
+    independent BFS runs.  The stability kernels compute
     this once per graph and reuse it as the base cost of every endpoint. *)
 
 val diameter : Graph.t -> Nf_util.Ext_int.t

@@ -1,12 +1,8 @@
 module Bitset = Nf_util.Bitset
 
 let is_connected g =
-  let n = Graph.order g in
-  n = 0
-  ||
-  let reached = ref 0 in
-  Array.iter (fun d -> if d >= 0 then incr reached) (Bfs.distances g 0);
-  !reached = n
+  Graph.order g = 0
+  || Kernel.with_loaded g (fun ws -> Kernel.distance_sum_from ws 0 <> Kernel.inf)
 
 (* ---- components --------------------------------------------------------- *)
 
@@ -50,21 +46,19 @@ let components g =
     invalid_arg
       (Printf.sprintf "Connectivity.components: order %d > %d (one-word bitset \
                        components; use component_labels)" n Bitset.max_size);
-  let remaining = ref (Bitset.full n) in
-  let acc = ref [] in
-  while not (Bitset.is_empty !remaining) do
-    let v = Bitset.min_elt !remaining in
-    let comp = Bfs.reachable g v in
-    acc := comp :: !acc;
-    remaining := Bitset.diff !remaining comp
-  done;
-  List.rev !acc
+  let label = component_labels g in
+  let comp = Array.make n Bitset.empty in
+  Array.iteri (fun v l -> comp.(l) <- Bitset.add v comp.(l)) label;
+  List.filteri (fun v _ -> label.(v) = v) (Array.to_list comp)
 
 (* ---- bridges ------------------------------------------------------------ *)
 
 let is_bridge g i j =
   if not (Graph.has_edge g i j) then invalid_arg "Connectivity.is_bridge: not an edge";
-  (Bfs.distances (Graph.remove_edge g i j) i).(j) < 0
+  Kernel.with_loaded g (fun ws ->
+      let _, before = Kernel.reach_stats ws i in
+      Kernel.toggle ws i j;
+      snd (Kernel.reach_stats ws i) < before)
 
 (* Shared lowpoint DFS over generic adjacency, so the same machinery runs
    on persistent graphs ([Graph.iter_neighbors]) and kernel workspaces

@@ -8,8 +8,8 @@
     uniformly random single-edge failure would cut off. *)
 
 val is_connected : Graph.t -> bool
-(** The empty graph (0 vertices) counts as connected.  Works at any
-    order. *)
+(** One kernel distance sweep from vertex 0.  The empty graph (0
+    vertices) counts as connected.  Works at any order. *)
 
 val components : Graph.t -> Nf_util.Bitset.t list
 (** Connected components as one-word vertex bitsets, ordered by least
@@ -27,7 +27,8 @@ val component_count : Graph.t -> int
 
 val is_bridge : Graph.t -> int -> int -> bool
 (** [is_bridge g i j] — removing existing edge [(i,j)] would put [i] and
-    [j] in different components.  Works at any order.
+    [j] in different components: [i] reaches fewer vertices once the edge
+    is toggled off in a kernel workspace.  Works at any order.
     @raise Invalid_argument when [(i,j)] is not an edge. *)
 
 val bridges : Graph.t -> (int * int) list

@@ -25,6 +25,7 @@ type t = {
 }
 
 let inf = max_int
+let to_ext k = if k = inf then Nf_util.Ext_int.Inf else Nf_util.Ext_int.Fin k
 
 let create ?(hint = 16) () =
   let cap = max hint 1 in

@@ -30,6 +30,9 @@ val inf : int
 (** Distance/sum value standing for infinity ([max_int]).  Arithmetic on it
     is the caller's responsibility: test against [inf] before adding. *)
 
+val to_ext : int -> Nf_util.Ext_int.t
+(** A kernel distance or sum as an [Ext_int.t]: {!inf} is [Inf]. *)
+
 val create : ?hint:int -> unit -> t
 (** Fresh workspace with capacity for [hint] (default 16) vertices; grows
     on demand in {!load}/{!load_rows}/{!load_edges}. *)

@@ -52,9 +52,9 @@ let str_field j name =
 
 let rat_field j name =
   let* s = str_field j name in
-  match Rat.of_string_opt s with
-  | Some r -> Ok r
-  | None -> Error (Printf.sprintf "field %S: %S is not an exact rational (P or P/Q)" name s)
+  match Rat.of_string s with
+  | r -> Ok r
+  | exception Invalid_argument msg -> Error (Printf.sprintf "field %S: %s" name msg)
 
 let request_of_json j =
   let* op = str_field j "op" in
@@ -76,9 +76,9 @@ let request_of_json j =
         let rec parse acc = function
           | [] -> Ok (Figure_points { grid = Some (List.rev acc) })
           | Json.Str s :: tl -> (
-            match Rat.of_string_opt s with
-            | Some r -> parse (r :: acc) tl
-            | None -> Error (Printf.sprintf "grid value %S is not an exact rational" s))
+            match Rat.of_string s with
+            | r -> parse (r :: acc) tl
+            | exception Invalid_argument msg -> Error (Printf.sprintf "grid value: %s" msg))
           | _ -> Error "field \"grid\" must be a list of exact rationals"
         in
         parse [] items))

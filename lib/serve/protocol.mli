@@ -2,8 +2,10 @@
 
     One request per line, one response line per request, in request
     order.  Exact rationals travel as {!Nf_util.Rat.to_string} text
-    (["3/2"]) and are parsed with {!Nf_util.Rat.of_string_opt} — never
-    through a float, so α survives the wire bit-for-bit. *)
+    (["3/2"]) and are parsed with {!Nf_util.Rat.of_string} — never
+    through a float, so α survives the wire bit-for-bit; a value it
+    refuses (a component of magnitude [2^31] or more included) is an
+    error response carrying its message. *)
 
 type request =
   | Stable_at of { game : string option; alpha : Nf_util.Rat.t }

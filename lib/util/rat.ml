@@ -46,10 +46,16 @@ let pp ppf r =
 
 let to_string r = Format.asprintf "%a" pp r
 
+(* A parsed component stays below 2^31 in magnitude, so the product of
+   two components — every cross-multiplication a parsed α meets against
+   a threshold of small integers — fits in 63 bits. *)
+let component_limit = 1 lsl 31
+
 (* A strict decimal integer: an optional leading '-', then digits only.
    [int_of_string] alone would also admit hex, octal, '+' and '_'
    separators — none of which [to_string] ever emits, and none of which
-   a wire protocol should silently accept. *)
+   a wire protocol should silently accept.  A spelling past the limit
+   (including one past the int range) is [`Range]. *)
 let parse_int s =
   let open Stdlib in
   let digits body =
@@ -58,20 +64,28 @@ let parse_int s =
   let body =
     if String.length s > 0 && s.[0] = '-' then String.sub s 1 (String.length s - 1) else s
   in
-  if digits body then int_of_string_opt s else None
+  if not (digits body) then Error `Syntax
+  else
+    match int_of_string_opt s with
+    | Some k when k > -component_limit && k < component_limit -> Ok k
+    | _ -> Error `Range
 
-let of_string_opt s =
+let parse s =
+  let ( let* ) = Result.bind in
   match String.index_opt s '/' with
-  | None -> Option.map of_int (parse_int s)
-  | Some k -> (
-    let p = String.sub s 0 k in
-    let q = String.sub s (k + 1) (String.length s - k - 1) in
-    match (parse_int p, parse_int q) with
-    | Some p, Some q when q <> 0 -> Some (make p q)
-    | _ -> None)
+  | None -> Result.map of_int (parse_int s)
+  | Some k ->
+    let* p = parse_int (String.sub s 0 k) in
+    let* q = parse_int (String.sub s (k + 1) (String.length s - k - 1)) in
+    if q = 0 then Error `Syntax else Ok (make p q)
+
+let of_string_opt s = Result.to_option (parse s)
 
 let of_string s =
-  match of_string_opt s with
-  | Some r -> r
-  | None ->
+  match parse s with
+  | Ok r -> r
+  | Error `Syntax ->
     invalid_arg (Printf.sprintf "Rat.of_string: %S is not an integer or P/Q rational" s)
+  | Error `Range ->
+    invalid_arg
+      (Printf.sprintf "Rat.of_string: %S has a numerator or denominator of magnitude >= 2^31" s)

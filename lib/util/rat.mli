@@ -37,13 +37,25 @@ val to_float : t -> float
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
+val component_limit : int
+(** [2^31]: {!of_string} refuses a numerator or denominator of this
+    magnitude or more. *)
+
 val of_string : string -> t
-(** Exact inverse of {!to_string}: parses ["P"] and ["P/Q"] with [P], [Q]
-    strict decimal integers (optional leading [-], digits only — no hex,
-    no [_] separators, no floats).  [of_string (to_string r) = r] for
-    every [t]; non-normalized inputs such as ["2/4"] or ["1/-2"] are
-    accepted and normalized by {!make}.
-    @raise Invalid_argument on anything else (including ["1/0"]). *)
+(** Inverse of {!to_string} below the input bound: parses ["P"] and
+    ["P/Q"] with [P], [Q] strict decimal integers (optional leading [-],
+    digits only — no hex, no [_] separators, no floats) of magnitude
+    below [2^31].  [of_string (to_string r) = r] for every [t] whose
+    components lie below the bound; non-normalized inputs such as ["2/4"]
+    or ["1/-2"] are accepted and normalized by {!make}.  The bound keeps
+    every product of two parsed components inside 63 bits, so comparing
+    a parsed value with a rational of components below the bound cannot
+    wrap around.
+    @raise Invalid_argument with the message
+      [Rat.of_string: "S" has a numerator or denominator of magnitude >= 2^31]
+      when a component reaches the bound, and
+      [Rat.of_string: "S" is not an integer or P/Q rational] on anything
+      else (including ["1/0"]). *)
 
 val of_string_opt : string -> t option
 (** Like {!of_string}, [None] instead of raising. *)

@@ -8,17 +8,27 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-# The game oracles live in test/support, outside the product: no
-# `let ..._reference` under lib/, and no lib/ or bin/ dune file links the
-# test-support library.
+# The game oracles and the distance oracle live in test/support, outside
+# the product: no `let ..._reference` under lib/, no product dune file
+# links the test-support library, and no product source names one of its
+# modules.
 echo "== oracles stay in test/support =="
 if grep -rnE "^[[:space:]]*(let|and)[[:space:]]+(rec[[:space:]]+)?[a-z0-9_']*_reference\b" \
   --include='*.ml' lib/; then
   echo "lib/ defines a *_reference function; oracles belong in test/support" >&2
   exit 1
 fi
-if grep -rln "nf_test_support" --include=dune lib/ bin/; then
-  echo "a lib/ or bin/ dune file names the test-support library nf_test_support" >&2
+if grep -rln "nf_test_support" --include=dune lib/ bin/ bench/ examples/; then
+  echo "a lib/, bin/, bench/ or examples/ dune file names the test-support library nf_test_support" >&2
+  exit 1
+fi
+# One distance engine in the product: Kernel.  The queue BFS (Bfs) and
+# every other test/support module are oracles, named by no product source.
+support_modules=$(for f in test/support/*.ml; do basename "$f" .ml; done \
+  | awk '{ printf "%s%s|", toupper(substr($0, 1, 1)), substr($0, 2) }')
+if grep -rnwE "Nf_test_support|${support_modules%|}" --include='*.ml' --include='*.mli' \
+  lib/ bin/ bench/ examples/; then
+  echo "a lib/, bin/, bench/ or examples/ source names Bfs or a test/support module; product distances go through Kernel" >&2
   exit 1
 fi
 

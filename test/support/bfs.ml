@@ -1,10 +1,11 @@
+module Graph = Nf_graph.Graph
 module Bitset = Nf_util.Bitset
 module Ext_int = Nf_util.Ext_int
 
 (* Textbook queue BFS over [Graph.iter_neighbors].  Deliberately NOT the
    kernel's bitset-frontier algebra: this is the persistent reference the
-   kernel is differential-tested against, so it should share as little
-   machinery with it as possible.  Works at any order. *)
+   kernel is differential-tested against, so it shares no machinery with
+   it.  Works at any order. *)
 let distances g src =
   let n = Graph.order g in
   if src < 0 || src >= n then invalid_arg "Bfs.distances: vertex out of range";
@@ -26,6 +27,8 @@ let distances g src =
         end)
   done;
   dist
+
+let all_distances g = Array.init (Graph.order g) (fun v -> distances g v)
 
 let distance g src dst =
   let n = Graph.order g in

@@ -1,11 +1,18 @@
-(** Breadth-first search: single-source hop distances.
+(** The distance oracle: a textbook queue BFS over persistent graphs.
 
-    These are the innermost primitives of the whole library — every cost
-    evaluation in the connection games is a sum of BFS distances. *)
+    Every product distance goes through {!Nf_graph.Kernel}'s bitset
+    sweeps; this module shares no code with them, and the kernel, the
+    game oracles and the graph tests are checked against it. *)
+
+module Graph := Nf_graph.Graph
 
 val distances : Graph.t -> int -> int array
 (** [distances g src] gives hop counts from [src]; unreachable vertices get
     [-1]. *)
+
+val all_distances : Graph.t -> int array array
+(** [all_distances g] is the matrix of hop distances, [-1] when
+    unreachable. *)
 
 val distance : Graph.t -> int -> int -> Nf_util.Ext_int.t
 (** [distance g src dst] is the hop distance (it agrees with

@@ -3,13 +3,13 @@
    graphs straight from the paper's definitions.  They share no code
    with the production annotators: no kernel workspace, no Pairwise
    fold, no production threshold helper.
-   Distances come from a fresh Bfs per graph, the adversary's separation
-   counts from removing each edge in turn, and every threshold is an
+   Distances come from a fresh Bfs (the queue-BFS distance oracle) per
+   graph, the adversary's separation counts from removing each edge in
+   turn, and every threshold is an
    exact Rat (or +∞) folded with Interval.  test/test_differential.ml
    compares each production path with the oracle of its family. *)
 
 module Graph = Nf_graph.Graph
-module Bfs = Nf_graph.Bfs
 module Bitset = Nf_util.Bitset
 module Ext_int = Nf_util.Ext_int
 module Rat = Nf_util.Rat
@@ -97,12 +97,12 @@ let weighted_bcg ~weight : pricing =
 
 (* the generalized distance cost Σ_v f(d(i, v)) over finite hop counts,
    ∞ when some player is out of reach (Distance_utility's profiles) *)
-let distance_utility f : pricing =
-  endpoint_savings (fun g v ->
-      let d = Bfs.distances g v in
-      ( (if Array.exists (fun d -> d < 0) d then Ext_int.Inf
-         else Ext_int.Fin (Array.fold_left (fun s d -> s + f d) 0 d)),
-        Rat.zero ))
+let utility_cost f g v =
+  let d = Bfs.distances g v in
+  if Array.exists (fun d -> d < 0) d then Ext_int.Inf
+  else Ext_int.Fin (Array.fold_left (fun s d -> s + f d) 0 d)
+
+let distance_utility f : pricing = endpoint_savings (fun g v -> (utility_cost f g v, Rat.zero))
 
 (* side payments decide on the joint surplus: an addition is priced at
    the joint benefit over 2 on both sides, a deletion at the joint loss
@@ -183,6 +183,24 @@ let pairwise_moves price ~alpha g =
 (* Definition 3 at one α: no deviation improves *)
 let pairwise_stable price ~alpha g = pairwise_moves price ~alpha g = []
 
+(* Definition 2 for the BCG: no player gains by cutting any nonempty set
+   of its links at once, a cut that disconnects it never gains, and
+   Definition 3 holds *)
+let bcg_pairwise_nash ~alpha g =
+  let cuts_ok i =
+    let base = Bfs.distance_sum g i in
+    let ok = ref true in
+    Nf_util.Subset.iter_subsets (Graph.neighbors g i) (fun cut ->
+        let without = Bitset.fold (fun j acc -> Graph.remove_edge acc i j) cut g in
+        match (base, Bfs.distance_sum without i) with
+        | Ext_int.Fin b, Ext_int.Fin a
+          when Rat.(of_int (a - b) < mul alpha (of_int (Bitset.cardinal cut))) ->
+          ok := false
+        | _ -> ());
+    !ok
+  in
+  List.for_all cuts_ok (List.init (Graph.order g) Fun.id) && pairwise_stable bcg ~alpha g
+
 (* ---- coalitions of at most k players -------------------------------------
    A coalition S of 2..k players deviates by forming every absent link
    inside it, member v paying for its a_v new links, when every member
@@ -239,6 +257,26 @@ let base_graph g i ~owned = Bitset.fold (fun j acc -> Graph.remove_edge acc i j)
 let candidates base i =
   Bitset.diff (Bitset.remove i (Bitset.full (Graph.order base))) (Graph.neighbors base i)
 
+(* cost(k0, D0) <= cost(k1, D1) at link cost α, with infinite distance
+   sums compared as infinite costs *)
+let cost_le alpha (k0, d0) (k1, d1) =
+  match (d0, d1) with
+  | Ext_int.Fin d0, Ext_int.Fin d1 -> Rat.(mul alpha (of_int (k0 - k1)) <= of_int (d1 - d0))
+  | Ext_int.Fin _, Ext_int.Inf | Ext_int.Inf, Ext_int.Inf -> true
+  | Ext_int.Inf, Ext_int.Fin _ -> false
+
+(* Definition 1 for one player at one α: no deviation is strictly
+   cheaper, whether or not the player reaches everyone *)
+let accepts ~alpha g i ~owned =
+  let base = base_graph g i ~owned in
+  let current = (Bitset.cardinal owned, Bfs.distance_sum g i) in
+  let ok = ref true in
+  Nf_util.Subset.iter_subsets (candidates base i) (fun targets ->
+      let deviation = Bitset.fold (fun j acc -> Graph.add_edge acc i j) targets base in
+      if not (cost_le alpha current (Bitset.cardinal targets, Bfs.distance_sum deviation i)) then
+        ok := false);
+  !ok
+
 let acceptance_interval g i ~owned =
   let d0 =
     match Bfs.distance_sum g i with
@@ -276,7 +314,8 @@ let acceptance_interval g i ~owned =
    Every surviving orientation emits its interval: no coverage or
    symmetry pruning. *)
 let ucg_nash g =
-  if Graph.order g = 0 || not (Nf_graph.Connectivity.is_connected g) then Interval.Union.empty
+  if Graph.order g = 0 || Array.exists (fun d -> d < 0) (Bfs.distances g 0) then
+    Interval.Union.empty
   else begin
     let n = Graph.order g in
     let edges = Array.of_list (Graph.edges g) in

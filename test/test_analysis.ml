@@ -202,6 +202,35 @@ let run_cli args =
 
 let run_experiments_cli args = run_cli ("experiments " ^ args)
 
+(* The Rat input bound at the CLI: the regression pair
+   4611686018427387903/4611686018427387902 (1 + 2.2e-19), whose num·den
+   products wrap around, is refused before anything is printed, exit 2
+   with Rat's pinned message; 2147483647/2147483646, components under the
+   bound, has the stable sets of 10001/10000 at n = 5 and 6, the two
+   lying between the same region endpoints. *)
+let test_cli_alpha_bound () =
+  let big = "4611686018427387903/4611686018427387902" in
+  let status, out, err = run_cli ("enumerate -n 5 --alpha " ^ big) in
+  check_int "exit 2" 2 status;
+  Alcotest.(check string) "no stdout" "" out;
+  Alcotest.(check string)
+    "pinned message"
+    (Printf.sprintf
+       "error: Rat.of_string: %S has a numerator or denominator of magnitude >= 2^31\n" big)
+    err;
+  let alpha s = Result.get_ok (Nf_analysis.Parse.alpha_of_string s) in
+  List.iter
+    (fun n ->
+      let source = Source.classic n in
+      List.iter
+        (fun game ->
+          let stable s = List.map Nf_graph.Graph6.encode (Source.stable source ~game ~alpha:(alpha s)) in
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s at n = %d" game n)
+            (stable "10001/10000") (stable "2147483647/2147483646"))
+        [ "bcg"; "ucg" ])
+    [ 5; 6 ]
+
 let build_store ?game n =
   let path = Filename.temp_file "netform_experiments" ".nfs" in
   ignore (Nf_store.Build.build ?game ~force:true ~path ~n ());
@@ -485,6 +514,7 @@ let () =
           Alcotest.test_case "cli unknown --only id" `Quick test_cli_experiments_unknown_only;
           Alcotest.test_case "cli --store feeds E1/E2" `Quick test_cli_experiments_store;
           Alcotest.test_case "cli store errors exit 2" `Quick test_cli_store_errors;
+          Alcotest.test_case "cli alpha input bound" `Quick test_cli_alpha_bound;
           Alcotest.test_case "render" `Quick test_experiment_render;
         ] );
     ]

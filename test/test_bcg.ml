@@ -11,6 +11,7 @@ module Interval = Nf_util.Interval
 module Prng = Nf_util.Prng
 module Families = Nf_named.Families
 module Gallery = Nf_named.Gallery
+module Oracle = Nf_test_support.Oracle
 
 let check = Alcotest.check
 let check_bool = Alcotest.(check bool)
@@ -128,7 +129,8 @@ let test_definition_matches_interval () =
 (* ---------------- Proposition 1 ---------------- *)
 
 let test_prop1_structural () =
-  (* pairwise stable <=> pairwise Nash, via the structural checker *)
+  (* pairwise stable <=> pairwise Nash, via the oracle's Definition 2
+     checker on persistent graphs *)
   let rng = Prng.create 23 in
   for _ = 1 to 120 do
     let g = Nf_graph.Random_graph.connected_gnp rng (3 + Prng.int rng 4) 0.5 in
@@ -136,7 +138,7 @@ let test_prop1_structural () =
       (fun alpha ->
         check_bool "prop 1"
           (Bcg.is_pairwise_stable ~alpha g)
-          (Bcg.is_pairwise_nash ~alpha g))
+          (Oracle.bcg_pairwise_nash ~alpha g))
       alphas_probe
   done
 
@@ -152,7 +154,7 @@ let test_prop1_vs_strategy_definition () =
         let alpha = rq (int_of_float (alpha_f *. 4.)) 4 in
         check_bool "graph checker = profile definition"
           (Strategy.is_pairwise_nash Cost.Bcg ~alpha:alpha_f profile)
-          (Bcg.is_pairwise_nash ~alpha g))
+          (Oracle.bcg_pairwise_nash ~alpha g))
       [ 0.25; 0.75; 1.0; 1.5; 2.0; 3.25; 5.0 ]
   done
 

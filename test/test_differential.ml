@@ -3,11 +3,12 @@
    a corpus is one row — a name, the fast path, the reference, the
    corpus and the comparator — and one runner turns each row into its
    own Alcotest case.
-   The references are the test/support oracles (one per game family,
+   The references are the test/support oracles (the queue-BFS distance
+   oracle for the kernel rows, one oracle per game family for the rest,
    sharing nothing with the production paths) or, where one production
    path is pinned to another, that path: the unquotiented scan for the
-   orbit rows, the BCG for the uniform-weight rows, and a fresh source
-   for the stored one.
+   orbit rows, the BCG for the uniform-weight rows, the one-word kernel
+   for the forced-width row, and a fresh source for the stored one.
    A new row of the game table gets its registry rows with no test
    changes, and fails them until its family has an oracle. *)
 
@@ -20,6 +21,9 @@ module Interval = Nf_util.Interval
 module Prng = Nf_util.Prng
 module Random_graph = Nf_graph.Random_graph
 module Oracle = Nf_test_support.Oracle
+module Bfs = Nf_test_support.Bfs
+module Apsp = Nf_graph.Apsp
+module Ext_int = Nf_util.Ext_int
 
 type row =
   | Row : {
@@ -334,6 +338,231 @@ let distance_utility_rows =
       (Distance_utility.connectivity, fun _ -> 0);
     ]
 
+(* ---- the kernel against the queue BFS -------------------------------------
+   Each kernel row runs at forced widths of 1, 2 and 3 words
+   (Kernel.set_min_words_for_testing; an order past 62 keeps its own
+   width where that is larger) over the same graphs, against Bfs on the
+   persistent graph.  Corpus items carry their width. *)
+
+let ext = Alcotest.testable Ext_int.pp Ext_int.equal
+
+(* seeded corpus: sparse through dense gnp at several orders, plus the
+   degenerate shapes the kernel must not trip over *)
+let kernel_corpus () =
+  let rng = Prng.create 0x6b65726e in
+  let random =
+    List.concat_map
+      (fun n ->
+        List.concat_map
+          (fun p -> List.init 3 (fun _ -> Random_graph.gnp rng n p))
+          [ 0.0; 0.1; 0.3; 0.5; 0.8 ])
+      [ 1; 2; 3; 5; 8; 12; 20 ]
+  in
+  random
+  @ [
+      Graph.empty 0;
+      Graph.empty 7;
+      Graph.of_edges 6 [ (0, 1); (2, 3) ];
+      Random_graph.gnp rng 40 0.15;
+      Nf_named.Gallery.petersen;
+      Nf_named.Families.path 9;
+    ]
+
+(* the boundary zoo: orders straddling each word-count transition, up
+   to 300 *)
+let large_corpus () =
+  let rng = Prng.create 0x77647364 in
+  List.concat_map
+    (fun n -> [ Random_graph.gnp rng n (2.0 /. float_of_int n); Random_graph.gnp rng n 0.08 ])
+    [ 62; 63; 64; 65; 127; 128; 129 ]
+  @ [
+      Graph.empty 100;
+      (* disconnected with a far component, forcing high-word traffic *)
+      Graph.of_edges 130 [ (0, 1); (1, 2); (128, 129) ];
+      Nf_named.Families.cycle 150;
+      Nf_named.Families.star 200;
+      Random_graph.tree (Prng.create 5) 300;
+      Random_graph.gnp (Prng.create 6) 300 0.02;
+    ]
+
+(* seeded random toggle walks: a start graph on each order and the pairs
+   toggled from it, one after another *)
+let toggle_walks ~seed ~p ~steps orders () =
+  let rng = Prng.create seed in
+  List.map
+    (fun n ->
+      let g = Random_graph.gnp rng n (p n) in
+      ( g,
+        List.init steps (fun _ ->
+            let i = Prng.int rng n in
+            (i, (i + 1 + Prng.int rng (n - 1)) mod n)) ))
+    orders
+
+let kernel_row ?(widths = [ 1; 2; 3 ]) ~label ~group ~name ~corpus ~fast ~reference equal =
+  Row
+    {
+      group;
+      name;
+      speed = `Quick;
+      corpus = (fun () -> List.concat_map (fun x -> List.map (fun w -> (w, x)) widths) (corpus ()));
+      label = (fun (w, x) -> Printf.sprintf "%d words, %s" w (label x));
+      fast =
+        (fun (w, x) ->
+          Fun.protect
+            ~finally:(fun () -> Kernel.set_min_words_for_testing 1)
+            (fun () ->
+              Kernel.set_min_words_for_testing w;
+              fast (w, x)));
+      reference;
+      equal;
+    }
+
+let graph6 = Nf_graph.Graph6.encode
+let over_vertices g f = List.init (Graph.order g) f
+let bfs_sums g = over_vertices g (Bfs.distance_sum g)
+
+(* (finite distance sum, vertices reached) from v, off the BFS row *)
+let bfs_reach g v =
+  Array.fold_left
+    (fun (sum, reached) d -> if d >= 0 then (sum + d, reached + 1) else (sum, reached))
+    (0, 0) (Bfs.distances g v)
+
+(* after each toggle of the walk: the pair's presence and every sum *)
+let walk_row ~group ~name corpus =
+  kernel_row ~group ~name ~corpus
+    ~label:(fun (g, steps) ->
+      Printf.sprintf "%s, %d toggles" (graph6 g) (List.length steps))
+    ~fast:(fun (_, (g, steps)) ->
+      Kernel.with_loaded g (fun ws ->
+          List.map
+            (fun (i, j) ->
+              Kernel.toggle ws i j;
+              let sums = Kernel.all_distance_sums ws in
+              (Kernel.has_edge ws i j, over_vertices g (fun v -> Kernel.to_ext sums.(v))))
+            steps))
+    ~reference:(fun (_, (g, steps)) ->
+      let g = ref g in
+      List.map
+        (fun (i, j) ->
+          g := (if Graph.has_edge !g i j then Graph.remove_edge else Graph.add_edge) !g i j;
+          (Graph.has_edge !g i j, bfs_sums !g))
+        steps)
+    Alcotest.(list (pair bool (list ext)))
+
+(* the eccentricities and single-source sums of one forced width *)
+let kernel_profile g =
+  Kernel.with_loaded g (fun ws ->
+      let all = Kernel.all_distance_sums ws in
+      let sums = over_vertices g (fun v -> all.(v)) in
+      let ecc = Kernel.eccentricities ws in
+      let ecc = over_vertices g (fun v -> ecc.(v)) in
+      (Kernel.words ws, sums, ecc, over_vertices g (Kernel.distance_sum_from ws)))
+
+let kernel_rows =
+  [
+    kernel_row ~label:graph6 ~group:"sums" ~name:"all sources vs naive" ~corpus:kernel_corpus
+      ~fast:(fun (_, g) ->
+        Kernel.with_loaded g (fun ws ->
+            let sums = Kernel.all_distance_sums ws in
+            let batch = over_vertices g (fun v -> Kernel.to_ext sums.(v)) in
+            (batch, over_vertices g (fun v -> Kernel.to_ext (Kernel.distance_sum_from ws v)))))
+      ~reference:(fun (_, g) -> (bfs_sums g, bfs_sums g))
+      Alcotest.(pair (list ext) (list ext));
+    kernel_row ~label:graph6 ~group:"sums" ~name:"eccentricities vs naive" ~corpus:kernel_corpus
+      ~fast:(fun (_, g) ->
+        Kernel.with_loaded g (fun ws ->
+            ignore (Kernel.all_distance_sums ws);
+            let ecc = Kernel.eccentricities ws in
+            over_vertices g (fun v -> Kernel.to_ext ecc.(v))))
+      ~reference:(fun (_, g) -> over_vertices g (Bfs.eccentricity g))
+      (Alcotest.list ext);
+    kernel_row ~label:graph6 ~group:"sums" ~name:"reach stats vs naive" ~corpus:kernel_corpus
+      ~fast:(fun (_, g) -> Kernel.with_loaded g (fun ws -> over_vertices g (Kernel.reach_stats ws)))
+      ~reference:(fun (_, g) -> over_vertices g (bfs_reach g))
+      Alcotest.(list (pair int int));
+    (* diameter, radius and Wiener index against folds of the BFS rows *)
+    kernel_row ~label:graph6 ~group:"sums" ~name:"apsp metrics" ~corpus:kernel_corpus
+      ~fast:(fun (_, g) ->
+        ( [ Apsp.diameter g; Apsp.radius g; Apsp.wiener g ],
+          Array.to_list (Apsp.distance_sums g) ))
+      ~reference:(fun (_, g) ->
+        let eccs = over_vertices g (Bfs.eccentricity g) in
+        let empty = Graph.order g = 0 in
+        ( [
+            (if empty then Ext_int.zero else List.fold_left Ext_int.max Ext_int.zero eccs);
+            (if empty then Ext_int.zero else List.fold_left Ext_int.min Ext_int.Inf eccs);
+            List.fold_left Ext_int.add Ext_int.zero (bfs_sums g);
+          ],
+          bfs_sums g ))
+      Alcotest.(pair (list ext) (list ext));
+    walk_row ~group:"toggles" ~name:"toggle deltas vs persistent"
+      (toggle_walks ~seed:0x746f67 ~p:(fun _ -> 0.4) ~steps:60 [ 2; 5; 9 ]);
+    kernel_row ~label:graph6 ~group:"multiword" ~name:"boundary zoo vs queue BFS"
+      ~corpus:large_corpus
+      ~fast:(fun (w, g) ->
+        Kernel.with_loaded g (fun ws ->
+            let sums = Array.map Kernel.to_ext (Kernel.all_distance_sums ws) in
+            let ecc = Array.map Kernel.to_ext (Kernel.eccentricities ws) in
+            ( Kernel.words ws = max w (Graph.words g),
+              over_vertices g (fun v ->
+                  ( (sums.(v), Kernel.to_ext (Kernel.distance_sum_from ws v), ecc.(v)),
+                    Kernel.reach_stats ws v )) )))
+      ~reference:(fun (_, g) ->
+        ( true,
+          over_vertices g (fun v ->
+              let sum = Bfs.distance_sum g v in
+              ((sum, sum, Bfs.eccentricity g v), bfs_reach g v)) ))
+      Alcotest.(pair bool (list (pair (triple ext ext ext) (pair int int))));
+    (* the one-word fast path is the reference for the generic loops *)
+    kernel_row ~widths:[ 2; 3; 5 ] ~label:graph6 ~group:"multiword"
+      ~name:"forced words = one-word path" ~corpus:kernel_corpus
+      ~fast:(fun (_, g) -> kernel_profile g)
+      ~reference:(fun (w, g) ->
+        let _, sums, ecc, single = kernel_profile g in
+        (w, sums, ecc, single))
+      (structural (fun fmt (w, _, _, _) -> Format.fprintf fmt "<%d-word profile>" w));
+    walk_row ~group:"multiword" ~name:"toggle deltas past 62"
+      (toggle_walks ~seed:0x6d77746f ~p:(fun n -> 3.0 /. float_of_int n) ~steps:25 [ 63; 65; 129 ]);
+    (* every row of every graph, disconnected ones included; rows written
+       earlier survive later rows and a toggle pair *)
+    kernel_row ~label:graph6 ~group:"multiword" ~name:"distance rows vs queue BFS"
+      ~corpus:(fun () -> kernel_corpus () @ large_corpus ())
+      ~fast:(fun (_, g) ->
+        let n = Graph.order g in
+        Kernel.with_loaded g (fun ws ->
+            let sums =
+              over_vertices g (fun v ->
+                  ( Kernel.to_ext (Kernel.distance_sum_from ws v),
+                    Kernel.to_ext (Kernel.distances_from ws v) ))
+            in
+            if n >= 2 then begin
+              Kernel.toggle ws 0 (n - 1);
+              ignore (Kernel.distance_sum_from ws 0);
+              Kernel.toggle ws 0 (n - 1)
+            end;
+            let rows = Kernel.distance_rows ws in
+            ( sums,
+              over_vertices g (fun v ->
+                  List.init n (fun w -> Bytes.get_uint16_ne rows (2 * ((v * n) + w)))) )))
+      ~reference:(fun (_, g) ->
+        ( List.map (fun s -> (s, s)) (bfs_sums g),
+          over_vertices g (fun v ->
+              List.map
+                (fun d -> if d < 0 then Kernel.row_inf else d)
+                (Array.to_list (Bfs.distances g v)))
+        ))
+      Alcotest.(pair (list (pair ext ext)) (list (list int)));
+    (* the oracle's own early exit: one distance against its whole row *)
+    row ~group:"toggles" ~name:"bfs distance early exit" ~corpus:kernel_corpus
+      ~fast:(fun g -> over_vertices g (fun src -> over_vertices g (Bfs.distance g src)))
+      ~reference:(fun g ->
+        over_vertices g (fun src ->
+            List.map
+              (fun d -> if d < 0 then Ext_int.Inf else Ext_int.Fin d)
+              (Array.to_list (Bfs.distances g src))))
+      Alcotest.(list (list ext));
+  ]
+
 (* ---- stored source = fresh source, every registered game ----------------- *)
 
 (* A game's n = 5 store read back through Service against a fresh source
@@ -395,7 +624,7 @@ let () =
   let games = Game_registry.ci_instances () in
   Alcotest.run "nf_differential"
     (suites
-       (named_rows @ distance_utility_rows
+       (named_rows @ distance_utility_rows @ kernel_rows
        @ List.concat_map orbit_rows games
        @ List.concat_map game_rows games
        @ List.map source_row games))

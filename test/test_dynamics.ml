@@ -221,8 +221,8 @@ module Oracle = struct
         and diameter = ref (if connected then 0 else -1) in
         if connected then
           for v = 0 to n - 1 do
-            wiener := !wiener + fin (Nf_graph.Bfs.distance_sum final v);
-            diameter := max !diameter (fin (Nf_graph.Bfs.eccentricity final v))
+            wiener := !wiener + fin (Nf_test_support.Bfs.distance_sum final v);
+            diameter := max !diameter (fin (Nf_test_support.Bfs.eccentricity final v))
           done;
         let social_cost =
           if connected then Some (Rat.add (Rat.mul (r (2 * !m)) alpha) (r !wiener)) else None

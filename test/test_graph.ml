@@ -2,6 +2,7 @@
    structural predicates, graph6, Prüfer, random models. *)
 
 open Nf_graph
+module Bfs = Nf_test_support.Bfs
 module Bitset = Nf_util.Bitset
 module Ext_int = Nf_util.Ext_int
 module Prng = Nf_util.Prng
@@ -488,7 +489,7 @@ let prop_distance_symmetric =
   QCheck.Test.make ~name:"distances symmetric" ~count:200 graph_arbitrary (fun params ->
       let g = graph_of params in
       let n = Graph.order g in
-      let d = Apsp.all_distances g in
+      let d = Bfs.all_distances g in
       let ok = ref true in
       for i = 0 to n - 1 do
         for j = 0 to n - 1 do
@@ -501,7 +502,7 @@ let prop_triangle_inequality =
   QCheck.Test.make ~name:"triangle inequality" ~count:200 graph_arbitrary (fun params ->
       let g = graph_of params in
       let n = Graph.order g in
-      let d = Apsp.all_distances g in
+      let d = Bfs.all_distances g in
       let ok = ref true in
       for i = 0 to n - 1 do
         for j = 0 to n - 1 do

@@ -1,17 +1,17 @@
-(* Differential tests for the zero-allocation batched distance kernel:
-   bit-parallel all-sources sums vs naive per-source BFS, toggle deltas vs
-   persistent graph edits, Bfs.distance early exit, and the per-domain
-   workspace borrow discipline — over seeded Prng random graphs including
-   disconnected and edgeless ones.  The annotators built on the kernel
-   are held to their oracles in test_differential.ml. *)
+(* Tests for the zero-allocation batched distance kernel that need no
+   oracle: the per-domain workspace borrow discipline, row loading, the
+   allocation-free distance rows, the range messages past one word, and
+   the coalition and game-table surfaces.  The kernel's sums,
+   eccentricities, reach stats, toggle deltas and distance rows are held
+   to the queue-BFS oracle, and the annotators built on the kernel to
+   their game oracles, in test_differential.ml. *)
 
 module Graph = Nf_graph.Graph
-module Bfs = Nf_graph.Bfs
+module Bfs = Nf_test_support.Bfs
 module Apsp = Nf_graph.Apsp
 module Kernel = Nf_graph.Kernel
 module Random_graph = Nf_graph.Random_graph
 module Bitset = Nf_util.Bitset
-module Ext_int = Nf_util.Ext_int
 module Rat = Nf_util.Rat
 module Interval = Nf_util.Interval
 module Prng = Nf_util.Prng
@@ -20,148 +20,10 @@ open Netform
 let check = Alcotest.check
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-let ext = Alcotest.testable Ext_int.pp Ext_int.equal
 let union = Alcotest.testable Interval.Union.pp Interval.Union.equal
 
 (* the annotators' all-pairs case *)
 let trivial g = Nf_iso.Symmetry.trivial (Graph.order g)
-
-(* seeded corpus: sparse through dense gnp at several orders, plus the
-   degenerate shapes the kernel must not trip over *)
-let random_corpus () =
-  let rng = Prng.create 0x6b65726e in
-  let random =
-    List.concat_map
-      (fun n ->
-        List.concat_map
-          (fun p -> List.init 3 (fun _ -> Random_graph.gnp rng n p))
-          [ 0.0; 0.1; 0.3; 0.5; 0.8 ])
-      [ 1; 2; 3; 5; 8; 12; 20 ]
-  in
-  random
-  @ [
-      Graph.empty 0;
-      Graph.empty 7;
-      Graph.of_edges 6 [ (0, 1); (2, 3) ];
-      Random_graph.gnp rng 40 0.15;
-      Nf_named.Gallery.petersen;
-      Nf_named.Families.path 9;
-    ]
-
-let naive_sum g v = Bfs.distance_sum g v
-
-let ext_of_kernel k = if k = Kernel.inf then Ext_int.Inf else Ext_int.Fin k
-
-let test_all_sums_vs_naive () =
-  let ws = Kernel.create () in
-  List.iter
-    (fun g ->
-      Kernel.load ws g;
-      let sums = Kernel.all_distance_sums ws in
-      for v = 0 to Graph.order g - 1 do
-        check ext "batch sum = per-source BFS" (naive_sum g v) (ext_of_kernel sums.(v));
-        check ext "single-source kernel sum = per-source BFS" (naive_sum g v)
-          (ext_of_kernel (Kernel.distance_sum_from ws v))
-      done)
-    (random_corpus ())
-
-let test_eccentricities_vs_naive () =
-  let ws = Kernel.create () in
-  List.iter
-    (fun g ->
-      Kernel.load ws g;
-      ignore (Kernel.all_distance_sums ws);
-      let ecc = Kernel.eccentricities ws in
-      for v = 0 to Graph.order g - 1 do
-        check ext "kernel eccentricity = BFS eccentricity" (Bfs.eccentricity g v)
-          (ext_of_kernel ecc.(v))
-      done)
-    (random_corpus ())
-
-let test_reach_stats_vs_naive () =
-  let ws = Kernel.create () in
-  List.iter
-    (fun g ->
-      Kernel.load ws g;
-      for v = 0 to Graph.order g - 1 do
-        let fsum, reached = Kernel.reach_stats ws v in
-        let dist = Bfs.distances g v in
-        let nsum = ref 0
-        and nreached = ref 0 in
-        Array.iter
-          (fun d ->
-            if d >= 0 then begin
-              nsum := !nsum + d;
-              incr nreached
-            end)
-          dist;
-        check_int "finite sum" !nsum fsum;
-        check_int "reached count" !nreached reached
-      done)
-    (random_corpus ())
-
-(* random toggle walks: the workspace under xor toggles must track the
-   persistent graph under add/remove at every step *)
-let test_toggle_deltas () =
-  let rng = Prng.create 0x746f67 in
-  let ws = Kernel.create () in
-  List.iter
-    (fun n ->
-      let g = ref (Random_graph.gnp rng n 0.4) in
-      Kernel.load ws !g;
-      for _step = 1 to 60 do
-        let i = Prng.int rng n in
-        let j = (i + 1 + Prng.int rng (n - 1)) mod n in
-        Kernel.toggle ws i j;
-        g := (if Graph.has_edge !g i j then Graph.remove_edge else Graph.add_edge) !g i j;
-        check_bool "edge presence tracks" (Graph.has_edge !g i j) (Kernel.has_edge ws i j);
-        let sums = Kernel.all_distance_sums ws in
-        for v = 0 to n - 1 do
-          check ext "post-toggle sums track" (naive_sum !g v) (ext_of_kernel sums.(v))
-        done
-      done)
-    [ 2; 5; 9 ]
-
-let test_bfs_distance_early_exit () =
-  let corpus = random_corpus () in
-  List.iter
-    (fun g ->
-      let n = Graph.order g in
-      for src = 0 to n - 1 do
-        let dist = Bfs.distances g src in
-        for dst = 0 to n - 1 do
-          let expected = if dist.(dst) < 0 then Ext_int.Inf else Ext_int.Fin dist.(dst) in
-          check ext "early-exit distance = full BFS" expected (Bfs.distance g src dst)
-        done
-      done)
-    corpus;
-  Alcotest.check_raises "out of range" (Invalid_argument "Bfs.distance: vertex out of range")
-    (fun () -> ignore (Bfs.distance (Graph.empty 3) 0 3))
-
-let test_apsp_metrics_vs_fold () =
-  List.iter
-    (fun g ->
-      let n = Graph.order g in
-      let eccs = List.init n (fun v -> Bfs.eccentricity g v) in
-      let expected_diameter =
-        if n = 0 then Ext_int.zero else List.fold_left Ext_int.max Ext_int.zero eccs
-      in
-      let expected_radius =
-        if n = 0 then Ext_int.zero else List.fold_left Ext_int.min Ext_int.Inf eccs
-      in
-      let expected_wiener =
-        List.fold_left
-          (fun acc v -> Ext_int.add acc (naive_sum g v))
-          Ext_int.zero (List.init n Fun.id)
-      in
-      check ext "diameter" expected_diameter (Apsp.diameter g);
-      check ext "radius" expected_radius (Apsp.radius g);
-      check ext "wiener" expected_wiener (Apsp.wiener g);
-      let sums = Apsp.distance_sums g in
-      for v = 0 to n - 1 do
-        check ext "distance_sums" (naive_sum g v) sums.(v)
-      done)
-    (random_corpus ())
 
 (* ---- coalition-k layering against the classic games (satellite) -------- *)
 
@@ -377,150 +239,17 @@ let test_load_rows () =
   check_bool "out of range stripped" false (Kernel.has_edge ws 0 5 || Kernel.has_edge ws 2 60);
   check_int "path sum" 3 (Kernel.distance_sum_from ws 0)
 
-(* ---------------- multi-word rows (n > 62) ---------------- *)
-
-(* the boundary zoo: orders straddling each word-count transition *)
-let boundary_orders = [ 62; 63; 64; 65; 127; 128; 129 ]
-
-let large_corpus () =
-  let rng = Prng.create 0x77647364 in
-  List.concat_map
-    (fun n -> [ Random_graph.gnp rng n (2.0 /. float_of_int n); Random_graph.gnp rng n 0.08 ])
-    boundary_orders
-  @ [
-      Graph.empty 100;
-      (* disconnected with a far component, forcing high-word traffic *)
-      Graph.of_edges 130 [ (0, 1); (1, 2); (128, 129) ];
-      Nf_named.Families.cycle 150;
-      Nf_named.Families.star 200;
-      Random_graph.tree (Prng.create 5) 300;
-      Random_graph.gnp (Prng.create 6) 300 0.02;
-    ]
-
-(* kernel vs the persistent queue-BFS reference, at orders up to 300 *)
-let test_multiword_vs_bfs () =
-  let ws = Kernel.create () in
-  List.iter
-    (fun g ->
-      Kernel.load ws g;
-      let n = Graph.order g in
-      check_int "words match graph" (Graph.words g) (Kernel.words ws);
-      let sums = Kernel.all_distance_sums ws in
-      let ecc = Kernel.eccentricities ws in
-      for v = 0 to n - 1 do
-        check ext "multi-word batch sum = queue BFS" (naive_sum g v) (ext_of_kernel sums.(v));
-        check ext "multi-word single-source = queue BFS" (naive_sum g v)
-          (ext_of_kernel (Kernel.distance_sum_from ws v));
-        check ext "multi-word eccentricity = queue BFS" (Bfs.eccentricity g v)
-          (ext_of_kernel ecc.(v));
-        let fsum, reached = Kernel.reach_stats ws v in
-        let dist = Bfs.distances g v in
-        let nsum = ref 0 and nreached = ref 0 in
-        Array.iter (fun d -> if d >= 0 then begin nsum := !nsum + d; incr nreached end) dist;
-        check_int "multi-word reach sum" !nsum fsum;
-        check_int "multi-word reach count" !nreached reached
-      done)
-    (large_corpus ())
-
-(* same n ≤ 62 graphs through the one-word fast path and the forced
-   generic loops: every public kernel observable must agree bit-for-bit *)
-let test_forced_multiword_parity () =
-  let corpus = random_corpus () in
-  Fun.protect
-    ~finally:(fun () -> Kernel.set_min_words_for_testing 1)
-    (fun () ->
-      List.iter
-        (fun g ->
-          let n = Graph.order g in
-          Kernel.set_min_words_for_testing 1;
-          let one_sums, one_ecc =
-            Kernel.with_loaded g (fun ws ->
-                let sums = Array.copy (Kernel.all_distance_sums ws) in
-                (sums, Array.copy (Kernel.eccentricities ws)))
-          in
-          List.iter
-            (fun forced ->
-              Kernel.set_min_words_for_testing forced;
-              Kernel.with_loaded g (fun ws ->
-                  check_int "forced word count" (max forced 1) (Kernel.words ws);
-                  let sums = Kernel.all_distance_sums ws in
-                  let ecc = Kernel.eccentricities ws in
-                  for v = 0 to n - 1 do
-                    check_int "sums parity (forced words)" one_sums.(v) sums.(v);
-                    check_int "ecc parity (forced words)" one_ecc.(v) ecc.(v);
-                    check_int "single-source parity" one_sums.(v)
-                      (Kernel.distance_sum_from ws v)
-                  done))
-            [ 2; 3; 5 ])
-        corpus)
-
-(* toggle walks through the generic loops, tracked against persistent
-   graph edits — the same contract the one-word path is held to above *)
-let test_multiword_toggle_deltas () =
-  let rng = Prng.create 0x6d77746f in
-  let ws = Kernel.create () in
-  List.iter
-    (fun n ->
-      let g = ref (Random_graph.gnp rng n (3.0 /. float_of_int n)) in
-      Kernel.load ws !g;
-      for _step = 1 to 25 do
-        let i = Prng.int rng n in
-        let j = (i + 1 + Prng.int rng (n - 1)) mod n in
-        Kernel.toggle ws i j;
-        g := (if Graph.has_edge !g i j then Graph.remove_edge else Graph.add_edge) !g i j;
-        check_bool "edge presence tracks" (Graph.has_edge !g i j) (Kernel.has_edge ws i j);
-        let sums = Kernel.all_distance_sums ws in
-        for v = 0 to n - 1 do
-          check ext "post-toggle sums track" (naive_sum !g v) (ext_of_kernel sums.(v))
-        done
-      done)
-    [ 63; 65; 129 ]
-
-(* distance rows vs the persistent queue BFS: every row of every graph,
-   one-word, multi-word and forced-generic, disconnected ones included;
-   rows written earlier must survive later rows and toggles *)
-let test_distance_rows_vs_bfs () =
-  let check_graph g =
-    let n = Graph.order g in
-    Kernel.with_loaded g (fun ws ->
-        for v = 0 to n - 1 do
-          check ext "row sum = distance_sum_from"
-            (ext_of_kernel (Kernel.distance_sum_from ws v))
-            (ext_of_kernel (Kernel.distances_from ws v))
-        done;
-        (* a toggle pair leaves the graph, and so the rows, as they were *)
-        if n >= 2 then begin
-          Kernel.toggle ws 0 (n - 1);
-          ignore (Kernel.distance_sum_from ws 0);
-          Kernel.toggle ws 0 (n - 1)
-        end;
-        let rows = Kernel.distance_rows ws in
-        for v = 0 to n - 1 do
-          let want = Bfs.distances g v in
-          for w = 0 to n - 1 do
-            let got = Bytes.get_uint16_ne rows (2 * ((v * n) + w)) in
-            check_int
-              (Printf.sprintf "n=%d d(%d,%d)" n v w)
-              (if want.(w) < 0 then Kernel.row_inf else want.(w))
-              got
-          done
-        done)
-  in
-  let corpus = random_corpus () @ large_corpus () in
-  (* once the slab exists, a row costs no allocation *)
+(* once the slab exists, a distance row costs no allocation *)
+let test_rows_allocate_nothing () =
   Kernel.with_loaded (Random_graph.gnp (Prng.create 9) 130 0.05) (fun ws ->
       ignore (Kernel.distances_from ws 0);
       let before = Gc.minor_words () in
       for v = 0 to 129 do
         ignore (Kernel.distances_from ws v)
       done;
-      check_bool "rows allocate nothing" true (Gc.minor_words () -. before < 16.0));
-  Fun.protect
-    ~finally:(fun () -> Kernel.set_min_words_for_testing 1)
-    (fun () ->
-      List.iter check_graph corpus;
-      Kernel.set_min_words_for_testing 3;
-      List.iter check_graph corpus)
+      check_bool "rows allocate nothing" true (Gc.minor_words () -. before < 16.0))
+
+(* ---------------- multi-word rows (n > 62) ---------------- *)
 
 let test_multiword_range_messages () =
   let ws = Kernel.create () in
@@ -535,6 +264,9 @@ let test_multiword_range_messages () =
        "Kernel.neighbors: order 70 > 62 needs multi-word rows; use has_edge or \
         iter_neighbors")
     (fun () -> ignore (Kernel.neighbors ws 0));
+  Alcotest.check_raises "Bfs.distance out of range"
+    (Invalid_argument "Bfs.distance: vertex out of range")
+    (fun () -> ignore (Bfs.distance (Graph.empty 3) 0 3));
   Alcotest.check_raises "Bfs.reachable past one word"
     (Invalid_argument "Bfs.reachable: order 70 > 62 (one-word bitset result; use reachable_words)")
     (fun () -> ignore (Bfs.reachable (Graph.empty 70) 0));
@@ -556,37 +288,21 @@ let prop_multiword_apsp_parity =
           let sums = Kernel.all_distance_sums ws in
           let ok = ref true in
           for v = 0 to n - 1 do
-            if ext_of_kernel sums.(v) <> apsp.(v) then ok := false
+            if Kernel.to_ext sums.(v) <> apsp.(v) then ok := false
           done;
           !ok))
 
 let () =
   Alcotest.run "nf_kernel"
     [
-      ( "sums",
-        [
-          Alcotest.test_case "all sources vs naive" `Quick test_all_sums_vs_naive;
-          Alcotest.test_case "eccentricities vs naive" `Quick test_eccentricities_vs_naive;
-          Alcotest.test_case "reach stats vs naive" `Quick test_reach_stats_vs_naive;
-          Alcotest.test_case "apsp metrics" `Quick test_apsp_metrics_vs_fold;
-        ] );
-      ( "toggles",
-        [
-          Alcotest.test_case "toggle deltas vs persistent" `Quick test_toggle_deltas;
-          Alcotest.test_case "bfs distance early exit" `Quick test_bfs_distance_early_exit;
-        ] );
       ( "workspace",
         [
           Alcotest.test_case "nested borrow" `Quick test_nested_borrow;
           Alcotest.test_case "load rows" `Quick test_load_rows;
+          Alcotest.test_case "rows allocate nothing" `Quick test_rows_allocate_nothing;
         ] );
       ( "multiword",
         [
-          Alcotest.test_case "boundary zoo vs queue BFS" `Quick test_multiword_vs_bfs;
-          Alcotest.test_case "forced words = one-word path" `Quick
-            test_forced_multiword_parity;
-          Alcotest.test_case "toggle deltas past 62" `Quick test_multiword_toggle_deltas;
-          Alcotest.test_case "distance rows vs queue BFS" `Quick test_distance_rows_vs_bfs;
           Alcotest.test_case "range messages" `Quick test_multiword_range_messages;
           QCheck_alcotest.to_alcotest prop_multiword_apsp_parity;
         ] );

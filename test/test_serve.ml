@@ -821,6 +821,27 @@ let test_protocol_errors () =
   check_bool "error response" true ((not (Protocol.response_ok resp)) && Protocol.response_error resp = "boom");
   check_bool "ok response" true (Protocol.response_ok (Protocol.ok_response [ ("op", Json.Str "health") ]))
 
+(* The Rat input bound at the daemon.  The regression pair
+   4611686018427387903/4611686018427387902 (1 + 2.2e-19) and 10001/10000
+   lie between the same region endpoints, but num·den products of the
+   first wrap around: it is refused with an error line carrying Rat's
+   pinned message.  2147483647/2147483646, components under the bound,
+   answers as 10001/10000 does. *)
+let test_alpha_input_bound () =
+  with_store ~chunk:4 6 (fun path ->
+      let s = Service.create ~path () in
+      let ask alpha = Json.of_string (fst (Server.handle_line s (stable_at_line alpha))) in
+      let big = "4611686018427387903/4611686018427387902" in
+      let refused = ask big in
+      check_bool "refused" false (Protocol.response_ok refused);
+      check_string "pinned message"
+        (Printf.sprintf
+           "field \"alpha\": Rat.of_string: %S has a numerator or denominator of magnitude >= 2^31"
+           big)
+        (Protocol.response_error refused);
+      let graphs alpha = Json.to_string (Option.get (Json.member "graphs" (ask alpha))) in
+      check_string "under the bound" (graphs "10001/10000") (graphs "2147483647/2147483646"))
+
 let test_json_roundtrip () =
   List.iter
     (fun s -> check_string "parse/print" s (Json.to_string (Json.of_string s)))
@@ -1045,6 +1066,7 @@ let () =
           Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "request roundtrip" `Quick test_protocol_roundtrip;
           Alcotest.test_case "request errors" `Quick test_protocol_errors;
+          Alcotest.test_case "alpha input bound" `Quick test_alpha_input_bound;
         ] );
       ( "daemon",
         [

@@ -153,10 +153,10 @@ let test_du_distance_cost () =
   (* from an endpoint: distances 1,2,3,4 -> squares 1+4+9+16 = 30 *)
   check_bool "quadratic endpoint cost" true
     (Nf_util.Ext_int.equal
-       (Distance_utility.distance_cost Distance_utility.quadratic p5 0)
+       (Oracle.utility_cost Distance_utility.quadratic.f p5 0)
        (Nf_util.Ext_int.Fin 30));
   check_bool "disconnected infinite" true
-    (Distance_utility.distance_cost Distance_utility.quadratic (Graph.empty 3) 0
+    (Oracle.utility_cost Distance_utility.quadratic.f (Graph.empty 3) 0
     = Nf_util.Ext_int.Inf)
 
 (* ---------------- Strategy ---------------- *)

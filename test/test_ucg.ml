@@ -178,6 +178,35 @@ let test_acceptance_interval_matches_accepts () =
       alphas
   done
 
+(* players that cannot reach every vertex, against the persistent
+   definition: buying every missing link connects such a player, so it
+   never accepts; the lone vertex of a one-vertex graph reaches everyone *)
+let test_accepts_disconnected () =
+  let path4_and_isolated = Graph.of_edges 5 [ (0, 1); (1, 2); (2, 3) ] in
+  let two_paths = Graph.of_edges 6 [ (0, 1); (1, 2); (3, 4); (4, 5) ] in
+  let cases =
+    [
+      ("empty graph", Graph.empty 4, 0, []);
+      ("one vertex", Graph.empty 1, 0, []);
+      ("two components, middle", two_paths, 1, [ 0 ]);
+      ("two components, owns both", two_paths, 4, [ 3; 5 ]);
+      ("two components, owns none", two_paths, 5, []);
+      ("isolated player", path4_and_isolated, 4, []);
+      ("owned edges, an isolated vertex elsewhere", path4_and_isolated, 1, [ 0; 2 ]);
+    ]
+  in
+  List.iter
+    (fun (name, g, i, owned) ->
+      let owned = Bitset.of_list owned in
+      List.iter
+        (fun alpha ->
+          let label = Printf.sprintf "%s at %s" name (Rat.to_string alpha) in
+          let expected = Oracle.accepts ~alpha g i ~owned in
+          check_bool (label ^ ": oracle") (Graph.order g = 1) expected;
+          check_bool label expected (Ucg.accepts ~alpha g i ~owned))
+        [ rq 1 4; r 1; r 2; r 9; r 1000 ])
+    cases
+
 (* Dense graphs have one-interval Nash sets that the first few leaves
    already cover.  Without the coverage prune K8 (2^28 orientations)
    takes about a minute against milliseconds, so a lost prune shows up
@@ -225,6 +254,7 @@ let () =
           Alcotest.test_case "vs brute force" `Slow test_vs_brute_force;
           Alcotest.test_case "interval vs pointwise" `Quick test_interval_vs_pointwise;
           Alcotest.test_case "acceptance interval" `Quick test_acceptance_interval_matches_accepts;
+          Alcotest.test_case "acceptance disconnected" `Quick test_accepts_disconnected;
         ] );
       ( "dense pins",
         [

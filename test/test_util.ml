@@ -87,6 +87,31 @@ let test_rat_of_string () =
         (fun () -> ignore (Rat.of_string s)))
     [ ""; " "; "1/0"; "0/0"; "1.5"; "1e3"; "1/"; "/2"; "1//2"; "0x10"; "1_000"; "+1"; "- 1"; "1/2/3" ]
 
+(* the input bound: a component of magnitude 2^31 or more (past the int
+   range included) is refused with the pinned message; one below it
+   parses *)
+let test_rat_input_bound () =
+  List.iter
+    (fun s ->
+      check_bool (Printf.sprintf "%S rejected" s) true (Rat.of_string_opt s = None);
+      Alcotest.check_raises (Printf.sprintf "%S raises" s)
+        (Invalid_argument
+           (Printf.sprintf
+              "Rat.of_string: %S has a numerator or denominator of magnitude >= 2^31" s))
+        (fun () -> ignore (Rat.of_string s)))
+    [
+      "2147483648";
+      "-2147483648";
+      "1/2147483648";
+      "2147483648/2";
+      "4611686018427387903/4611686018427387902";
+      "99999999999999999999";
+      "1/-99999999999999999999";
+    ];
+  check rat "largest numerator" (Rat.make 2147483647 2147483646)
+    (Rat.of_string "2147483647/2147483646");
+  check rat "most negative" (Rat.make (-2147483647) 1) (Rat.of_string "-2147483647")
+
 let rat_arbitrary =
   QCheck.map
     (fun (n, d) -> Rat.make n (if d = 0 then 1 else d))
@@ -545,6 +570,7 @@ let () =
           Alcotest.test_case "arithmetic" `Quick test_rat_arith;
           Alcotest.test_case "compare" `Quick test_rat_compare;
           Alcotest.test_case "of_string" `Quick test_rat_of_string;
+          Alcotest.test_case "input bound" `Quick test_rat_input_bound;
           qcheck prop_rat_string_roundtrip;
           qcheck prop_rat_of_string_pq;
           qcheck prop_rat_add_commutative;
